@@ -28,7 +28,7 @@ from .extract import (
     extract_mod2,
     flip_debias,
     intervals,
-    _mod4_arrays,
+    mod4_arrays,
 )
 from .formats import (
     BIT_FORMATS,
@@ -183,7 +183,7 @@ def cmd_extract(args) -> int:
         bits = extract_mod2(stream, ExtractorConfig(include_first=args.include_first))
     else:
         gaps = intervals(stream, include_first=args.include_first)
-        basis, key = _mod4_arrays(gaps)
+        basis, key = mod4_arrays(gaps)
         interleaved = np.empty(2 * basis.size, dtype=np.uint8)
         interleaved[0::2] = basis
         interleaved[1::2] = key

@@ -30,6 +30,7 @@ __all__ = [
     "intervals",
     "extract_mod2",
     "extract_mod4",
+    "mod4_arrays",
     "symbol_from_interval",
     "flip_debias",
     "balance",
@@ -140,7 +141,8 @@ def extract_mod2(stream: EventStream, cfg: ExtractorConfig | None = None) -> Bit
     return BitStream((gaps & np.uint64(1)).astype(np.uint8))
 
 
-def _mod4_arrays(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mod4_arrays(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, key) bit arrays of the intervals modulo 4: its high and low bits."""
     v = gaps % np.uint64(4)
     basis = (v >> np.uint64(1)).astype(np.uint8)
     key = (v & np.uint64(1)).astype(np.uint8)
@@ -151,7 +153,7 @@ def extract_mod4(stream: EventStream, cfg: ExtractorConfig | None = None) -> lis
     """One (basis, key) pair per interval: the interval length modulo 4."""
     cfg = _config(cfg, Modulus.MOD4)
     gaps = intervals(stream, include_first=cfg.include_first)
-    basis, key = _mod4_arrays(gaps)
+    basis, key = mod4_arrays(gaps)
     return [SymbolPair(int(b), int(k)) for b, k in zip(basis.tolist(), key.tolist())]
 
 

@@ -1,9 +1,13 @@
 """File formats: event streams, bit streams, test reports, run manifests.
 
-Event streams are one ASCII decimal slot index per line, or a packed
-binary stream of little-endian unsigned 64-bit integers.  Bit streams
-are either ASCII ``0``/``1`` characters (whitespace-insensitive) or a
-packed format with an 8-byte little-endian bit-count header followed by
+Event streams are ascii, one decimal slot index per line, or a packed
+binary stream of little-endian unsigned 64-bit integers.  An ascii event
+line (lines end at ``\n``) is optional blanks (space, tab, CR), one run of
+ASCII digits and optional blanks; blank lines are skipped and any other
+byte is an error naming its line.  Slot indices lie in 1..2**64 - 1 and
+strictly increase.  Bit streams are either ``ascii01`` -- the bytes ``0``
+and ``1`` with ASCII whitespace (space, tab, LF, VT, FF, CR) ignored -- or
+a packed format with an 8-byte little-endian bit-count header followed by
 MSB-first bytes, zero-padded.  Reports are CSV.  Every file produced by
 the CLI is accompanied by a JSON run manifest (``<file>.manifest.json``)
 recording the exact command, parameters and random generator, so any
@@ -51,48 +55,90 @@ def _default_clock() -> ClockConfig:
     return ClockConfig(mode=ClockMode.FREE_RUNNING)
 
 
-def _check_event_order(values: list[int], labels: list[str]) -> None:
-    last = 0
-    for value, label in zip(values, labels):
-        if value < 1:
-            raise DataError(f"{label}: slot index must be >= 1, got {value}")
-        if value > _U64_MAX:
-            raise DataError(f"{label}: slot index {value} overflows 64 bits")
-        if value <= last:
-            kind = "duplicate" if value == last else "non-increasing"
-            raise DataError(f"{label}: {kind} slot index {value} (previous was {last})")
-        last = value
+def _line_of(blob: bytes, pos: int) -> int:
+    """1-based number of the line holding byte ``pos``."""
+    return blob.count(b"\n", 0, pos) + 1
+
+
+def _not_a_slot(blob: bytes, pos: int) -> DataError:
+    start = blob.rfind(b"\n", 0, pos) + 1
+    end = blob.find(b"\n", pos)
+    text = blob[start : end if end >= 0 else None].strip(b" \t\r").decode("utf-8", "replace")
+    return DataError(f"line {_line_of(blob, pos)}: {text!r} is not a decimal slot index")
+
+
+def _overflows(token: bytes) -> bool:
+    digits = token.lstrip(b"0")
+    return len(digits) > 20 or int(digits or b"0") > _U64_MAX
+
+
+def _parse_ascii_events(blob: bytes):
+    """Slot indices of an ascii event file and a function naming the line of entry i."""
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    digit = (buf - ord("0")) < 10
+    blank = (buf == ord(" ")) | (buf == ord("\t")) | (buf == ord("\r"))
+    stray = ~(digit | blank | (buf == ord("\n")))
+    if stray.any():
+        raise _not_a_slot(blob, int(stray.argmax()))
+    # Blank runs as (start, end) pairs; one with a digit on each side splits a
+    # line into two numbers.
+    edges = np.flatnonzero(np.diff(blank.view(np.int8), prepend=0, append=0))
+    padded = np.concatenate(([False], digit, [False]))
+    split = padded[edges[0::2]] & padded[edges[1::2] + 1]
+    if split.any():
+        raise _not_a_slot(blob, int(edges[0::2][split.argmax()]))
+
+    def where(i: int) -> str:
+        starts = np.flatnonzero(padded[1:-1] & ~padded[:-2])
+        return f"line {_line_of(blob, int(starts[i]))}"
+
+    tokens = blob.split()
+    try:
+        return np.array(tokens, dtype=np.uint64), where
+    except (OverflowError, ValueError):
+        # numpy goes through int(), which refuses 2**64 and more, and also
+        # strings of over 4300 digits, however many are leading zeros.
+        i = next((i for i, t in enumerate(tokens) if _overflows(t)), None)
+        if i is not None:
+            raise DataError(f"{where(i)}: slot index {tokens[i].decode()} overflows 64 bits") from None
+        return np.array([t.lstrip(b"0") or b"0" for t in tokens], dtype=np.uint64), where
+
+
+def _check_event_order(slots: np.ndarray, where) -> None:
+    """Raise on the first slot that is 0 or not above its predecessor."""
+    if not slots.size:
+        return
+    bad = np.flatnonzero(slots[1:] <= slots[:-1]) + 1
+    if slots[0] >= 1 and not bad.size:
+        return
+    i = 0 if slots[0] < 1 else int(bad[0])
+    value = int(slots[i])
+    if value < 1:
+        raise DataError(f"{where(i)}: slot index must be >= 1, got {value}")
+    last = int(slots[i - 1])
+    kind = "duplicate" if value == last else "non-increasing"
+    raise DataError(f"{where(i)}: {kind} slot index {value} (previous was {last})")
 
 
 def read_events(path, fmt: str = "ascii", clock: ClockConfig | None = None) -> EventStream:
     """Read an event stream; an empty file yields an empty stream."""
     if fmt not in EVENT_FORMATS:
         raise ValueError(f"unknown event format {fmt!r}")
-    path = Path(path)
     if clock is None:
         clock = _default_clock()
-    values: list[int] = []
-    labels: list[str] = []
+    blob = Path(path).read_bytes()
     if fmt == "ascii":
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise DataError(f"line {lineno}: {text!r} is not a decimal slot index") from None
-            values.append(value)
-            labels.append(f"line {lineno}")
+        slots, where = _parse_ascii_events(blob)
     else:
-        blob = path.read_bytes()
         if len(blob) % 8:
             raise DataError(f"binary event file length {len(blob)} is not a multiple of 8")
-        arr = np.frombuffer(blob, dtype="<u8")
-        values = [int(v) for v in arr]
-        labels = [f"entry {i}" for i in range(1, len(values) + 1)]
-    _check_event_order(values, labels)
-    return EventStream(np.array(values, dtype=np.uint64), clock)
+        slots = np.frombuffer(blob, dtype="<u8")
+
+        def where(i: int) -> str:
+            return f"entry {i + 1}"
+
+    _check_event_order(slots, where)
+    return EventStream(slots, clock)
 
 
 def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:
@@ -100,7 +146,8 @@ def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:
         raise ValueError(f"unknown event format {fmt!r}")
     path = Path(path)
     if fmt == "ascii":
-        path.write_text("".join(f"{int(s)}\n" for s in stream.slots))
+        text = "\n".join(map(str, stream.slots.tolist()))
+        path.write_text(text + "\n" if text else "")
     else:
         path.write_bytes(stream.slots.astype("<u8").tobytes())
 
@@ -108,17 +155,17 @@ def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:
 def read_bits(path, fmt: str = "ascii01") -> BitStream:
     if fmt not in BIT_FORMATS:
         raise ValueError(f"unknown bit format {fmt!r}")
-    path = Path(path)
+    blob = Path(path).read_bytes()
     if fmt == "ascii01":
-        out = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            for ch in line:
-                if ch in "01":
-                    out.append(ch == "1")
-                elif not ch.isspace():
-                    raise DataError(f"line {lineno}: stray character {ch!r} in bit stream")
-        return BitStream(np.array(out, dtype=np.uint8))
-    blob = path.read_bytes()
+        buf = np.frombuffer(blob, dtype=np.uint8)
+        bit = (buf == ord("0")) | (buf == ord("1"))
+        # ASCII whitespace: space and \t \n \v \f \r, which are 9..13.
+        stray = ~(bit | (buf == ord(" ")) | ((buf - 9) < 5))
+        if stray.any():
+            pos = int(stray.argmax())
+            ch = blob[pos : pos + 4].decode("utf-8", "replace")[0]
+            raise DataError(f"line {_line_of(blob, pos)}: stray character {ch!r} in bit stream")
+        return BitStream(buf[bit] - ord("0"))
     if len(blob) < 8:
         raise DataError("packed bit file shorter than its 8-byte header")
     bit_len = int.from_bytes(blob[:8], "little")
@@ -139,7 +186,7 @@ def write_bits(bits: BitStream, path, fmt: str = "ascii01") -> None:
         raise ValueError(f"unknown bit format {fmt!r}")
     path = Path(path)
     if fmt == "ascii01":
-        path.write_text("".join("1" if b else "0" for b in bits.bits) + "\n")
+        path.write_bytes((bits.bits + ord("0")).tobytes() + b"\n")
     else:
         header = len(bits).to_bytes(8, "little")
         payload = np.packbits(bits.bits).tobytes()

@@ -26,9 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
-from .extract import balance, BitStream, bootstrap_buffer, extract_mod2, intervals, _mod4_arrays
+from .extract import balance, BitStream, bootstrap_buffer, extract_mod2, intervals, mod4_arrays
 from .models import click_probability, Distribution, SourceModel
-from .sim import ClockConfig, ClockMode, EventStream, IntraGateProfile, generate_gated, _rng
+from .sim import (
+    ClockConfig,
+    ClockMode,
+    EventStream,
+    IntraGateProfile,
+    apply_dead_time,
+    generate_gated,
+    rng,
+)
 
 __all__ = ["ProtocolParams", "ProtocolResult", "run_bbm92", "run_bb84", "eve_qnd_advantage"]
 
@@ -107,14 +115,8 @@ def _detections(
     r = clock.slots_per_gate
     intra = profile.sample(rng, gates.size, r)
     slots = (gates - 1) * r + intra
-    if clock.dead_slots and slots.size:
-        keep = np.ones(slots.size, dtype=bool)
-        last = -(clock.dead_slots + 1)
-        for i, s in enumerate(slots.tolist()):
-            if s - last > clock.dead_slots:
-                last = s
-            else:
-                keep[i] = False
+    if clock.dead_slots:
+        keep = apply_dead_time(slots, clock.dead_slots, -(clock.dead_slots + 1))
         detected[gates[~keep] - 1] = False
         slots = slots[keep]
     return detected, EventStream(slots, clock)
@@ -145,9 +147,9 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     _party_guard(source, surv_a, params.clock_alice, "Alice")
     _party_guard(source, surv_b, params.clock_bob, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_a, boot_b = _spawn_seeds(params.seed, 6)
-    n_pairs = _sample_pair_numbers(_rng(seed_src), source, params.n_gates)
-    det_a, stream_a = _detections(_rng(seed_a), n_pairs, surv_a, params.clock_alice, params.profile)
-    det_b, stream_b = _detections(_rng(seed_b), n_pairs, surv_b, params.clock_bob, params.profile)
+    n_pairs = _sample_pair_numbers(rng(seed_src), source, params.n_gates)
+    det_a, stream_a = _detections(rng(seed_a), n_pairs, surv_a, params.clock_alice, params.profile)
+    det_b, stream_b = _detections(rng(seed_b), n_pairs, surv_b, params.clock_bob, params.profile)
     basis_a = _basis_bits(stream_a, params.clock_alice, params.k_bootstrap, boot_a)
     basis_b = _basis_bits(stream_b, params.clock_bob, params.k_bootstrap, boot_b)
 
@@ -159,7 +161,7 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     basis_b_c = basis_b[det_index_b[coincident]]
     matched = basis_a_c == basis_b_c
     n_sift = int(np.count_nonzero(matched))
-    errors = _rng(seed_pair).random(n_sift) < params.intrinsic_error
+    errors = rng(seed_pair).random(n_sift) < params.intrinsic_error
     qber = float(errors.mean()) if n_sift else 0.0
     return ProtocolResult(
         coincidences=n_coinc,
@@ -184,25 +186,25 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
     surv_b = source.eta * params.channel_transmittance_bob
     _party_guard(source, surv_b, params.clock_bob, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_b = _spawn_seeds(params.seed, 5)
-    n_photons = _sample_pair_numbers(_rng(seed_src), source, params.n_gates)
-    det_b, stream_b = _detections(_rng(seed_b), n_photons, surv_b, params.clock_bob, params.profile)
+    n_photons = _sample_pair_numbers(rng(seed_src), source, params.n_gates)
+    det_b, stream_b = _detections(rng(seed_b), n_photons, surv_b, params.clock_bob, params.profile)
     basis_b = _basis_bits(stream_b, params.clock_bob, params.k_bootstrap, boot_b)
     det_index_b = np.cumsum(det_b) - 1
 
     if heralded_alice:
         surv_a = source.eta * params.channel_transmittance_alice
         _party_guard(source, surv_a, params.clock_alice, "Alice")
-        det_a, stream_a = _detections(_rng(seed_a), n_photons, surv_a, params.clock_alice, params.profile)
+        det_a, stream_a = _detections(rng(seed_a), n_photons, surv_a, params.clock_alice, params.profile)
         gaps = intervals(stream_a, include_first=True)
         # Alice's basis is the high bit of her mod-4 symbol; the low (key)
         # bit never surfaces here because errors are applied as a mask.
-        basis_a, _ = _mod4_arrays(gaps)
+        basis_a, _ = mod4_arrays(gaps)
         det_index_a = np.cumsum(det_a) - 1
         coincident = det_a & det_b
         basis_a_c = basis_a[det_index_a[coincident]]
         alice_balance = balance(BitStream(basis_a)).ratio
     else:
-        basis_a = _rng(seed_a).integers(0, 2, size=params.n_gates, dtype=np.uint8)
+        basis_a = rng(seed_a).integers(0, 2, size=params.n_gates, dtype=np.uint8)
         coincident = det_b
         basis_a_c = basis_a[coincident]
         alice_balance = balance(BitStream(basis_a)).ratio
@@ -211,7 +213,7 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
     basis_b_c = basis_b[det_index_b[coincident]]
     matched = basis_a_c == basis_b_c
     n_sift = int(np.count_nonzero(matched))
-    errors = _rng(seed_pair).random(n_sift) < params.intrinsic_error
+    errors = rng(seed_pair).random(n_sift) < params.intrinsic_error
     qber = float(errors.mean()) if n_sift else 0.0
     return ProtocolResult(
         coincidences=n_coinc,

@@ -32,7 +32,9 @@ __all__ = [
     "EventStream",
     "generate_free_running",
     "generate_gated",
+    "apply_dead_time",
     "empirical_parity",
+    "rng",
 ]
 
 # Name of the pseudo-random bit generator backing every simulation; recorded in
@@ -42,7 +44,8 @@ GENERATOR_ALGORITHM = "PCG64"
 _MAX_TOPUP_BATCHES = 10_000
 
 
-def _rng(seed) -> np.random.Generator:
+def rng(seed) -> np.random.Generator:
+    """The simulation generator (``GENERATOR_ALGORITHM``) seeded with ``seed``."""
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -210,8 +213,8 @@ def generate_free_running(
     expected_span = n_events * (1.0 / p_slot + clock.dead_slots)
     if expected_span > 2.0**62:
         raise GuardError("requested stream would overflow 64-bit slot indices")
-    rng = _rng(seed)
-    gaps = rng.geometric(p_slot, size=n_events).astype(np.int64)
+    gen = rng(seed)
+    gaps = gen.geometric(p_slot, size=n_events).astype(np.int64)
     if clock.dead_slots:
         gaps[1:] += clock.dead_slots
     slots = np.cumsum(gaps)
@@ -251,10 +254,10 @@ def generate_gated(
         raise GuardError("per-gate click probability is 0; the stream would never terminate")
     if n_events * (1.0 / p_gate) * r > 2.0**62:
         raise GuardError("requested stream would overflow 64-bit slot indices")
-    rng = _rng(seed)
+    gen = rng(seed)
     if clock.dead_slots == 0:
-        gates = np.cumsum(rng.geometric(p_gate, size=n_events).astype(np.int64))
-        intra = profile.sample(rng, n_events, r)
+        gates = np.cumsum(gen.geometric(p_gate, size=n_events).astype(np.int64))
+        intra = profile.sample(gen, n_events, r)
         slots = (gates - 1) * r + intra
         return EventStream(slots.astype(np.uint64), clock)
 
@@ -264,21 +267,47 @@ def generate_gated(
     last_slot = -(clock.dead_slots + 1)
     for _ in range(_MAX_TOPUP_BATCHES):
         m = n_events - have
-        gates = last_gate + np.cumsum(rng.geometric(p_gate, size=m).astype(np.int64))
-        intra = profile.sample(rng, m, r)
+        gates = last_gate + np.cumsum(gen.geometric(p_gate, size=m).astype(np.int64))
+        intra = profile.sample(gen, m, r)
         candidates = (gates - 1) * r + intra
-        for s in candidates.tolist():
-            if s - last_slot > clock.dead_slots:
-                accepted[have] = s
-                last_slot = s
-                have += 1
-                if have == n_events:
-                    return EventStream(accepted.astype(np.uint64), clock)
+        kept = candidates[apply_dead_time(candidates, clock.dead_slots, last_slot)]
+        accepted[have : have + kept.size] = kept
+        have += kept.size
+        if have == n_events:
+            return EventStream(accepted.astype(np.uint64), clock)
+        if kept.size:
+            last_slot = int(kept[-1])
         last_gate = int(gates[-1])
     raise GuardError(
         "dead time rejected too many candidate clicks; "
         f"gave up after {_MAX_TOPUP_BATCHES} batches"
     )
+
+
+def apply_dead_time(slots: np.ndarray, dead: int, last: int) -> np.ndarray:
+    """Keep-mask of candidate clicks that survive a dead time of ``dead`` slots.
+
+    ``slots`` are strictly increasing candidate slots and ``last`` is the
+    slot of the last accepted click before them, below ``slots[0]``
+    (``-(dead + 1)`` when there is none).  A candidate is kept when it
+    lies more than ``dead`` slots after the last kept click.  A gap above
+    ``dead`` to the previous candidate always keeps it, and a gap of at
+    most ``dead`` to a kept candidate always drops it; only candidates
+    whose predecessor was itself dropped are resolved one by one.
+    """
+    slots = np.asarray(slots, dtype=np.int64)
+    keep = np.diff(slots, prepend=np.int64(last)) > dead
+    tangled = np.flatnonzero(~keep[1:] & ~keep[:-1]) + 1
+    previous = -2
+    for i in tangled.tolist():
+        if i != previous + 1:
+            # Slot i - 1 heads a cluster and was dropped: the click before it was kept.
+            last = int(slots[i - 2]) if i >= 2 else last
+        if int(slots[i]) - last > dead:
+            keep[i] = True
+            last = int(slots[i])
+        previous = i
+    return keep
 
 
 def empirical_parity(stream: EventStream) -> tuple[int, int]:

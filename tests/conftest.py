@@ -83,3 +83,13 @@ def geometric_gof_pvalue(gaps, p: float, max_n: int = 50) -> float:
 def binomial_sigma(p: float, n: int) -> float:
     """Standard deviation of an empirical fraction of n Bernoulli(p) draws."""
     return math.sqrt(p * (1.0 - p) / n)
+
+
+def reference_dead_time(slots, dead: int, last: int) -> np.ndarray:
+    """Per-candidate dead-time filter: the slow oracle for ``sim.apply_dead_time``."""
+    keep = np.zeros(len(slots), dtype=bool)
+    for i, s in enumerate(np.asarray(slots).tolist()):
+        if s - last > dead:
+            keep[i] = True
+            last = s
+    return keep

@@ -124,6 +124,26 @@ def test_extract_corrupt_file_names_the_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_extract_non_utf8_event_file_is_a_data_error(capsys, tmp_path):
+    events = tmp_path / "events.txt"
+    events.write_bytes(b"3\n5\n\xe9\n")
+    rc, _, err = run(
+        capsys, "extract", "--events", str(events), "--out", str(tmp_path / "bits.txt"),
+    )
+    assert rc == 2
+    assert "data error: line 3" in err
+
+
+def test_extract_overflowing_slot_is_a_data_error(capsys, tmp_path):
+    events = tmp_path / "events.txt"
+    events.write_text("3\n99999999999999999999\n")
+    rc, _, err = run(
+        capsys, "extract", "--events", str(events), "--out", str(tmp_path / "bits.txt"),
+    )
+    assert rc == 2
+    assert "line 2: slot index 99999999999999999999 overflows 64 bits" in err
+
+
 def test_extract_mod4_interleaves_basis_then_key(capsys, tmp_path):
     events = tmp_path / "events.txt"
     events.write_text("1\n2\n9\n")  # intervals 1, 1, 7 -> pairs (0,1) (0,1) (1,1)
@@ -167,6 +187,14 @@ def test_battery_on_all_zeros_fails_with_exit_three(capsys, tmp_path):
         rows = {row["test_id"]: row for row in csv.DictReader(fh)}
     assert rows["Frequency"]["pass"] == "0"
     assert float(rows["Frequency"]["p_value"]) < 0.01
+
+
+def test_non_utf8_bit_file_is_a_data_error(capsys, tmp_path):
+    bits = tmp_path / "bits.txt"
+    bits.write_bytes(b"0101\n10\xff1\n")
+    rc, _, err = run(capsys, "test", "--bits", str(bits), "--out", str(tmp_path / "report.csv"))
+    assert rc == 2
+    assert "data error: line 2" in err
 
 
 def test_battery_pipeline_passes_on_simulator_output(capsys, tmp_path):

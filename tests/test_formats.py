@@ -84,6 +84,53 @@ def test_events_reject_zero_slot(tmp_path):
         read_events(path)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["1_0", "+20", "-3", "\u0663\u0660", "30 40", "0", "18446744073709551616", "1\x0b", "12\r3", "0x1f"],
+)
+def test_events_ascii_grammar_rejects_with_the_line(tmp_path, bad):
+    path = tmp_path / "events.txt"
+    path.write_bytes(b"1\n\n2\n" + bad.encode() + b"\n99999\n")
+    with pytest.raises(DataError, match="^line 4: "):
+        read_events(path)
+
+
+def test_events_ascii_overflow_keeps_its_message(tmp_path):
+    path = tmp_path / "events.txt"
+    path.write_text("7\n18446744073709551616\n")
+    with pytest.raises(DataError, match="line 2: slot index 18446744073709551616 overflows 64 bits"):
+        read_events(path)
+    path.write_text("7\n18446744073709551615\n")
+    assert read_events(path).slots.tolist() == [7, 2**64 - 1]
+
+
+def test_events_ascii_accepts_blanks_blank_lines_and_leading_zeros(tmp_path):
+    path = tmp_path / "events.txt"
+    path.write_bytes(b"\n  3\r\n\t\r\n \n005 \t\n" + b"0" * 5000 + b"9\r\n12")
+    assert read_events(path).slots.tolist() == [3, 5, 9, 12]
+
+
+def test_events_non_utf8_byte_names_the_line(tmp_path):
+    path = tmp_path / "events.txt"
+    path.write_bytes(b"1\n2\n\xff3\n")
+    with pytest.raises(DataError, match="line 3"):
+        read_events(path)
+
+
+def test_events_binary_zero_first_entry_names_entry_one(tmp_path):
+    path = tmp_path / "events.bin"
+    path.write_bytes((0).to_bytes(8, "little") + (4).to_bytes(8, "little"))
+    with pytest.raises(DataError, match="entry 1"):
+        read_events(path, fmt="binary")
+
+
+def test_events_binary_duplicate_names_the_entry(tmp_path):
+    path = tmp_path / "events.bin"
+    path.write_bytes(np.array([1, 5, 9, 9], dtype="<u8").tobytes())
+    with pytest.raises(DataError, match="entry 4: duplicate"):
+        read_events(path, fmt="binary")
+
+
 def test_events_binary_length_must_be_word_aligned(tmp_path):
     path = tmp_path / "events.bin"
     path.write_bytes(b"\x01\x02\x03")
@@ -141,6 +188,28 @@ def test_ascii_bits_reject_stray_characters(tmp_path):
     path.write_text("10\n1x0\n")
     with pytest.raises(DataError, match="line 2.*stray"):
         read_bits(path)
+
+
+def test_ascii_bits_accept_ascii_whitespace_only(tmp_path):
+    path = tmp_path / "bits.txt"
+    path.write_bytes(b"1\t0\r\n\x0b\x0c1 \n")
+    assert read_bits(path) == BitStream.from_bits([1, 0, 1])
+    path.write_bytes("1\u00a00\n".encode())
+    with pytest.raises(DataError, match="line 1.*stray"):
+        read_bits(path)
+
+
+def test_ascii_bits_non_utf8_byte_names_the_line(tmp_path):
+    path = tmp_path / "bits.txt"
+    path.write_bytes(b"10\n01\n1\xfe0\n")
+    with pytest.raises(DataError, match="line 3.*stray"):
+        read_bits(path)
+
+
+def test_ascii_bits_golden_bytes(tmp_path):
+    path = tmp_path / "bits.txt"
+    write_bits(BitStream.from_bits([1, 0, 0, 1]), path)
+    assert path.read_bytes() == b"1001\n"
 
 
 def test_packed_bits_reject_short_header(tmp_path):

@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import reference_dead_time
+from tickrng import qkd
 from tickrng.errors import GuardError
 from tickrng.models import Distribution, SourceModel
 from tickrng.qkd import ProtocolParams, eve_qnd_advantage, run_bb84, run_bbm92
-from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile
+from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, apply_dead_time
 
 GATED_2 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
 GATED_4 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4)
@@ -107,6 +110,34 @@ def test_zero_detection_probability_is_guarded():
         run_bbm92(make_params(pair_source=dead_source, n_gates=1000))
     with pytest.raises(GuardError):
         run_bb84(make_params(pair_source=dead_source, n_gates=1000))
+
+
+def run_all_protocols(params: ProtocolParams) -> list:
+    return [run_bbm92(params), run_bb84(params), run_bb84(params, heralded_alice=True)]
+
+
+def test_protocol_dead_time_matches_the_reference_loop(monkeypatch):
+    dead = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dark_prob=0.01, dead_slots=3)
+    params = make_params(clock_alice=dead, clock_bob=dead, n_gates=50_000, intrinsic_error=0.05, seed=227)
+    fast = run_all_protocols(params)
+
+    filtered = []
+
+    def reference(slots, dead_slots, last):
+        keep = reference_dead_time(slots, dead_slots, last)
+        assert np.array_equal(apply_dead_time(slots, dead_slots, last), keep)
+        filtered.append((np.asarray(slots)[keep], keep.size))
+        return keep
+
+    monkeypatch.setattr(qkd, "apply_dead_time", reference)
+    assert run_all_protocols(params) == fast
+    # Alice and Bob in BBM92, Bob in BB84, Bob and Alice in heralded BB84.
+    assert len(filtered) == 5
+    for kept, candidates in filtered:
+        assert 0 < kept.size < candidates
+        assert int(np.diff(kept).min()) > 3
+    for result in fast:
+        check_result_invariants(result)
 
 
 def test_bb84_qber_and_sifting():

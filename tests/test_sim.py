@@ -1,12 +1,13 @@
 """Event-stream simulation: distributional checks against the closed forms."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import binomial_sigma, geometric_gof_pvalue
+from conftest import binomial_sigma, geometric_gof_pvalue, reference_dead_time
 from tickrng.errors import DataError, GuardError
 from tickrng.models import Distribution, SourceModel, click_probability, parity_probabilities
 from tickrng.sim import (
@@ -15,6 +16,7 @@ from tickrng.sim import (
     ClockMode,
     EventStream,
     IntraGateProfile,
+    apply_dead_time,
     empirical_parity,
     generate_free_running,
     generate_gated,
@@ -157,6 +159,66 @@ def test_gated_dead_time_respects_blind_window():
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=3)
     stream = generate_gated(source, clock, IntraGateProfile.uniform(), 50_000, seed=47)
     assert int(np.diff(stream.slots).min()) > 3
+
+
+def test_gated_dead_time_stream_is_pinned():
+    """Digest of the slots the per-candidate filter produced before it was vectorised."""
+    source = SourceModel(Distribution.POISSON, 0.5)
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=8, dead_slots=3)
+    stream = generate_gated(source, clock, IntraGateProfile.uniform(), 100_000, seed=301)
+    digest = hashlib.sha256(stream.slots.astype("<u8").tobytes()).hexdigest()
+    assert digest == "7f275a22cbea63c694f02ce8e52f7b6751cf6c7fd94fa5e8bee68efae4f59cd6"
+
+
+def assert_dead_time_matches_reference(slots, dead: int, last: int | None = None) -> None:
+    if last is None:
+        last = -(dead + 1)
+    slots = np.asarray(slots, dtype=np.int64)
+    keep = apply_dead_time(slots, dead, last)
+    assert keep.dtype == bool
+    assert np.array_equal(keep, reference_dead_time(slots, dead, last))
+
+
+@pytest.mark.parametrize("dead", [1, 3, 7, 40])
+def test_dead_time_matches_reference_on_random_slots(dead):
+    rng = np.random.default_rng(dead)
+    for _ in range(20):
+        slots = np.cumsum(rng.integers(1, 2 * dead + 3, size=int(rng.integers(1, 3000))))
+        last = int(slots[0]) - int(rng.integers(1, 2 * dead + 2))
+        assert_dead_time_matches_reference(slots, dead)
+        assert_dead_time_matches_reference(slots, dead, last)
+
+
+@pytest.mark.parametrize("dead", [1, 2, 5, 17])
+def test_dead_time_matches_reference_on_one_long_cluster(dead):
+    assert_dead_time_matches_reference(np.arange(1, 5000), dead)
+    rng = np.random.default_rng(dead)
+    assert_dead_time_matches_reference(np.cumsum(rng.integers(1, dead + 1, size=5000)), dead)
+
+
+@pytest.mark.parametrize("dead", [1, 3, 8])
+def test_dead_time_matches_reference_on_periodic_gaps(dead):
+    for gap in (dead, dead + 1):
+        slots = gap * np.arange(1, 1000)
+        assert_dead_time_matches_reference(slots, dead)
+        assert_dead_time_matches_reference(slots, dead, last=0)
+    # At gap == dead every other candidate survives; at dead + 1 all do.
+    assert np.array_equal(apply_dead_time(dead * np.arange(1, 7), dead, -(dead + 1)), [1, 0, 1, 0, 1, 0])
+    assert apply_dead_time((dead + 1) * np.arange(1, 7), dead, -(dead + 1)).all()
+
+
+def test_dead_time_on_empty_and_single_inputs():
+    assert apply_dead_time(np.empty(0, dtype=np.int64), 3, -4).size == 0
+    assert_dead_time_matches_reference([7], 3)
+    assert_dead_time_matches_reference([7], 3, last=4)
+    assert_dead_time_matches_reference([7], 3, last=3)
+
+
+def test_dead_time_carried_last_drops_the_first_candidates():
+    # last = 8 blinds 9..11: 10 falls inside, 12 is clear of 8 and then blinds 15.
+    assert np.array_equal(apply_dead_time([10, 12, 15, 16, 20], 3, 8), [0, 1, 0, 1, 1])
+    assert_dead_time_matches_reference([10, 12, 15, 16, 20], 3, last=8)
+    assert_dead_time_matches_reference([9, 10, 11, 12, 13, 14, 30], 3, last=8)
 
 
 def test_gated_intra_slots_follow_weighted_profile():
