@@ -20,6 +20,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from . import __version__
 from .errors import DataError
 from .extract import BitStream
 from .sim import ClockConfig, ClockMode, EventStream
-from .suite import TestReport
+
+if TYPE_CHECKING:
+    from .suite import TestReport
 
 __all__ = [
     "EVENT_FORMATS",

@@ -139,6 +139,38 @@ def _party_guard(source: SourceModel, survival: float, clock: ClockConfig, who: 
         raise GuardError(f"{who} has zero detection probability; no events would ever arrive")
 
 
+def _at_coincidences(bits: np.ndarray, detected: np.ndarray, coincident: np.ndarray) -> np.ndarray:
+    """The per-detection ``bits`` of the detections in ``coincident`` gates."""
+    return bits[(np.cumsum(detected) - 1)[coincident]]
+
+
+def _sift(
+    params: ProtocolParams,
+    seed_pair,
+    n_photons: np.ndarray,
+    coincident: np.ndarray,
+    basis_a: np.ndarray,
+    basis_a_c: np.ndarray,
+    det_b: np.ndarray,
+    basis_b: np.ndarray,
+) -> ProtocolResult:
+    """Sift the coincidences on matched bases and draw the intrinsic errors."""
+    n_coinc = int(np.count_nonzero(coincident))
+    matched = basis_a_c == _at_coincidences(basis_b, det_b, coincident)
+    n_sift = int(np.count_nonzero(matched))
+    errors = rng(seed_pair).random(n_sift) < params.intrinsic_error
+    qber = float(errors.mean()) if n_sift else 0.0
+    return ProtocolResult(
+        coincidences=n_coinc,
+        sifted_length=n_sift,
+        qber=qber,
+        basis_balance_alice=balance(BitStream(basis_a)).ratio,
+        basis_balance_bob=balance(BitStream(basis_b)).ratio,
+        sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
+        pair_gates=int(np.count_nonzero(n_photons > 0)),
+    )
+
+
 def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     """Entangled-pair protocol: both parties choose bases from their detection times."""
     source = params.pair_source
@@ -152,26 +184,9 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     det_b, stream_b = _detections(rng(seed_b), n_pairs, surv_b, params.clock_bob, params.profile)
     basis_a = _basis_bits(stream_a, params.clock_alice, params.k_bootstrap, boot_a)
     basis_b = _basis_bits(stream_b, params.clock_bob, params.k_bootstrap, boot_b)
-
-    det_index_a = np.cumsum(det_a) - 1
-    det_index_b = np.cumsum(det_b) - 1
     coincident = det_a & det_b
-    n_coinc = int(np.count_nonzero(coincident))
-    basis_a_c = basis_a[det_index_a[coincident]]
-    basis_b_c = basis_b[det_index_b[coincident]]
-    matched = basis_a_c == basis_b_c
-    n_sift = int(np.count_nonzero(matched))
-    errors = rng(seed_pair).random(n_sift) < params.intrinsic_error
-    qber = float(errors.mean()) if n_sift else 0.0
-    return ProtocolResult(
-        coincidences=n_coinc,
-        sifted_length=n_sift,
-        qber=qber,
-        basis_balance_alice=balance(BitStream(basis_a)).ratio,
-        basis_balance_bob=balance(BitStream(basis_b)).ratio,
-        sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
-        pair_gates=int(np.count_nonzero(n_pairs > 0)),
-    )
+    basis_a_c = _at_coincidences(basis_a, det_a, coincident)
+    return _sift(params, seed_pair, n_pairs, coincident, basis_a, basis_a_c, det_b, basis_b)
 
 
 def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolResult:
@@ -189,7 +204,6 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
     n_photons = _sample_pair_numbers(rng(seed_src), source, params.n_gates)
     det_b, stream_b = _detections(rng(seed_b), n_photons, surv_b, params.clock_bob, params.profile)
     basis_b = _basis_bits(stream_b, params.clock_bob, params.k_bootstrap, boot_b)
-    det_index_b = np.cumsum(det_b) - 1
 
     if heralded_alice:
         surv_a = source.eta * params.channel_transmittance_alice
@@ -199,31 +213,13 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
         # Alice's basis is the high bit of her mod-4 symbol; the low (key)
         # bit never surfaces here because errors are applied as a mask.
         basis_a, _ = mod4_arrays(gaps)
-        det_index_a = np.cumsum(det_a) - 1
         coincident = det_a & det_b
-        basis_a_c = basis_a[det_index_a[coincident]]
-        alice_balance = balance(BitStream(basis_a)).ratio
+        basis_a_c = _at_coincidences(basis_a, det_a, coincident)
     else:
         basis_a = rng(seed_a).integers(0, 2, size=params.n_gates, dtype=np.uint8)
         coincident = det_b
         basis_a_c = basis_a[coincident]
-        alice_balance = balance(BitStream(basis_a)).ratio
-
-    n_coinc = int(np.count_nonzero(coincident))
-    basis_b_c = basis_b[det_index_b[coincident]]
-    matched = basis_a_c == basis_b_c
-    n_sift = int(np.count_nonzero(matched))
-    errors = rng(seed_pair).random(n_sift) < params.intrinsic_error
-    qber = float(errors.mean()) if n_sift else 0.0
-    return ProtocolResult(
-        coincidences=n_coinc,
-        sifted_length=n_sift,
-        qber=qber,
-        basis_balance_alice=alice_balance,
-        basis_balance_bob=balance(BitStream(basis_b)).ratio,
-        sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
-        pair_gates=int(np.count_nonzero(n_photons > 0)),
-    )
+    return _sift(params, seed_pair, n_photons, coincident, basis_a, basis_a_c, det_b, basis_b)
 
 
 def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:

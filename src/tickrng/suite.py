@@ -7,6 +7,23 @@ p-values, and LinearComplexity.  Block-length parameters default to the
 battery's recommended values for runs of 10^6 bits and are recorded in
 the report.  A procedure whose prerequisites fail on a run is reported
 as not applicable, never as failed.
+
+The three costliest procedures run on whole-array kernels:
+
+- Serial and ApproximateEntropy share one overlapping-pattern count per
+  run.  The circularly extended run is packed once, every m-bit window
+  is read out of a ``uint64`` word, and one ``bincount`` gives the
+  counts.  Circular counts for width m - 1 are ``c[0::2] + c[1::2]`` of
+  those for m, so ``run_battery`` counts once at the widest width an
+  applicable test needs and folds down for Serial (m, m - 1, m - 2) and
+  ApEn (m + 1, m).  Either test called alone counts the same way.
+- LinearComplexity runs Berlekamp–Massey on all blocks in lockstep,
+  64 blocks per word (:func:`tickrng.lfsr.lfsr_complexities`).
+- Rank packs each 32-bit matrix row into a word and eliminates all
+  matrices together, one column per step.
+
+Each kernel is tested for exact equality against a slow oracle
+(dictionary counts, ``lfsr_complexity_int``, row-by-row elimination).
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ from scipy.special import erfc, gammaincc, ndtr
 
 from .errors import InsufficientDataError
 from .extract import BitStream
-from .lfsr import lfsr_complexity_int
+from .lfsr import lfsr_complexities
 
 __all__ = [
     "TestId",
@@ -186,19 +203,32 @@ def longest_runs_test(bits) -> float:
     return float(gammaincc((len(pi) - 1) / 2.0, chi2 / 2.0))
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for r in rows:
-        while r:
-            h = r.bit_length() - 1
-            if h in pivots:
-                r ^= pivots[h]
-            else:
-                pivots[h] = r
-                rank += 1
-                break
-    return rank
+def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
+    """GF(2) ranks of a stack of m x m 0/1 matrices, all eliminated in lockstep.
+
+    Row ``i`` of each matrix becomes a word whose bit ``c`` is column ``c``.
+    Step ``c`` picks, in every matrix at once, the first row not yet used
+    as a pivot that holds column ``c``, and XORs it into the matrix's
+    other rows holding that column.
+    """
+    nmat, m, _ = mats.shape
+    words = np.zeros((nmat * m, 8), dtype=np.uint8)
+    words[:, : -(-m // 8)] = np.packbits(mats.reshape(nmat * m, m), axis=1, bitorder="little")
+    rows = words.view("<u8").reshape(nmat, m)
+    unused = np.ones(rows.shape, dtype=bool)
+    ranks = np.zeros(nmat, dtype=np.int64)
+    which = np.arange(nmat)
+    for col in range(m):
+        has = (rows & np.uint64(1 << col)) != 0
+        candidates = has & unused
+        found = candidates.any(axis=1)
+        pivot = candidates.argmax(axis=1)
+        pivot_rows = np.where(found, rows[which, pivot], np.uint64(0))
+        has[which, pivot] = False
+        rows ^= np.where(has, pivot_rows[:, None], np.uint64(0))
+        unused[which[found], pivot[found]] = False
+        ranks += found
+    return ranks
 
 
 def _rank_probability(m: int, r: int) -> float:
@@ -214,17 +244,15 @@ def rank_test(bits, matrix_dim: int = 32) -> float:
     x = _bit_array(bits)
     n = x.size
     m = matrix_dim
+    if not 1 <= m <= 64:
+        raise ValueError(f"matrix dimension must lie in 1..64, got {m!r}")
     block = m * m
     nmat = n // block
     if nmat < 38:
         raise InsufficientDataError(
             f"rank test needs at least {38 * block} bits for 38 matrices, got {n}"
         )
-    powers = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    rows = (x[: nmat * block].reshape(nmat * m, m) @ powers).reshape(nmat, m)
-    ranks = np.fromiter(
-        (_gf2_rank(mat) for mat in rows.tolist()), dtype=np.int64, count=nmat
-    )
+    ranks = _gf2_ranks(x[: nmat * block].reshape(nmat, m, m))
     p_full = _rank_probability(m, m)
     p_one_less = _rank_probability(m, m - 1)
     p_rest = 1.0 - p_full - p_one_less
@@ -316,23 +344,54 @@ def universal_test(bits) -> float:
 
 
 def _overlapping_counts(x: np.ndarray, m: int) -> np.ndarray:
-    """Counts of all 2^m overlapping m-bit patterns with circular extension."""
-    ext = np.concatenate([x, x[: m - 1]]) if m > 1 else x
-    powers = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    values = sliding_window_view(ext, m) @ powers
-    return np.bincount(values, minlength=1 << m)
+    """Counts of all 2^m overlapping m-bit patterns with circular extension.
+
+    Pattern values read the window's first bit as the most significant.
+    The extended run is packed once; the window at bit ``8 k + s`` is the
+    top ``m`` bits of the big-endian word at byte ``k`` shifted left by
+    ``s``, so all windows come from 8 shifts of one word array; hence
+    ``m + 7 <= 64``, far above any width whose 2^m table fits in memory.
+    """
+    n = x.size
+    nwords = -(-n // 8)
+    ext = np.zeros(8 * (nwords + 8), dtype=np.uint8)
+    ext[:n] = x
+    ext[n : n + m - 1] = x[: m - 1]
+    packed = np.packbits(ext)
+    words = sliding_window_view(packed, 8)[:nwords].copy().view(">u8").astype(np.uint64)
+    values = (words << np.arange(8, dtype=np.uint64)) >> np.uint64(64 - m)
+    return np.bincount(values.ravel()[:n].view(np.int64), minlength=1 << m)
 
 
-def approximate_entropy_test(bits, block_len: int = 10, min_n: int = 100) -> float:
-    """Compares frequencies of overlapping m and m+1 bit patterns."""
+def _fold(counts: np.ndarray, m: int) -> np.ndarray:
+    """Circular counts for width ``m`` from those of any wider width.
+
+    A width-w pattern ``p`` is extended by one bit into ``2 p`` or
+    ``2 p + 1``, so the width-(w - 1) counts are ``c[0::2] + c[1::2]``.
+    """
+    while counts.size > 1 << m:
+        counts = counts[0::2] + counts[1::2]
+    return counts
+
+
+def _approximate_entropy_min_bits(block_len: int, min_n: int = 100) -> int:
+    return max(min_n, 1 << (block_len + 5))
+
+
+def _serial_min_bits(block_len: int, min_n: int = 100) -> int:
+    return max(min_n, 1 << (block_len + 2))
+
+
+def _approximate_entropy(bits, block_len: int, min_n: int, count) -> float:
     if block_len < 1:
         raise ValueError("block length must be >= 1")
     x = _bit_array(bits)
     n = x.size
-    _require(n, max(min_n, 1 << (block_len + 5)), "approximate entropy test")
+    _require(n, _approximate_entropy_min_bits(block_len, min_n), "approximate entropy test")
+    wide = count(x, block_len + 1)
     phi = []
     for m in (block_len, block_len + 1):
-        counts = _overlapping_counts(x, m)
+        counts = _fold(wide, m)
         probs = counts[counts > 0] / n
         phi.append(float((probs * np.log(probs)).sum()))
     apen = phi[0] - phi[1]
@@ -340,29 +399,32 @@ def approximate_entropy_test(bits, block_len: int = 10, min_n: int = 100) -> flo
     return float(gammaincc(float(1 << (block_len - 1)), chi2 / 2.0))
 
 
-def _psi_squared(x: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
-    counts = _overlapping_counts(x, m).astype(np.float64)
-    n = x.size
-    return float((counts**2).sum() * (1 << m) / n - n)
+def approximate_entropy_test(bits, block_len: int = 10, min_n: int = 100) -> float:
+    """Compares frequencies of overlapping m and m+1 bit patterns."""
+    return _approximate_entropy(bits, block_len, min_n, _overlapping_counts)
 
 
-def serial_test(bits, block_len: int = 16, min_n: int = 100) -> tuple[float, float]:
-    """First- and second-difference psi-square statistics of overlapping patterns."""
+def _serial(bits, block_len: int, min_n: int, count) -> tuple[float, float]:
     if block_len < 3:
         raise ValueError("block length must be >= 3")
     x = _bit_array(bits)
     n = x.size
-    _require(n, max(min_n, 1 << (block_len + 2)), "serial test")
-    psi_m = _psi_squared(x, block_len)
-    psi_m1 = _psi_squared(x, block_len - 1)
-    psi_m2 = _psi_squared(x, block_len - 2)
-    d1 = psi_m - psi_m1
-    d2 = psi_m - 2.0 * psi_m1 + psi_m2
+    _require(n, _serial_min_bits(block_len, min_n), "serial test")
+    counts = count(x, block_len)
+    psi = []  # psi-square for widths m, m - 1, m - 2
+    for m in (block_len, block_len - 1, block_len - 2):
+        counts = _fold(counts, m)
+        psi.append(float((counts.astype(np.float64) ** 2).sum() * (1 << m) / n - n))
+    d1 = psi[0] - psi[1]
+    d2 = psi[0] - 2.0 * psi[1] + psi[2]
     p1 = float(gammaincc(float(1 << (block_len - 2)), d1 / 2.0))
     p2 = float(gammaincc(float(1 << (block_len - 3)), d2 / 2.0))
     return p1, p2
+
+
+def serial_test(bits, block_len: int = 16, min_n: int = 100) -> tuple[float, float]:
+    """First- and second-difference psi-square statistics of overlapping patterns."""
+    return _serial(bits, block_len, min_n, _overlapping_counts)
 
 
 # Exact class probabilities for the complexity deviation T: the geometric
@@ -389,11 +451,8 @@ def linear_complexity_test(bits, block_len: int = 500) -> float:
         - (block_len / 3.0 + 2.0 / 9.0) / 2.0**block_len
     )
     sign = 1.0 if block_len % 2 == 0 else -1.0
-    packed = np.packbits(x[: nblocks * block_len].reshape(nblocks, block_len), axis=1, bitorder="little")
-    t_values = np.empty(nblocks, dtype=np.float64)
-    for i, row in enumerate(packed):
-        complexity = lfsr_complexity_int(int.from_bytes(row.tobytes(), "little"), block_len)
-        t_values[i] = sign * (complexity - mu) + 2.0 / 9.0
+    complexities = lfsr_complexities(x[: nblocks * block_len].reshape(nblocks, block_len))
+    t_values = sign * (complexities - mu) + 2.0 / 9.0
     counts = np.bincount(np.searchsorted(_LC_CLASS_BOUNDS, t_values, side="left"), minlength=7)
     expected = nblocks * _LC_CLASS_PROBS
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -456,12 +515,27 @@ def _run_procedures(x: np.ndarray, params: dict) -> list[tuple[TestId, float | N
     attempt(TestId.RANK, lambda: rank_test(x, matrix_dim=params["rank_matrix_dim"]))
     attempt(TestId.DFFT, lambda: dft_test(x))
     attempt(TestId.UNIVERSAL, lambda: universal_test(x))
+    # One overlapping-count pass serves ApEn (m + 1, m) and Serial (m, m - 1,
+    # m - 2): count once at the widest width an applicable test uses, then fold.
+    apen_len = params["approximate_entropy_block_len"]
+    serial_len = params["serial_block_len"]
+    width = max(
+        apen_len + 1 if x.size >= _approximate_entropy_min_bits(apen_len) else 0,
+        serial_len if x.size >= _serial_min_bits(serial_len) else 0,
+    )
+    shared: list[np.ndarray] = []
+
+    def shared_counts(bits: np.ndarray, m: int) -> np.ndarray:
+        if not shared:
+            shared.append(_overlapping_counts(bits, width))
+        return _fold(shared[0], m)
+
     attempt(
         TestId.APPROXIMATE_ENTROPY,
-        lambda: approximate_entropy_test(x, block_len=params["approximate_entropy_block_len"]),
+        lambda: _approximate_entropy(x, apen_len, 100, shared_counts),
     )
     try:
-        p1, p2 = serial_test(x, block_len=params["serial_block_len"])
+        p1, p2 = _serial(x, serial_len, 100, shared_counts)
         out.append((TestId.SERIAL_1, p1))
         out.append((TestId.SERIAL_2, p2))
     except InsufficientDataError:

@@ -1,10 +1,15 @@
 """End-to-end CLI behaviour: outputs, exit codes, manifests, replay."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tickrng
 from tickrng.cli import main
 from tickrng.formats import read_bits, read_events, read_manifest
 
@@ -13,6 +18,21 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the battery needs scipy, so a fresh ``import tickrng.cli`` must
+    not load it, and the battery names must still import from the package."""
+    code = (
+        "import sys\n"
+        "import tickrng.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+        "from tickrng import run_battery, TestReport, TestEntry, TestId\n"
+        "assert run_battery.__module__ == 'tickrng.suite'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ------------------------------------------------------------------- bias

@@ -1,5 +1,6 @@
 """Protocol harness: sifting statistics, QBER, and the timing adversary."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -231,3 +232,43 @@ def test_params_validation():
         make_params(n_gates=0)
     with pytest.raises(ValueError):
         make_params(k_bootstrap=-1)
+
+
+# (protocol, k_bootstrap, dead_slots, every ProtocolResult field in order),
+# taken before the sift/QBER code of run_bbm92 and run_bb84 was merged.
+PINNED_RESULTS = [
+    ("bbm92", 0, 0, (38274, 19178, 0.05375951611221191, 0.9993083459587643, 0.9879757890888411, 0.5010712232847364, 78806)),
+    ("bb84", 0, 0, (48938, 24491, 0.05254991629578212, 0.9987607683236394, 0.9879757890888411, 0.50044954840819, 78806)),
+    ("bb84h", 0, 0, (38274, 19168, 0.053735392320534224, 0.9986500724351376, 0.9879757890888411, 0.5008099493128495, 78806)),
+    ("bbm92", 0, 3, (31733, 15990, 0.054409005628517824, 0.9237107543685182, 0.9450621321124918, 0.5038918476034412, 78806)),
+    ("bb84", 0, 3, (44610, 22370, 0.05243629861421547, 0.9987607683236394, 0.9450621321124918, 0.5014570724052902, 78806)),
+    ("bb84h", 0, 3, (31733, 15959, 0.05445203333542202, 0.8499897533984562, 0.9450621321124918, 0.5029149465855733, 78806)),
+    ("bbm92", 64, 0, (38274, 18921, 0.05401405845357011, 0.998979155003787, 0.9874913698574503, 0.4943564822072425, 78806)),
+    ("bb84", 64, 0, (48938, 24673, 0.05256758399870304, 0.9987607683236394, 0.9871685548381858, 0.5041685397850342, 78806)),
+    ("bb84h", 64, 0, (38274, 19266, 0.053617772241254025, 0.9986500724351376, 0.9871685548381858, 0.5033704342373413, 78806)),
+    ("bbm92", 64, 3, (31733, 15809, 0.05458915807451452, 0.9233009019245793, 0.9448925317173127, 0.49818800617653547, 78806)),
+    ("bb84", 64, 3, (44610, 22158, 0.05230616481631916, 0.9987607683236394, 0.9445534196416896, 0.49670477471418967, 78806)),
+    ("bb84h", 64, 3, (31733, 15961, 0.05444521019986216, 0.8499897533984562, 0.9445534196416896, 0.5029779724576939, 78806)),
+]
+
+
+@pytest.mark.parametrize("protocol, k_bootstrap, dead_slots, expected", PINNED_RESULTS)
+def test_protocol_results_are_pinned(protocol, k_bootstrap, dead_slots, expected):
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4, dark_prob=1e-3, dead_slots=dead_slots)
+    params = make_params(
+        pair_source=SourceModel(Distribution.POISSON, 0.5, 0.8),
+        clock_alice=clock,
+        clock_bob=clock,
+        n_gates=200_000,
+        seed=227,
+        channel_transmittance_alice=0.9,
+        channel_transmittance_bob=0.7,
+        intrinsic_error=0.05,
+        k_bootstrap=k_bootstrap,
+    )
+    run = {
+        "bbm92": run_bbm92,
+        "bb84": run_bb84,
+        "bb84h": lambda p: run_bb84(p, heralded_alice=True),
+    }[protocol]
+    assert dataclasses.astuple(run(params)) == expected

@@ -7,6 +7,7 @@ textbook shortest-LFSR synthesis, an exact random-walk recursion), so a
 regression in the vectorised code cannot hide behind its own formula.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,11 +16,15 @@ from scipy.stats import chi2 as chi2_dist
 
 from tickrng.errors import InsufficientDataError
 from tickrng.extract import BitStream, extract_mod2, flip_debias
-from tickrng.lfsr import lfsr_complexity
+from tickrng.formats import write_report
+from tickrng.lfsr import lfsr_complexities, lfsr_complexity, lfsr_complexity_int
 from tickrng.models import Distribution, SourceModel
 from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
 from tickrng.suite import (
     DEFAULT_PARAMETERS,
+    _fold,
+    _gf2_ranks,
+    _overlapping_counts,
     TestId,
     approximate_entropy_test,
     block_frequency_test,
@@ -38,6 +43,28 @@ from tickrng.suite import (
 
 def random_bits(seed: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=n, dtype=np.uint8)
+
+
+ADVERSARIAL = ("random", "all-zero", "all-one", "alternating", "period-7", "sparse")
+
+
+def adversarial_bits(kind: str, n: int, seed: int) -> np.ndarray:
+    """Random input, or one of the degenerate shapes fast kernels get wrong."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(n)
+    if kind == "random":
+        return rng.integers(0, 2, size=n, dtype=np.uint8)
+    if kind == "all-zero":
+        return np.zeros(n, dtype=np.uint8)
+    if kind == "all-one":
+        return np.ones(n, dtype=np.uint8)
+    if kind == "alternating":
+        return (index % 2).astype(np.uint8)
+    if kind == "period-7":
+        return np.array([1, 0, 1, 1, 0, 0, 0], dtype=np.uint8)[index % 7]
+    if kind == "sparse":
+        return (rng.random(n) < 0.01).astype(np.uint8)
+    raise ValueError(kind)
 
 
 def poisson_tail(a: int, x: float) -> float:
@@ -275,6 +302,19 @@ def test_rank_test_agrees_with_naive_elimination():
     assert p == pytest.approx(poisson_tail(1, chi2 / 2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ADVERSARIAL + ("low-rank",))
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 32, 64])
+def test_lockstep_rank_matches_naive_elimination(kind, m):
+    nmat = 40
+    if kind == "low-rank":
+        rng = np.random.default_rng(m)
+        k = max(m // 2, 1)
+        mats = (rng.integers(0, 2, (nmat, m, k)) @ rng.integers(0, 2, (nmat, k, m))) % 2
+    else:
+        mats = adversarial_bits(kind, nmat * m * m, seed=m).reshape(nmat, m, m)
+    assert _gf2_ranks(mats.astype(np.uint8)).tolist() == [naive_gf2_rank(a) for a in mats]
+
+
 def test_rank_needs_thirty_eight_matrices():
     with pytest.raises(InsufficientDataError):
         rank_test(np.ones(38 * 1024 - 1, dtype=np.uint8))
@@ -346,6 +386,29 @@ def circular_pattern_counts(bits: np.ndarray, m: int) -> dict[str, int]:
         pattern = ext[i : i + m]
         counts[pattern] = counts.get(pattern, 0) + 1
     return counts
+
+
+def dictionary_count_array(bits: np.ndarray, m: int) -> np.ndarray:
+    expected = np.zeros(1 << m, dtype=np.int64)
+    for pattern, count in circular_pattern_counts(bits, m).items():
+        expected[int(pattern, 2)] = count
+    return expected
+
+
+@pytest.mark.parametrize("kind", ADVERSARIAL)
+@pytest.mark.parametrize("n", [100, 1001, 4097])
+def test_overlapping_counts_and_folds_match_dictionary_counts(kind, n):
+    bits = adversarial_bits(kind, n, seed=n)
+    wide = _overlapping_counts(bits, 16)
+    for m in range(1, 17):
+        expected = dictionary_count_array(bits, m)
+        assert np.array_equal(_overlapping_counts(bits, m), expected), m
+        assert np.array_equal(_fold(wide, m), expected), m
+
+
+def test_overlapping_counts_reach_twenty_bit_patterns():
+    bits = random_bits(29, 4097)
+    assert np.array_equal(_overlapping_counts(bits, 20), dictionary_count_array(bits, 20))
 
 
 def test_approximate_entropy_matches_dictionary_counts():
@@ -446,6 +509,24 @@ def test_lfsr_complexity_matches_textbook_synthesis():
     for _ in range(6):
         bits = rng.integers(0, 2, size=500).tolist()
         assert lfsr_complexity(bits) == naive_berlekamp_massey(bits)
+
+
+def integer_oracle_complexities(blocks: np.ndarray) -> list[int]:
+    out = []
+    for block in blocks:
+        packed = np.packbits(block, bitorder="little")
+        out.append(lfsr_complexity_int(int.from_bytes(packed.tobytes(), "little"), block.size))
+    return out
+
+
+@pytest.mark.parametrize("kind", ADVERSARIAL)
+@pytest.mark.parametrize(
+    "block_len, nblocks",
+    [(500, 200), (500, 2001), (499, 200), (17, 65), (1, 70), (2, 63), (64, 1)],
+)
+def test_lockstep_complexities_match_the_integer_oracle(kind, block_len, nblocks):
+    blocks = adversarial_bits(kind, block_len * nblocks, seed=block_len).reshape(nblocks, block_len)
+    assert lfsr_complexities(blocks).tolist() == integer_oracle_complexities(blocks)
 
 
 def test_linear_complexity_matches_independent_binning():
@@ -591,6 +672,19 @@ def test_battery_is_deterministic():
     b = run_battery(bits)
     assert a.entries == b.entries
     assert a.parameters == b.parameters
+
+
+def test_battery_report_digest_is_pinned(tmp_path):
+    """SHA-256 of the CSV report of a 3-run PCG64 stream.  The digest was
+    taken with the earlier one-width-at-a-time pattern counts, one BM per
+    block and one elimination per matrix, so it holds the shared and
+    lockstep kernels to their output byte for byte."""
+    bits = np.random.Generator(np.random.PCG64(20261018)).integers(0, 2, 3_000_000, dtype=np.uint8)
+    path = tmp_path / "report.csv"
+    write_report(run_battery(BitStream(bits)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "46696cb06a160aff7570cfc0ba4f8eeaa7c1e91a5fed4e59bb80afca7fd23491"
+    )
 
 
 def test_battery_records_parameters():
