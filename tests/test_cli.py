@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: outputs, exit codes, manifests, replay."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -396,3 +397,83 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
     )
     assert rc == 2
     assert "data error" in err
+
+
+# ------------------------------------------------------ pinned manifests
+
+PINNED_DIR = Path(__file__).parent / "pinned_manifests"
+
+# Each command line's whole manifest text is pinned in PINNED_DIR/<case>.json,
+# with the environment-dependent values written as {numpy}, {version} and,
+# for a run without --seed, {seed}.
+PINNED_CASES = {
+    "simulate_mu_eta": [
+        "simulate", "--mu-eta", "0.5", "--events", "300", "--seed", "5",
+        "--out", "mu_eta.txt",
+    ],
+    "simulate_gated_thermal": [
+        "simulate", "--dist", "thermal", "--mu", "0.3", "--eta", "0.8", "--mode", "gated",
+        "--slots-per-gate", "3", "--profile", "weighted:0.25,0.25,0.5", "--dark-prob", "0.01",
+        "--dead-slots", "3", "--events", "300", "--seed", "6", "--format", "binary",
+        "--out", "gated.bin",
+    ],
+    "extract_defaults": ["extract", "--events", "events.txt", "--out", "bits_default.txt"],
+    "extract_flags": [
+        "extract", "--events", "events.txt", "--no-include-first", "--modulus", "mod4",
+        "--bits-format", "packed", "--debias", "--out", "bits_flags.bin",
+    ],
+    "test_report": [
+        "test", "--bits", "bits.txt", "--alpha", "0.02", "--run-len", "50000",
+        "--out", "report.csv",
+    ],
+    "protocol_defaults": ["protocol", "--mu-eta", "0.3", "--gates", "2000", "--out", "bbm92.txt"],
+    "protocol_every_flag": [
+        "protocol", "--protocol", "bb84-heralded", "--dist", "thermal", "--mu", "0.2",
+        "--eta", "0.9", "--gates", "2000", "--t-alice", "0.8", "--t-bob", "0.7",
+        "--error", "0.01", "--slots-per-gate", "4", "--dark-prob", "0.001",
+        "--profile", "fixed:1", "--k-bootstrap", "8", "--seed", "9", "--out", "bb84.txt",
+    ],
+    "eve_r_values": [
+        "eve", "--mu", "0.5", "--r-values", " 1,2, 4", "--events", "2000", "--seed", "3",
+        "--out", "eve.csv",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_workdir(tmp_path_factory):
+    """A directory holding the events.txt and bits.txt the cases read."""
+    workdir = tmp_path_factory.mktemp("pinned")
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        assert main(["simulate", "--mode", "gated", "--slots-per-gate", "2", "--mu", "0.5",
+                     "--events", "120000", "--seed", "41", "--out", "events.txt"]) == 0
+        assert main(["extract", "--events", "events.txt", "--debias", "--out", "bits.txt"]) == 0
+    finally:
+        os.chdir(cwd)
+    return workdir
+
+
+def pinned_text(case: str, manifest_text: str) -> str:
+    """The pinned manifest of ``case`` with the environment's values filled in."""
+    actual = json.loads(manifest_text)
+    seed = str(actual["generator"]["seed"]) if actual.get("generator") else ""
+    return (
+        (PINNED_DIR / f"{case}.json").read_text()
+        .replace("{numpy}", np.__version__)
+        .replace("{version}", tickrng.__version__)
+        .replace("{seed}", seed)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_manifest_text_is_pinned(capsys, monkeypatch, pinned_workdir, case):
+    """Every subcommand writes exactly the manifest text it wrote before."""
+    monkeypatch.chdir(pinned_workdir)
+    argv = PINNED_CASES[case]
+    rc = main(argv)
+    capsys.readouterr()
+    assert rc in (0, 3)
+    text = Path(argv[-1] + ".manifest.json").read_text()
+    assert text == pinned_text(case, text)
