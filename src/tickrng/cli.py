@@ -74,7 +74,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_source_args(parser: _Parser) -> None:
-    parser.add_argument("--dist", choices=[d.value for d in Distribution], default="poisson")
+    parser.add_argument(
+        "--dist", choices=[d.value for d in Distribution], default="poisson", dest="distribution",
+    )
     parser.add_argument("--mu", type=float, default=None, help="mean photon number per window")
     parser.add_argument("--eta", type=float, default=1.0, help="detector efficiency")
     parser.add_argument(
@@ -84,13 +86,14 @@ def _add_source_args(parser: _Parser) -> None:
 
 
 def _source_from_args(args) -> SourceModel:
+    """The source model; rewrites ``--mu-eta X`` in ``args`` as ``--mu X --eta 1.0``."""
     if args.mu_eta is not None:
         if args.mu is not None:
             raise UsageError("--mu and --mu-eta are mutually exclusive")
-        return SourceModel(Distribution(args.dist), args.mu_eta, 1.0)
+        args.mu, args.eta, args.mu_eta = args.mu_eta, 1.0, None
     if args.mu is None:
         raise UsageError("one of --mu or --mu-eta is required")
-    return SourceModel(Distribution(args.dist), args.mu, args.eta)
+    return SourceModel(Distribution(args.distribution), args.mu, args.eta)
 
 
 def _profile_from_spec(spec: str) -> IntraGateProfile:
@@ -106,18 +109,49 @@ def _profile_from_spec(spec: str) -> IntraGateProfile:
     )
 
 
-def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return int(seed)
-    return int(np.random.SeedSequence().entropy)
+def _resolve_seed(args) -> int:
+    """``args.seed``, drawn fresh and stored back when none was given."""
+    if args.seed is None:
+        args.seed = int(np.random.SeedSequence().entropy)
+    return args.seed
 
 
-def _generator_info(seed: int) -> dict:
-    return {"algorithm": GENERATOR_ALGORITHM, "seed": seed, "numpy": np.__version__}
+def _write_manifest(args, generator: bool = False, conventions=(), **parameters) -> None:
+    """Write the manifest of ``args.out``, derived from the subcommand's declared options.
 
-
-def _source_argv(args, source: SourceModel) -> list[str]:
-    return ["--dist", source.distribution.value, "--mu", repr(source.mu), "--eta", repr(source.eta)]
+    The argv holds every option that has a value, in declaration order: a
+    boolean pair always as ``--x`` or ``--no-x``, a ``store_true`` flag only
+    when set, anything else as ``flag str(value)``.  The parameters hold the
+    same options but ``seed`` and ``out``, keyed by dest, updated with
+    ``parameters``.  Callers first resolve the seed and ``--mu-eta`` into
+    ``args``, so the argv is the canonical form of the run.
+    """
+    argv, declared = [args.subcommand], {}
+    for action in args.parser._actions:
+        value = getattr(args, action.dest, None)
+        if not action.option_strings or value is None:
+            continue
+        if isinstance(action, argparse.BooleanOptionalAction):
+            argv.append(action.option_strings[0 if value else 1])
+        elif action.nargs != 0:
+            argv += [action.option_strings[0], str(value)]
+        elif value:
+            argv.append(action.option_strings[0])
+        if action.dest not in ("seed", "out"):
+            declared[action.dest] = value
+    manifest = RunManifest(
+        subcommand=args.subcommand,
+        argv=argv,
+        parameters={**declared, **parameters},
+        outputs=[args.out],
+        generator=(
+            {"algorithm": GENERATOR_ALGORITHM, "seed": args.seed, "numpy": np.__version__}
+            if generator
+            else None
+        ),
+        conventions={name: _CONVENTIONS[name] for name in conventions},
+    )
+    write_manifest(manifest, args.out)
 
 
 def cmd_simulate(args) -> int:
@@ -130,47 +164,13 @@ def cmd_simulate(args) -> int:
         dark_prob=args.dark_prob,
         dead_slots=args.dead_slots,
     )
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(args)
     if mode is ClockMode.GATED:
         stream = generate_gated(source, clock, profile, args.events, seed)
     else:
         stream = generate_free_running(source, clock, args.events, seed)
     write_events(stream, args.out, fmt=args.format)
-    argv = (
-        ["simulate"]
-        + _source_argv(args, source)
-        + [
-            "--mode", args.mode,
-            "--slots-per-gate", str(clock.slots_per_gate),
-            "--profile", args.profile,
-            "--dark-prob", repr(clock.dark_prob),
-            "--dead-slots", str(clock.dead_slots),
-            "--events", str(args.events),
-            "--seed", str(seed),
-            "--format", args.format,
-            "--out", str(args.out),
-        ]
-    )
-    manifest = RunManifest(
-        subcommand="simulate",
-        argv=argv,
-        parameters={
-            "distribution": source.distribution.value,
-            "mu": source.mu,
-            "eta": source.eta,
-            "mode": mode.value,
-            "slots_per_gate": clock.slots_per_gate,
-            "profile": args.profile,
-            "dark_prob": clock.dark_prob,
-            "dead_slots": clock.dead_slots,
-            "events": args.events,
-            "format": args.format,
-        },
-        outputs=[str(args.out)],
-        generator=_generator_info(seed),
-        conventions={"first_interval": _CONVENTIONS["first_interval"]},
-    )
-    write_manifest(manifest, args.out)
+    _write_manifest(args, generator=True, conventions=["first_interval"], mode=mode.value)
     print(f"wrote {len(stream)} events to {args.out}")
     return 0
 
@@ -178,6 +178,7 @@ def cmd_simulate(args) -> int:
 def cmd_extract(args) -> int:
     stream = read_events(args.events, fmt=args.events_format)
     modulus = Modulus(args.modulus)
+    conventions = ["first_interval"]
     if modulus is Modulus.MOD2:
         bits = extract_mod2(stream, ExtractorConfig(include_first=args.include_first))
     else:
@@ -187,40 +188,12 @@ def cmd_extract(args) -> int:
         interleaved[0::2] = basis
         interleaved[1::2] = key
         bits = BitStream(interleaved)
+        conventions.append("mod4_bit_order")
     if args.debias:
         bits = flip_debias(bits)
+        conventions.append("flip_debias_phase")
     write_bits(bits, args.out, fmt=args.bits_format)
-    argv = [
-        "extract",
-        "--events", str(args.events),
-        "--events-format", args.events_format,
-        "--modulus", modulus.value,
-        "--include-first" if args.include_first else "--no-include-first",
-        "--bits-format", args.bits_format,
-        "--out", str(args.out),
-    ]
-    if args.debias:
-        argv.insert(1, "--debias")
-    conventions = {"first_interval": _CONVENTIONS["first_interval"]}
-    if modulus is Modulus.MOD4:
-        conventions["mod4_bit_order"] = _CONVENTIONS["mod4_bit_order"]
-    if args.debias:
-        conventions["flip_debias_phase"] = _CONVENTIONS["flip_debias_phase"]
-    manifest = RunManifest(
-        subcommand="extract",
-        argv=argv,
-        parameters={
-            "events": str(args.events),
-            "events_format": args.events_format,
-            "modulus": modulus.value,
-            "include_first": args.include_first,
-            "debias": args.debias,
-            "bits_format": args.bits_format,
-        },
-        outputs=[str(args.out)],
-        conventions=conventions,
-    )
-    write_manifest(manifest, args.out)
+    _write_manifest(args, conventions=conventions)
     result = balance(bits)
     print(f"wrote {len(bits)} bits to {args.out} (balance {result.ratio:.6f})")
     return 0
@@ -235,7 +208,7 @@ def cmd_bias(args) -> int:
     print(f"P_ODD               {analytic.p_odd:.6f}")
     print(f"predicted_balance   {analytic.p_even / analytic.p_odd:.6f}")
     if args.mc_events:
-        seed = _resolve_seed(args.seed)
+        seed = _resolve_seed(args)
         clock = ClockConfig(mode=ClockMode.FREE_RUNNING)
         stream = generate_free_running(source, clock, args.mc_events, seed)
         even, odd = empirical_parity(stream)
@@ -266,27 +239,7 @@ def cmd_test(args) -> int:
         print(f"{test_id.value:20s} pass {passed}/{len(applicable)}  min p = {worst:.4g}")
     if args.out:
         write_report(report, args.out)
-        manifest = RunManifest(
-            subcommand="test",
-            argv=[
-                "test",
-                "--bits", str(args.bits),
-                "--bits-format", args.bits_format,
-                "--alpha", repr(args.alpha),
-                "--run-len", str(args.run_len),
-                "--out", str(args.out),
-            ],
-            parameters={
-                "bits": str(args.bits),
-                "bits_format": args.bits_format,
-                "alpha": args.alpha,
-                "run_len": args.run_len,
-                "runs": runs,
-                **report.parameters,
-            },
-            outputs=[str(args.out)],
-        )
-        write_manifest(manifest, args.out)
+        _write_manifest(args, runs=runs, **report.parameters)
         print(f"wrote report ({len(report.entries)} rows) to {args.out}")
     return 3 if report.failures() else 0
 
@@ -314,7 +267,7 @@ def _protocol_params(args, source: SourceModel, profile: IntraGateProfile, seed:
 def cmd_protocol(args) -> int:
     source = _source_from_args(args)
     profile = _profile_from_spec(args.profile)
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(args)
     params = _protocol_params(args, source, profile, seed)
     if args.protocol == "bbm92":
         result = run_bbm92(params)
@@ -336,50 +289,14 @@ def cmd_protocol(args) -> int:
     print(text, end="")
     if args.out:
         Path(args.out).write_text(text)
-        manifest = RunManifest(
-            subcommand="protocol",
-            argv=(
-                ["protocol", "--protocol", args.protocol]
-                + _source_argv(args, source)
-                + [
-                    "--gates", str(args.gates),
-                    "--t-alice", repr(args.t_alice),
-                    "--t-bob", repr(args.t_bob),
-                    "--error", repr(args.error),
-                    "--slots-per-gate", str(args.slots_per_gate),
-                    "--dark-prob", repr(args.dark_prob),
-                    "--profile", args.profile,
-                    "--k-bootstrap", str(args.k_bootstrap),
-                    "--seed", str(seed),
-                    "--out", str(args.out),
-                ]
-            ),
-            parameters={
-                "protocol": args.protocol,
-                "distribution": source.distribution.value,
-                "mu": source.mu,
-                "eta": source.eta,
-                "gates": args.gates,
-                "t_alice": args.t_alice,
-                "t_bob": args.t_bob,
-                "error": args.error,
-                "slots_per_gate": args.slots_per_gate,
-                "dark_prob": args.dark_prob,
-                "profile": args.profile,
-                "k_bootstrap": args.k_bootstrap,
-            },
-            outputs=[str(args.out)],
-            generator=_generator_info(seed),
-            conventions=dict(_CONVENTIONS),
-        )
-        write_manifest(manifest, args.out)
+        _write_manifest(args, generator=True, conventions=_CONVENTIONS)
     return 0
 
 
 def cmd_eve(args) -> int:
     source = _source_from_args(args)
     profile = _profile_from_spec(args.profile)
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(args)
     try:
         r_values = [int(v) for v in args.r_values.split(",") if v.strip()]
     except ValueError:
@@ -402,44 +319,21 @@ def cmd_eve(args) -> int:
     print(text, end="")
     if args.out:
         Path(args.out).write_text(text)
-        manifest = RunManifest(
-            subcommand="eve",
-            argv=(
-                ["eve"]
-                + _source_argv(args, source)
-                + [
-                    "--r-values", args.r_values,
-                    "--profile", args.profile,
-                    "--dark-prob", repr(args.dark_prob),
-                    "--events", str(args.events),
-                    "--seed", str(seed),
-                    "--out", str(args.out),
-                ]
-            ),
-            parameters={
-                "distribution": source.distribution.value,
-                "mu": source.mu,
-                "eta": source.eta,
-                "r_values": r_values,
-                "profile": args.profile,
-                "dark_prob": args.dark_prob,
-                "events": args.events,
-            },
-            outputs=[str(args.out)],
-            generator=_generator_info(seed),
-        )
-        write_manifest(manifest, args.out)
+        _write_manifest(args, generator=True, r_values=r_values)
     return 0
 
 
 def cmd_replay(args) -> int:
     manifest = read_manifest(args.manifest)
+    if manifest.subcommand == "replay":
+        raise DataError("a replay manifest cannot be replayed")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     argv = list(manifest.argv)
-    for output in manifest.outputs:
-        replacement = str(out_dir / Path(output).name)
-        argv = [replacement if item == output else item for item in argv]
+    # only the value after --out names an output; any other item stays as recorded
+    for i in range(1, len(argv)):
+        if argv[i - 1] == "--out":
+            argv[i] = str(out_dir / Path(argv[i]).name)
     return main(argv)
 
 
@@ -459,17 +353,17 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=EVENT_FORMATS, default="ascii")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("extract", help="extract bits from an event stream")
+    p.add_argument("--debias", action="store_true")
     p.add_argument("--events", required=True)
     p.add_argument("--events-format", choices=EVENT_FORMATS, default="ascii")
     p.add_argument("--modulus", choices=[m.value for m in Modulus], default="mod2")
     p.add_argument("--include-first", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--debias", action="store_true")
     p.add_argument("--bits-format", choices=BIT_FORMATS, default="ascii01")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(func=cmd_extract, parser=p)
 
     p = sub.add_parser("bias", help="analytic parity split, optionally vs Monte Carlo")
     _add_source_args(p)
@@ -483,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--run-len", type=int, default=1_000_000)
     p.add_argument("--out", default=None, help="write the CSV report here")
-    p.set_defaults(func=cmd_test)
+    p.set_defaults(func=cmd_test, parser=p)
 
     p = sub.add_parser("protocol", help="run a QKD protocol round")
     p.add_argument("--protocol", choices=["bbm92", "bb84", "bb84-heralded"], default="bbm92")
@@ -498,7 +392,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-bootstrap", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_protocol)
+    p.set_defaults(func=cmd_protocol, parser=p)
 
     p = sub.add_parser("eve", help="timing-adversary advantage for several gate widths")
     _add_source_args(p)
@@ -508,7 +402,7 @@ def build_parser() -> _Parser:
     p.add_argument("--events", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eve)
+    p.set_defaults(func=cmd_eve, parser=p)
 
     p = sub.add_parser("replay", help="re-run a manifest, writing outputs to a new directory")
     p.add_argument("manifest")
@@ -546,3 +440,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -252,14 +252,23 @@ def read_manifest(path) -> RunManifest:
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest is not valid JSON: {exc}") from None
     try:
-        return RunManifest(
+        manifest = RunManifest(
             subcommand=raw["subcommand"],
-            argv=list(raw["argv"]),
+            argv=raw["argv"],
             parameters=dict(raw["parameters"]),
-            outputs=list(raw["outputs"]),
+            outputs=raw["outputs"],
             generator=raw.get("generator"),
             conventions=dict(raw.get("conventions", {})),
             version=raw.get("version", __version__),
         )
     except (KeyError, TypeError) as exc:
         raise DataError(f"manifest is missing required field: {exc}") from None
+    if not (_is_str_list(manifest.argv) and manifest.argv[:1] == [manifest.subcommand]):
+        raise DataError("manifest argv must be a list of strings that starts with its subcommand")
+    if not _is_str_list(manifest.outputs):
+        raise DataError("manifest outputs must be a list of strings")
+    return manifest
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)

@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour: outputs, exit codes, manifests, replay."""
 
 import csv
+import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,15 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tickrng.cli", "--version"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == f"tickrng {tickrng.__version__}\n"
 
 
 # ------------------------------------------------------------------- bias
@@ -441,9 +452,9 @@ PINNED_CASES = {
 
 
 @pytest.fixture(scope="module")
-def pinned_workdir(tmp_path_factory):
-    """A directory holding the events.txt and bits.txt the cases read."""
-    workdir = tmp_path_factory.mktemp("pinned")
+def cli_inputs(tmp_path_factory):
+    """A directory holding the events.txt and bits.txt that later commands read."""
+    workdir = tmp_path_factory.mktemp("inputs")
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -468,12 +479,106 @@ def pinned_text(case: str, manifest_text: str) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CASES))
-def test_manifest_text_is_pinned(capsys, monkeypatch, pinned_workdir, case):
+def test_manifest_text_is_pinned(capsys, monkeypatch, cli_inputs, case):
     """Every subcommand writes exactly the manifest text it wrote before."""
-    monkeypatch.chdir(pinned_workdir)
+    monkeypatch.chdir(cli_inputs)
     argv = PINNED_CASES[case]
     rc = main(argv)
     capsys.readouterr()
     assert rc in (0, 3)
     text = Path(argv[-1] + ".manifest.json").read_text()
     assert text == pinned_text(case, text)
+
+
+# -------------------------------------------------- replay of manifests
+
+REPLAY_CASES = {
+    "simulate": [
+        "simulate", "--mode", "gated", "--slots-per-gate", "2", "--mu-eta", "0.4",
+        "--dead-slots", "1", "--events", "3000", "--format", "binary", "--out", "events.bin",
+    ],
+    "extract": [
+        "extract", "--events", "events.txt", "--modulus", "mod4", "--no-include-first",
+        "--debias", "--bits-format", "packed", "--out", "bits.bin",
+    ],
+    "test": ["test", "--bits", "bits.txt", "--run-len", "20000", "--out", "report.csv"],
+    "protocol": ["protocol", "--protocol", "bb84", "--mu", "0.5", "--gates", "5000", "--out", "protocol.txt"],
+    "eve": ["eve", "--mu-eta", "0.5", "--r-values", "1,3", "--events", "2000", "--out", "eve.csv"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(REPLAY_CASES))
+def test_replay_reproduces_the_output_and_the_manifest(
+    capsys, monkeypatch, tmp_path, cli_inputs, subcommand
+):
+    """A recorded argv is a fixed point of parse -> record: replaying it writes
+    the same output and the same manifest, up to the --out value."""
+    for name in ("events.txt", "bits.txt"):
+        shutil.copy(cli_inputs / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    argv = REPLAY_CASES[subcommand]
+    out = argv[argv.index("--out") + 1]
+    rc = main(argv)
+    assert rc in (0, 3)
+    assert main(["replay", out + ".manifest.json", "--out-dir", "again"]) == rc
+    capsys.readouterr()
+    again = str(Path("again") / out)
+    assert Path(again).read_bytes() == Path(out).read_bytes()
+    original = read_manifest(out + ".manifest.json")
+    expected_argv = list(original.argv)
+    expected_argv[expected_argv.index("--out") + 1] = again
+    assert read_manifest(again + ".manifest.json") == dataclasses.replace(
+        original, argv=expected_argv, outputs=[again]
+    )
+
+
+@pytest.mark.parametrize("name", ["1", "ascii"])
+def test_replay_rewrites_only_the_out_value(capsys, monkeypatch, tmp_path, name):
+    """An output named like another flag's value leaves that value alone."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["simulate", "--mu", "0.5", "--events", "500", "--seed", "1", "--out", name])
+    assert rc == 0
+    rc, _, err = run(capsys, "replay", name + ".manifest.json", "--out-dir", "rr")
+    assert (rc, err) == (0, "")
+    assert (tmp_path / "rr" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def _manifest_json(**fields) -> dict:
+    manifest = {
+        "subcommand": "simulate",
+        "argv": ["simulate", "--mu", "0.5", "--events", "10", "--seed", "1", "--out", "x"],
+        "parameters": {},
+        "outputs": ["x"],
+    }
+    manifest.update(fields)
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"argv": "simulate"},
+        {"argv": ["simulate", "--events", 10, "--mu", "0.5", "--out", "x"]},
+        {"argv": []},
+        {"argv": ["extract", "--events", "e", "--out", "x"]},
+        {"outputs": "x"},
+        {"outputs": [1]},
+    ],
+    ids=["argv-string", "argv-number", "argv-empty", "argv-other-subcommand",
+         "outputs-string", "outputs-number"],
+)
+def test_replay_rejects_a_malformed_manifest(capsys, tmp_path, fields):
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps(_manifest_json(**fields)))
+    rc, _, err = run(capsys, "replay", str(path), "--out-dir", str(tmp_path / "rr"))
+    assert rc == 2
+    assert err.startswith("data error: manifest")
+
+
+def test_replay_refuses_a_replay_manifest(capsys, tmp_path):
+    path = tmp_path / "loop.manifest.json"
+    argv = ["replay", str(path), "--out-dir", str(tmp_path / "rr")]
+    path.write_text(json.dumps(_manifest_json(subcommand="replay", argv=argv, outputs=[])))
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("data error: a replay manifest")
