@@ -170,6 +170,28 @@ def test_gated_dead_time_stream_is_pinned():
     assert digest == "7f275a22cbea63c694f02ce8e52f7b6751cf6c7fd94fa5e8bee68efae4f59cd6"
 
 
+# (source, slots_per_gate, dark_prob, profile, seed, SHA-256 of the slots) for
+# gated streams without dead time, taken when those had their own code path.
+PINNED_GATED_NO_DEAD_TIME = [
+    (SourceModel(Distribution.POISSON, 0.5), 2, 0.0, IntraGateProfile.uniform(), 307,
+     "8be467e61ed3543126a3e7fe7b4e98ca7a822bcf6eb5015e8fb2059a6054961a"),
+    (SourceModel(Distribution.THERMAL, 0.8), 3, 0.0, IntraGateProfile.fixed_slot(2), 311,
+     "b13b5c0855f9ea10669159506dde1b798e262a79f4f9ecab2afbe5c4024be5cc"),
+    (SourceModel(Distribution.POISSON, 1.2), 4, 0.0, IntraGateProfile.weighted([0.1, 0.2, 0.3, 0.4]), 313,
+     "a3ef3424a01c3676c13189506d82481a8d95bda50cc85acac3512a8caf4ade2a"),
+    (SourceModel(Distribution.POISSON, 0.05), 2, 0.01, IntraGateProfile.uniform(), 317,
+     "df4a0ddcf5d1e1a048551ae26be6f2327bba9fa72e3a05bb937f6c33802ac273"),
+]
+
+
+@pytest.mark.parametrize("source, r, dark, profile, seed, expected", PINNED_GATED_NO_DEAD_TIME)
+def test_gated_stream_without_dead_time_is_pinned(source, r, dark, profile, seed, expected):
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dark_prob=dark)
+    stream = generate_gated(source, clock, profile, 20_000, seed=seed)
+    digest = hashlib.sha256(stream.slots.astype("<u8").tobytes()).hexdigest()
+    assert digest == expected
+
+
 def assert_dead_time_matches_reference(slots, dead: int, last: int | None = None) -> None:
     if last is None:
         last = -(dead + 1)
