@@ -17,11 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, GuardError
+from .errors import DataError, GuardError, as_count
 from .models import Distribution, SourceModel
 from .sim import ClockConfig, ClockMode, EventStream, generate_free_running
 
 __all__ = [
+    "bit_array",
     "BitStream",
     "SymbolPair",
     "Modulus",
@@ -38,6 +39,26 @@ __all__ = [
 ]
 
 
+def bit_array(values, ndim: int = 1) -> np.ndarray:
+    """``values`` as an ``ndim``-d uint8 array of 0/1 bits, else :class:`DataError`.
+
+    A uint8 or bool array is checked with one ``max()`` pass and returned
+    without a copy; any other dtype must hold exactly the values 0 and 1.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != ndim:
+        raise DataError(f"bits must form a {ndim}-d array")
+    if arr.dtype == np.bool_:
+        return arr.view(np.uint8)
+    if arr.dtype == np.uint8:
+        ok = not arr.size or arr.max() <= 1
+    else:
+        ok = arr.dtype.kind in "iuf" and bool(np.all((arr == 0) | (arr == 1)))
+    if not ok:
+        raise DataError("bit values must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class BitStream:
     """Immutable sequence of bits stored as a uint8 array of 0/1 values."""
@@ -45,18 +66,13 @@ class BitStream:
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.bits)
-        if arr.ndim != 1:
-            raise DataError("bits must form a 1-d array")
-        if arr.size and (arr.min() < 0 or arr.max() > 1):
-            raise DataError("bit values must be 0 or 1")
-        arr = arr.astype(np.uint8)
+        arr = np.array(bit_array(self.bits))
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
     @classmethod
     def from_bits(cls, values) -> "BitStream":
-        return cls(np.asarray(list(values), dtype=np.uint8))
+        return cls(list(values))
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -92,14 +108,6 @@ class Modulus(str, Enum):
 @dataclass(frozen=True)
 class ExtractorConfig:
     include_first: bool = True
-    modulus: Modulus = Modulus.MOD2
-    k_bootstrap: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "modulus", Modulus(self.modulus))
-        if self.k_bootstrap != int(self.k_bootstrap) or self.k_bootstrap < 0:
-            raise ValueError(f"k_bootstrap must be a non-negative integer, got {self.k_bootstrap!r}")
-        object.__setattr__(self, "k_bootstrap", int(self.k_bootstrap))
 
 
 class BalanceResult(NamedTuple):
@@ -116,27 +124,13 @@ def intervals(stream: EventStream, include_first: bool = True) -> np.ndarray:
     clock tick 0, yielding one interval per detection; otherwise the
     first detection only starts the counter.
     """
-    slots = stream.slots
     if include_first:
-        gaps = np.diff(slots, prepend=np.uint64(0))
-    else:
-        gaps = np.diff(slots)
-    if gaps.size and int(gaps.min()) < 1:
-        raise DataError("event slots must be strictly increasing with first slot >= 1")
-    return gaps
+        return np.diff(stream.slots, prepend=np.uint64(0))
+    return np.diff(stream.slots)
 
 
-def _config(cfg: ExtractorConfig | None, modulus: Modulus) -> ExtractorConfig:
-    if cfg is None:
-        return ExtractorConfig(modulus=modulus)
-    if cfg.modulus is not modulus:
-        raise ValueError(f"extractor configured for {cfg.modulus.value}, not {modulus.value}")
-    return cfg
-
-
-def extract_mod2(stream: EventStream, cfg: ExtractorConfig | None = None) -> BitStream:
+def extract_mod2(stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()) -> BitStream:
     """One bit per interval: the interval length modulo 2."""
-    cfg = _config(cfg, Modulus.MOD2)
     gaps = intervals(stream, include_first=cfg.include_first)
     return BitStream((gaps & np.uint64(1)).astype(np.uint8))
 
@@ -149,9 +143,8 @@ def mod4_arrays(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return basis, key
 
 
-def extract_mod4(stream: EventStream, cfg: ExtractorConfig | None = None) -> list[SymbolPair]:
+def extract_mod4(stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()) -> list[SymbolPair]:
     """One (basis, key) pair per interval: the interval length modulo 4."""
-    cfg = _config(cfg, Modulus.MOD4)
     gaps = intervals(stream, include_first=cfg.include_first)
     basis, key = mod4_arrays(gaps)
     return [SymbolPair(int(b), int(k)) for b, k in zip(basis.tolist(), key.tolist())]
@@ -159,9 +152,7 @@ def extract_mod4(stream: EventStream, cfg: ExtractorConfig | None = None) -> lis
 
 def symbol_from_interval(n: int) -> SymbolPair:
     """Basis/key pair for a single interval of ``n`` slots."""
-    if n != int(n) or n < 1:
-        raise ValueError(f"interval must be a positive integer, got {n!r}")
-    v = int(n) % 4
+    v = as_count(n, "interval", positive=True) % 4
     return SymbolPair(v >> 1, v & 1)
 
 
@@ -198,9 +189,7 @@ def bootstrap_buffer(clock: ClockConfig, k: int, seed) -> BitStream:
     generated from a zero-photon source with the same dark probability,
     dead time and seed.
     """
-    if k != int(k) or k < 0:
-        raise ValueError(f"bootstrap length must be a non-negative integer, got {k!r}")
-    k = int(k)
+    k = as_count(k, "bootstrap length")
     if k == 0:
         return BitStream(np.empty(0, dtype=np.uint8))
     if clock.dark_prob <= 0.0:

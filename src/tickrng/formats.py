@@ -54,10 +54,6 @@ REPORT_HEADER = ("test_id", "test_index", "run_index", "p_value", "pass")
 _U64_MAX = 2**64 - 1
 
 
-def _default_clock() -> ClockConfig:
-    return ClockConfig(mode=ClockMode.FREE_RUNNING)
-
-
 def _line_of(blob: bytes, pos: int) -> int:
     """1-based number of the line holding byte ``pos``."""
     return blob.count(b"\n", 0, pos) + 1
@@ -107,41 +103,18 @@ def _parse_ascii_events(blob: bytes):
         return np.array([t.lstrip(b"0") or b"0" for t in tokens], dtype=np.uint64), where
 
 
-def _check_event_order(slots: np.ndarray, where) -> None:
-    """Raise on the first slot that is 0 or not above its predecessor."""
-    if not slots.size:
-        return
-    bad = np.flatnonzero(slots[1:] <= slots[:-1]) + 1
-    if slots[0] >= 1 and not bad.size:
-        return
-    i = 0 if slots[0] < 1 else int(bad[0])
-    value = int(slots[i])
-    if value < 1:
-        raise DataError(f"{where(i)}: slot index must be >= 1, got {value}")
-    last = int(slots[i - 1])
-    kind = "duplicate" if value == last else "non-increasing"
-    raise DataError(f"{where(i)}: {kind} slot index {value} (previous was {last})")
-
-
-def read_events(path, fmt: str = "ascii", clock: ClockConfig | None = None) -> EventStream:
-    """Read an event stream; an empty file yields an empty stream."""
+def read_events(path, fmt: str = "ascii") -> EventStream:
+    """Read a free-running event stream; an empty file yields an empty stream."""
     if fmt not in EVENT_FORMATS:
         raise ValueError(f"unknown event format {fmt!r}")
-    if clock is None:
-        clock = _default_clock()
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING)
     blob = Path(path).read_bytes()
     if fmt == "ascii":
         slots, where = _parse_ascii_events(blob)
-    else:
-        if len(blob) % 8:
-            raise DataError(f"binary event file length {len(blob)} is not a multiple of 8")
-        slots = np.frombuffer(blob, dtype="<u8")
-
-        def where(i: int) -> str:
-            return f"entry {i + 1}"
-
-    _check_event_order(slots, where)
-    return EventStream(slots, clock)
+        return EventStream(slots, clock, where)
+    if len(blob) % 8:
+        raise DataError(f"binary event file length {len(blob)} is not a multiple of 8")
+    return EventStream(np.frombuffer(blob, dtype="<u8"), clock)
 
 
 def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:

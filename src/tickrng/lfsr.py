@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import as_count
+from .extract import bit_array
+
 __all__ = ["lfsr_complexity", "lfsr_complexity_int", "lfsr_complexities"]
 
 
@@ -32,15 +35,14 @@ def lfsr_complexity_int(seq: int, length: int) -> int:
     Bit ``i`` of ``seq`` (the coefficient of ``2**i``) is the ``i``-th
     sequence element.  The all-zero sequence has complexity 0.
     """
-    if length != int(length) or length < 0:
-        raise ValueError(f"length must be a non-negative integer, got {length!r}")
+    length = as_count(length, "length")
     if seq < 0:
         raise ValueError("sequence integer must be non-negative")
     fold_c = seq  # sequence times current connection polynomial, low bits consumed
     fold_b = seq  # same for the polynomial before the last length change
     deg = 0  # current LFSR length
     gap = 0  # distance since the last discrepancy
-    for pos in range(int(length)):
+    for pos in range(length):
         disc = fold_c & (1 << gap)
         gap += 1
         if disc:
@@ -55,20 +57,14 @@ def lfsr_complexity_int(seq: int, length: int) -> int:
 
 def lfsr_complexity(bits) -> int:
     """Linear complexity of a 0/1 sequence (list, tuple or ndarray)."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bits must form a 1-d sequence")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit values must be 0 or 1")
+    arr = bit_array(bits)
     packed = np.packbits(arr, bitorder="little")
     return lfsr_complexity_int(int.from_bytes(packed.tobytes(), "little"), arr.size)
 
 
 def lfsr_complexities(blocks: np.ndarray) -> np.ndarray:
     """Linear complexity of each row of a 2-d 0/1 array, all rows in lockstep."""
-    blocks = np.asarray(blocks, dtype=np.uint8)
-    if blocks.ndim != 2:
-        raise ValueError("blocks must form a 2-d array")
+    blocks = bit_array(blocks, ndim=2)
     nblocks, length = blocks.shape
     lanes = -(-nblocks // 64)
     # S[t, g] bit j = bit t of block 64 g + j; padding blocks are all zero.

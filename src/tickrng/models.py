@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import as_count
+
 __all__ = [
     "Distribution",
     "SourceModel",
@@ -83,9 +85,7 @@ def photon_pmf(source: SourceModel, n: int) -> float:
 
     Poissonian: ``exp(-mu) mu^n / n!``.  Thermal: ``mu^n / (mu+1)^(n+1)``.
     """
-    if n != int(n) or n < 0:
-        raise ValueError(f"photon number must be a non-negative integer, got {n!r}")
-    n = int(n)
+    n = as_count(n, "photon number")
     mu = source.mu
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -115,9 +115,7 @@ def window_pmf(p: float, n: int) -> float:
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"click probability must lie in [0, 1], got {p!r}")
-    if n != int(n) or n < 1:
-        raise ValueError(f"window index must be a positive integer, got {n!r}")
-    return (1.0 - p) ** (int(n) - 1) * p
+    return (1.0 - p) ** (as_count(n, "window index", positive=True) - 1) * p
 
 
 def parity_probabilities(source: SourceModel) -> AnalyticBias:
@@ -130,8 +128,9 @@ def parity_probabilities(source: SourceModel) -> AnalyticBias:
     """
     me = source.effective_mean
     if source.distribution is Distribution.POISSON:
-        p_even = 1.0 / (1.0 + math.exp(me))
-        p_odd = 1.0 / (1.0 + math.exp(-me))
+        tail = math.exp(-me)  # exp(+mu*eta) would overflow beyond mu*eta ~ 709.8
+        p_even = tail / (1.0 + tail)
+        p_odd = 1.0 / (1.0 + tail)
     else:
         p_even = 1.0 / (me + 2.0)
         p_odd = (me + 1.0) / (me + 2.0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import GuardError, as_count
 from .extract import balance, BitStream, bootstrap_buffer, extract_mod2, intervals, mod4_arrays
 from .models import click_probability, Distribution, SourceModel
 from .sim import (
@@ -68,12 +68,8 @@ class ProtocolParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
         if not (0.0 <= self.intrinsic_error <= 0.5):
             raise ValueError(f"intrinsic_error must lie in [0, 0.5], got {self.intrinsic_error!r}")
-        if self.n_gates != int(self.n_gates) or self.n_gates < 1:
-            raise ValueError(f"n_gates must be a positive integer, got {self.n_gates!r}")
-        object.__setattr__(self, "n_gates", int(self.n_gates))
-        if self.k_bootstrap != int(self.k_bootstrap) or self.k_bootstrap < 0:
-            raise ValueError(f"k_bootstrap must be a non-negative integer, got {self.k_bootstrap!r}")
-        object.__setattr__(self, "k_bootstrap", int(self.k_bootstrap))
+        object.__setattr__(self, "n_gates", as_count(self.n_gates, "n_gates", positive=True))
+        object.__setattr__(self, "k_bootstrap", as_count(self.k_bootstrap, "k_bootstrap"))
 
 
 @dataclass(frozen=True)

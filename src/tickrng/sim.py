@@ -16,12 +16,13 @@ check the generated gap histogram against :func:`tickrng.models.window_pmf`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, GuardError
+from .errors import DataError, GuardError, as_count
 from .models import SourceModel, click_probability
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "ClockConfig",
     "IntraGateProfile",
     "EventStream",
+    "check_slots",
     "generate_free_running",
     "generate_gated",
     "apply_dead_time",
@@ -71,16 +73,12 @@ class ClockConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", ClockMode(self.mode))
-        if self.slots_per_gate != int(self.slots_per_gate) or self.slots_per_gate < 1:
-            raise ValueError(f"slots_per_gate must be a positive integer, got {self.slots_per_gate!r}")
-        object.__setattr__(self, "slots_per_gate", int(self.slots_per_gate))
+        object.__setattr__(self, "slots_per_gate", as_count(self.slots_per_gate, "slots_per_gate", positive=True))
         if self.mode is ClockMode.FREE_RUNNING and self.slots_per_gate != 1:
             raise ValueError("free-running mode implies slots_per_gate == 1")
         if not (0.0 <= self.dark_prob < 1.0):
             raise ValueError(f"dark_prob must lie in [0, 1), got {self.dark_prob!r}")
-        if self.dead_slots != int(self.dead_slots) or self.dead_slots < 0:
-            raise ValueError(f"dead_slots must be a non-negative integer, got {self.dead_slots!r}")
-        object.__setattr__(self, "dead_slots", int(self.dead_slots))
+        object.__setattr__(self, "dead_slots", as_count(self.dead_slots, "dead_slots"))
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,7 @@ class IntraGateProfile:
 
     @classmethod
     def fixed_slot(cls, slot: int) -> "IntraGateProfile":
-        if slot != int(slot) or slot < 1:
-            raise ValueError(f"fixed slot must be a positive integer, got {slot!r}")
-        return cls(kind="fixed", slot=int(slot))
+        return cls(kind="fixed", slot=as_count(slot, "fixed slot", positive=True))
 
     @classmethod
     def weighted(cls, weights) -> "IntraGateProfile":
@@ -151,30 +147,50 @@ class IntraGateProfile:
         return float(sum(self.weights[0::2]))
 
 
+def check_slots(slots, where: Callable[[int], str] | None = None) -> np.ndarray:
+    """``slots`` as a new 1-d uint64 array of strictly increasing indices >= 1.
+
+    Raises :class:`DataError` for a non-integer dtype, a slot below 1 or a
+    slot not above its predecessor; the bad entry ``i`` is named by
+    ``where(i)``, by default ``entry i+1``.
+    """
+    arr = np.asarray(slots)
+    if arr.ndim != 1:
+        raise DataError("event slots must be a 1-d array")
+    if arr.dtype.kind not in "iu":
+        raise DataError(f"event slots must be integers, got dtype {arr.dtype}")
+    if arr.size:
+        bad = np.flatnonzero(arr[1:] <= arr[:-1]) + 1
+        if arr[0] < 1 or bad.size:
+            name = where or (lambda i: f"entry {i + 1}")
+            i = 0 if arr[0] < 1 else int(bad[0])
+            value = int(arr[i])
+            if value < 1:
+                raise DataError(f"{name(i)}: slot index must be >= 1, got {value}")
+            last = int(arr[i - 1])
+            kind = "duplicate" if value == last else "non-increasing"
+            raise DataError(f"{name(i)}: {kind} slot index {value} (previous was {last})")
+    return arr.astype(np.uint64)
+
+
 @dataclass(frozen=True, eq=False)
 class EventStream:
-    """Detection slot indices (64-bit unsigned, strictly increasing, first >= 1)."""
+    """Detection slot indices (64-bit unsigned, strictly increasing, first >= 1).
+
+    The slots are checked by :func:`check_slots`, which names a bad entry
+    by ``where`` (a file reader passes its line namer), and every gap must
+    exceed the clock's dead time.
+    """
 
     slots: np.ndarray
     clock: ClockConfig
+    where: InitVar[Callable[[int], str] | None] = None
 
-    def __post_init__(self):
-        arr = np.asarray(self.slots)
-        if arr.ndim != 1:
-            raise DataError("event slots must be a 1-d array")
-        if arr.size:
-            if int(arr[0]) < 1:
-                raise DataError(f"first event slot must be >= 1, got {int(arr[0])}")
-            if np.any(arr[1:] <= arr[:-1]):
-                bad = int(np.flatnonzero(arr[1:] <= arr[:-1])[0]) + 1
-                raise DataError(f"event slots must be strictly increasing (entry {bad + 1})")
-            if self.clock.dead_slots:
-                gaps = np.diff(arr)
-                if gaps.size and int(gaps.min()) <= self.clock.dead_slots:
-                    raise DataError(
-                        f"event gaps must exceed the dead time of {self.clock.dead_slots} slots"
-                    )
-        arr = arr.astype(np.uint64)
+    def __post_init__(self, where):
+        arr = check_slots(self.slots, where)
+        dead = self.clock.dead_slots
+        if dead and arr.size > 1 and int(np.diff(arr).min()) <= dead:
+            raise DataError(f"event gaps must exceed the dead time of {dead} slots")
         arr.setflags(write=False)
         object.__setattr__(self, "slots", arr)
 
@@ -192,7 +208,6 @@ def generate_free_running(
     clock: ClockConfig,
     n_events: int,
     seed,
-    slot_budget: int | None = None,
 ) -> EventStream:
     """Simulate ``n_events`` detections of a free-running detector.
 
@@ -202,9 +217,7 @@ def generate_free_running(
     """
     if clock.mode is not ClockMode.FREE_RUNNING:
         raise ValueError("generate_free_running requires a free-running clock")
-    if n_events != int(n_events) or n_events < 0:
-        raise ValueError(f"n_events must be a non-negative integer, got {n_events!r}")
-    n_events = int(n_events)
+    n_events = as_count(n_events, "n_events")
     if n_events == 0:
         return EventStream(np.empty(0, dtype=np.uint64), clock)
     p_slot = _opportunity_click_probability(source, clock)
@@ -217,12 +230,7 @@ def generate_free_running(
     gaps = gen.geometric(p_slot, size=n_events).astype(np.int64)
     if clock.dead_slots:
         gaps[1:] += clock.dead_slots
-    slots = np.cumsum(gaps)
-    if slot_budget is not None and int(slots[-1]) > slot_budget:
-        raise GuardError(
-            f"stream spans {int(slots[-1])} slots, beyond the budget of {slot_budget}"
-        )
-    return EventStream(slots.astype(np.uint64), clock)
+    return EventStream(np.cumsum(gaps), clock)
 
 
 def generate_gated(
@@ -242,9 +250,7 @@ def generate_gated(
     """
     if clock.mode is not ClockMode.GATED:
         raise ValueError("generate_gated requires a gated clock")
-    if n_events != int(n_events) or n_events < 0:
-        raise ValueError(f"n_events must be a non-negative integer, got {n_events!r}")
-    n_events = int(n_events)
+    n_events = as_count(n_events, "n_events")
     r = clock.slots_per_gate
     profile._check(r)
     if n_events == 0:
@@ -255,12 +261,6 @@ def generate_gated(
     if n_events * (1.0 / p_gate) * r > 2.0**62:
         raise GuardError("requested stream would overflow 64-bit slot indices")
     gen = rng(seed)
-    if clock.dead_slots == 0:
-        gates = np.cumsum(gen.geometric(p_gate, size=n_events).astype(np.int64))
-        intra = profile.sample(gen, n_events, r)
-        slots = (gates - 1) * r + intra
-        return EventStream(slots.astype(np.uint64), clock)
-
     accepted = np.empty(n_events, dtype=np.int64)
     have = 0
     last_gate = 0
@@ -274,7 +274,7 @@ def generate_gated(
         accepted[have : have + kept.size] = kept
         have += kept.size
         if have == n_events:
-            return EventStream(accepted.astype(np.uint64), clock)
+            return EventStream(accepted, clock)
         if kept.size:
             last_slot = int(kept[-1])
         last_gate = int(gates[-1])

@@ -36,8 +36,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc, gammaincc, ndtr
 
-from .errors import InsufficientDataError
-from .extract import BitStream
+from .errors import InsufficientDataError, as_count
+from .extract import BitStream, bit_array
 from .lfsr import lfsr_complexities
 
 __all__ = [
@@ -94,14 +94,7 @@ DEFAULT_PARAMETERS = {
 
 
 def _bit_array(bits) -> np.ndarray:
-    if isinstance(bits, BitStream):
-        return bits.bits
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bits must form a 1-d sequence")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit values must be 0 or 1")
-    return arr
+    return bits.bits if isinstance(bits, BitStream) else bit_array(bits)
 
 
 def _require(n: int, needed: int, what: str) -> None:
@@ -556,8 +549,7 @@ def run_battery(bits, alpha: float = 0.01, run_len: int = 1_000_000, **overrides
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if run_len < 1:
-        raise ValueError(f"run_len must be positive, got {run_len!r}")
+    run_len = as_count(run_len, "run_len", positive=True)
     params = dict(DEFAULT_PARAMETERS)
     unknown = set(overrides) - set(params)
     if unknown:

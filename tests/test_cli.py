@@ -66,6 +66,14 @@ def test_bias_thermal_closed_form(capsys):
     assert lines["P_EVEN"] == "0.400000"  # 1 / (mu*eta + 2)
 
 
+def test_bias_of_a_bright_poisson_source_does_not_overflow(capsys):
+    rc, out, _ = run(capsys, "bias", "--dist", "poisson", "--mu-eta", "1000")
+    assert rc == 0
+    lines = dict(line.split(None, 1) for line in out.strip().splitlines())
+    assert lines["P_EVEN"] == "0.000000"
+    assert lines["P_ODD"] == "1.000000"
+
+
 def test_bias_monte_carlo_agrees_with_the_analytic_split(capsys):
     rc, out, _ = run(
         capsys, "bias", "--dist", "thermal", "--mu-eta", "0.5",

@@ -1,0 +1,50 @@
+"""Every integer count the public API takes is checked the same way."""
+
+import re
+
+import numpy as np
+import pytest
+
+from tickrng.extract import bootstrap_buffer, symbol_from_interval
+from tickrng.lfsr import lfsr_complexity_int
+from tickrng.models import Distribution, SourceModel, photon_pmf, window_pmf
+from tickrng.qkd import ProtocolParams
+from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_free_running, generate_gated
+from tickrng.suite import run_battery
+
+SOURCE = SourceModel(Distribution.POISSON, 0.5)
+FREE = ClockConfig(mode=ClockMode.FREE_RUNNING)
+GATED = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
+DARK = ClockConfig(mode=ClockMode.FREE_RUNNING, dark_prob=0.1)
+
+# (name in the message, "positive" or "non-negative", call taking the count)
+COUNTS = [
+    ("slots_per_gate", "positive", lambda v: ClockConfig(mode=ClockMode.GATED, slots_per_gate=v)),
+    ("dead_slots", "non-negative", lambda v: ClockConfig(mode=ClockMode.GATED, dead_slots=v)),
+    ("fixed slot", "positive", IntraGateProfile.fixed_slot),
+    ("n_events", "non-negative", lambda v: generate_free_running(SOURCE, FREE, v, seed=0)),
+    ("n_events", "non-negative",
+     lambda v: generate_gated(SOURCE, GATED, IntraGateProfile.uniform(), v, seed=0)),
+    ("interval", "positive", symbol_from_interval),
+    ("bootstrap length", "non-negative", lambda v: bootstrap_buffer(DARK, v, seed=0)),
+    ("length", "non-negative", lambda v: lfsr_complexity_int(5, v)),
+    ("photon number", "non-negative", lambda v: photon_pmf(SOURCE, v)),
+    ("window index", "positive", lambda v: window_pmf(0.5, v)),
+    ("n_gates", "positive", lambda v: ProtocolParams(SOURCE, GATED, GATED, IntraGateProfile.uniform(), v, 0)),
+    ("k_bootstrap", "non-negative",
+     lambda v: ProtocolParams(SOURCE, GATED, GATED, IntraGateProfile.uniform(), 10, 0, k_bootstrap=v)),
+    ("run_len", "positive", lambda v: run_battery(np.zeros(300, dtype=np.uint8), run_len=v)),
+]
+
+
+@pytest.mark.parametrize("bad", [2.5, float("inf"), float("nan"), None, "3"])
+@pytest.mark.parametrize("name, kind, call", COUNTS, ids=[f"{n}-{i}" for i, (n, _, _) in enumerate(COUNTS)])
+def test_a_count_that_is_not_a_whole_number_raises_value_error(name, kind, call, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a {kind} integer, got {bad!r}") + "$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, kind, call", COUNTS, ids=[f"{n}-{i}" for i, (n, _, _) in enumerate(COUNTS)])
+def test_the_lower_bound_of_a_count_is_enforced(name, kind, call):
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind} integer"):
+        call(0 if kind == "positive" else -1)

@@ -12,9 +12,9 @@ from tickrng.extract import (
     BalanceResult,
     BitStream,
     ExtractorConfig,
-    Modulus,
     SymbolPair,
     balance,
+    bit_array,
     bootstrap_buffer,
     extract_mod2,
     extract_mod4,
@@ -22,6 +22,7 @@ from tickrng.extract import (
     intervals,
     symbol_from_interval,
 )
+from tickrng.lfsr import lfsr_complexities, lfsr_complexity
 from tickrng.models import Distribution, SourceModel
 from tickrng.sim import (
     ClockConfig,
@@ -31,6 +32,7 @@ from tickrng.sim import (
     generate_free_running,
     generate_gated,
 )
+from tickrng.suite import frequency_test
 
 FREE = ClockConfig(mode=ClockMode.FREE_RUNNING)
 
@@ -86,21 +88,6 @@ def test_extraction_is_consistent_across_a_stream_split():
     cfg = ExtractorConfig(include_first=False)
     stitched = np.concatenate([extract_mod2(head).bits, extract_mod2(tail, cfg).bits])
     assert BitStream(stitched) == full
-
-
-def test_config_modulus_mismatch_is_rejected():
-    cfg = ExtractorConfig(modulus=Modulus.MOD4)
-    with pytest.raises(ValueError):
-        extract_mod2(stream_of(1, 2, 3), cfg)
-    with pytest.raises(ValueError):
-        extract_mod4(stream_of(1, 2, 3), ExtractorConfig(modulus=Modulus.MOD2))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExtractorConfig(k_bootstrap=-1)
-    with pytest.raises(ValueError):
-        ExtractorConfig(modulus="mod8")
 
 
 def test_ones_fraction_tracks_the_odd_interval_probability():
@@ -220,3 +207,31 @@ def test_bitstream_is_read_only():
     bits = BitStream.from_bits([1, 0, 1])
     with pytest.raises(ValueError):
         bits.bits[0] = 0
+
+
+def test_bit_array_passes_uint8_and_bool_without_a_copy():
+    raw = np.array([0, 1, 1], dtype=np.uint8)
+    assert bit_array(raw) is raw
+    flags = np.array([False, True])
+    assert bit_array(flags).dtype == np.uint8
+    assert np.shares_memory(bit_array(flags), flags)
+    assert bit_array([0.0, 1.0, 1]).tolist() == [0, 1, 1]
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, 2, -1])
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        BitStream,
+        BitStream.from_bits,
+        frequency_test,
+        lfsr_complexity,
+        lambda values: lfsr_complexities(np.array(values).reshape(2, -1)),
+    ],
+    ids=["BitStream", "from_bits", "frequency_test", "lfsr_complexity", "lfsr_complexities"],
+)
+def test_every_bit_consumer_rejects_a_non_bit(consumer, bad):
+    values = [0, 1] * 100
+    values[101] = bad
+    with pytest.raises(DataError, match="bit values must be 0 or 1"):
+        consumer(values)

@@ -105,13 +105,6 @@ def test_zero_click_probability_raises_guard():
         generate_free_running(source, FREE, 10, seed=0)
 
 
-def test_slot_budget_guard():
-    with pytest.raises(GuardError):
-        generate_free_running(
-            source_for_slot_probability(0.01), FREE, 10_000, seed=0, slot_budget=1000
-        )
-
-
 def test_zero_events_yields_empty_stream():
     source = SourceModel(Distribution.POISSON, 0.5)
     assert len(generate_free_running(source, FREE, 0, seed=0)) == 0
@@ -326,6 +319,8 @@ def test_event_stream_validation():
         EventStream(np.array([1, 3], dtype=np.int64), dead)  # gap 2 <= dead time
     with pytest.raises(DataError):
         EventStream(np.array([[1, 2]], dtype=np.int64), FREE)
+    with pytest.raises(DataError, match="integers"):
+        EventStream(np.array([1.2, 1.7, 3.0]), FREE)  # would truncate to 1, 1, 3
 
 
 def test_event_stream_is_read_only():
