@@ -46,19 +46,8 @@ from .extract import (
     intervals,
     symbol_from_interval,
 )
+from .suite import TestEntry, TestId, TestReport, run_battery
 from .qkd import ProtocolParams, ProtocolResult, eve_qnd_advantage, run_bb84, run_bbm92
-
-_SUITE_NAMES = ("TestEntry", "TestId", "TestReport", "run_battery")
-
-
-def __getattr__(name):
-    # The battery imports scipy; resolving its names on first use (PEP 562)
-    # keeps ``import tickrng`` and the non-battery subcommands free of it.
-    if name in _SUITE_NAMES:
-        from . import suite
-
-        return getattr(suite, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

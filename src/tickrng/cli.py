@@ -53,6 +53,7 @@ from .sim import (
     generate_free_running,
     generate_gated,
 )
+from .suite import TestId, run_battery
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -221,10 +222,6 @@ def cmd_bias(args) -> int:
 
 
 def cmd_test(args) -> int:
-    # the battery needs scipy; importing it only here keeps every other
-    # subcommand's start-up free of it
-    from .suite import TestId, run_battery
-
     bits = read_bits(args.bits, fmt=args.bits_format)
     report = run_battery(bits, alpha=args.alpha, run_len=args.run_len)
     runs = len({e.run_index for e in report.entries})

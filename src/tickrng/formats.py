@@ -20,7 +20,6 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +27,7 @@ from . import __version__
 from .errors import DataError
 from .extract import BitStream
 from .sim import ClockConfig, ClockMode, EventStream
-
-if TYPE_CHECKING:
-    from .suite import TestReport
+from .suite import TestReport
 
 __all__ = [
     "EVENT_FORMATS",

@@ -229,8 +229,7 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     clock = params.clock_bob
     if clock.mode is not ClockMode.GATED:
         raise ValueError("the timing adversary is defined for gated clocks")
-    if n_events < 1:
-        raise ValueError(f"n_events must be >= 1, got {n_events}")
+    n_events = as_count(n_events, "n_events", positive=True)
     source = params.pair_source
     eff = SourceModel(
         source.distribution, source.mu, source.eta * params.channel_transmittance_bob

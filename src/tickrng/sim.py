@@ -105,8 +105,8 @@ class IntraGateProfile:
         w = tuple(float(v) for v in weights)
         if not w:
             raise ValueError("weighted profile needs at least one weight")
-        if any(v < 0.0 for v in w):
-            raise ValueError("weights must be non-negative")
+        if not all(v >= 0.0 for v in w):  # also rejects NaN
+            raise ValueError(f"weights must be non-negative numbers, got {w!r}")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
         return cls(kind="weighted", weights=w)

@@ -14,7 +14,8 @@ import pytest
 
 import tickrng
 from tickrng.cli import main
-from tickrng.formats import read_bits, read_events, read_manifest
+from tickrng.extract import BitStream
+from tickrng.formats import read_bits, read_events, read_manifest, write_bits
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -36,6 +37,22 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_battery_report_is_the_same_without_scipy(capsys, tmp_path):
+    """``tickrng test --out`` in an interpreter where scipy cannot be
+    imported writes the report the in-process run writes, byte for byte."""
+    bits = np.random.Generator(np.random.PCG64(20261018)).integers(0, 2, 1_000_000, dtype=np.uint8)
+    write_bits(BitStream(bits), tmp_path / "bits.bin", fmt="packed")
+    argv = ["test", "--bits", str(tmp_path / "bits.bin"), "--bits-format", "packed", "--out"]
+    rc, _, _ = run(capsys, *argv, str(tmp_path / "here.csv"))
+    code = "import sys\nsys.modules['scipy'] = None\nfrom tickrng.cli import run\nrun()\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, str(tmp_path / "there.csv")], env=env, capture_output=True,
+    )
+    assert (done.returncode, done.stderr) == (rc, b"")
+    assert (tmp_path / "there.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
 def test_python_dash_m_runs_the_cli():
@@ -130,6 +147,18 @@ def test_simulate_bad_profile_is_a_usage_error(capsys, tmp_path):
     )
     assert rc == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--mode", "gated", "--slots-per-gate", "2", "--events", "10", "--out", "x"),
+    ("protocol", "--slots-per-gate", "2", "--gates", "100"),
+    ("eve", "--r-values", "2", "--events", "100"),
+], ids=["simulate", "protocol", "eve"])
+def test_a_nan_profile_weight_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run(capsys, *argv, "--mu", "0.5", "--profile", "weighted:nan,1")
+    assert rc == 1
+    assert err == "usage error: weights must be non-negative numbers, got (nan, 1.0)\n"
 
 
 # ---------------------------------------------------------------- extract

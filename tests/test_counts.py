@@ -8,14 +8,22 @@ import pytest
 from tickrng.extract import bootstrap_buffer, symbol_from_interval
 from tickrng.lfsr import lfsr_complexity_int
 from tickrng.models import Distribution, SourceModel, photon_pmf, window_pmf
-from tickrng.qkd import ProtocolParams
+from tickrng.qkd import ProtocolParams, eve_qnd_advantage
 from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_free_running, generate_gated
-from tickrng.suite import run_battery
+from tickrng.suite import (
+    approximate_entropy_test,
+    block_frequency_test,
+    linear_complexity_test,
+    rank_test,
+    run_battery,
+    serial_test,
+)
 
 SOURCE = SourceModel(Distribution.POISSON, 0.5)
 FREE = ClockConfig(mode=ClockMode.FREE_RUNNING)
 GATED = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
 DARK = ClockConfig(mode=ClockMode.FREE_RUNNING, dark_prob=0.1)
+BITS = np.zeros(300, dtype=np.uint8)
 
 # (name in the message, "positive" or "non-negative", call taking the count)
 COUNTS = [
@@ -33,7 +41,17 @@ COUNTS = [
     ("n_gates", "positive", lambda v: ProtocolParams(SOURCE, GATED, GATED, IntraGateProfile.uniform(), v, 0)),
     ("k_bootstrap", "non-negative",
      lambda v: ProtocolParams(SOURCE, GATED, GATED, IntraGateProfile.uniform(), 10, 0, k_bootstrap=v)),
-    ("run_len", "positive", lambda v: run_battery(np.zeros(300, dtype=np.uint8), run_len=v)),
+    ("run_len", "positive", lambda v: run_battery(BITS, run_len=v)),
+    ("n_events", "positive",
+     lambda v: eve_qnd_advantage(ProtocolParams(SOURCE, GATED, GATED, IntraGateProfile.uniform(), 10, 0), v)),
+    ("block_frequency_block_len", "positive", lambda v: run_battery(BITS, block_frequency_block_len=v)),
+    ("approximate_entropy_block_len", "positive",
+     lambda v: run_battery(BITS, approximate_entropy_block_len=v)),
+    ("block_len", "positive", lambda v: block_frequency_test(BITS, block_len=v)),
+    ("block_len", "positive", lambda v: linear_complexity_test(BITS, block_len=v)),
+    ("block_len", "positive", lambda v: approximate_entropy_test(BITS, block_len=v)),
+    ("block_len", "positive", lambda v: serial_test(BITS, block_len=v)),
+    ("matrix_dim", "positive", lambda v: rank_test(BITS, matrix_dim=v)),
 ]
 
 

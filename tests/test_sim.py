@@ -291,6 +291,8 @@ def test_profile_validation():
         IntraGateProfile.weighted([-0.5, 1.5])
     with pytest.raises(ValueError):
         IntraGateProfile.weighted([])
+    with pytest.raises(ValueError, match=r"^weights must be non-negative numbers, got \(nan, 1\.0\)$"):
+        IntraGateProfile.weighted([float("nan"), 1.0])
     profile = IntraGateProfile.fixed_slot(5)
     with pytest.raises(ValueError):
         profile.sample(np.random.default_rng(0), 10, slots_per_gate=4)

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc, ndtr
 from scipy.stats import chi2 as chi2_dist
 
 from tickrng.errors import InsufficientDataError
@@ -22,6 +23,8 @@ from tickrng.models import Distribution, SourceModel
 from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
 from tickrng.suite import (
     DEFAULT_PARAMETERS,
+    _chi2_sf,
+    _cusum_pvalue,
     _fold,
     _gf2_ranks,
     _overlapping_counts,
@@ -70,6 +73,37 @@ def adversarial_bits(kind: str, n: int, seed: int) -> np.ndarray:
 def poisson_tail(a: int, x: float) -> float:
     """Upper chi-square tail with 2a degrees of freedom via the Poisson sum."""
     return math.exp(-x) * sum(x**k / math.factorial(k) for k in range(a))
+
+
+# ----------------------------------------------------------- p-value tails
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 5, 6, 7812, 7813] + [1 << m for m in range(1, 17)])
+def test_chi2_tail_matches_scipy(dof):
+    """Closed-form tail against ``scipy.special.gammaincc`` from 0 to
+    40 standard deviations above the mean."""
+    stats = np.linspace(0.0, dof + 40.0 * math.sqrt(2.0 * dof), 201)
+    expected = gammaincc(dof / 2.0, stats / 2.0)
+    got = np.array([_chi2_sf(dof, float(s)) for s in stats])
+    assert got[0] == 1.0
+    checked = expected >= 1e-300
+    assert (np.abs(got - expected)[checked] / expected[checked]).max() <= 1e-10
+
+
+def scipy_cusum_pvalue(n: int, z: int) -> float:
+    """The cumulative-sums p-value summed over every k with ``scipy.special.ndtr``."""
+    sq = math.sqrt(n)
+    k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
+    k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
+    s1 = (ndtr((4 * k1 + 1) * z / sq) - ndtr((4 * k1 - 1) * z / sq)).sum()
+    s2 = (ndtr((4 * k2 + 3) * z / sq) - ndtr((4 * k2 + 1) * z / sq)).sum()
+    return min(max(1.0 - s1 + s2, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("z", [1, 2, 20, 1000])
+def test_cusum_pvalue_matches_the_scipy_sum(z):
+    n = 1_000_000
+    assert _cusum_pvalue(n, z) == pytest.approx(scipy_cusum_pvalue(n, z), rel=1e-12, abs=1e-14)
 
 
 # ---------------------------------------------------------------- frequency

@@ -4,10 +4,13 @@ Uses the shared 100-run reference report (PCG64 stream, fixed seed): on
 ideal input each test's p-values should look uniform on [0, 1].
 """
 
+import hashlib
+
 import pytest
 from scipy.stats import kstest
 
 from conftest import REFERENCE_RUNS
+from tickrng.formats import write_report
 from tickrng.suite import TestId
 
 
@@ -39,3 +42,15 @@ def test_single_run_pass_rate_on_reference_stream(reference_report, test_id):
 def test_reference_report_is_fully_applicable(reference_report):
     assert len(reference_report.entries) == 13 * REFERENCE_RUNS
     assert all(e.applicable for e in reference_report.entries)
+
+
+def test_reference_report_digest_is_pinned(reference_report, tmp_path):
+    """SHA-256 of the 1300-row CSV report of the reference stream.  The
+    digest was taken when the chi-square and normal tails came from
+    ``scipy.special``, so it holds the closed-form tails to every printed
+    p-value and pass flag."""
+    path = tmp_path / "report.csv"
+    write_report(reference_report, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "744427b7c1d0fe5cedbdda53729267f6a0a2c7b5b1b109bafc0ac7913b450268"
+    )
