@@ -272,3 +272,65 @@ def test_protocol_results_are_pinned(protocol, k_bootstrap, dead_slots, expected
         "bb84h": lambda p: run_bb84(p, heralded_alice=True),
     }[protocol]
     assert dataclasses.astuple(run(params)) == expected
+
+
+def pinned_edge_params(case: str) -> ProtocolParams:
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4, dark_prob=1e-3)
+    base = dict(
+        pair_source=SourceModel(Distribution.POISSON, 0.5, 0.8),
+        clock_alice=clock,
+        clock_bob=clock,
+        n_gates=200_000,
+        seed=227,
+        channel_transmittance_alice=0.9,
+        channel_transmittance_bob=0.7,
+        intrinsic_error=0.05,
+    )
+    dead = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dark_prob=1e-3, dead_slots=5)
+    base.update({
+        # 0.0 ** n: the slow path of the per-gate power.
+        "survival-1": dict(
+            pair_source=SourceModel(Distribution.POISSON, 0.5, 1.0),
+            channel_transmittance_alice=1.0,
+            channel_transmittance_bob=1.0,
+        ),
+        "thermal": dict(pair_source=SourceModel(Distribution.THERMAL, 0.5, 0.8)),
+        # Photon numbers near 10^12, far past any per-photon-number table.
+        "mu-1e12": dict(pair_source=SourceModel(Distribution.THERMAL, 1e12, 1e-12), n_gates=1000),
+        "alice-dark-only": dict(channel_transmittance_alice=0.0),
+        # Most detections of a cluster fall within the dead time and drop.
+        "dead-5-r-2": dict(clock_alice=dead, clock_bob=dead),
+    }[case])
+    return make_params(**base)
+
+
+# (case, protocol, every ProtocolResult field in order) for the corners the
+# pins above miss, taken while each gate still evaluated its own power and
+# the coincidences were found through a cumulative sum over all gates.
+PINNED_EDGE_RESULTS = [
+    ("survival-1", "bbm92", (78807, 39327, 0.051084496656241256, 0.9973425794695282, 0.9902163497907106, 0.49902927404925956, 78806)),
+    ("survival-1", "bb84", (78928, 39487, 0.05100412794084129, 0.9987607683236394, 0.9902163497907106, 0.5002914048246503, 78806)),
+    ("survival-1", "bb84h", (78807, 39554, 0.05091773271982606, 0.9969382591093118, 0.9902163497907106, 0.5019097288311952, 78806)),
+    ("thermal", "bbm92", (35789, 17770, 0.05396736072031514, 0.9984622308904059, 0.9815015829941203, 0.49652127748749614, 66716)),
+    ("thermal", "bb84", (43811, 22088, 0.05233611010503441, 0.9987607683236394, 0.9815015829941203, 0.5041656205062656, 66716)),
+    ("thermal", "bb84h", (35789, 17723, 0.053997630198047736, 0.9989120648259304, 0.9815015829941203, 0.4952080248120931, 66716)),
+    ("mu-1e12", "bbm92", (258, 141, 0.0851063829787234, 0.8588235294117647, 0.9707317073170731, 0.5465116279069767, 1000)),
+    ("mu-1e12", "bb84", (404, 208, 0.07692307692307693, 0.9801980198019802, 0.9707317073170731, 0.5148514851485149, 1000)),
+    ("mu-1e12", "bb84h", (258, 147, 0.08163265306122448, 0.9586776859504132, 0.9707317073170731, 0.5697674418604651, 1000)),
+    ("alice-dark-only", "bbm92", (59, 29, 0.1724137931034483, 0.912621359223301, 0.9879757890888411, 0.4915254237288136, 78806)),
+    ("alice-dark-only", "bb84", (48938, 24491, 0.05254991629578212, 0.9987607683236394, 0.9879757890888411, 0.50044954840819, 78806)),
+    ("alice-dark-only", "bb84h", (59, 36, 0.16666666666666666, 0.9504950495049505, 0.9879757890888411, 0.6101694915254238, 78806)),
+    ("dead-5-r-2", "bbm92", (17973, 9008, 0.0558392539964476, 0.8495138138601636, 0.8913736098587316, 0.5011962388026484, 78806)),
+    ("dead-5-r-2", "bb84", (31463, 15725, 0.05462639109697933, 0.9987607683236394, 0.8913736098587316, 0.49979340813018464, 78806)),
+    ("dead-5-r-2", "bb84h", (17973, 8777, 0.0557137974250883, 0.71889643301138, 0.8913736098587316, 0.4883436265509375, 78806)),
+]
+
+
+@pytest.mark.parametrize("case, protocol, expected", PINNED_EDGE_RESULTS)
+def test_protocol_edge_results_are_pinned(case, protocol, expected):
+    run = {
+        "bbm92": run_bbm92,
+        "bb84": run_bb84,
+        "bb84h": lambda p: run_bb84(p, heralded_alice=True),
+    }[protocol]
+    assert dataclasses.astuple(run(pinned_edge_params(case))) == expected
