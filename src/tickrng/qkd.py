@@ -94,28 +94,48 @@ def _sample_pair_numbers(rng: np.random.Generator, source: SourceModel, n_gates:
     return rng.geometric(1.0 / (source.mu + 1.0), size=n_gates) - 1
 
 
+# Photon numbers up to this bound share one power each; a gate with more
+# photons takes its own.
+_CLICK_TABLE_CAP = 1 << 16
+
+
+def _click_probabilities(survival: float, n_photons: np.ndarray) -> np.ndarray:
+    """Per-gate click probability ``1 - (1 - survival) ** n_photons``.
+
+    The power is taken once per photon number up to
+    ``min(max n_photons, n_gates, _CLICK_TABLE_CAP)`` and looked up; gates
+    past that table take their own power.  The inputs of every power are
+    those of the per-gate formula, so the values are too.
+    """
+    cap = min(int(n_photons.max()), n_photons.size, _CLICK_TABLE_CAP)
+    table = 1.0 - (1.0 - survival) ** np.arange(cap + 1, dtype=n_photons.dtype)
+    p_click = table.take(n_photons, mode="clip")
+    past = np.flatnonzero(n_photons > cap)
+    p_click[past] = 1.0 - (1.0 - survival) ** n_photons[past]
+    return p_click
+
+
 def _detections(
     rng: np.random.Generator,
     n_photons: np.ndarray,
     survival: float,
     clock: ClockConfig,
     profile: IntraGateProfile,
-) -> tuple[np.ndarray, EventStream]:
-    """Per-gate detection flags and the party's event stream in its own slots."""
+) -> tuple[np.ndarray, np.ndarray, EventStream]:
+    """Per-gate detection flags, the 0-based gates of the kept detections,
+    and the party's event stream in its own slots."""
     n_gates = n_photons.size
-    p_click = 1.0 - (1.0 - survival) ** n_photons
-    detected = rng.random(n_gates) < p_click
+    detected = rng.random(n_gates) < _click_probabilities(survival, n_photons)
     if clock.dark_prob > 0.0:
         detected |= rng.random(n_gates) < clock.dark_prob
-    gates = np.flatnonzero(detected).astype(np.int64) + 1
+    gates = np.flatnonzero(detected)
     r = clock.slots_per_gate
-    intra = profile.sample(rng, gates.size, r)
-    slots = (gates - 1) * r + intra
+    slots = gates * r + profile.sample(rng, gates.size, r)
     if clock.dead_slots:
         keep = apply_dead_time(slots, clock.dead_slots, -(clock.dead_slots + 1))
-        detected[gates[~keep] - 1] = False
-        slots = slots[keep]
-    return detected, EventStream(slots, clock)
+        detected[gates[~keep]] = False
+        gates, slots = gates[keep], slots[keep]
+    return detected, gates, EventStream(slots, clock)
 
 
 def _basis_bits(
@@ -135,25 +155,28 @@ def _party_guard(source: SourceModel, survival: float, clock: ClockConfig, who: 
         raise GuardError(f"{who} has zero detection probability; no events would ever arrive")
 
 
-def _at_coincidences(bits: np.ndarray, detected: np.ndarray, coincident: np.ndarray) -> np.ndarray:
-    """The per-detection ``bits`` of the detections in ``coincident`` gates."""
-    return bits[(np.cumsum(detected) - 1)[coincident]]
+def _at_coincidences(bits: np.ndarray, gates: np.ndarray, other_detected: np.ndarray) -> np.ndarray:
+    """The per-detection ``bits`` of the detections, in ``gates``, whose gate
+    the other party also detected in (``other_detected``)."""
+    return bits[other_detected[gates]]
 
 
 def _sift(
     params: ProtocolParams,
     seed_pair,
     n_photons: np.ndarray,
-    coincident: np.ndarray,
     basis_a: np.ndarray,
-    basis_a_c: np.ndarray,
-    det_b: np.ndarray,
     basis_b: np.ndarray,
+    basis_a_c: np.ndarray,
+    basis_b_c: np.ndarray,
 ) -> ProtocolResult:
-    """Sift the coincidences on matched bases and draw the intrinsic errors."""
-    n_coinc = int(np.count_nonzero(coincident))
-    matched = basis_a_c == _at_coincidences(basis_b, det_b, coincident)
-    n_sift = int(np.count_nonzero(matched))
+    """Sift the coincidences on matched bases and draw the intrinsic errors.
+
+    ``basis_a_c`` and ``basis_b_c`` are the parties' bases at the
+    coincidences, in gate order.
+    """
+    n_coinc = basis_a_c.size
+    n_sift = int(np.count_nonzero(basis_a_c == basis_b_c))
     errors = rng(seed_pair).random(n_sift) < params.intrinsic_error
     qber = float(errors.mean()) if n_sift else 0.0
     return ProtocolResult(
@@ -163,7 +186,7 @@ def _sift(
         basis_balance_alice=balance(BitStream(basis_a)).ratio,
         basis_balance_bob=balance(BitStream(basis_b)).ratio,
         sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
-        pair_gates=int(np.count_nonzero(n_photons > 0)),
+        pair_gates=int(np.count_nonzero(n_photons)),
     )
 
 
@@ -176,13 +199,14 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     _party_guard(source, surv_b, params.clock_bob, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_a, boot_b = _spawn_seeds(params.seed, 6)
     n_pairs = _sample_pair_numbers(rng(seed_src), source, params.n_gates)
-    det_a, stream_a = _detections(rng(seed_a), n_pairs, surv_a, params.clock_alice, params.profile)
-    det_b, stream_b = _detections(rng(seed_b), n_pairs, surv_b, params.clock_bob, params.profile)
+    det_a, gates_a, stream_a = _detections(rng(seed_a), n_pairs, surv_a, params.clock_alice, params.profile)
+    det_b, gates_b, stream_b = _detections(rng(seed_b), n_pairs, surv_b, params.clock_bob, params.profile)
     basis_a = _basis_bits(stream_a, params.clock_alice, params.k_bootstrap, boot_a)
     basis_b = _basis_bits(stream_b, params.clock_bob, params.k_bootstrap, boot_b)
-    coincident = det_a & det_b
-    basis_a_c = _at_coincidences(basis_a, det_a, coincident)
-    return _sift(params, seed_pair, n_pairs, coincident, basis_a, basis_a_c, det_b, basis_b)
+    return _sift(
+        params, seed_pair, n_pairs, basis_a, basis_b,
+        _at_coincidences(basis_a, gates_a, det_b), _at_coincidences(basis_b, gates_b, det_a),
+    )
 
 
 def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolResult:
@@ -198,24 +222,24 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
     _party_guard(source, surv_b, params.clock_bob, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_b = _spawn_seeds(params.seed, 5)
     n_photons = _sample_pair_numbers(rng(seed_src), source, params.n_gates)
-    det_b, stream_b = _detections(rng(seed_b), n_photons, surv_b, params.clock_bob, params.profile)
+    det_b, gates_b, stream_b = _detections(rng(seed_b), n_photons, surv_b, params.clock_bob, params.profile)
     basis_b = _basis_bits(stream_b, params.clock_bob, params.k_bootstrap, boot_b)
 
     if heralded_alice:
         surv_a = source.eta * params.channel_transmittance_alice
         _party_guard(source, surv_a, params.clock_alice, "Alice")
-        det_a, stream_a = _detections(rng(seed_a), n_photons, surv_a, params.clock_alice, params.profile)
+        det_a, gates_a, stream_a = _detections(rng(seed_a), n_photons, surv_a, params.clock_alice, params.profile)
         gaps = intervals(stream_a, include_first=True)
         # Alice's basis is the high bit of her mod-4 symbol; the low (key)
         # bit never surfaces here because errors are applied as a mask.
         basis_a, _ = mod4_arrays(gaps)
-        coincident = det_a & det_b
-        basis_a_c = _at_coincidences(basis_a, det_a, coincident)
+        basis_a_c = _at_coincidences(basis_a, gates_a, det_b)
+        basis_b_c = _at_coincidences(basis_b, gates_b, det_a)
     else:
         basis_a = rng(seed_a).integers(0, 2, size=params.n_gates, dtype=np.uint8)
-        coincident = det_b
-        basis_a_c = basis_a[coincident]
-    return _sift(params, seed_pair, n_photons, coincident, basis_a, basis_a_c, det_b, basis_b)
+        basis_a_c = basis_a[gates_b]
+        basis_b_c = basis_b
+    return _sift(params, seed_pair, n_photons, basis_a, basis_b, basis_a_c, basis_b_c)
 
 
 def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:

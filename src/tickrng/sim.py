@@ -261,23 +261,26 @@ def generate_gated(
     if n_events * (1.0 / p_gate) * r > 2.0**62:
         raise GuardError("requested stream would overflow 64-bit slot indices")
     gen = rng(seed)
+    # Each batch draws one candidate per free entry, builds the candidates in
+    # place, and moves the ones the dead time keeps to the front.
     accepted = np.empty(n_events, dtype=np.int64)
     have = 0
     last_gate = 0
     last_slot = -(clock.dead_slots + 1)
     for _ in range(_MAX_TOPUP_BATCHES):
-        m = n_events - have
-        gates = last_gate + np.cumsum(gen.geometric(p_gate, size=m).astype(np.int64))
-        intra = profile.sample(gen, m, r)
-        candidates = (gates - 1) * r + intra
+        candidates = accepted[have:]
+        np.cumsum(gen.geometric(p_gate, size=candidates.size), out=candidates)
+        candidates += last_gate - 1
+        last_gate = int(candidates[-1]) + 1
+        candidates *= r
+        candidates += profile.sample(gen, candidates.size, r)
         kept = candidates[apply_dead_time(candidates, clock.dead_slots, last_slot)]
-        accepted[have : have + kept.size] = kept
+        candidates[: kept.size] = kept
         have += kept.size
         if have == n_events:
             return EventStream(accepted, clock)
         if kept.size:
             last_slot = int(kept[-1])
-        last_gate = int(gates[-1])
     raise GuardError(
         "dead time rejected too many candidate clicks; "
         f"gave up after {_MAX_TOPUP_BATCHES} batches"
@@ -296,8 +299,11 @@ def apply_dead_time(slots: np.ndarray, dead: int, last: int) -> np.ndarray:
     whose predecessor was itself dropped are resolved one by one.
     """
     slots = np.asarray(slots, dtype=np.int64)
-    keep = np.diff(slots, prepend=np.int64(last)) > dead
-    tangled = np.flatnonzero(~keep[1:] & ~keep[:-1]) + 1
+    keep = np.empty(slots.size, dtype=bool)
+    keep[:1] = slots[:1] - last > dead
+    np.greater(np.diff(slots), dead, out=keep[1:])
+    drop = ~keep
+    tangled = np.flatnonzero(drop[1:] & drop[:-1]) + 1
     previous = -2
     for i in tangled.tolist():
         if i != previous + 1:

@@ -419,7 +419,9 @@ def _approximate_entropy(bits, block_len: int, min_n: int, count) -> float:
         probs = counts[counts > 0] / n
         phi.append(float((probs * np.log(probs)).sum()))
     apen = phi[0] - phi[1]
-    chi2 = 2.0 * n * (math.log(2.0) - apen)
+    # ApEn <= ln 2, so the statistic is >= 0; on perfectly balanced input it
+    # is 0 and rounding can leave it a hair below.
+    chi2 = max(0.0, 2.0 * n * (math.log(2.0) - apen))
     return _chi2_sf(1 << block_len, chi2)
 
 

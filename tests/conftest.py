@@ -93,3 +93,17 @@ def reference_dead_time(slots, dead: int, last: int) -> np.ndarray:
             keep[i] = True
             last = s
     return keep
+
+
+def reference_click_probabilities(survival: float, n_photons) -> np.ndarray:
+    """One power per gate: the slow oracle for ``qkd._click_probabilities``."""
+    return 1.0 - (1.0 - survival) ** np.asarray(n_photons)
+
+
+def reference_at_coincidences(bits, detected, coincident) -> np.ndarray:
+    """A cumulative sum over every gate: the slow oracle for ``qkd._at_coincidences``.
+
+    ``detected`` flags the gates of the party's detections and
+    ``coincident`` the gates both parties detected in.
+    """
+    return np.asarray(bits)[(np.cumsum(detected) - 1)[coincident]]

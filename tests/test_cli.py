@@ -25,8 +25,9 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only the battery needs scipy, so a fresh ``import tickrng.cli`` must
-    not load it, and the battery names must still import from the package."""
+    """No runtime module needs scipy, the battery included, so a fresh
+    ``import tickrng.cli`` must not load it, and the battery names must
+    still import from the package."""
     code = (
         "import sys\n"
         "import tickrng.cli\n"

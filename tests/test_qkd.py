@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_dead_time
+from conftest import reference_at_coincidences, reference_click_probabilities, reference_dead_time
 from tickrng import qkd
 from tickrng.errors import GuardError
 from tickrng.models import Distribution, SourceModel
@@ -139,6 +139,109 @@ def test_protocol_dead_time_matches_the_reference_loop(monkeypatch):
         assert int(np.diff(kept).min()) > 3
     for result in fast:
         check_result_invariants(result)
+
+
+def run_with_reference_kernels(monkeypatch, params: ProtocolParams) -> tuple[list, list]:
+    """Every protocol's result with the per-gate power and the cumulative-sum
+    coincidence lookup patched in for their fast kernels, which must agree
+    call by call; also the photon numbers each click kernel saw."""
+    fast_click, fast_at = qkd._click_probabilities, qkd._at_coincidences
+    calls, photon_numbers = [], []
+
+    def click(survival, n_photons):
+        expected = reference_click_probabilities(survival, n_photons)
+        assert np.array_equal(fast_click(survival, n_photons), expected)
+        calls.append("click")
+        photon_numbers.append(n_photons)
+        return expected
+
+    def at_coincidences(bits, gates, other_detected):
+        detected = np.zeros(other_detected.size, dtype=bool)
+        detected[gates] = True
+        expected = reference_at_coincidences(bits, detected, detected & other_detected)
+        assert np.array_equal(fast_at(bits, gates, other_detected), expected)
+        calls.append("at")
+        return expected
+
+    monkeypatch.setattr(qkd, "_click_probabilities", click)
+    monkeypatch.setattr(qkd, "_at_coincidences", at_coincidences)
+    results = run_all_protocols(params)
+    # Alice and Bob in BBM92, Bob in BB84, Bob and Alice in heralded BB84;
+    # both lookups in BBM92 and in heralded BB84.
+    assert calls.count("click") == 5 and calls.count("at") == 4
+    return results, photon_numbers
+
+
+def random_kernel_params(seed: int) -> ProtocolParams:
+    draw = np.random.default_rng(seed)
+    dist = [Distribution.POISSON, Distribution.THERMAL][int(draw.integers(2))]
+    r = int(draw.integers(1, 5))
+    clock = ClockConfig(
+        mode=ClockMode.GATED,
+        slots_per_gate=r,
+        dark_prob=float(draw.choice([0.0, 0.01])),
+        dead_slots=int(draw.choice([0, 3])),
+    )
+    return make_params(
+        pair_source=SourceModel(
+            dist,
+            float(draw.uniform(0.05, 3.0)),
+            float(draw.choice([1.0, 0.3])),
+        ),
+        clock_alice=clock,
+        clock_bob=clock,
+        n_gates=int(draw.integers(1, 30_000)),
+        seed=int(draw.integers(1 << 32)),
+        channel_transmittance_alice=float(draw.uniform(0.2, 1.0)),
+        channel_transmittance_bob=float(draw.uniform(0.2, 1.0)),
+        intrinsic_error=0.05,
+        k_bootstrap=int(draw.choice([0, 64])) if clock.dark_prob else 0,
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_protocol_kernels_match_the_reference_on_random_input(monkeypatch, seed):
+    params = random_kernel_params(seed)
+    fast = run_all_protocols(params)
+    assert run_with_reference_kernels(monkeypatch, params)[0] == fast
+
+
+DARK = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dark_prob=1e-3)
+
+ADVERSARIAL_KERNEL_PARAMS = {
+    # Survival 1 and dozens of photons per gate: every gate is a coincidence.
+    "every-gate-coincident": dict(pair_source=SourceModel(Distribution.POISSON, 50.0, 1.0), n_gates=5000),
+    # No photons at all and rare dark counts: a one-entry table, no coincidences.
+    "no-coincidences": dict(
+        pair_source=SourceModel(Distribution.POISSON, 0.0, 1.0), clock_alice=DARK, clock_bob=DARK, n_gates=2000
+    ),
+    # Far more bootstrap bits than detections.
+    "bootstrap-past-detections": dict(clock_alice=DARK, clock_bob=DARK, n_gates=400, k_bootstrap=1000),
+    # A table capped at n_gates = 300 entries, with about a third of the
+    # photon numbers past it.
+    "straddles-the-gate-cap": dict(pair_source=SourceModel(Distribution.THERMAL, 300.0, 0.004), n_gates=300),
+    # Photon numbers on both sides of the 2**16 cap.
+    "straddles-the-fixed-cap": dict(
+        pair_source=SourceModel(Distribution.THERMAL, float(1 << 16), 2e-5), n_gates=100_000
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL_KERNEL_PARAMS))
+def test_protocol_kernels_match_the_reference_on_adversarial_input(monkeypatch, case):
+    params = make_params(**ADVERSARIAL_KERNEL_PARAMS[case])
+    fast = run_all_protocols(params)
+    reference, photon_numbers = run_with_reference_kernels(monkeypatch, params)
+    assert reference == fast
+    bbm92, bb84, bb84h = fast
+    if case == "every-gate-coincident":
+        assert bbm92.coincidences == bb84.coincidences == bb84h.coincidences == params.n_gates
+    if case == "no-coincidences":
+        assert bbm92.coincidences == bb84h.coincidences == 0 < bb84.coincidences
+    if case.startswith("straddles"):
+        cap = min(params.n_gates, qkd._CLICK_TABLE_CAP)
+        for n_photons in photon_numbers:
+            assert 0 < np.count_nonzero(n_photons > cap) < params.n_gates // 2
 
 
 def test_bb84_qber_and_sifting():

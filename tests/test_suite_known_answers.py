@@ -461,6 +461,39 @@ def test_approximate_entropy_constant_input_is_rejected():
     assert approximate_entropy_test(np.zeros(200, dtype=np.uint8), block_len=2) < 1e-20
 
 
+def de_bruijn_bits(order: int) -> np.ndarray:
+    """The binary de Bruijn sequence of ``order``: every ``order``-bit window
+    of its cyclic reading occurs exactly once (the Lyndon-word construction)."""
+    word = [0] * (order + 1)
+    out = []
+
+    def extend(t: int, p: int) -> None:
+        if t > order:
+            if order % p == 0:
+                out.extend(word[1 : p + 1])
+            return
+        word[t] = word[t - p]
+        extend(t + 1, p)
+        for bit in range(word[t - p] + 1, 2):
+            word[t] = bit
+            extend(t + 1, t)
+
+    extend(1, 1)
+    return np.array(out, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("order", [11, 12, 16])
+def test_approximate_entropy_of_perfectly_balanced_input_is_one(order):
+    """Tiling a de Bruijn sequence of order >= block_len + 1 makes every
+    overlapping pattern equally frequent, so 2n(ln 2 - ApEn) is exactly 0;
+    rounding must not push it below 0, where the tail is undefined."""
+    cycle = de_bruijn_bits(order)
+    assert cycle.size == 1 << order
+    assert sorted(circular_pattern_counts(cycle, order).values()) == [1] * (1 << order)
+    bits = np.tile(cycle, (1 << 20) >> order)
+    assert approximate_entropy_test(bits) == 1.0
+
+
 def test_approximate_entropy_validation():
     with pytest.raises(ValueError):
         approximate_entropy_test(np.ones(100, dtype=np.uint8), block_len=0)
