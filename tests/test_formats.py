@@ -1,5 +1,6 @@
 """File formats: golden bytes, round trips, and malformed-input errors."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from tickrng.formats import (
     write_manifest,
     write_report,
 )
-from tickrng.sim import ClockConfig, ClockMode, EventStream
+from tickrng.models import Distribution, SourceModel
+from tickrng.sim import ClockConfig, ClockMode, EventStream, IntraGateProfile, generate_gated
 from tickrng.suite import TestEntry, TestId, TestReport
 
 FREE = ClockConfig(mode=ClockMode.FREE_RUNNING)
@@ -45,6 +47,47 @@ def test_events_ascii_bytes_are_line_oriented(tmp_path):
     path = tmp_path / "events.txt"
     write_events(stream_of(3, 5, 10), path)
     assert path.read_text() == "3\n5\n10\n"
+
+
+def gated_stream(slots_per_gate: int, mu_eta: float, n_events: int) -> EventStream:
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=slots_per_gate)
+    source = SourceModel(Distribution.POISSON, mu_eta, 1.0)
+    return generate_gated(source, clock, IntraGateProfile.uniform(), n_events, 301)
+
+
+def boundary_slots() -> list[int]:
+    """10**k - 1 and 10**k for k = 1..19, then 2**64 - 1: every digit count."""
+    return [v for k in range(1, 20) for v in (10**k - 1, 10**k)] + [2**64 - 1]
+
+
+ASCII_EVENT_PINS = {
+    "gated_r2_mu_eta_0.5": (
+        lambda: gated_stream(2, 0.5, 100_000),
+        "fcf2013f129a45c3ce38da33744c0f09004b28bebb4e4ba6f05e66869d0d7851",
+    ),
+    "gated_r1_mu_eta_1e-9": (
+        lambda: gated_stream(1, 1e-9, 20_000),
+        "6a26aff345904876bb0aa77d50d7d2b76301fe6a1857e5cb2d1c4a3b5ae70bad",
+    ),
+    "boundaries": (
+        lambda: EventStream(np.array(boundary_slots(), dtype=np.uint64), FREE),
+        "1418f3104d0b5c309698c98b383f0e7284e22e6536d38330e941c21df663ef11",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ASCII_EVENT_PINS)
+def test_events_ascii_bytes_are_pinned(tmp_path, name):
+    build, digest = ASCII_EVENT_PINS[name]
+    stream = build()
+    path = tmp_path / "events.txt"
+    write_events(stream, path, fmt="ascii")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert np.array_equal(read_events(path).slots, stream.slots)
+
+
+def test_pinned_gated_stream_reaches_fourteen_digits():
+    assert len(str(int(gated_stream(1, 1e-9, 20_000).slots[-1]))) == 14
 
 
 def test_events_monotonicity_error_names_the_line(tmp_path):
