@@ -12,6 +12,26 @@ MSB-first bytes, zero-padded.  Reports are CSV.  Every file produced by
 the CLI is accompanied by a JSON run manifest (``<file>.manifest.json``)
 recording the exact command, parameters and random generator, so any
 output can be reproduced bit-exactly with ``tickrng replay``.
+
+Ascii event files are written and parsed by whole-array kernels, with no
+Python object per line:
+
+- The writer fills an (n, width + 1) byte matrix right to left by
+  repeated division by 10, width being the digit count of the largest
+  slot, with a newline in the last column.  Each row's leading-zero
+  columns are dropped by a mask chosen by its digit count.
+- The reader classifies every byte as digit, blank, newline or error and
+  takes each number's (start, end) from the edges of one padded class
+  mask.  The last min(longest, 20) bytes of every number are gathered as
+  rows of a right-aligned sliding window, the columns before its start
+  are zeroed, and Horner's rule turns the rows into uint64.  A number of
+  over 20 digits overflows unless every digit above its last 20 is 0
+  (one ``maximum.reduceat``); a 20-digit tail is compared digit by digit
+  with 2**64 - 1.
+
+Both kernels are tested for equal bytes, values and error messages
+against the per-line formulas they replaced (one ``str`` per slot;
+``bytes.split`` and ``int`` per line), kept in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -22,6 +42,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .errors import DataError
@@ -63,41 +84,99 @@ def _not_a_slot(blob: bytes, pos: int) -> DataError:
     return DataError(f"line {_line_of(blob, pos)}: {text!r} is not a decimal slot index")
 
 
-def _overflows(token: bytes) -> bool:
-    digits = token.lstrip(b"0")
-    return len(digits) > 20 or int(digits or b"0") > _U64_MAX
+_U64_MAX_DIGITS = np.frombuffer(str(_U64_MAX).encode(), dtype=np.uint8) - ord("0")
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 def _parse_ascii_events(blob: bytes):
     """Slot indices of an ascii event file and a function naming the line of entry i."""
     buf = np.frombuffer(blob, dtype=np.uint8)
     digit = (buf - ord("0")) < 10
-    blank = (buf == ord(" ")) | (buf == ord("\t")) | (buf == ord("\r"))
-    stray = ~(digit | blank | (buf == ord("\n")))
+    # Every byte that is neither a digit nor a newline must be a blank.
+    blank = digit | (buf == ord("\n"))
+    np.logical_not(blank, out=blank)
+    other = buf[blank]
+    stray = (other != ord(" ")) & (other != ord("\t")) & (other != ord("\r"))
     if stray.any():
-        raise _not_a_slot(blob, int(stray.argmax()))
-    # Blank runs as (start, end) pairs; one with a digit on each side splits a
-    # line into two numbers.
-    edges = np.flatnonzero(np.diff(blank.view(np.int8), prepend=0, append=0))
-    padded = np.concatenate(([False], digit, [False]))
-    split = padded[edges[0::2]] & padded[edges[1::2] + 1]
+        raise _not_a_slot(blob, int(np.flatnonzero(blank)[stray.argmax()]))
+    # Byte classes 0 newline, 1 digit, 2 blank, with a newline at each end:
+    # run k of one class covers bytes edges[k] .. edges[k + 1] - 1, and a
+    # digit run is always followed by another run.
+    kind = np.zeros(buf.size + 2, dtype=np.uint8)
+    np.add(blank, blank, out=kind[1:-1], dtype=np.uint8)
+    kind[1:-1] |= digit
+    del digit, blank
+    edges = np.flatnonzero(kind[1:] != kind[:-1])
+    run = kind[1:][edges]
+    del kind
+    # A blank run between two digit runs splits a line into two numbers.
+    split = (run[1:-1] == 2) & (run[:-2] == 1) & (run[2:] == 1)
     if split.any():
-        raise _not_a_slot(blob, int(edges[0::2][split.argmax()]))
+        raise _not_a_slot(blob, int(edges[1 + split.argmax()]))
+    tokens = np.flatnonzero(run == 1)
+    starts, ends = edges[tokens], edges[tokens + 1]
+    del edges, run, tokens
 
     def where(i: int) -> str:
-        starts = np.flatnonzero(padded[1:-1] & ~padded[:-2])
         return f"line {_line_of(blob, int(starts[i]))}"
 
-    tokens = blob.split()
-    try:
-        return np.array(tokens, dtype=np.uint64), where
-    except (OverflowError, ValueError):
-        # numpy goes through int(), which refuses 2**64 and more, and also
-        # strings of over 4300 digits, however many are leading zeros.
-        i = next((i for i, t in enumerate(tokens) if _overflows(t)), None)
-        if i is not None:
-            raise DataError(f"{where(i)}: slot index {tokens[i].decode()} overflows 64 bits") from None
-        return np.array([t.lstrip(b"0") or b"0" for t in tokens], dtype=np.uint64), where
+    lengths = ends - starts
+    # Above its last 20 digits a token may hold only zeros.
+    over = lengths > 20
+    bounds = np.column_stack((starts[over], ends[over] - 20)).ravel()
+    over[over] = np.maximum.reduceat(buf, bounds)[0::2] > ord("0")
+    # digits[c, i] is byte c of the `width` bytes that end token i, gathered
+    # as one item per right-aligned window; width is at most 20.
+    width = min(int(lengths.max(initial=1)), 20)
+    padded = np.zeros(width + buf.size, dtype=np.uint8)
+    padded[width:] = buf
+    windows = sliding_window_view(padded, width).view(f"V{width}")[:, 0]
+    digits = windows[ends].view(np.uint8).reshape(-1, width).T.copy()
+    del padded, windows
+    digits -= ord("0")
+    # A token of 20 digits or more overflows when its last 20 compare above
+    # 2**64 - 1 at the first digit that differs; below width 20 there is none.
+    full = np.flatnonzero(lengths >= 20)
+    tails = digits[:, full].T
+    limit = _U64_MAX_DIGITS[20 - width :]
+    first = (tails != limit).argmax(axis=1)
+    over[full] |= tails[np.arange(full.size), first] > limit[first]
+    if over.any():
+        i = int(over.argmax())
+        raise DataError(f"{where(i)}: slot index {blob[starts[i] : ends[i]].decode()} overflows 64 bits")
+    # Horner's rule over the columns, each zeroed before its token's start.
+    lead = (width - np.minimum(lengths, width)).astype(np.uint8)
+    slots = np.zeros(ends.size, dtype=np.uint64)
+    for column, row in enumerate(digits):
+        row *= lead <= column
+        slots *= 10
+        slots += row
+    return slots, where
+
+
+def _format_slots(slots: np.ndarray) -> np.ndarray:
+    """The ascii event lines of ``slots`` (digits, then ``\\n``) as one uint8 array."""
+    slots = np.asarray(slots, dtype=np.uint64)
+    width = len(str(int(slots.max(initial=0))))
+    # text[i] is slot i with leading zeros to `width` digits, then a newline.
+    text = np.empty((slots.size, width + 1), dtype=np.uint8)
+    text[:, width] = ord("\n")
+    rest, quotient = slots.copy(), np.empty_like(slots)
+    low, digit = np.empty((2, slots.size), dtype=np.uint8)
+    for column in range(width - 1, -1, -1):
+        np.floor_divide(rest, 10, out=quotient)
+        # The digit rest - 10 * quotient is below 256: low bytes suffice.
+        np.copyto(digit, rest, casting="unsafe")
+        np.copyto(low, quotient, casting="unsafe")
+        low *= 10
+        digit -= low
+        np.add(digit, ord("0"), out=text[:, column])
+        rest, quotient = quotient, rest
+    # Row d of `keep` marks the columns of a slot of d + 1 digits and its
+    # newline; it is gathered per slot as one item of width + 1 bytes.
+    keep = np.arange(width + 1) >= np.arange(width - 1, -1, -1)[:, None]
+    exponent = np.searchsorted(_POWERS_OF_TEN[: width - 1], slots, side="right")
+    return text[keep.view(f"V{width + 1}")[:, 0][exponent].view(bool).reshape(text.shape)]
 
 
 def read_events(path, fmt: str = "ascii") -> EventStream:
@@ -119,8 +198,7 @@ def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:
         raise ValueError(f"unknown event format {fmt!r}")
     path = Path(path)
     if fmt == "ascii":
-        text = "\n".join(map(str, stream.slots.tolist()))
-        path.write_text(text + "\n" if text else "")
+        path.write_bytes(_format_slots(stream.slots))
     else:
         path.write_bytes(stream.slots.astype("<u8").tobytes())
 

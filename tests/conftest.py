@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tickrng.errors import DataError
 from tickrng.extract import BitStream
 from tickrng.models import window_pmf
 from tickrng.suite import TestEntry, TestId, TestReport, run_battery
@@ -107,3 +108,56 @@ def reference_at_coincidences(bits, detected, coincident) -> np.ndarray:
     ``coincident`` the gates both parties detected in.
     """
     return np.asarray(bits)[(np.cumsum(detected) - 1)[coincident]]
+
+
+def reference_format_slots(slots) -> bytes:
+    """One ``str`` per slot: the slow oracle for ``formats._format_slots``."""
+    text = "\n".join(map(str, np.asarray(slots).tolist()))
+    return (text + "\n" if text else "").encode()
+
+
+def reference_parse_slots(blob: bytes):
+    """One ``bytes`` token per line: the slow oracle for ``formats._parse_ascii_events``.
+
+    Returns the slots and a function naming the line of entry i, and raises
+    the same :class:`DataError` messages.
+    """
+
+    def line_of(pos: int) -> int:
+        return blob.count(b"\n", 0, pos) + 1
+
+    def not_a_slot(pos: int) -> DataError:
+        start = blob.rfind(b"\n", 0, pos) + 1
+        end = blob.find(b"\n", pos)
+        text = blob[start : end if end >= 0 else None].strip(b" \t\r").decode("utf-8", "replace")
+        return DataError(f"line {line_of(pos)}: {text!r} is not a decimal slot index")
+
+    def overflows(token: bytes) -> bool:
+        digits = token.lstrip(b"0")
+        return len(digits) > 20 or int(digits or b"0") > 2**64 - 1
+
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    digit = (buf - ord("0")) < 10
+    blank = (buf == ord(" ")) | (buf == ord("\t")) | (buf == ord("\r"))
+    stray = ~(digit | blank | (buf == ord("\n")))
+    if stray.any():
+        raise not_a_slot(int(stray.argmax()))
+    edges = np.flatnonzero(np.diff(blank.view(np.int8), prepend=0, append=0))
+    padded = np.concatenate(([False], digit, [False]))
+    split = padded[edges[0::2]] & padded[edges[1::2] + 1]
+    if split.any():
+        raise not_a_slot(int(edges[0::2][split.argmax()]))
+
+    def where(i: int) -> str:
+        starts = np.flatnonzero(padded[1:-1] & ~padded[:-2])
+        return f"line {line_of(int(starts[i]))}"
+
+    tokens = blob.split()
+    try:
+        return np.array(tokens, dtype=np.uint64), where
+    except (OverflowError, ValueError):
+        # int() refuses 2**64 and more, and strings of over 4300 digits.
+        i = next((i for i, t in enumerate(tokens) if overflows(t)), None)
+        if i is not None:
+            raise DataError(f"{where(i)}: slot index {tokens[i].decode()} overflows 64 bits") from None
+        return np.array([t.lstrip(b"0") or b"0" for t in tokens], dtype=np.uint64), where

@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import reference_format_slots, reference_parse_slots
 
+from tickrng import formats
 from tickrng.errors import DataError
 from tickrng.extract import BitStream
 from tickrng.formats import (
@@ -127,10 +130,10 @@ def test_events_reject_zero_slot(tmp_path):
         read_events(path)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["1_0", "+20", "-3", "\u0663\u0660", "30 40", "0", "18446744073709551616", "1\x0b", "12\r3", "0x1f"],
-)
+GRAMMAR_REJECTS = ["1_0", "+20", "-3", "\u0663\u0660", "30 40", "0", "18446744073709551616", "1\x0b", "12\r3", "0x1f"]
+
+
+@pytest.mark.parametrize("bad", GRAMMAR_REJECTS)
 def test_events_ascii_grammar_rejects_with_the_line(tmp_path, bad):
     path = tmp_path / "events.txt"
     path.write_bytes(b"1\n\n2\n" + bad.encode() + b"\n99999\n")
@@ -151,6 +154,121 @@ def test_events_ascii_accepts_blanks_blank_lines_and_leading_zeros(tmp_path):
     path = tmp_path / "events.txt"
     path.write_bytes(b"\n  3\r\n\t\r\n \n005 \t\n" + b"0" * 5000 + b"9\r\n12")
     assert read_events(path).slots.tolist() == [3, 5, 9, 12]
+
+
+def format_cases() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(8)
+    cases = {
+        f"{k}_digits": rng.integers(10 ** (k - 1), 10**k, size=40, dtype=np.uint64) for k in range(2, 20)
+    }
+    cases["1_digit"] = np.arange(10, dtype=np.uint64)
+    cases["20_digits"] = rng.integers(10**19, 2**64 - 1, size=40, dtype=np.uint64, endpoint=True)
+    cases["every_width_mixed"] = rng.permutation(np.concatenate(list(cases.values())))
+    cases["boundaries"] = np.array(boundary_slots(), dtype=np.uint64)
+    cases["one"] = np.array([1], dtype=np.uint64)
+    cases["empty"] = np.array([], dtype=np.uint64)
+    cases["gated"] = gated_stream(2, 0.5, 5_000).slots
+    return cases
+
+
+FORMAT_CASES = format_cases()
+
+
+def parse_outcome(parse, blob: bytes):
+    """The slots and line names a parser gives ``blob``, or its error message."""
+    try:
+        slots, where = parse(blob)
+    except DataError as exc:
+        return str(exc)
+    assert slots.dtype == np.uint64
+    return slots.tolist(), [where(i) for i in range(slots.size)]
+
+
+@pytest.mark.parametrize("name", FORMAT_CASES)
+def test_format_slots_matches_the_reference(name):
+    slots = FORMAT_CASES[name]
+    text = formats._format_slots(slots)
+    assert text.tobytes() == reference_format_slots(slots)
+    assert parse_outcome(formats._parse_ascii_events, text.tobytes()) == parse_outcome(
+        reference_parse_slots, reference_format_slots(slots)
+    )
+
+
+PARSE_CASES = {
+    "leading_zeros": b"007\n000000000000000000000000000042\n",
+    "5000_leading_zeros": b"0" * 5000 + b"9\n",
+    "4400_zeros_then_21_digits": b"1\n" + b"0" * 4400 + b"123456789012345678901\n",
+    "4400_zeros_then_a_fitting_tail": b"1\n" + b"0" * 4400 + b"018446744073709551615\n",
+    "blanks": b"  3\t\n\t 4 \n \t\r5\r \n",
+    "crlf": b"1\r\n2\r\n30\r\n",
+    "cr_inside_a_line": b"1\r2\n",
+    "no_final_newline": b"1\n2\n345",
+    "empty": b"",
+    "blank_lines_only": b"\n \n\t\r\n\n   ",
+    "20_digits_max": b"18446744073709551615\n",
+    "20_digits_below_max": b"18446744073709551614\n18446744073709551515\n09999999999999999999\n",
+    "20_digits_over_late": b"18446744073709551625\n",
+    "20_digits_over_early": b"99999999999999999999\n",
+    "21_digits": b"5\n100000000000000000000\n",
+    "21_digits_zero_led": b"018446744073709551615\n",
+    "30_digits": b"1" + b"0" * 29 + b"\n",
+    "30_digits_zero_led": b"0" * 10 + b"18446744073709551615\n",
+    "30_digits_zero_led_over": b"0" * 10 + b"18446744073709551616\n",
+    "0018446744073709551616": b"0018446744073709551616\n",
+    "second_of_two_overflows": b"7\n99999999999999999999\n0000000000000000000001\n1" + b"0" * 21 + b"\n",
+    **{f"grammar_{i}": b"1\n\n2\n" + bad.encode() + b"\n99999\n" for i, bad in enumerate(GRAMMAR_REJECTS)},
+}
+
+
+@pytest.mark.parametrize("name", PARSE_CASES)
+def test_parse_ascii_events_matches_the_reference(name):
+    blob = PARSE_CASES[name]
+    assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
+
+
+def random_event_file(rng) -> bytes:
+    """Lines of every width with random blanks, leading zeros, line ends and blank lines."""
+    lines = []
+    for _ in range(int(rng.integers(0, 60))):
+        if rng.random() < 0.1:
+            lines.append(b"".join(rng.choice([b" ", b"\t", b"\r"], size=rng.integers(0, 3))))
+            continue
+        value = int(rng.integers(0, 2**64, dtype=np.uint64, endpoint=False)) >> int(rng.integers(0, 64))
+        if rng.random() < 0.01:
+            value += 2**64
+        pad = [b"".join(rng.choice([b" ", b"\t", b"\r"], size=rng.integers(0, 3))) for _ in range(2)]
+        zeros = b"0" * int(rng.choice([0, 0, 1, 3, 25]))
+        lines.append(pad[0] + zeros + str(value).encode() + pad[1])
+    blob = b"\n".join(lines) + rng.choice([b"", b"\n"])
+    if blob and rng.random() < 0.5:
+        i = int(rng.integers(0, len(blob)))
+        blob = blob[:i] + bytes([rng.choice(list(b"x \t\r\n0-\x0b"))]) + blob[i + 1 :]
+    return blob
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_parse_ascii_events_matches_the_reference_on_random_files(seed):
+    blob = random_event_file(np.random.default_rng(seed))
+    assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ascii_event_kernels_stay_within_their_memory_budget(tmp_path):
+    # Per-line Python objects cost about 14x the file to write and 20x to read.
+    stream = gated_stream(2, 0.5, 100_000)
+    path = tmp_path / "events.txt"
+    write_peak = traced_peak(write_events, stream, path)
+    size = path.stat().st_size
+    assert traced_peak(read_events, path) <= 16 * size
+    assert write_peak <= 10 * size
 
 
 def test_events_non_utf8_byte_names_the_line(tmp_path):
