@@ -69,8 +69,6 @@ EVENT_FORMATS = ("ascii", "binary")
 BIT_FORMATS = ("ascii01", "packed")
 REPORT_HEADER = ("test_id", "test_index", "run_index", "p_value", "pass")
 
-_U64_MAX = 2**64 - 1
-
 
 def _line_of(blob: bytes, pos: int) -> int:
     """1-based number of the line holding byte ``pos``."""
@@ -84,7 +82,7 @@ def _not_a_slot(blob: bytes, pos: int) -> DataError:
     return DataError(f"line {_line_of(blob, pos)}: {text!r} is not a decimal slot index")
 
 
-_U64_MAX_DIGITS = np.frombuffer(str(_U64_MAX).encode(), dtype=np.uint8) - ord("0")
+_U64_MAX_DIGITS = np.frombuffer(str(2**64 - 1).encode(), dtype=np.uint8) - ord("0")
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
@@ -175,8 +173,9 @@ def _format_slots(slots: np.ndarray) -> np.ndarray:
     # Row d of `keep` marks the columns of a slot of d + 1 digits and its
     # newline; it is gathered per slot as one item of width + 1 bytes.
     keep = np.arange(width + 1) >= np.arange(width - 1, -1, -1)[:, None]
+    keep = keep.view(f"V{width + 1}")[:, 0]
     exponent = np.searchsorted(_POWERS_OF_TEN[: width - 1], slots, side="right")
-    return text[keep.view(f"V{width + 1}")[:, 0][exponent].view(bool).reshape(text.shape)]
+    return text[keep[exponent].view(bool).reshape(text.shape)]
 
 
 def read_events(path, fmt: str = "ascii") -> EventStream:

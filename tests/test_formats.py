@@ -215,7 +215,7 @@ PARSE_CASES = {
     "30_digits_zero_led": b"0" * 10 + b"18446744073709551615\n",
     "30_digits_zero_led_over": b"0" * 10 + b"18446744073709551616\n",
     "0018446744073709551616": b"0018446744073709551616\n",
-    "second_of_two_overflows": b"7\n99999999999999999999\n0000000000000000000001\n1" + b"0" * 21 + b"\n",
+    "first_of_two_overflows": b"7\n99999999999999999999\n0000000000000000000001\n1" + b"0" * 21 + b"\n",
     **{f"grammar_{i}": b"1\n\n2\n" + bad.encode() + b"\n99999\n" for i, bad in enumerate(GRAMMAR_REJECTS)},
 }
 
@@ -242,7 +242,7 @@ def random_event_file(rng) -> bytes:
     blob = b"\n".join(lines) + rng.choice([b"", b"\n"])
     if blob and rng.random() < 0.5:
         i = int(rng.integers(0, len(blob)))
-        blob = blob[:i] + bytes([rng.choice(list(b"x \t\r\n0-\x0b"))]) + blob[i + 1 :]
+        blob = blob[:i] + bytes([rng.choice(list(b"x \t\r\n0-\x0b\xff"))]) + blob[i + 1 :]
     return blob
 
 
