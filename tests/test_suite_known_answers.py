@@ -70,6 +70,38 @@ def adversarial_bits(kind: str, n: int, seed: int) -> np.ndarray:
     raise ValueError(kind)
 
 
+def gated_mod2_bits(slots_per_gate: int, seed: int) -> np.ndarray:
+    """Raw mod-2 bits of 10^6 gated detections (dead time 3, mu_eta 0.5)."""
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=slots_per_gate, dead_slots=3)
+    source = SourceModel(Distribution.POISSON, 0.5)
+    stream = generate_gated(source, clock, IntraGateProfile.uniform(), 1_000_000, seed=seed)
+    return extract_mod2(stream).bits
+
+
+# Million-bit streams whose battery reports are pinned, with the SHA-256 of
+# each ``write_report`` CSV.  Their p-values spread over the whole unit
+# interval, which the degenerate shapes' do not: all-zero, period-7 and
+# sparse share one report, and all-one and dense another.
+PIN_STREAMS = {
+    # debiased gated r = 2: p-values from 7e-210 to 0.98
+    "debiased-r2": "379cdb2a967201c32d2caff1538e4a43894eae2986a4b9ff0ff3dbb7545a5a33",
+    # PCG64 bits with P(1) = 0.5008: all 13 p-values in 0.13-0.94
+    "biased-pcg": "ee4b8943d19d3775d5d2013230c71a1c446418adb33ba901e71e07e30ef8216a",
+    # raw gated r = 8, the benchmark's binary pipeline: p-values from 0 to 0.84
+    "raw-r8": "6201c349b54098d9193d1f57ac634486c607acb2e8a443c4a0073a9385dd7cc1",
+}
+
+
+@pytest.fixture(scope="module")
+def pin_streams() -> dict[str, np.ndarray]:
+    rng = np.random.Generator(np.random.PCG64(303))
+    return {
+        "debiased-r2": flip_debias(BitStream(gated_mod2_bits(2, 301))).bits,
+        "biased-pcg": (rng.random(1_000_000) < 0.5008).astype(np.uint8),
+        "raw-r8": gated_mod2_bits(8, 977),
+    }
+
+
 def poisson_tail(a: int, x: float) -> float:
     """Upper chi-square tail with 2a degrees of freedom via the Poisson sum."""
     return math.exp(-x) * sum(x**k / math.factorial(k) for k in range(a))
@@ -752,6 +784,16 @@ def test_battery_report_digest_is_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "46696cb06a160aff7570cfc0ba4f8eeaa7c1e91a5fed4e59bb80afca7fd23491"
     )
+
+
+@pytest.mark.parametrize("name", PIN_STREAMS)
+def test_battery_report_of_a_pin_stream_is_pinned(name, pin_streams, tmp_path):
+    """SHA-256 of the CSV report of one million-bit pin stream.  The digests
+    were taken with the two-walk cumulative sums, int64 Universal keys, the
+    full-height Berlekamp–Massey step and the three-pass rank step."""
+    path = tmp_path / "report.csv"
+    write_report(run_battery(BitStream(pin_streams[name])), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PIN_STREAMS[name]
 
 
 def test_battery_records_parameters():
