@@ -8,7 +8,7 @@ battery's recommended values for runs of 10^6 bits and are recorded in
 the report.  A procedure whose prerequisites fail on a run is reported
 as not applicable, never as failed.
 
-The three costliest procedures run on whole-array kernels:
+The costliest procedures run on whole-array kernels:
 
 - Serial and ApproximateEntropy share one overlapping-pattern count per
   run.  The circularly extended run is packed once, every m-bit window
@@ -20,10 +20,22 @@ The three costliest procedures run on whole-array kernels:
 - LinearComplexity runs Berlekamp–Massey on all blocks in lockstep,
   64 blocks per word (:func:`tickrng.lfsr.lfsr_complexities`).
 - Rank packs each 32-bit matrix row into a word and eliminates all
-  matrices together, one column per step.
+  matrices together, one column per step.  A step's column holdings and
+  unused-row flags are 0/1 words, so the elimination XOR is a multiply
+  and the rank is the count of pivot rows.
+- CumulativeSums takes one ``int64`` cumsum S of the +/-1 steps per run.
+  The forward excursion is max |S_k|; the reverse walk's sums are
+  S_n - S_j for j < n, so its excursion comes from S_n and the extremes
+  of S_0 = 0, S_1 .. S_n.  ``run_battery`` reads both rows off one walk.
+- Universal builds its L-bit block values (L <= 16) as ``uint16`` keys by
+  shift-or over the L columns; numpy's stable argsort sorts 16-bit keys
+  by radix, in the same order as any stable sort.
 
-Each kernel is tested for exact equality against a slow oracle
-(dictionary counts, ``lfsr_complexity_int``, row-by-row elimination).
+Each kernel is tested for exact equality against a slow oracle:
+dictionary counts, ``lfsr_complexity_int``, row-by-row elimination, one
+int64 walk per direction (``reference_cusum_excursion`` in
+``tests/conftest.py``) and int64 block values by a matrix product
+(``reference_universal_pvalue``).
 
 Every p-value is a normal or a chi-square tail, computed in closed form
 with the standard library.  Normal tails are ``math.erfc``.  Each
@@ -166,18 +178,33 @@ def _cusum_pvalue(n: int, z: int) -> float:
     return min(max(1.0 - s1 + s2, 0.0), 1.0)
 
 
+def _cusum_excursions(bits, min_n: int) -> tuple[int, int, int]:
+    """``(n, forward z, reverse z)``: the largest |partial sum| of the +/-1 walk
+    read forward and read backward, from one walk.
+
+    With S_0 = 0 and S_j the forward sums, the backward walk's sums are
+    S_n - S_j for j = n - 1 .. 0, so both excursions come from S_n and the
+    extremes of S_0 .. S_n (the j = n term S_n - S_n = 0 never decides
+    an excursion, which is at least 1).
+    """
+    x = _bit_array(bits)
+    n = x.size
+    _require(n, max(min_n, 1), "cumulative sums test")
+    walk = (x.view(np.int8) * 2 - 1).astype(np.int64)
+    # in place: an int64 cumsum of the int8 steps casts through a buffer at twice the time
+    np.cumsum(walk, out=walk)
+    end = int(walk[-1])
+    lo = int(walk.min(initial=0))
+    hi = int(walk.max(initial=0))
+    return n, max(hi, -lo), max(end - lo, hi - end)
+
+
 def cumulative_sums_test(bits, direction: str = "forward", min_n: int = 100) -> float:
     """Maximal excursion of the +/-1 partial-sum walk, forward or reverse."""
     if direction not in ("forward", "reverse"):
         raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-    x = _bit_array(bits)
-    n = x.size
-    _require(n, max(min_n, 1), "cumulative sums test")
-    steps = 2 * x.astype(np.int64) - 1
-    if direction == "reverse":
-        steps = steps[::-1]
-    z = int(np.abs(np.cumsum(steps)).max())
-    return _cusum_pvalue(n, z)
+    n, forward, reverse = _cusum_excursions(bits, min_n)
+    return _cusum_pvalue(n, forward if direction == "forward" else reverse)
 
 
 def runs_test(bits, min_n: int = 100) -> float:
@@ -234,26 +261,28 @@ def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
     Row ``i`` of each matrix becomes a word whose bit ``c`` is column ``c``.
     Step ``c`` picks, in every matrix at once, the first row not yet used
     as a pivot that holds column ``c``, and XORs it into the matrix's
-    other rows holding that column.
+    other rows holding that column.  Holdings and the unused flags are 0/1
+    words, so the XOR is a multiply and the rank is the count of rows
+    used.  Only unused rows are read again: a matrix without a candidate
+    XORs its row 0 into rows already used as pivots, which changes nothing
+    later steps read.
     """
     nmat, m, _ = mats.shape
     words = np.zeros((nmat * m, 8), dtype=np.uint8)
     words[:, : -(-m // 8)] = np.packbits(mats.reshape(nmat * m, m), axis=1, bitorder="little")
     rows = words.view("<u8").reshape(nmat, m)
-    unused = np.ones(rows.shape, dtype=bool)
-    ranks = np.zeros(nmat, dtype=np.int64)
-    which = np.arange(nmat)
+    unused = np.ones(rows.shape, dtype=np.uint64)
+    starts = np.arange(0, nmat * m, m)  # flat index of each matrix's row 0
     for col in range(m):
-        has = (rows & np.uint64(1 << col)) != 0
+        has = (rows >> np.uint64(col)) & np.uint64(1)
         candidates = has & unused
-        found = candidates.any(axis=1)
-        pivot = candidates.argmax(axis=1)
-        pivot_rows = np.where(found, rows[which, pivot], np.uint64(0))
-        has[which, pivot] = False
-        rows ^= np.where(has, pivot_rows[:, None], np.uint64(0))
-        unused[which[found], pivot[found]] = False
-        ranks += found
-    return ranks
+        pivot = candidates.argmax(axis=1) + starts
+        found = candidates.ravel()[pivot]
+        pivot_rows = rows.ravel()[pivot]
+        has.ravel()[pivot] = 0
+        rows ^= has * pivot_rows[:, None]
+        unused.ravel()[pivot] &= ~found
+    return m - unused.sum(axis=1).astype(np.int64)
 
 
 def _rank_probability(m: int, r: int) -> float:
@@ -350,12 +379,15 @@ def universal_test(bits) -> float:
             break
     q = 10 * (1 << block_len)
     k = n // block_len - q
-    powers = (1 << np.arange(block_len - 1, -1, -1)).astype(np.int64)
-    blocks = x[: (q + k) * block_len].reshape(q + k, block_len) @ powers
-    positions = np.arange(1, q + k + 1, dtype=np.int64)
+    columns = x[: (q + k) * block_len].reshape(q + k, block_len)
+    blocks = np.zeros(q + k, dtype=np.uint16)  # block_len <= 16
+    for col in range(block_len):
+        blocks <<= 1
+        blocks |= columns[:, col]
+    # A stable sort of 16-bit keys is a radix sort; positions count from 1.
     order = np.argsort(blocks, kind="stable")
     sorted_blocks = blocks[order]
-    sorted_pos = positions[order]
+    sorted_pos = order + 1
     prev = np.empty_like(sorted_pos)
     prev[0] = 0
     same = sorted_blocks[1:] == sorted_blocks[:-1]
@@ -534,8 +566,13 @@ def _run_procedures(x: np.ndarray, params: dict) -> list[tuple[TestId, float | N
         TestId.BLOCK_FREQUENCY,
         lambda: block_frequency_test(x, block_len=params["block_frequency_block_len"]),
     )
-    attempt(TestId.CUSUM_FORWARD, lambda: cumulative_sums_test(x, "forward"))
-    attempt(TestId.CUSUM_REVERSE, lambda: cumulative_sums_test(x, "reverse"))
+    try:
+        n, forward, reverse = _cusum_excursions(x, 100)
+        out.append((TestId.CUSUM_FORWARD, _cusum_pvalue(n, forward)))
+        out.append((TestId.CUSUM_REVERSE, _cusum_pvalue(n, reverse)))
+    except InsufficientDataError:
+        out.append((TestId.CUSUM_FORWARD, None))
+        out.append((TestId.CUSUM_REVERSE, None))
     attempt(TestId.RUNS, lambda: runs_test(x))
     attempt(TestId.LONGEST_RUNS, lambda: longest_runs_test(x))
     attempt(TestId.RANK, lambda: rank_test(x, matrix_dim=params["rank_matrix_dim"]))

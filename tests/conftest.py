@@ -110,6 +110,47 @@ def reference_at_coincidences(bits, detected, coincident) -> np.ndarray:
     return np.asarray(bits)[(np.cumsum(detected) - 1)[coincident]]
 
 
+def reference_cusum_excursion(x, direction: str) -> int:
+    """One int64 walk per direction: the slow oracle for ``suite._cusum_excursions``."""
+    x = np.asarray(x)
+    steps = 2 * x.astype(np.int64) - 1
+    if direction == "reverse":
+        steps = steps[::-1]
+    return int(np.abs(np.cumsum(steps)).max())
+
+
+def reference_universal_pvalue(x) -> float:
+    """int64 block values by a matrix product: the slow oracle for ``suite.universal_test``.
+
+    ``x`` holds at least 387,840 bits.
+    """
+    from tickrng.suite import _UNIVERSAL_TABLE, _UNIVERSAL_THRESHOLDS
+
+    x = np.asarray(x)
+    n = x.size
+    for threshold, block_len in _UNIVERSAL_THRESHOLDS:
+        if n >= threshold:
+            break
+    q = 10 * (1 << block_len)
+    k = n // block_len - q
+    powers = (1 << np.arange(block_len - 1, -1, -1)).astype(np.int64)
+    blocks = x[: (q + k) * block_len].reshape(q + k, block_len) @ powers
+    positions = np.arange(1, q + k + 1, dtype=np.int64)
+    order = np.argsort(blocks, kind="stable")
+    sorted_blocks = blocks[order]
+    sorted_pos = positions[order]
+    prev = np.empty_like(sorted_pos)
+    prev[0] = 0
+    same = sorted_blocks[1:] == sorted_blocks[:-1]
+    prev[1:] = np.where(same, sorted_pos[:-1], 0)
+    dist = (sorted_pos - prev)[sorted_pos > q]
+    fn = float(np.log2(dist.astype(np.float64)).sum()) / k
+    expected, variance = _UNIVERSAL_TABLE[block_len]
+    c = 0.7 - 0.8 / block_len + (4.0 + 32.0 / block_len) * k ** (-3.0 / block_len) / 15.0
+    sigma = c * math.sqrt(variance / k)
+    return math.erfc(abs(fn - expected) / (math.sqrt(2.0) * sigma))
+
+
 def reference_format_slots(slots) -> bytes:
     """One ``str`` per slot: the slow oracle for ``formats._format_slots``."""
     text = "\n".join(map(str, np.asarray(slots).tolist()))

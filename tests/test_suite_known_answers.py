@@ -7,14 +7,17 @@ textbook shortest-LFSR synthesis, an exact random-walk recursion), so a
 regression in the vectorised code cannot hide behind its own formula.
 """
 
+import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammaincc, ndtr
 from scipy.stats import chi2 as chi2_dist
 
+from conftest import reference_cusum_excursion, reference_universal_pvalue
 from tickrng.errors import InsufficientDataError
 from tickrng.extract import BitStream, extract_mod2, flip_debias
 from tickrng.formats import write_report
@@ -24,6 +27,7 @@ from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
 from tickrng.suite import (
     DEFAULT_PARAMETERS,
     _chi2_sf,
+    _cusum_excursions,
     _cusum_pvalue,
     _fold,
     _gf2_ranks,
@@ -70,11 +74,11 @@ def adversarial_bits(kind: str, n: int, seed: int) -> np.ndarray:
     raise ValueError(kind)
 
 
-def gated_mod2_bits(slots_per_gate: int, seed: int) -> np.ndarray:
-    """Raw mod-2 bits of 10^6 gated detections (dead time 3, mu_eta 0.5)."""
+def gated_mod2_bits(slots_per_gate: int, seed: int, n: int) -> np.ndarray:
+    """Raw mod-2 bits of ``n`` gated detections (dead time 3, mu_eta 0.5)."""
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=slots_per_gate, dead_slots=3)
     source = SourceModel(Distribution.POISSON, 0.5)
-    stream = generate_gated(source, clock, IntraGateProfile.uniform(), 1_000_000, seed=seed)
+    stream = generate_gated(source, clock, IntraGateProfile.uniform(), n, seed=seed)
     return extract_mod2(stream).bits
 
 
@@ -92,14 +96,25 @@ PIN_STREAMS = {
 }
 
 
-@pytest.fixture(scope="module")
-def pin_streams() -> dict[str, np.ndarray]:
-    rng = np.random.Generator(np.random.PCG64(303))
-    return {
-        "debiased-r2": flip_debias(BitStream(gated_mod2_bits(2, 301))).bits,
-        "biased-pcg": (rng.random(1_000_000) < 0.5008).astype(np.uint8),
-        "raw-r8": gated_mod2_bits(8, 977),
-    }
+@functools.cache
+def pin_stream_bits(name: str, n: int = 1_000_000) -> np.ndarray:
+    """``n`` bits made by the recipe of pin stream ``name``, read-only."""
+    if name == "debiased-r2":
+        bits = flip_debias(BitStream(gated_mod2_bits(2, 301, n))).bits
+    elif name == "biased-pcg":
+        bits = (np.random.Generator(np.random.PCG64(303)).random(n) < 0.5008).astype(np.uint8)
+    else:
+        bits = gated_mod2_bits(8, 977, n)
+    bits.flags.writeable = False
+    return bits
+
+
+# Inputs every fast kernel must match its oracle on.
+ORACLE_KINDS = ADVERSARIAL + tuple(PIN_STREAMS)
+
+
+def oracle_bits(kind: str, n: int, seed: int) -> np.ndarray:
+    return pin_stream_bits(kind, n) if kind in PIN_STREAMS else adversarial_bits(kind, n, seed)
 
 
 def poisson_tail(a: int, x: float) -> float:
@@ -220,6 +235,31 @@ def test_cusum_reverse_equals_forward_of_reversed_input():
 
 def test_cusum_all_zeros_is_rejected():
     assert cumulative_sums_test(np.zeros(1_000_000, dtype=np.uint8), "forward") < 1e-20
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("n", [100, 101, 1001, 1_000_000])
+def test_cusum_excursions_match_one_walk_per_direction(kind, n):
+    bits = oracle_bits(kind, n, seed=n)
+    forward = reference_cusum_excursion(bits, "forward")
+    reverse = reference_cusum_excursion(bits, "reverse")
+    assert _cusum_excursions(bits, 100) == (n, forward, reverse)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cusum_excursions_of_the_shortest_walks(n):
+    for code in range(1 << n):
+        bits = np.array([(code >> i) & 1 for i in range(n)], dtype=np.uint8)
+        expected = (n, reference_cusum_excursion(bits, "forward"), reference_cusum_excursion(bits, "reverse"))
+        assert _cusum_excursions(bits, 1) == expected
+
+
+@pytest.mark.parametrize("kind, n", [(kind, 1001) for kind in ORACLE_KINDS] + [(k, 1_000_000) for k in PIN_STREAMS])
+def test_cusum_alone_equals_the_battery_rows(kind, n):
+    bits = oracle_bits(kind, n, seed=n)
+    by_id = {e.test_id: e.p_value for e in run_battery(bits, run_len=n).entries}
+    assert cumulative_sums_test(bits, "forward") == by_id[TestId.CUSUM_FORWARD]
+    assert cumulative_sums_test(bits, "reverse") == by_id[TestId.CUSUM_REVERSE]
 
 
 def test_cusum_rejects_unknown_direction():
@@ -435,6 +475,17 @@ def test_universal_matches_naive_bookkeeping():
     assert universal_test(bits) == pytest.approx(naive_universal_pvalue(bits, 6), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "kind, n",
+    # L = 6, 7 and 8 on every kind; L = 9, past a byte, on the cheap ones
+    [(kind, n) for n in (387_840, 1_000_000, 2_068_480) for kind in ORACLE_KINDS]
+    + [(kind, 4_654_080) for kind in ADVERSARIAL],
+)
+def test_universal_matches_the_matrix_product_oracle(kind, n):
+    bits = oracle_bits(kind, n, seed=n)
+    assert universal_test(bits) == reference_universal_pvalue(bits)
+
+
 def test_universal_threshold_boundary():
     with pytest.raises(InsufficientDataError):
         universal_test(np.ones(387_839, dtype=np.uint8))
@@ -628,6 +679,18 @@ def test_lockstep_complexities_match_the_integer_oracle(kind, block_len, nblocks
     assert lfsr_complexities(blocks).tolist() == integer_oracle_complexities(blocks)
 
 
+@pytest.mark.parametrize("block_len", [1, 2, 499, 500])
+def test_lockstep_complexities_of_impulse_blocks(block_len):
+    """Block j's only 1 sits at position block_len - 1 - j, so its complexity
+    jumps from 0 to block_len - j at that step while the blocks still
+    waiting stay at 0; the step's row bound must reach the new length."""
+    nblocks = 130
+    blocks = np.zeros((nblocks, block_len), dtype=np.uint8)
+    j = np.arange(min(nblocks, block_len))
+    blocks[j, block_len - 1 - j] = 1
+    assert lfsr_complexities(blocks).tolist() == integer_oracle_complexities(blocks)
+
+
 def test_linear_complexity_matches_independent_binning():
     m = 500
     bits = random_bits(43, 200 * m)
@@ -787,13 +850,26 @@ def test_battery_report_digest_is_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("name", PIN_STREAMS)
-def test_battery_report_of_a_pin_stream_is_pinned(name, pin_streams, tmp_path):
+def test_battery_report_of_a_pin_stream_is_pinned(name, tmp_path):
     """SHA-256 of the CSV report of one million-bit pin stream.  The digests
     were taken with the two-walk cumulative sums, int64 Universal keys, the
     full-height Berlekamp–Massey step and the three-pass rank step."""
     path = tmp_path / "report.csv"
-    write_report(run_battery(BitStream(pin_streams[name])), path)
+    write_report(run_battery(BitStream(pin_stream_bits(name))), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PIN_STREAMS[name]
+
+
+def test_battery_stays_within_its_memory_budget():
+    """The traced-allocation peak of one million-bit run: the spectral test's
+    float arrays, not one int64 walk per cumulative-sums direction."""
+    bits = random_bits(89, 1_000_000)
+    tracemalloc.start()
+    try:
+        run_battery(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21e6
 
 
 def test_battery_records_parameters():
