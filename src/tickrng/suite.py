@@ -20,9 +20,9 @@ The costliest procedures run on whole-array kernels:
 - LinearComplexity runs Berlekamp–Massey on all blocks in lockstep,
   64 blocks per word (:func:`tickrng.lfsr.lfsr_complexities`).
 - Rank packs each 32-bit matrix row into a word and eliminates all
-  matrices together, one column per step.  A step's column holdings and
-  unused-row flags are 0/1 words, so the elimination XOR is a multiply
-  and the rank is the count of pivot rows.
+  matrices together, one column per step.  The unused-row flags are 0/1
+  words, so a step reads its column with one AND and XORs by a multiply,
+  into the unused rows only; the rank is the count of pivot rows.
 - CumulativeSums takes one ``int64`` cumsum S of the +/-1 steps per run.
   The forward excursion is max |S_k|; the reverse walk's sums are
   S_n - S_j for j < n, so its excursion comes from S_n and the extremes
@@ -178,33 +178,37 @@ def _cusum_pvalue(n: int, z: int) -> float:
     return min(max(1.0 - s1 + s2, 0.0), 1.0)
 
 
-def _cusum_excursions(bits, min_n: int) -> tuple[int, int, int]:
-    """``(n, forward z, reverse z)``: the largest |partial sum| of the +/-1 walk
-    read forward and read backward, from one walk.
+def _cusum_excursions(x: np.ndarray) -> tuple[int, int]:
+    """Largest |partial sum| of the +/-1 walk of ``x`` read forward and read
+    backward, from one walk.
 
     With S_0 = 0 and S_j the forward sums, the backward walk's sums are
     S_n - S_j for j = n - 1 .. 0, so both excursions come from S_n and the
     extremes of S_0 .. S_n (the j = n term S_n - S_n = 0 never decides
     an excursion, which is at least 1).
     """
-    x = _bit_array(bits)
-    n = x.size
-    _require(n, max(min_n, 1), "cumulative sums test")
     walk = (x.view(np.int8) * 2 - 1).astype(np.int64)
     # in place: an int64 cumsum of the int8 steps casts through a buffer at twice the time
     np.cumsum(walk, out=walk)
     end = int(walk[-1])
     lo = int(walk.min(initial=0))
     hi = int(walk.max(initial=0))
-    return n, max(hi, -lo), max(end - lo, hi - end)
+    return max(hi, -lo), max(end - lo, hi - end)
+
+
+def _cumulative_sums(bits, min_n: int) -> tuple[float, float]:
+    x = _bit_array(bits)
+    _require(x.size, max(min_n, 1), "cumulative sums test")
+    forward, reverse = _cusum_excursions(x)
+    return _cusum_pvalue(x.size, forward), _cusum_pvalue(x.size, reverse)
 
 
 def cumulative_sums_test(bits, direction: str = "forward", min_n: int = 100) -> float:
     """Maximal excursion of the +/-1 partial-sum walk, forward or reverse."""
     if direction not in ("forward", "reverse"):
         raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-    n, forward, reverse = _cusum_excursions(bits, min_n)
-    return _cusum_pvalue(n, forward if direction == "forward" else reverse)
+    forward, reverse = _cumulative_sums(bits, min_n)
+    return forward if direction == "forward" else reverse
 
 
 def runs_test(bits, min_n: int = 100) -> float:
@@ -260,12 +264,11 @@ def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
 
     Row ``i`` of each matrix becomes a word whose bit ``c`` is column ``c``.
     Step ``c`` picks, in every matrix at once, the first row not yet used
-    as a pivot that holds column ``c``, and XORs it into the matrix's
-    other rows holding that column.  Holdings and the unused flags are 0/1
-    words, so the XOR is a multiply and the rank is the count of rows
-    used.  Only unused rows are read again: a matrix without a candidate
-    XORs its row 0 into rows already used as pivots, which changes nothing
-    later steps read.
+    as a pivot that holds column ``c``, and XORs it into every unused row
+    holding that column, itself included: a used row is never read
+    again, so the pivot may as well become 0.  The unused flags are 0/1
+    words, so one AND reads column ``c`` of the unused rows, the XOR is a
+    multiply, and the rank is the count of rows used.
     """
     nmat, m, _ = mats.shape
     words = np.zeros((nmat * m, 8), dtype=np.uint8)
@@ -274,13 +277,10 @@ def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
     unused = np.ones(rows.shape, dtype=np.uint64)
     starts = np.arange(0, nmat * m, m)  # flat index of each matrix's row 0
     for col in range(m):
-        has = (rows >> np.uint64(col)) & np.uint64(1)
-        candidates = has & unused
+        candidates = (rows >> np.uint64(col)) & unused
         pivot = candidates.argmax(axis=1) + starts
         found = candidates.ravel()[pivot]
-        pivot_rows = rows.ravel()[pivot]
-        has.ravel()[pivot] = 0
-        rows ^= has * pivot_rows[:, None]
+        rows ^= candidates * rows.ravel()[pivot][:, None]
         unused.ravel()[pivot] &= ~found
     return m - unused.sum(axis=1).astype(np.int64)
 
@@ -561,18 +561,19 @@ def _run_procedures(x: np.ndarray, params: dict) -> list[tuple[TestId, float | N
         except InsufficientDataError:
             out.append((test_id, None))
 
+    def attempt_pair(first: TestId, second: TestId, fn) -> None:
+        try:
+            p1, p2 = fn()
+        except InsufficientDataError:
+            p1 = p2 = None
+        out.extend(((first, p1), (second, p2)))
+
     attempt(TestId.FREQUENCY, lambda: frequency_test(x))
     attempt(
         TestId.BLOCK_FREQUENCY,
         lambda: block_frequency_test(x, block_len=params["block_frequency_block_len"]),
     )
-    try:
-        n, forward, reverse = _cusum_excursions(x, 100)
-        out.append((TestId.CUSUM_FORWARD, _cusum_pvalue(n, forward)))
-        out.append((TestId.CUSUM_REVERSE, _cusum_pvalue(n, reverse)))
-    except InsufficientDataError:
-        out.append((TestId.CUSUM_FORWARD, None))
-        out.append((TestId.CUSUM_REVERSE, None))
+    attempt_pair(TestId.CUSUM_FORWARD, TestId.CUSUM_REVERSE, lambda: _cumulative_sums(x, 100))
     attempt(TestId.RUNS, lambda: runs_test(x))
     attempt(TestId.LONGEST_RUNS, lambda: longest_runs_test(x))
     attempt(TestId.RANK, lambda: rank_test(x, matrix_dim=params["rank_matrix_dim"]))
@@ -597,13 +598,7 @@ def _run_procedures(x: np.ndarray, params: dict) -> list[tuple[TestId, float | N
         TestId.APPROXIMATE_ENTROPY,
         lambda: _approximate_entropy(x, apen_len, 100, shared_counts),
     )
-    try:
-        p1, p2 = _serial(x, serial_len, 100, shared_counts)
-        out.append((TestId.SERIAL_1, p1))
-        out.append((TestId.SERIAL_2, p2))
-    except InsufficientDataError:
-        out.append((TestId.SERIAL_1, None))
-        out.append((TestId.SERIAL_2, None))
+    attempt_pair(TestId.SERIAL_1, TestId.SERIAL_2, lambda: _serial(x, serial_len, 100, shared_counts))
     attempt(
         TestId.LINEAR_COMPLEXITY,
         lambda: linear_complexity_test(x, block_len=params["linear_complexity_block_len"]),

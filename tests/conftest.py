@@ -40,7 +40,7 @@ def full_scale(request) -> bool:
 def reference_report() -> TestReport:
     """Battery report over 100 disjoint million-bit runs of a PCG64 stream.
 
-    Computed once per session (about 17 s on 2 cores); the per-test p-value
+    Computed once per session (about 10 s on 2 cores); the per-test p-value
     populations feed the uniformity and pass-rate checks.
     """
     rng = np.random.Generator(np.random.PCG64(REFERENCE_SEED))
