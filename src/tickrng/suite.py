@@ -20,9 +20,10 @@ The costliest procedures run on whole-array kernels:
 - LinearComplexity runs Berlekamp–Massey on all blocks in lockstep,
   64 blocks per word (:func:`tickrng.lfsr.lfsr_complexities`).
 - Rank packs each 32-bit matrix row into a word and eliminates all
-  matrices together, one column per step.  The unused-row flags are 0/1
-  words, so a step reads its column with one AND and XORs by a multiply,
-  into the unused rows only; the rank is the count of pivot rows.
+  matrices together, one column per step.  A step reads its column as
+  0/1 words and XORs the pivot row by a multiply into every row holding
+  the column, the pivot row included, which leaves it 0: no used-row
+  flags are kept.
 - CumulativeSums takes one ``int64`` cumsum S of the +/-1 steps per run.
   The forward excursion is max |S_k|; the reverse walk's sums are
   S_n - S_j for j < n, so its excursion comes from S_n and the extremes
@@ -263,26 +264,24 @@ def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
     """GF(2) ranks of a stack of m x m 0/1 matrices, all eliminated in lockstep.
 
     Row ``i`` of each matrix becomes a word whose bit ``c`` is column ``c``.
-    Step ``c`` picks, in every matrix at once, the first row not yet used
-    as a pivot that holds column ``c``, and XORs it into every unused row
-    holding that column, itself included: a used row is never read
-    again, so the pivot may as well become 0.  The unused flags are 0/1
-    words, so one AND reads column ``c`` of the unused rows, the XOR is a
-    multiply, and the rank is the count of rows used.
+    Step ``c`` takes, in every matrix at once, the first row holding
+    column ``c`` as the pivot and XORs it into every row holding that
+    column, itself included: the pivot row becomes 0, so it never holds
+    a later column, and the rank is the number of steps that found a
+    pivot.  The holdings are 0/1 words, so the XOR is a multiply.
     """
     nmat, m, _ = mats.shape
     words = np.zeros((nmat * m, 8), dtype=np.uint8)
     words[:, : -(-m // 8)] = np.packbits(mats.reshape(nmat * m, m), axis=1, bitorder="little")
     rows = words.view("<u8").reshape(nmat, m)
-    unused = np.ones(rows.shape, dtype=np.uint64)
     starts = np.arange(0, nmat * m, m)  # flat index of each matrix's row 0
+    ranks = np.zeros(nmat, dtype=np.uint64)
     for col in range(m):
-        candidates = (rows >> np.uint64(col)) & unused
-        pivot = candidates.argmax(axis=1) + starts
-        found = candidates.ravel()[pivot]
-        rows ^= candidates * rows.ravel()[pivot][:, None]
-        unused.ravel()[pivot] &= ~found
-    return m - unused.sum(axis=1).astype(np.int64)
+        holders = (rows >> np.uint64(col)) & np.uint64(1)
+        pivot = holders.argmax(axis=1) + starts
+        rows ^= holders * rows.ravel()[pivot][:, None]
+        ranks += holders.ravel()[pivot]
+    return ranks.astype(np.int64)
 
 
 def _rank_probability(m: int, r: int) -> float:

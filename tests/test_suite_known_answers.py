@@ -852,8 +852,10 @@ def test_battery_report_digest_is_pinned(tmp_path):
 @pytest.mark.parametrize("name", PIN_STREAMS)
 def test_battery_report_of_a_pin_stream_is_pinned(name, tmp_path):
     """SHA-256 of the CSV report of one million-bit pin stream.  The digests
-    were taken with the two-walk cumulative sums, int64 Universal keys, the
-    full-height Berlekamp–Massey step and the three-pass rank step."""
+    were taken with one cumulative-sums walk per direction, int64 Universal
+    block values, Berlekamp–Massey steps over every coefficient row and a
+    boolean-mask rank step, so they hold the faster kernels to their
+    output byte for byte."""
     path = tmp_path / "report.csv"
     write_report(run_battery(BitStream(pin_stream_bits(name))), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PIN_STREAMS[name]
