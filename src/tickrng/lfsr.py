@@ -20,11 +20,12 @@ linear feedback shift register that generates it.  Two engines:
 
   The step touches only rows ``[:top]``, ``top = max L + 1`` over all
   blocks after the step's length changes.  ``deg C <= L`` always, and
-  ``deg x^(n-m) B <= n + 1 - L``, which is at most ``L`` in a lane that
-  keeps its length and equals the new ``L`` in a lane that changes it; so
-  every row at or above ``top`` is 0 in every lane that the step's
-  updates touch.  On random blocks ``L`` is about ``n / 2``, so this
-  halves the word work.  A changed block's ``2L`` becomes ``2(n + 1) - 2L``
+  ``deg x^(n-m) B <= n + 1 - L``: that is at most ``L`` where a
+  discrepancy keeps the length (``2L > n``) and equals the new ``L``
+  where it changes it, and lanes without a discrepancy are not updated;
+  so every row at or above ``top`` is 0 wherever the step reads or
+  writes.  On random blocks ``L`` is about ``n / 2``, so this halves the
+  word work.  A changed block's ``2L`` becomes ``2(n + 1) - 2L``
   by one masked add, ``2L += hit * (2(n + 1) - 4L)``, with ``hit`` the
   change mask unpacked to 0/1 per block.
 """
