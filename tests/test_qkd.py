@@ -436,3 +436,55 @@ def test_protocol_edge_results_are_pinned(case, protocol, expected):
         "bb84h": lambda p: run_bb84(p, heralded_alice=True),
     }[protocol]
     assert dataclasses.astuple(run(pinned_edge_params(case))) == expected
+
+
+def pinned_block_params(case: str) -> ProtocolParams:
+    """A round of 1,000,003 gates: several gate blocks, the last one partial."""
+    if case == "thermal-mu-50":
+        clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4, dark_prob=1e-3, dead_slots=3)
+        source, k_bootstrap = SourceModel(Distribution.THERMAL, 50.0, 0.02), 64
+    else:
+        clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dark_prob=1e-3)
+        source, k_bootstrap = SourceModel(Distribution.POISSON, 0.5, 0.8), 0
+    return make_params(
+        pair_source=source,
+        clock_alice=clock,
+        clock_bob=clock,
+        n_gates=1_000_003,
+        seed=251,
+        channel_transmittance_alice=0.9,
+        channel_transmittance_bob=0.7,
+        intrinsic_error=0.05,
+        k_bootstrap=k_bootstrap,
+    )
+
+
+# (case, protocol, every ProtocolResult field in order), taken while every
+# party drew its click and dark-count uniforms over all gates in one call.
+PINNED_BLOCK_RESULTS = [
+    ("poisson-dark", "bbm92", (191957, 95794, 0.05074430548886152, 0.9976305657024386, 0.9967417158124532, 0.4990388472418302, 394014)),
+    ("poisson-dark", "bb84", (245128, 122681, 0.05021967541836144, 0.9989105969928479, 0.9967417158124532, 0.5004773016546458, 394014)),
+    ("poisson-dark", "bb84h", (191957, 96007, 0.05071505202745633, 0.8378172173881451, 0.9967417158124532, 0.500148470751262, 394014)),
+    ("thermal-mu-50", "bbm92", (197603, 99117, 0.050505967694744594, 0.8818931271624451, 0.8947082957425785, 0.5015966356786081, 980463)),
+    ("thermal-mu-50", "bb84", (352825, 176120, 0.049994322053145586, 0.9989105969928479, 0.8946777718707544, 0.4991709771132998, 980463)),
+    ("thermal-mu-50", "bb84h", (197603, 99854, 0.0505638231818455, 0.7767944363287657, 0.8946777718707544, 0.5053263361386213, 980463)),
+]
+
+
+@pytest.mark.parametrize("case, protocol, expected", PINNED_BLOCK_RESULTS)
+def test_protocol_results_past_one_gate_block_are_pinned(case, protocol, expected):
+    run = {
+        "bbm92": run_bbm92,
+        "bb84": run_bb84,
+        "bb84h": lambda p: run_bb84(p, heralded_alice=True),
+    }[protocol]
+    assert dataclasses.astuple(run(pinned_block_params(case))) == expected
+
+
+# Taken while the gate indices were differenced as uint64 and multiplied as int64.
+PINNED_EVE_ADVANTAGES = [(1, 0.5), (2, -0.002674999999999983), (3, 0.05542499999999995), (4, 0.0008799999999999919)]
+
+
+@pytest.mark.parametrize("r, expected", PINNED_EVE_ADVANTAGES)
+def test_eve_advantages_are_pinned(r, expected):
+    assert eve_advantage_for(r, n_events=200_000) == expected
