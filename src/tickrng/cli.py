@@ -27,7 +27,6 @@ from .extract import (
     balance,
     extract_mod2,
     flip_debias,
-    intervals,
     mod4_arrays,
 )
 from .formats import (
@@ -183,8 +182,7 @@ def cmd_extract(args) -> int:
     if modulus is Modulus.MOD2:
         bits = extract_mod2(stream, ExtractorConfig(include_first=args.include_first))
     else:
-        gaps = intervals(stream, include_first=args.include_first)
-        basis, key = mod4_arrays(gaps)
+        basis, key = mod4_arrays(stream, ExtractorConfig(include_first=args.include_first))
         interleaved = np.empty(2 * basis.size, dtype=np.uint8)
         interleaved[0::2] = basis
         interleaved[1::2] = key

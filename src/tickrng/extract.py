@@ -7,6 +7,13 @@ removes it by alternating the bit assignment on every detection.  Before
 any signal is admitted, a buffer of bits can be produced from dark
 counts alone (:func:`bootstrap_buffer`) so the first basis choices never
 depend on observable detections.
+
+Both extractors read only the interval modulo 4, so they work on the
+slots' low byte: ``slots.astype(uint8)`` keeps each slot modulo 256, and
+``uint8`` subtraction wraps modulo 256, so the differences of the low
+bytes are the intervals modulo 256, exactly, even where a 64-bit
+interval is 2**32 or more.  :func:`intervals` keeps the full 64-bit
+counts.
 """
 
 from __future__ import annotations
@@ -129,24 +136,35 @@ def intervals(stream: EventStream, include_first: bool = True) -> np.ndarray:
     return np.diff(stream.slots)
 
 
+def _low_byte_intervals(stream: EventStream, include_first: bool) -> np.ndarray:
+    """:func:`intervals` modulo 256, as uint8: the differences of the slots' low bytes."""
+    low = stream.slots.astype(np.uint8)
+    if include_first:
+        return np.diff(low, prepend=np.uint8(0))
+    return np.diff(low)
+
+
 def extract_mod2(stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()) -> BitStream:
     """One bit per interval: the interval length modulo 2."""
-    gaps = intervals(stream, include_first=cfg.include_first)
-    return BitStream((gaps & np.uint64(1)).astype(np.uint8))
+    gaps = _low_byte_intervals(stream, cfg.include_first)
+    gaps &= 1
+    return BitStream(gaps)
 
 
-def mod4_arrays(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(basis, key) bit arrays of the intervals modulo 4: its high and low bits."""
-    v = gaps % np.uint64(4)
-    basis = (v >> np.uint64(1)).astype(np.uint8)
-    key = (v & np.uint64(1)).astype(np.uint8)
+def mod4_arrays(
+    stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, key) uint8 bit arrays of the intervals modulo 4: their high and low bits."""
+    key = _low_byte_intervals(stream, cfg.include_first)
+    basis = key >> 1
+    basis &= 1
+    key &= 1
     return basis, key
 
 
 def extract_mod4(stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()) -> list[SymbolPair]:
     """One (basis, key) pair per interval: the interval length modulo 4."""
-    gaps = intervals(stream, include_first=cfg.include_first)
-    basis, key = mod4_arrays(gaps)
+    basis, key = mod4_arrays(stream, cfg)
     return [SymbolPair(int(b), int(k)) for b, k in zip(basis.tolist(), key.tolist())]
 
 

@@ -12,6 +12,15 @@ equals Alice's except with the intrinsic error probability; on
 unmatched bases the outcomes are independent and the round is discarded
 by sifting.
 
+A round draws its per-gate randomness in blocks of ``_GATE_BLOCK``
+gates: the pair numbers and each party's photon-click uniforms, then, in
+a second pass over each party's generator, its dark-count uniforms.  A
+generator called block by block yields the values of one whole-length
+call, so the seed contract is unchanged: each generator's draws, and
+therefore every result, equal those of whole-length draws.  Only one
+boolean flag per gate and party outlives a block; the slots, bases and
+coincidences are built from the detections alone.
+
 ``eve_qnd_advantage`` models an eavesdropper who measures photon numbers
 without disturbing them (a quantum non-demolition probe) and therefore
 learns which *gate* each detection fell into, but not the slot inside
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, as_count
-from .extract import balance, BitStream, bootstrap_buffer, extract_mod2, intervals, mod4_arrays
+from .extract import balance, BitStream, bootstrap_buffer, extract_mod2, mod4_arrays
 from .models import click_probability, Distribution, SourceModel
 from .sim import (
     ClockConfig,
@@ -98,6 +107,11 @@ def _sample_pair_numbers(rng: np.random.Generator, source: SourceModel, n_gates:
 # photons takes its own.
 _CLICK_TABLE_CAP = 1 << 16
 
+# Gates per block of the per-gate draws: a block's float64 uniforms and
+# click probabilities take 1 MiB each, however many gates a round has.
+# Larger blocks were slower in-process, not faster.
+_GATE_BLOCK = 1 << 17
+
 
 def _click_probabilities(survival: float, n_photons: np.ndarray) -> np.ndarray:
     """Per-gate click probability ``1 - (1 - survival) ** n_photons``.
@@ -115,27 +129,63 @@ def _click_probabilities(survival: float, n_photons: np.ndarray) -> np.ndarray:
     return p_click
 
 
+def _photon_clicks(
+    source_rng: np.random.Generator,
+    source: SourceModel,
+    n_gates: int,
+    parties: list[tuple[np.random.Generator, float]],
+) -> tuple[int, list[np.ndarray]]:
+    """The number of gates with at least one pair, and each party's
+    per-gate photon-click flags.
+
+    Block by block, ``source_rng`` draws the pair numbers and each party
+    ``(rng, survival)`` one uniform per gate.  Every generator yields the
+    values of one whole-length call.
+    """
+    flags = [np.empty(n_gates, dtype=bool) for _ in parties]
+    uniforms = np.empty(min(n_gates, _GATE_BLOCK))
+    pair_gates = 0
+    for start in range(0, n_gates, _GATE_BLOCK):
+        n_photons = _sample_pair_numbers(source_rng, source, min(_GATE_BLOCK, n_gates - start))
+        pair_gates += int(np.count_nonzero(n_photons))
+        u = uniforms[: n_photons.size]
+        for (party_rng, survival), detected in zip(parties, flags):
+            party_rng.random(out=u)
+            np.less(u, _click_probabilities(survival, n_photons), out=detected[start : start + u.size])
+    return pair_gates, flags
+
+
 def _detections(
     rng: np.random.Generator,
-    n_photons: np.ndarray,
-    survival: float,
+    detected: np.ndarray,
     clock: ClockConfig,
     profile: IntraGateProfile,
-) -> tuple[np.ndarray, np.ndarray, EventStream]:
-    """Per-gate detection flags, the 0-based gates of the kept detections,
-    and the party's event stream in its own slots."""
-    n_gates = n_photons.size
-    detected = rng.random(n_gates) < _click_probabilities(survival, n_photons)
+) -> EventStream:
+    """The party's event stream in its own slots, from its per-gate
+    photon-click flags ``detected``.
+
+    ``detected`` gains the dark counts, drawn block by block after the
+    photon clicks, and loses the detections the dead time drops.
+    """
     if clock.dark_prob > 0.0:
-        detected |= rng.random(n_gates) < clock.dark_prob
-    gates = np.flatnonzero(detected)
+        uniforms = np.empty(min(detected.size, _GATE_BLOCK))
+        for start in range(0, detected.size, _GATE_BLOCK):
+            block = detected[start : start + _GATE_BLOCK]
+            u = uniforms[: block.size]
+            rng.random(out=u)
+            block |= u < clock.dark_prob
     r = clock.slots_per_gate
-    slots = gates * r + profile.sample(rng, gates.size, r)
+    slots = np.flatnonzero(detected)
+    slots *= r
+    slots += profile.sample(rng, slots.size, r)
     if clock.dead_slots:
         keep = apply_dead_time(slots, clock.dead_slots, -(clock.dead_slots + 1))
-        detected[gates[~keep]] = False
-        gates, slots = gates[keep], slots[keep]
-    return detected, gates, EventStream(slots, clock)
+        dropped = slots[~keep]
+        dropped -= 1
+        dropped //= r
+        detected[dropped] = False
+        slots = slots[keep]
+    return EventStream(slots, clock)
 
 
 def _basis_bits(
@@ -155,16 +205,16 @@ def _party_guard(source: SourceModel, survival: float, clock: ClockConfig, who: 
         raise GuardError(f"{who} has zero detection probability; no events would ever arrive")
 
 
-def _at_coincidences(bits: np.ndarray, gates: np.ndarray, other_detected: np.ndarray) -> np.ndarray:
-    """The per-detection ``bits`` of the detections, in ``gates``, whose gate
-    the other party also detected in (``other_detected``)."""
-    return bits[other_detected[gates]]
+def _at_coincidences(bits: np.ndarray, detected: np.ndarray, other_detected: np.ndarray) -> np.ndarray:
+    """The per-detection ``bits`` of the detections, flagged per gate in
+    ``detected``, whose gate the other party also detected in (``other_detected``)."""
+    return bits[other_detected[detected]]
 
 
 def _sift(
     params: ProtocolParams,
     seed_pair,
-    n_photons: np.ndarray,
+    pair_gates: int,
     basis_a: np.ndarray,
     basis_b: np.ndarray,
     basis_a_c: np.ndarray,
@@ -186,7 +236,7 @@ def _sift(
         basis_balance_alice=balance(BitStream(basis_a)).ratio,
         basis_balance_bob=balance(BitStream(basis_b)).ratio,
         sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
-        pair_gates=int(np.count_nonzero(n_photons)),
+        pair_gates=pair_gates,
     )
 
 
@@ -198,14 +248,22 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     _party_guard(source, surv_a, params.clock_alice, "Alice")
     _party_guard(source, surv_b, params.clock_bob, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_a, boot_b = _spawn_seeds(params.seed, 6)
-    n_pairs = _sample_pair_numbers(rng(seed_src), source, params.n_gates)
-    det_a, gates_a, stream_a = _detections(rng(seed_a), n_pairs, surv_a, params.clock_alice, params.profile)
-    det_b, gates_b, stream_b = _detections(rng(seed_b), n_pairs, surv_b, params.clock_bob, params.profile)
-    basis_a = _basis_bits(stream_a, params.clock_alice, params.k_bootstrap, boot_a)
-    basis_b = _basis_bits(stream_b, params.clock_bob, params.k_bootstrap, boot_b)
+    rng_a, rng_b = rng(seed_a), rng(seed_b)
+    pair_gates, (det_a, det_b) = _photon_clicks(
+        rng(seed_src), source, params.n_gates, [(rng_a, surv_a), (rng_b, surv_b)]
+    )
+    # Each stream is dropped once its bases are taken.
+    basis_a = _basis_bits(
+        _detections(rng_a, det_a, params.clock_alice, params.profile),
+        params.clock_alice, params.k_bootstrap, boot_a,
+    )
+    basis_b = _basis_bits(
+        _detections(rng_b, det_b, params.clock_bob, params.profile),
+        params.clock_bob, params.k_bootstrap, boot_b,
+    )
     return _sift(
-        params, seed_pair, n_pairs, basis_a, basis_b,
-        _at_coincidences(basis_a, gates_a, det_b), _at_coincidences(basis_b, gates_b, det_a),
+        params, seed_pair, pair_gates, basis_a, basis_b,
+        _at_coincidences(basis_a, det_a, det_b), _at_coincidences(basis_b, det_b, det_a),
     )
 
 
@@ -221,25 +279,34 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
     surv_b = source.eta * params.channel_transmittance_bob
     _party_guard(source, surv_b, params.clock_bob, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_b = _spawn_seeds(params.seed, 5)
-    n_photons = _sample_pair_numbers(rng(seed_src), source, params.n_gates)
-    det_b, gates_b, stream_b = _detections(rng(seed_b), n_photons, surv_b, params.clock_bob, params.profile)
-    basis_b = _basis_bits(stream_b, params.clock_bob, params.k_bootstrap, boot_b)
-
+    rng_b = rng(seed_b)
+    parties = [(rng_b, surv_b)]
     if heralded_alice:
         surv_a = source.eta * params.channel_transmittance_alice
         _party_guard(source, surv_a, params.clock_alice, "Alice")
-        det_a, gates_a, stream_a = _detections(rng(seed_a), n_photons, surv_a, params.clock_alice, params.profile)
-        gaps = intervals(stream_a, include_first=True)
+        rng_a = rng(seed_a)
+        parties.append((rng_a, surv_a))
+    pair_gates, flags = _photon_clicks(rng(seed_src), source, params.n_gates, parties)
+    det_b = flags[0]
+    basis_b = _basis_bits(
+        _detections(rng_b, det_b, params.clock_bob, params.profile),
+        params.clock_bob, params.k_bootstrap, boot_b,
+    )
+
+    if heralded_alice:
+        det_a = flags[1]
         # Alice's basis is the high bit of her mod-4 symbol; the low (key)
         # bit never surfaces here because errors are applied as a mask.
-        basis_a, _ = mod4_arrays(gaps)
-        basis_a_c = _at_coincidences(basis_a, gates_a, det_b)
-        basis_b_c = _at_coincidences(basis_b, gates_b, det_a)
+        basis_a, _ = mod4_arrays(_detections(rng_a, det_a, params.clock_alice, params.profile))
+        basis_a_c = _at_coincidences(basis_a, det_a, det_b)
+        basis_b_c = _at_coincidences(basis_b, det_b, det_a)
     else:
+        # One call: uint8 integers share each 32-bit draw within a call, so
+        # block-wise calls would give other bits.
         basis_a = rng(seed_a).integers(0, 2, size=params.n_gates, dtype=np.uint8)
-        basis_a_c = basis_a[gates_b]
+        basis_a_c = basis_a[det_b]
         basis_b_c = basis_b
-    return _sift(params, seed_pair, n_photons, basis_a, basis_b, basis_a_c, basis_b_c)
+    return _sift(params, seed_pair, pair_gates, basis_a, basis_b, basis_a_c, basis_b_c)
 
 
 def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
@@ -263,17 +330,18 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     true_bits = extract_mod2(stream).bits
 
     r = clock.slots_per_gate
-    gates = (stream.slots - np.uint64(1)) // np.uint64(r) + np.uint64(1)
-    gate_gaps = np.diff(gates, prepend=np.uint64(0)).astype(np.int64)
-    base_parity = ((gate_gaps * r) & 1).astype(np.uint8)
+    # Each guess is the parity of (gate interval) * r, counting the first
+    # interval from gate 0: the gate interval's parity for odd r, 0 for even
+    # r.  The 0-based gates (slot - 1) // r are computed in place, and the
+    # parities read off their low byte.
+    gates = stream.slots - np.uint64(1)
+    gates //= np.uint64(r)
+    guesses = np.diff(gates.astype(np.uint8), prepend=np.uint8(0))
+    guesses &= r & 1
     # First interval: the intra-gate slot itself contributes its parity
     # (bias q_odd); later intervals see the difference of two profile
     # draws, which is even with probability >= 1/2 for any profile.
-    q_odd = params.profile.odd_slot_probability(r)
-    guesses = base_parity.copy()
-    # (g_1 - 1) * r already counted in gate_gaps[0] * r needs the -1 shift:
-    guesses[0] = ((int(gate_gaps[0]) - 1) * r) & 1
-    if q_odd > 0.5:
+    if params.profile.odd_slot_probability(r) > 0.5:
         guesses[0] ^= 1
     correct = float(np.count_nonzero(guesses == true_bits)) / true_bits.size
     return correct - 0.5

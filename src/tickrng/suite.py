@@ -325,8 +325,15 @@ def dft_test(bits, min_n: int = 1000) -> float:
     x = _bit_array(bits)
     n = x.size
     _require(n, max(min_n, 2), "spectral test")
-    signal = 2.0 * x.astype(np.float64) - 1.0
-    mags = np.abs(np.fft.rfft(signal))[: n // 2]
+    # The +-1 signal is built in place, and the signal and then the
+    # spectrum are dropped as soon as each is used.
+    signal = x.astype(np.float64)
+    signal *= 2.0
+    signal -= 1.0
+    spectrum = np.fft.rfft(signal)
+    del signal
+    mags = np.abs(spectrum[: n // 2])
+    del spectrum
     threshold = math.sqrt(math.log(20.0) * n)
     below = int(np.count_nonzero(mags < threshold))
     expected = 0.95 * n / 2.0

@@ -1,13 +1,15 @@
 """Shared fixtures: reference bit material and goodness-of-fit helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tickrng.errors import DataError
-from tickrng.extract import BitStream
+from tickrng.extract import BitStream, intervals
 from tickrng.models import window_pmf
+from tickrng.sim import apply_dead_time
 from tickrng.suite import TestEntry, TestId, TestReport, run_battery
 
 # report types, not test classes, despite their names
@@ -99,6 +101,48 @@ def reference_dead_time(slots, dead: int, last: int) -> np.ndarray:
 def reference_click_probabilities(survival: float, n_photons) -> np.ndarray:
     """One power per gate: the slow oracle for ``qkd._click_probabilities``."""
     return 1.0 - (1.0 - survival) ** np.asarray(n_photons)
+
+
+def reference_detections(rng, n_photons, survival: float, clock, profile) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-length draws over every gate: the slow oracle for ``qkd._photon_clicks``
+    and ``qkd._detections``.
+
+    ``rng`` is the party's generator and ``n_photons`` every gate's pair
+    number; returns the per-gate detection flags and the party's slots.
+    """
+    n_gates = n_photons.size
+    detected = rng.random(n_gates) < reference_click_probabilities(survival, n_photons)
+    if clock.dark_prob > 0.0:
+        detected |= rng.random(n_gates) < clock.dark_prob
+    gates = np.flatnonzero(detected)
+    r = clock.slots_per_gate
+    slots = gates * r + profile.sample(rng, gates.size, r)
+    if clock.dead_slots:
+        keep = apply_dead_time(slots, clock.dead_slots, -(clock.dead_slots + 1))
+        detected[gates[~keep]] = False
+        slots = slots[keep]
+    return detected, slots.astype(np.uint64)
+
+
+def reference_mod2(stream, include_first: bool = True) -> np.ndarray:
+    """uint64 intervals: the slow oracle for ``extract.extract_mod2``."""
+    return (intervals(stream, include_first) & np.uint64(1)).astype(np.uint8)
+
+
+def reference_mod4(stream, include_first: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 intervals modulo 4: the slow oracle for ``extract.mod4_arrays``."""
+    v = intervals(stream, include_first) % np.uint64(4)
+    return (v >> np.uint64(1)).astype(np.uint8), (v & np.uint64(1)).astype(np.uint8)
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak of the bytes ``tracemalloc`` sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_at_coincidences(bits, detected, coincident) -> np.ndarray:

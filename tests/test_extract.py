@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import binomial_sigma, geometric_gof_pvalue
+from conftest import binomial_sigma, geometric_gof_pvalue, reference_mod2, reference_mod4
 from tickrng.errors import DataError, GuardError
 from tickrng.extract import (
     BalanceResult,
@@ -20,6 +20,7 @@ from tickrng.extract import (
     extract_mod4,
     flip_debias,
     intervals,
+    mod4_arrays,
     symbol_from_interval,
 )
 from tickrng.lfsr import lfsr_complexities, lfsr_complexity
@@ -63,6 +64,42 @@ def test_mod4_symbol_hand_examples():
         SymbolPair(0, 1),
         SymbolPair(1, 1),
     ]
+
+
+# Slot streams whose intervals straddle the low byte: gaps of 255, 256 and
+# 257, gaps of 2**32 and beyond, slots near 2**64 - 1, one event, none.
+ADVERSARIAL_SLOTS = {
+    "gaps-255-256-257": np.cumsum(np.tile(np.array([255, 256, 257], dtype=np.uint64), 40)),
+    "gaps-2**32": np.cumsum(np.array([2**32, 2**32 + 1, 3, 2**32 - 1, 2**32 + 255, 256], dtype=np.uint64)),
+    "near-2**64": np.array([2**64 - 2**33, 2**64 - 513, 2**64 - 257, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+    "one-event": np.array([1], dtype=np.uint64),
+    "one-event-at-2**64-1": np.array([2**64 - 1], dtype=np.uint64),
+    "no-events": np.empty(0, dtype=np.uint64),
+}
+
+
+def random_slots(seed: int) -> np.ndarray:
+    """Increasing slots whose gaps mix small counts with counts up to 2**40."""
+    draw = np.random.default_rng(seed)
+    gaps = draw.geometric(0.3, size=5000).astype(np.uint64)
+    wide = draw.random(5000) < 0.1
+    gaps[wide] = draw.integers(1, 2**40, size=int(wide.sum()), dtype=np.uint64)
+    return np.cumsum(gaps, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("include_first", [True, False])
+@pytest.mark.parametrize("case", [*sorted(ADVERSARIAL_SLOTS), 0, 1, 2])
+def test_low_byte_extraction_matches_the_uint64_reference(case, include_first):
+    slots = random_slots(case) if isinstance(case, int) else ADVERSARIAL_SLOTS[case]
+    stream = EventStream(slots, FREE)
+    cfg = ExtractorConfig(include_first=include_first)
+    mod2 = extract_mod2(stream, cfg).bits
+    basis, key = mod4_arrays(stream, cfg)
+    ref_basis, ref_key = reference_mod4(stream, include_first)
+    assert mod2.dtype == basis.dtype == key.dtype == np.uint8
+    assert np.array_equal(mod2, reference_mod2(stream, include_first))
+    assert np.array_equal(basis, ref_basis) and np.array_equal(key, ref_key)
+    assert extract_mod4(stream, cfg) == list(map(SymbolPair, ref_basis.tolist(), ref_key.tolist()))
 
 
 def test_symbol_from_interval_rejects_bad_input():

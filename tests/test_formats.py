@@ -2,11 +2,10 @@
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_format_slots, reference_parse_slots
+from conftest import reference_format_slots, reference_parse_slots, traced_peak
 
 from tickrng import formats
 from tickrng.errors import DataError
@@ -250,15 +249,6 @@ def random_event_file(rng) -> bytes:
 def test_parse_ascii_events_matches_the_reference_on_random_files(seed):
     blob = random_event_file(np.random.default_rng(seed))
     assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
-
-
-def traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_ascii_event_kernels_stay_within_their_memory_budget(tmp_path):

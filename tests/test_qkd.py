@@ -6,12 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_at_coincidences, reference_click_probabilities, reference_dead_time
+from conftest import (
+    reference_at_coincidences,
+    reference_click_probabilities,
+    reference_dead_time,
+    reference_detections,
+    traced_peak,
+)
 from tickrng import qkd
 from tickrng.errors import GuardError
 from tickrng.models import Distribution, SourceModel
 from tickrng.qkd import ProtocolParams, eve_qnd_advantage, run_bb84, run_bbm92
-from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, apply_dead_time
+from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, apply_dead_time, rng
 
 GATED_2 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
 GATED_4 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4)
@@ -241,6 +247,82 @@ def test_protocol_kernels_match_the_reference_on_adversarial_input(monkeypatch, 
         cap = min(params.n_gates, qkd._CLICK_TABLE_CAP)
         for n_photons in photon_numbers:
             assert 0 < np.count_nonzero(n_photons > cap) < params.n_gates // 2
+
+
+def block_detections(params: ProtocolParams) -> tuple[int, list]:
+    """``pair_gates`` and each party's (flags, slots) from the block-wise kernels."""
+    source = params.pair_source
+    seed_src, *seeds = np.random.SeedSequence(params.seed).spawn(3)
+    gens = [rng(seed) for seed in seeds]
+    survivals = [source.eta * params.channel_transmittance_alice, source.eta * params.channel_transmittance_bob]
+    pair_gates, flags = qkd._photon_clicks(rng(seed_src), source, params.n_gates, list(zip(gens, survivals)))
+    parties = []
+    for gen, detected, clock in zip(gens, flags, (params.clock_alice, params.clock_bob)):
+        parties.append((detected, qkd._detections(gen, detected, clock, params.profile).slots))
+    return pair_gates, parties
+
+
+def whole_array_detections(params: ProtocolParams) -> tuple[int, list]:
+    """The same from one whole-length draw per generator."""
+    source = params.pair_source
+    seed_src, *seeds = np.random.SeedSequence(params.seed).spawn(3)
+    n_photons = qkd._sample_pair_numbers(rng(seed_src), source, params.n_gates)
+    survivals = [source.eta * params.channel_transmittance_alice, source.eta * params.channel_transmittance_bob]
+    parties = [
+        reference_detections(rng(seed), n_photons, survival, clock, params.profile)
+        for seed, survival, clock in zip(seeds, survivals, (params.clock_alice, params.clock_bob))
+    ]
+    return int(np.count_nonzero(n_photons)), parties
+
+
+def assert_same_detections(got, expected) -> None:
+    assert got[0] == expected[0]
+    for (flags, slots), (ref_flags, ref_slots) in zip(got[1], expected[1], strict=True):
+        assert np.array_equal(flags, ref_flags)
+        assert np.array_equal(slots, ref_slots)
+
+
+def short_random_params(seed: int) -> ProtocolParams:
+    """``random_kernel_params`` with at most 3000 gates, so that one-gate blocks stay quick."""
+    params = random_kernel_params(seed)
+    return dataclasses.replace(params, n_gates=min(params.n_gates, 3000))
+
+
+BLOCK_EDGE_PARAMS = {
+    **{f"random-{seed}": short_random_params(seed) for seed in range(4)},
+    # Dark counts, dead time and bootstrap bits together, 3001 gates.
+    "dark-dead-bootstrap": make_params(
+        pair_source=SourceModel(Distribution.THERMAL, 2.0, 0.3),
+        clock_alice=ClockConfig(mode=ClockMode.GATED, slots_per_gate=3, dark_prob=0.05, dead_slots=3),
+        clock_bob=ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dark_prob=0.02, dead_slots=1),
+        n_gates=3001,
+        intrinsic_error=0.05,
+        k_bootstrap=64,
+    ),
+    # A single gate: one block of one gate at every block size.
+    "one-gate": make_params(pair_source=SourceModel(Distribution.POISSON, 50.0, 1.0), clock_alice=DARK, n_gates=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_EDGE_PARAMS))
+@pytest.mark.parametrize("block", [1, 7, 1000, None])
+def test_block_wise_detections_match_one_whole_length_draw(monkeypatch, case, block):
+    params = BLOCK_EDGE_PARAMS[case]
+    default = run_all_protocols(params)
+    if block is not None:
+        monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+    assert_same_detections(block_detections(params), whole_array_detections(params))
+    assert run_all_protocols(params) == default
+
+
+def test_block_wise_detections_match_one_whole_length_draw_past_the_default_block():
+    params = make_params(
+        pair_source=SourceModel(Distribution.THERMAL, 50.0, 0.02),
+        clock_alice=ClockConfig(mode=ClockMode.GATED, slots_per_gate=4, dark_prob=1e-3, dead_slots=3),
+        clock_bob=DARK,
+        n_gates=2 * qkd._GATE_BLOCK + 3,
+    )
+    assert_same_detections(block_detections(params), whole_array_detections(params))
 
 
 def test_bb84_qber_and_sifting():
@@ -488,3 +570,30 @@ PINNED_EVE_ADVANTAGES = [(1, 0.5), (2, -0.002674999999999983), (3, 0.05542499999
 @pytest.mark.parametrize("r, expected", PINNED_EVE_ADVANTAGES)
 def test_eve_advantages_are_pinned(r, expected):
     assert eve_advantage_for(r, n_events=200_000) == expected
+
+
+def sweep_params(n_gates: int, slots_per_gate: int = 2) -> ProtocolParams:
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=slots_per_gate, dark_prob=1e-3)
+    return make_params(
+        pair_source=SourceModel(Distribution.POISSON, 0.5, 1.0),
+        clock_alice=clock,
+        clock_bob=clock,
+        n_gates=n_gates,
+        seed=301,
+        intrinsic_error=0.05,
+    )
+
+
+@pytest.mark.parametrize("protocol", ["bbm92", "bb84h"])
+def test_protocol_rounds_stay_within_their_memory_budget(protocol):
+    """The traced-allocation peak of a 2x10^6-gate round: the two parties'
+    per-gate flags and one party's detections, not a float64 uniform and
+    click probability per gate for each party."""
+    run = {"bbm92": run_bbm92, "bb84h": lambda p: run_bb84(p, heralded_alice=True)}[protocol]
+    assert traced_peak(run, sweep_params(2_000_000)) <= 20.5e6
+
+
+def test_eve_stays_within_its_memory_budget():
+    """The traced-allocation peak of 10^6 events: the gated simulator's, not
+    uint64 and int64 copies of the gate intervals."""
+    assert traced_peak(eve_qnd_advantage, sweep_params(1, slots_per_gate=4), 1_000_000) <= 26e6

@@ -10,14 +10,13 @@ regression in the vectorised code cannot hide behind its own formula.
 import functools
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammaincc, ndtr
 from scipy.stats import chi2 as chi2_dist
 
-from conftest import reference_cusum_excursion, reference_universal_pvalue
+from conftest import reference_cusum_excursion, reference_universal_pvalue, traced_peak
 from tickrng.errors import InsufficientDataError
 from tickrng.extract import BitStream, extract_mod2, flip_debias
 from tickrng.formats import write_report
@@ -864,14 +863,13 @@ def test_battery_report_of_a_pin_stream_is_pinned(name, tmp_path):
 def test_battery_stays_within_its_memory_budget():
     """The traced-allocation peak of one million-bit run: the spectral test's
     float arrays, not one int64 walk per cumulative-sums direction."""
-    bits = random_bits(89, 1_000_000)
-    tracemalloc.start()
-    try:
-        run_battery(bits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 21e6
+    assert traced_peak(run_battery, random_bits(89, 1_000_000)) <= 21e6
+
+
+def test_spectral_test_stays_within_its_memory_budget():
+    """The traced-allocation peak of one million-bit run: the float64 signal
+    and its spectrum, with no third array alive beside them."""
+    assert traced_peak(dft_test, random_bits(89, 1_000_000)) <= 17.5e6
 
 
 def test_battery_records_parameters():
