@@ -9,7 +9,7 @@ counts alone (:func:`bootstrap_buffer`) so the first basis choices never
 depend on observable detections.
 
 Both extractors read only the interval modulo 4, so they work on the
-slots' low byte: ``slots.astype(uint8)`` keeps each slot modulo 256, and
+slots' low byte: ``slots.astype(uint8)`` keeps each slot modulo 256 and
 ``uint8`` subtraction wraps modulo 256, so the differences of the low
 bytes are the intervals modulo 256, exactly, even where a 64-bit
 interval is 2**32 or more.  :func:`intervals` keeps the full 64-bit

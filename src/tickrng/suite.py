@@ -326,7 +326,8 @@ def dft_test(bits, min_n: int = 1000) -> float:
     n = x.size
     _require(n, max(min_n, 2), "spectral test")
     # The +-1 signal is built in place, and the signal and then the
-    # spectrum are dropped as soon as each is used.
+    # spectrum are dropped as soon as each is used, so that no third
+    # float array is alive beside them.
     signal = x.astype(np.float64)
     signal *= 2.0
     signal -= 1.0

@@ -249,13 +249,18 @@ def test_protocol_kernels_match_the_reference_on_adversarial_input(monkeypatch, 
             assert 0 < np.count_nonzero(n_photons > cap) < params.n_gates // 2
 
 
+def survivals(params: ProtocolParams) -> list[float]:
+    eta = params.pair_source.eta
+    return [eta * params.channel_transmittance_alice, eta * params.channel_transmittance_bob]
+
+
 def block_detections(params: ProtocolParams) -> tuple[int, list]:
     """``pair_gates`` and each party's (flags, slots) from the block-wise kernels."""
-    source = params.pair_source
     seed_src, *seeds = np.random.SeedSequence(params.seed).spawn(3)
     gens = [rng(seed) for seed in seeds]
-    survivals = [source.eta * params.channel_transmittance_alice, source.eta * params.channel_transmittance_bob]
-    pair_gates, flags = qkd._photon_clicks(rng(seed_src), source, params.n_gates, list(zip(gens, survivals)))
+    pair_gates, flags = qkd._photon_clicks(
+        rng(seed_src), params.pair_source, params.n_gates, list(zip(gens, survivals(params)))
+    )
     parties = []
     for gen, detected, clock in zip(gens, flags, (params.clock_alice, params.clock_bob)):
         parties.append((detected, qkd._detections(gen, detected, clock, params.profile).slots))
@@ -264,13 +269,11 @@ def block_detections(params: ProtocolParams) -> tuple[int, list]:
 
 def whole_array_detections(params: ProtocolParams) -> tuple[int, list]:
     """The same from one whole-length draw per generator."""
-    source = params.pair_source
     seed_src, *seeds = np.random.SeedSequence(params.seed).spawn(3)
-    n_photons = qkd._sample_pair_numbers(rng(seed_src), source, params.n_gates)
-    survivals = [source.eta * params.channel_transmittance_alice, source.eta * params.channel_transmittance_bob]
+    n_photons = qkd._sample_pair_numbers(rng(seed_src), params.pair_source, params.n_gates)
     parties = [
         reference_detections(rng(seed), n_photons, survival, clock, params.profile)
-        for seed, survival, clock in zip(seeds, survivals, (params.clock_alice, params.clock_bob))
+        for seed, survival, clock in zip(seeds, survivals(params), (params.clock_alice, params.clock_bob))
     ]
     return int(np.count_nonzero(n_photons)), parties
 
