@@ -451,10 +451,13 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
 # ------------------------------------------------------ pinned manifests
 
 PINNED_DIR = Path(__file__).parent / "pinned_manifests"
+STDOUT_DIR = Path(__file__).parent / "pinned_stdout"
 
-# Each command line's whole manifest text is pinned in PINNED_DIR/<case>.json,
-# with the environment-dependent values written as {numpy}, {version} and,
-# for a run without --seed, {seed}.
+# Each command line's whole manifest text is pinned in PINNED_DIR/<case>.json
+# and its whole stdout in STDOUT_DIR/<case>.txt, with the environment-dependent
+# values written as {numpy}, {version} and, for a run without --seed, {seed}.
+# A run without --seed draws FRESH_ENTROPY as its seed, so its stdout is fixed too.
+FRESH_ENTROPY = 207497145519111536508831230786901904241
 PINNED_CASES = {
     "simulate_mu_eta": [
         "simulate", "--mu-eta", "0.5", "--events", "300", "--seed", "5",
@@ -504,12 +507,20 @@ def cli_inputs(tmp_path_factory):
     return workdir
 
 
-def pinned_text(case: str, manifest_text: str) -> str:
-    """The pinned manifest of ``case`` with the environment's values filled in."""
+class FixedFreshEntropy(np.random.SeedSequence):
+    """A ``SeedSequence`` that takes FRESH_ENTROPY when given no entropy."""
+
+    def __init__(self, entropy=None, **kwargs):
+        super().__init__(FRESH_ENTROPY if entropy is None else entropy, **kwargs)
+
+
+def pinned_text(pinned: Path, manifest_text: str) -> str:
+    """The text pinned in ``pinned`` with the environment's values filled in;
+    the seed is read off the run's manifest."""
     actual = json.loads(manifest_text)
     seed = str(actual["generator"]["seed"]) if actual.get("generator") else ""
     return (
-        (PINNED_DIR / f"{case}.json").read_text()
+        pinned.read_text()
         .replace("{numpy}", np.__version__)
         .replace("{version}", tickrng.__version__)
         .replace("{seed}", seed)
@@ -518,14 +529,18 @@ def pinned_text(case: str, manifest_text: str) -> str:
 
 @pytest.mark.parametrize("case", sorted(PINNED_CASES))
 def test_manifest_text_is_pinned(capsys, monkeypatch, cli_inputs, case):
-    """Every subcommand writes exactly the manifest text it wrote before."""
+    """Every subcommand writes exactly the manifest text and the stdout it
+    wrote before, and nothing to stderr."""
     monkeypatch.chdir(cli_inputs)
+    monkeypatch.setattr(np.random, "SeedSequence", FixedFreshEntropy)
     argv = PINNED_CASES[case]
     rc = main(argv)
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert rc in (0, 3)
     text = Path(argv[-1] + ".manifest.json").read_text()
-    assert text == pinned_text(case, text)
+    assert text == pinned_text(PINNED_DIR / f"{case}.json", text)
+    assert captured.out == pinned_text(STDOUT_DIR / f"{case}.txt", text)
+    assert captured.err == ""
 
 
 # -------------------------------------------------- replay of manifests
