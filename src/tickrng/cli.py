@@ -116,16 +116,19 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _write_manifest(args, generator: bool = False, conventions=(), **parameters) -> None:
-    """Write the manifest of ``args.out``, derived from the subcommand's declared options.
+def _stage(args, write, summary: str = "", conventions=(), **parameters) -> None:
+    """Write ``args.out`` by ``write(path)``, then its manifest; print ``summary`` if any.
 
-    The argv holds every option that has a value, in declaration order: a
+    The manifest is derived from the subcommand's declared options.  The
+    argv holds every option that has a value, in declaration order: a
     boolean pair always as ``--x`` or ``--no-x``, a ``store_true`` flag only
     when set, anything else as ``flag str(value)``.  The parameters hold the
     same options but ``seed`` and ``out``, keyed by dest, updated with
-    ``parameters``.  Callers first resolve the seed and ``--mu-eta`` into
-    ``args``, so the argv is the canonical form of the run.
+    ``parameters``.  The generator is recorded exactly when the subcommand
+    declares ``--seed``.  Callers first resolve the seed and ``--mu-eta``
+    into ``args``, so the argv is the canonical form of the run.
     """
+    write(args.out)
     argv, declared = [args.subcommand], {}
     for action in args.parser._actions:
         value = getattr(args, action.dest, None)
@@ -139,19 +142,27 @@ def _write_manifest(args, generator: bool = False, conventions=(), **parameters)
             argv.append(action.option_strings[0])
         if action.dest not in ("seed", "out"):
             declared[action.dest] = value
+    generator = None
+    if "seed" in vars(args):
+        generator = {"algorithm": GENERATOR_ALGORITHM, "seed": args.seed, "numpy": np.__version__}
     manifest = RunManifest(
         subcommand=args.subcommand,
         argv=argv,
         parameters={**declared, **parameters},
         outputs=[args.out],
-        generator=(
-            {"algorithm": GENERATOR_ALGORITHM, "seed": args.seed, "numpy": np.__version__}
-            if generator
-            else None
-        ),
+        generator=generator,
         conventions={name: _CONVENTIONS[name] for name in conventions},
     )
     write_manifest(manifest, args.out)
+    if summary:
+        print(summary)
+
+
+def _emit_text(args, text: str, **manifest) -> None:
+    """Print ``text``; with ``--out``, also write it there and record its manifest."""
+    print(text, end="")
+    if args.out:
+        _stage(args, lambda path: Path(path).write_text(text), **manifest)
 
 
 def cmd_simulate(args) -> int:
@@ -169,9 +180,11 @@ def cmd_simulate(args) -> int:
         stream = generate_gated(source, clock, profile, args.events, seed)
     else:
         stream = generate_free_running(source, clock, args.events, seed)
-    write_events(stream, args.out, fmt=args.format)
-    _write_manifest(args, generator=True, conventions=["first_interval"], mode=mode.value)
-    print(f"wrote {len(stream)} events to {args.out}")
+    _stage(
+        args, lambda path: write_events(stream, path, fmt=args.format),
+        f"wrote {len(stream)} events to {args.out}",
+        conventions=["first_interval"], mode=mode.value,
+    )
     return 0
 
 
@@ -191,31 +204,34 @@ def cmd_extract(args) -> int:
     if args.debias:
         bits = flip_debias(bits)
         conventions.append("flip_debias_phase")
-    write_bits(bits, args.out, fmt=args.bits_format)
-    _write_manifest(args, conventions=conventions)
-    result = balance(bits)
-    print(f"wrote {len(bits)} bits to {args.out} (balance {result.ratio:.6f})")
+    summary = f"wrote {len(bits)} bits to {args.out} (balance {balance(bits).ratio:.6f})"
+    _stage(args, lambda path: write_bits(bits, path, fmt=args.bits_format), summary, conventions)
     return 0
 
 
 def cmd_bias(args) -> int:
     source = _source_from_args(args)
     analytic = parity_probabilities(source)
-    print(f"distribution        {source.distribution.value}")
-    print(f"mu_eta              {source.effective_mean:.6g}")
-    print(f"P_EVEN              {analytic.p_even:.6f}")
-    print(f"P_ODD               {analytic.p_odd:.6f}")
-    print(f"predicted_balance   {analytic.p_even / analytic.p_odd:.6f}")
+    lines = [
+        f"distribution        {source.distribution.value}",
+        f"mu_eta              {source.effective_mean:.6g}",
+        f"P_EVEN              {analytic.p_even:.6f}",
+        f"P_ODD               {analytic.p_odd:.6f}",
+        f"predicted_balance   {analytic.p_even / analytic.p_odd:.6f}",
+    ]
     if args.mc_events:
         seed = _resolve_seed(args)
         clock = ClockConfig(mode=ClockMode.FREE_RUNNING)
         stream = generate_free_running(source, clock, args.mc_events, seed)
         even, odd = empirical_parity(stream)
         total = even + odd
-        print(f"mc_events           {total}")
-        print(f"mc_seed             {seed}")
-        print(f"mc_even_fraction    {even / total:.6f}")
-        print(f"mc_odd_fraction     {odd / total:.6f}")
+        lines += [
+            f"mc_events           {total}",
+            f"mc_seed             {seed}",
+            f"mc_even_fraction    {even / total:.6f}",
+            f"mc_odd_fraction     {odd / total:.6f}",
+        ]
+    print("\n".join(lines))
     return 0
 
 
@@ -233,37 +249,38 @@ def cmd_test(args) -> int:
         worst = min(e.p_value for e in applicable)
         print(f"{test_id.value:20s} pass {passed}/{len(applicable)}  min p = {worst:.4g}")
     if args.out:
-        write_report(report, args.out)
-        _write_manifest(args, runs=runs, **report.parameters)
-        print(f"wrote report ({len(report.entries)} rows) to {args.out}")
+        _stage(
+            args, lambda path: write_report(report, path),
+            f"wrote report ({len(report.entries)} rows) to {args.out}",
+            runs=runs, **report.parameters,
+        )
     return 3 if report.failures() else 0
 
 
-def _protocol_params(args, source: SourceModel, profile: IntraGateProfile, seed: int) -> ProtocolParams:
-    clock = ClockConfig(
-        mode=ClockMode.GATED,
-        slots_per_gate=args.slots_per_gate,
-        dark_prob=args.dark_prob,
-    )
-    return ProtocolParams(
-        pair_source=source,
-        clock_alice=clock,
-        clock_bob=clock,
-        profile=profile,
-        n_gates=args.gates,
-        seed=seed,
-        channel_transmittance_alice=args.t_alice,
-        channel_transmittance_bob=args.t_bob,
-        intrinsic_error=args.error,
-        k_bootstrap=args.k_bootstrap,
-    )
+def _gated_params(args, **options):
+    """The function from a gate width to the run's gated ``ProtocolParams``.
 
-
-def cmd_protocol(args) -> int:
+    The source, the profile and the seed are resolved first, in that order,
+    and each call builds the clock before the parameters, so a usage error
+    names the first bad option.
+    """
     source = _source_from_args(args)
     profile = _profile_from_spec(args.profile)
     seed = _resolve_seed(args)
-    params = _protocol_params(args, source, profile, seed)
+
+    def at(slots_per_gate: int) -> ProtocolParams:
+        clock = ClockConfig(ClockMode.GATED, slots_per_gate, args.dark_prob)
+        return ProtocolParams(source, clock, clock, profile, seed=seed, **options)
+
+    return at
+
+
+def cmd_protocol(args) -> int:
+    params = _gated_params(
+        args, n_gates=args.gates, channel_transmittance_alice=args.t_alice,
+        channel_transmittance_bob=args.t_bob, intrinsic_error=args.error,
+        k_bootstrap=args.k_bootstrap,
+    )(args.slots_per_gate)
     if args.protocol == "bbm92":
         result = run_bbm92(params)
     else:
@@ -271,7 +288,7 @@ def cmd_protocol(args) -> int:
     lines = [
         f"protocol={args.protocol}",
         f"gates={params.n_gates}",
-        f"seed={seed}",
+        f"seed={params.seed}",
         f"coincidences={result.coincidences}",
         f"sifted_length={result.sifted_length}",
         f"qber={result.qber:.6f}",
@@ -280,41 +297,21 @@ def cmd_protocol(args) -> int:
         f"sift_fraction={result.sift_fraction:.6f}",
         f"pair_gates={result.pair_gates}",
     ]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text)
-        _write_manifest(args, generator=True, conventions=_CONVENTIONS)
+    _emit_text(args, "\n".join(lines) + "\n", conventions=_CONVENTIONS)
     return 0
 
 
 def cmd_eve(args) -> int:
-    source = _source_from_args(args)
-    profile = _profile_from_spec(args.profile)
-    seed = _resolve_seed(args)
+    params_at = _gated_params(args, n_gates=1)
     try:
         r_values = [int(v) for v in args.r_values.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"--r-values must be a comma-separated list of integers, got {args.r_values!r}")
     if not r_values:
         raise UsageError("--r-values must name at least one gate width")
-    rows = []
-    for r in r_values:
-        clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dark_prob=args.dark_prob)
-        params = ProtocolParams(
-            pair_source=source,
-            clock_alice=clock,
-            clock_bob=clock,
-            profile=profile,
-            n_gates=1,
-            seed=seed,
-        )
-        rows.append((r, eve_qnd_advantage(params, args.events)))
+    rows = [(r, eve_qnd_advantage(params_at(r), args.events)) for r in r_values]
     text = "slots_per_gate,advantage\n" + "".join(f"{r},{adv:.6f}\n" for r, adv in rows)
-    print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text)
-        _write_manifest(args, generator=True, r_values=r_values)
+    _emit_text(args, text, r_values=r_values)
     return 0
 
 
@@ -408,27 +405,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:  # after DataError, which is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

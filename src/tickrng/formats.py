@@ -296,19 +296,26 @@ def write_manifest(manifest: RunManifest, output_path) -> Path:
 def read_manifest(path) -> RunManifest:
     try:
         raw = json.loads(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DataError("manifest must be a JSON object")
+    for name in ("parameters", "conventions"):
+        if not isinstance(raw.get(name, {}), dict):
+            raise DataError(f"manifest {name} must be a JSON object")
     try:
         manifest = RunManifest(
             subcommand=raw["subcommand"],
             argv=raw["argv"],
-            parameters=dict(raw["parameters"]),
+            parameters=raw["parameters"],
             outputs=raw["outputs"],
             generator=raw.get("generator"),
-            conventions=dict(raw.get("conventions", {})),
+            conventions=raw.get("conventions", {}),
             version=raw.get("version", __version__),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DataError(f"manifest is missing required field: {exc}") from None
     if not (_is_str_list(manifest.argv) and manifest.argv[:1] == [manifest.subcommand]):
         raise DataError("manifest argv must be a list of strings that starts with its subcommand")

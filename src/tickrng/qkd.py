@@ -92,11 +92,6 @@ class ProtocolResult:
     pair_gates: int = 0  # gates in which the source emitted at least one pair
 
 
-def _spawn_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    """Independent child seeds for the parties' asynchronous randomness."""
-    return np.random.SeedSequence(seed).spawn(count)
-
-
 def _sample_pair_numbers(rng: np.random.Generator, source: SourceModel, n_gates: int) -> np.ndarray:
     if source.distribution is Distribution.POISSON:
         return rng.poisson(source.mu, size=n_gates)
@@ -205,12 +200,6 @@ def _party_guard(source: SourceModel, survival: float, clock: ClockConfig, who: 
         raise GuardError(f"{who} has zero detection probability; no events would ever arrive")
 
 
-def _at_coincidences(bits: np.ndarray, detected: np.ndarray, other_detected: np.ndarray) -> np.ndarray:
-    """The per-detection ``bits`` of the detections, flagged per gate in
-    ``detected``, whose gate the other party also detected in (``other_detected``)."""
-    return bits[other_detected[detected]]
-
-
 def _sift(
     params: ProtocolParams,
     seed_pair,
@@ -247,7 +236,9 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     surv_b = source.eta * params.channel_transmittance_bob
     _party_guard(source, surv_a, params.clock_alice, "Alice")
     _party_guard(source, surv_b, params.clock_bob, "Bob")
-    seed_src, seed_a, seed_b, seed_pair, boot_a, boot_b = _spawn_seeds(params.seed, 6)
+    seed_src, seed_a, seed_b, seed_pair, boot_a, boot_b = (
+        np.random.SeedSequence(params.seed).spawn(6)
+    )
     rng_a, rng_b = rng(seed_a), rng(seed_b)
     pair_gates, (det_a, det_b) = _photon_clicks(
         rng(seed_src), source, params.n_gates, [(rng_a, surv_a), (rng_b, surv_b)]
@@ -261,9 +252,11 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
         _detections(rng_b, det_b, params.clock_bob, params.profile),
         params.clock_bob, params.k_bootstrap, boot_b,
     )
+    # At the coincidences: basis_x[det_y[det_x]] keeps the bases of X's
+    # detections in the gates where Y detected too.
     return _sift(
         params, seed_pair, pair_gates, basis_a, basis_b,
-        _at_coincidences(basis_a, det_a, det_b), _at_coincidences(basis_b, det_b, det_a),
+        basis_a[det_b[det_a]], basis_b[det_a[det_b]],
     )
 
 
@@ -278,7 +271,7 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
     source = params.pair_source
     surv_b = source.eta * params.channel_transmittance_bob
     _party_guard(source, surv_b, params.clock_bob, "Bob")
-    seed_src, seed_a, seed_b, seed_pair, boot_b = _spawn_seeds(params.seed, 5)
+    seed_src, seed_a, seed_b, seed_pair, boot_b = np.random.SeedSequence(params.seed).spawn(5)
     rng_b = rng(seed_b)
     parties = [(rng_b, surv_b)]
     if heralded_alice:
@@ -298,8 +291,8 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
         # Alice's basis is the high bit of her mod-4 symbol; the low (key)
         # bit never surfaces here because errors are applied as a mask.
         basis_a, _ = mod4_arrays(_detections(rng_a, det_a, params.clock_alice, params.profile))
-        basis_a_c = _at_coincidences(basis_a, det_a, det_b)
-        basis_b_c = _at_coincidences(basis_b, det_b, det_a)
+        basis_a_c = basis_a[det_b[det_a]]
+        basis_b_c = basis_b[det_a[det_b]]
     else:
         # One call: uint8 integers share each 32-bit draw within a call, so
         # block-wise calls would give other bits.

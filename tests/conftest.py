@@ -146,7 +146,7 @@ def traced_peak(fn, *args) -> int:
 
 
 def reference_at_coincidences(bits, detected, coincident) -> np.ndarray:
-    """A cumulative sum over every gate: the slow oracle for ``qkd._at_coincidences``.
+    """A cumulative sum over every gate: the slow oracle for ``qkd``'s coincidence lookup.
 
     ``detected`` flags the gates of the party's detections and
     ``coincident`` the gates both parties detected in.

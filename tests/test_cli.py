@@ -103,6 +103,12 @@ def test_bias_monte_carlo_agrees_with_the_analytic_split(capsys):
     assert lines["mc_seed"] == "5"
 
 
+def test_bias_usage_error_in_the_monte_carlo_part_prints_nothing(capsys):
+    rc, out, err = run(capsys, "bias", "--mu", "0.5", "--mc-events", "-5")
+    assert (rc, out) == (1, "")
+    assert err == "usage error: n_events must be a non-negative integer, got -5\n"
+
+
 def test_bias_requires_exactly_one_intensity(capsys):
     rc, _, err = run(capsys, "bias", "--dist", "poisson")
     assert rc == 1
@@ -616,15 +622,31 @@ def _manifest_json(**fields) -> dict:
         {"argv": ["extract", "--events", "e", "--out", "x"]},
         {"outputs": "x"},
         {"outputs": [1]},
+        {"parameters": "ab"},
+        {"conventions": "ab"},
     ],
     ids=["argv-string", "argv-number", "argv-empty", "argv-other-subcommand",
-         "outputs-string", "outputs-number"],
+         "outputs-string", "outputs-number", "parameters-string", "conventions-string"],
 )
 def test_replay_rejects_a_malformed_manifest(capsys, tmp_path, fields):
     path = tmp_path / "bad.manifest.json"
     path.write_text(json.dumps(_manifest_json(**fields)))
     rc, _, err = run(capsys, "replay", str(path), "--out-dir", str(tmp_path / "rr"))
     assert rc == 2
+    assert err.startswith("data error: manifest")
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [json.dumps(_manifest_json(outputs=["\xe9"]), ensure_ascii=False).encode("latin-1"),
+     b'["parameters", "conventions"]'],
+    ids=["non-utf8", "json-list"],
+)
+def test_replay_rejects_a_manifest_that_is_not_a_json_object(capsys, tmp_path, blob):
+    path = tmp_path / "bad.manifest.json"
+    path.write_bytes(blob)
+    rc, out, err = run(capsys, "replay", str(path), "--out-dir", str(tmp_path / "rr"))
+    assert (rc, out) == (2, "")
     assert err.startswith("data error: manifest")
 
 

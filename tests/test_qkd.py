@@ -151,8 +151,8 @@ def run_with_reference_kernels(monkeypatch, params: ProtocolParams) -> tuple[lis
     """Every protocol's result with the per-gate power and the cumulative-sum
     coincidence lookup patched in for their fast kernels, which must agree
     call by call; also the photon numbers each click kernel saw."""
-    fast_click, fast_at = qkd._click_probabilities, qkd._at_coincidences
-    photon_numbers, lookups = [], []
+    fast_click, fast_detections, fast_sift = qkd._click_probabilities, qkd._detections, qkd._sift
+    photon_numbers, flags, lookups = [], [], []
 
     def click(survival, n_photons):
         expected = reference_click_probabilities(survival, n_photons)
@@ -160,16 +160,27 @@ def run_with_reference_kernels(monkeypatch, params: ProtocolParams) -> tuple[lis
         photon_numbers.append(n_photons)
         return expected
 
-    def at_coincidences(bits, gates, other_detected):
-        detected = np.zeros(other_detected.size, dtype=bool)
-        detected[gates] = True
-        expected = reference_at_coincidences(bits, detected, detected & other_detected)
-        assert np.array_equal(fast_at(bits, gates, other_detected), expected)
-        lookups.append(gates.size)
-        return expected
+    def detections(rng, detected, clock, profile):
+        stream = fast_detections(rng, detected, clock, profile)
+        flags.append(detected)  # now with the dark counts and without the dead-time drops
+        return stream
+
+    def sift(params, seed_pair, pair_gates, basis_a, basis_b, basis_a_c, basis_b_c):
+        if len(flags) == 2:
+            # BBM92 runs first and detects Alice first; heralded BB84 detects Bob first.
+            det_a, det_b = flags if not lookups else flags[::-1]
+            coincident = det_a & det_b
+            fast = [basis_a_c, basis_b_c]
+            basis_a_c = reference_at_coincidences(basis_a, det_a, coincident)
+            basis_b_c = reference_at_coincidences(basis_b, det_b, coincident)
+            assert all(map(np.array_equal, fast, [basis_a_c, basis_b_c]))
+            lookups.extend(fast)
+        flags.clear()
+        return fast_sift(params, seed_pair, pair_gates, basis_a, basis_b, basis_a_c, basis_b_c)
 
     monkeypatch.setattr(qkd, "_click_probabilities", click)
-    monkeypatch.setattr(qkd, "_at_coincidences", at_coincidences)
+    monkeypatch.setattr(qkd, "_detections", detections)
+    monkeypatch.setattr(qkd, "_sift", sift)
     results = run_all_protocols(params)
     # Alice and Bob in BBM92, Bob in BB84, Bob and Alice in heralded BB84;
     # both lookups in BBM92 and in heralded BB84.
