@@ -642,7 +642,7 @@ def test_replay_rejects_a_malformed_manifest(capsys, tmp_path, fields):
      b'["parameters", "conventions"]'],
     ids=["non-utf8", "json-list"],
 )
-def test_replay_rejects_a_manifest_that_is_not_a_json_object(capsys, tmp_path, blob):
+def test_replay_rejects_a_manifest_that_is_not_a_utf8_json_object(capsys, tmp_path, blob):
     path = tmp_path / "bad.manifest.json"
     path.write_bytes(blob)
     rc, out, err = run(capsys, "replay", str(path), "--out-dir", str(tmp_path / "rr"))
