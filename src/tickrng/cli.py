@@ -320,13 +320,17 @@ def cmd_replay(args) -> int:
     if manifest.subcommand == "replay":
         raise DataError("a replay manifest cannot be replayed")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     argv = list(manifest.argv)
     # only the value after --out names an output; any other item stays as recorded
     for i in range(1, len(argv)):
         if argv[i - 1] == "--out":
             argv[i] = str(out_dir / Path(argv[i]).name)
-    return main(argv)
+    try:
+        replayed = build_parser().parse_args(argv)
+    except UsageError as exc:
+        raise DataError(f"manifest argv {manifest.argv} does not parse: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return replayed.func(replayed)
 
 
 def build_parser() -> _Parser:

@@ -51,7 +51,10 @@ def bit_array(values, ndim: int = 1) -> np.ndarray:
 
     A uint8 or bool array is checked with one ``max()`` pass and returned
     without a copy; any other dtype must hold exactly the values 0 and 1.
+    A :class:`BitStream`, checked when it was built, gives its ``bits``.
     """
+    if isinstance(values, BitStream) and ndim == 1:
+        return values.bits
     arr = np.asarray(values)
     if arr.ndim != ndim:
         raise DataError(f"bits must form a {ndim}-d array")

@@ -20,14 +20,12 @@ Python object per line:
   repeated division by 10, width being the digit count of the largest
   slot, with a newline in the last column.  Each row's leading-zero
   columns are dropped by a mask chosen by its digit count.
-- The reader classifies every byte as digit, blank, newline or error and
-  takes each number's (start, end) from the edges of one padded class
-  mask.  The last min(longest, 20) bytes of every number are gathered as
-  rows of a right-aligned sliding window, the columns before its start
-  are zeroed, and Horner's rule turns the rows into uint64.  A number of
-  over 20 digits overflows unless every digit above its last 20 is 0
-  (one ``maximum.reduceat``); a 20-digit tail is compared digit by digit
-  with 2**64 - 1.
+- The reader checks that every byte is a digit, a blank or a newline and
+  that no blank run splits a line into two numbers, from the edges of
+  padded byte masks; numpy's own text reader (``np.fromstring`` with
+  ``sep=" "``) then converts the checked text.  It saturates a number
+  above 2**64 - 1 to 2**64 - 1, so only tokens read as that value are
+  compared with it as Python ints.
 
 Both kernels are tested for equal bytes, values and error messages
 against the per-line formulas they replaced (one ``str`` per slot;
@@ -42,7 +40,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .errors import DataError
@@ -82,8 +79,8 @@ def _not_a_slot(blob: bytes, pos: int) -> DataError:
     return DataError(f"line {_line_of(blob, pos)}: {text!r} is not a decimal slot index")
 
 
-_U64_MAX_DIGITS = np.frombuffer(str(2**64 - 1).encode(), dtype=np.uint8) - ord("0")
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+_U64_MAX = 2**64 - 1
 
 
 def _parse_ascii_events(blob: bytes):
@@ -97,58 +94,33 @@ def _parse_ascii_events(blob: bytes):
     stray = (other != ord(" ")) & (other != ord("\t")) & (other != ord("\r"))
     if stray.any():
         raise _not_a_slot(blob, int(np.flatnonzero(blank)[stray.argmax()]))
-    # Byte classes 0 newline, 1 digit, 2 blank, with a newline at each end:
-    # run k of one class covers bytes edges[k] .. edges[k + 1] - 1, and a
-    # digit run is always followed by another run.
-    kind = np.zeros(buf.size + 2, dtype=np.uint8)
-    np.add(blank, blank, out=kind[1:-1], dtype=np.uint8)
-    kind[1:-1] |= digit
+    # padded holds a byte mask with False at each end: the blanks, then the
+    # digits.  Run k of a mask covers bytes edges[2k] .. edges[2k + 1] - 1.
+    padded = np.zeros(buf.size + 2, dtype=bool)
+    padded[1:-1] = blank
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    padded[1:-1] = digit
     del digit, blank
-    edges = np.flatnonzero(kind[1:] != kind[:-1])
-    run = kind[1:][edges]
-    del kind
-    # A blank run between two digit runs splits a line into two numbers.
-    split = (run[1:-1] == 2) & (run[:-2] == 1) & (run[2:] == 1)
+    # A blank run with a digit on each side splits a line into two numbers.
+    split = padded[edges[0::2]] & padded[edges[1::2] + 1]
     if split.any():
-        raise _not_a_slot(blob, int(edges[1 + split.argmax()]))
-    tokens = np.flatnonzero(run == 1)
-    starts, ends = edges[tokens], edges[tokens + 1]
-    del edges, run, tokens
+        raise _not_a_slot(blob, int(edges[0::2][split.argmax()]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    del padded
+    starts, ends = edges[0::2], edges[1::2]
 
     def where(i: int) -> str:
         return f"line {_line_of(blob, int(starts[i]))}"
 
-    lengths = ends - starts
-    # Above its last 20 digits a token may hold only zeros.
-    over = lengths > 20
-    bounds = np.column_stack((starts[over], ends[over] - 20)).ravel()
-    over[over] = np.maximum.reduceat(buf, bounds)[0::2] > ord("0")
-    # digits[c, i] is byte c of the `width` bytes that end token i, gathered
-    # as one item per right-aligned window; width is at most 20.
-    width = min(int(lengths.max(initial=1)), 20)
-    padded = np.zeros(width + buf.size, dtype=np.uint8)
-    padded[width:] = buf
-    windows = sliding_window_view(padded, width).view(f"V{width}")[:, 0]
-    digits = windows[ends].view(np.uint8).reshape(-1, width).T.copy()
-    del padded, windows
-    digits -= ord("0")
-    # A token of 20 digits or more overflows when its last 20 compare above
-    # 2**64 - 1 at the first digit that differs; below width 20 there is none.
-    full = np.flatnonzero(lengths >= 20)
-    tails = digits[:, full].T
-    limit = _U64_MAX_DIGITS[20 - width :]
-    first = (tails != limit).argmax(axis=1)
-    over[full] |= tails[np.arange(full.size), first] > limit[first]
-    if over.any():
-        i = int(over.argmax())
-        raise DataError(f"{where(i)}: slot index {blob[starts[i] : ends[i]].decode()} overflows 64 bits")
-    # Horner's rule over the columns, each zeroed before its token's start.
-    lead = (width - np.minimum(lengths, width)).astype(np.uint8)
-    slots = np.zeros(ends.size, dtype=np.uint64)
-    for column, row in enumerate(digits):
-        row *= lead <= column
-        slots *= 10
-        slots += row
+    # The slice drops the [0] that fromstring reads from blank-only text.
+    slots = np.fromstring(blob, dtype=np.uint64, sep=" ")[: starts.size]
+    # The reader saturates a number above 2**64 - 1 to 2**64 - 1, so only
+    # tokens read as that value can overflow.
+    for i in np.flatnonzero(slots == _U64_MAX):
+        token = blob[starts[i] : ends[i]]
+        digits = token.lstrip(b"0")
+        if len(digits) > 20 or int(digits) > _U64_MAX:
+            raise DataError(f"{where(i)}: slot index {token.decode()} overflows 64 bits")
     return slots, where
 
 

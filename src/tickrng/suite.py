@@ -62,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, as_count
-from .extract import BitStream, bit_array
+from .extract import bit_array
 from .lfsr import lfsr_complexities
 
 __all__ = [
@@ -118,10 +118,6 @@ DEFAULT_PARAMETERS = {
 }
 
 
-def _bit_array(bits) -> np.ndarray:
-    return bits.bits if isinstance(bits, BitStream) else bit_array(bits)
-
-
 def _require(n: int, needed: int, what: str) -> None:
     if n < needed:
         raise InsufficientDataError(f"{what} needs at least {needed} bits, got {n}")
@@ -129,7 +125,7 @@ def _require(n: int, needed: int, what: str) -> None:
 
 def frequency_test(bits, min_n: int = 100) -> float:
     """Monobit test: p = erfc(|S| / sqrt(2 n)) with S the +/-1 sum."""
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     _require(n, max(min_n, 1), "frequency test")
     s = 2.0 * int(x.sum()) - n
@@ -139,7 +135,7 @@ def frequency_test(bits, min_n: int = 100) -> float:
 def block_frequency_test(bits, block_len: int = 128, min_n: int = 100) -> float:
     """Proportion of ones within disjoint blocks, chi-square against 1/2."""
     block_len = as_count(block_len, "block_len", positive=True)
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     _require(n, max(min_n, block_len), "block frequency test")
     nblocks = n // block_len
@@ -198,7 +194,7 @@ def _cusum_excursions(x: np.ndarray) -> tuple[int, int]:
 
 
 def _cumulative_sums(bits, min_n: int) -> tuple[float, float]:
-    x = _bit_array(bits)
+    x = bit_array(bits)
     _require(x.size, max(min_n, 1), "cumulative sums test")
     forward, reverse = _cusum_excursions(x)
     return _cusum_pvalue(x.size, forward), _cusum_pvalue(x.size, reverse)
@@ -214,7 +210,7 @@ def cumulative_sums_test(bits, direction: str = "forward", min_n: int = 100) -> 
 
 def runs_test(bits, min_n: int = 100) -> float:
     """Total number of runs; returns 0.0 when the frequency prerequisite fails."""
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     _require(n, max(min_n, 2), "runs test")
     pi = float(x.mean())
@@ -236,7 +232,7 @@ _LONGEST_RUNS_TIERS = (
 
 def longest_runs_test(bits) -> float:
     """Distribution of the longest run of ones per block, chi-square."""
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     if n < _LONGEST_RUNS_TIERS[-1][0]:
         raise InsufficientDataError(f"longest runs test needs at least 128 bits, got {n}")
@@ -294,7 +290,7 @@ def _rank_probability(m: int, r: int) -> float:
 
 def rank_test(bits, matrix_dim: int = 32) -> float:
     """Ranks of disjoint matrix_dim x matrix_dim binary matrices over GF(2)."""
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     m = as_count(matrix_dim, "matrix_dim", positive=True)
     if m > 64:
@@ -322,7 +318,7 @@ def rank_test(bits, matrix_dim: int = 32) -> float:
 
 def dft_test(bits, min_n: int = 1000) -> float:
     """Fraction of below-threshold spectral peaks against the expected 95%."""
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     _require(n, max(min_n, 2), "spectral test")
     # The +-1 signal is built in place, and the signal and then the
@@ -375,7 +371,7 @@ _UNIVERSAL_THRESHOLDS = (
 def universal_test(bits) -> float:
     """Maurer's universal statistic: mean log2 distance to the previous
     occurrence of each non-overlapping L-bit block."""
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     if n < _UNIVERSAL_THRESHOLDS[-1][0]:
         raise InsufficientDataError(
@@ -448,7 +444,7 @@ def _serial_min_bits(block_len: int, min_n: int = 100) -> int:
 
 def _approximate_entropy(bits, block_len: int, min_n: int, count) -> float:
     block_len = as_count(block_len, "block_len", positive=True)
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     _require(n, _approximate_entropy_min_bits(block_len, min_n), "approximate entropy test")
     wide = count(x, block_len + 1)
@@ -473,7 +469,7 @@ def _serial(bits, block_len: int, min_n: int, count) -> tuple[float, float]:
     block_len = as_count(block_len, "block_len", positive=True)
     if block_len < 3:
         raise ValueError("block length must be >= 3")
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     _require(n, _serial_min_bits(block_len, min_n), "serial test")
     counts = count(x, block_len)
@@ -503,7 +499,7 @@ _LC_CLASS_BOUNDS = np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
 def linear_complexity_test(bits, block_len: int = 500) -> float:
     """Linear complexity of disjoint blocks, chi-square over 7 deviation classes."""
     block_len = as_count(block_len, "block_len", positive=True)
-    x = _bit_array(bits)
+    x = bit_array(bits)
     n = x.size
     if n < 200 * block_len:
         raise InsufficientDataError(
@@ -628,7 +624,7 @@ def run_battery(bits, alpha: float = 0.01, run_len: int = 1_000_000, **overrides
         raise ValueError(f"unknown battery parameters: {sorted(unknown)}")
     params.update(overrides)
     params = {name: as_count(value, name, positive=True) for name, value in params.items()}
-    x = _bit_array(bits)
+    x = bit_array(bits)
     runs = x.size // run_len
     if runs < 1:
         raise InsufficientDataError(

@@ -650,6 +650,23 @@ def test_replay_rejects_a_manifest_that_is_not_a_utf8_json_object(capsys, tmp_pa
     assert err.startswith("data error: manifest")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--mu", "0.5", "--events", "10", "--bogus", "--out", "x"],
+        ["simulate", "--mu", "0.5", "--events", "10", "--out"],
+    ],
+    ids=["unknown-flag", "out-without-value"],
+)
+def test_replay_of_an_argv_that_does_not_parse_is_a_data_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps(_manifest_json(argv=argv)))
+    rc, out, err = run(capsys, "replay", str(path), "--out-dir", str(tmp_path / "rr"))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"data error: manifest argv {argv} does not parse: ")
+    assert err.count("\n") == 1
+
+
 def test_replay_refuses_a_replay_manifest(capsys, tmp_path):
     path = tmp_path / "loop.manifest.json"
     argv = ["replay", str(path), "--out-dir", str(tmp_path / "rr")]

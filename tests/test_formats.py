@@ -214,6 +214,11 @@ PARSE_CASES = {
     "30_digits_zero_led": b"0" * 10 + b"18446744073709551615\n",
     "30_digits_zero_led_over": b"0" * 10 + b"18446744073709551616\n",
     "0018446744073709551616": b"0018446744073709551616\n",
+    "max_then_overflow": b"18446744073709551615\n18446744073709551616\n",
+    "max_twice": b"18446744073709551615\n18446744073709551615\n",
+    "duplicate_max_then_zero_led_overflow": (
+        b"18446744073709551615\n18446744073709551615\n018446744073709551616\n"
+    ),
     "first_of_two_overflows": b"7\n99999999999999999999\n0000000000000000000001\n1" + b"0" * 21 + b"\n",
     **{f"grammar_{i}": b"1\n\n2\n" + bad.encode() + b"\n99999\n" for i, bad in enumerate(GRAMMAR_REJECTS)},
 }

@@ -647,6 +647,7 @@ def test_lfsr_complexity_hand_examples():
     assert lfsr_complexity([0] * 16) == 0
     assert lfsr_complexity([0, 1] * 5) == 2
     assert lfsr_complexity([1]) == 1
+    assert lfsr_complexity(BitStream([0, 1, 1])) == lfsr_complexity([0, 1, 1]) == 2
 
 
 def test_lfsr_complexity_matches_textbook_synthesis():
