@@ -861,6 +861,29 @@ def test_battery_report_of_a_pin_stream_is_pinned(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PIN_STREAMS[name]
 
 
+# SHA-256 of the little-endian float64 bytes of each pin stream's exact
+# p-values, which the reports' %.6g hides past the sixth digit.
+EXACT_PVALUE_DIGESTS = {
+    "debiased-r2": "ca840070ee13d66b437a61f55d5369883d2fa9591634bdd81da9714eee3a81d7",
+    "biased-pcg": "88c42e9d7c433c79ae6b6cc9fcf0098532de09ef08c6683d9b6878ea146aab11",
+    "raw-r8": "8e4f53ffa163bef236b46092c0251b15f0f8d64c670f8242203824bf6b0756b2",
+}
+
+
+@pytest.mark.parametrize("name", PIN_STREAMS)
+def test_exact_pvalues_of_a_pin_stream_are_pinned(name):
+    """Every battery p-value of the stream, Rank at m = 8, 16, 32 and 64,
+    LinearComplexity at M = 500 and 1000, and LongestRuns on each of its
+    three tiers (128, 6272 and 750,000 bits), all bit for bit."""
+    x = pin_stream_bits(name)
+    p = [e.p_value for e in run_battery(x).entries]
+    p += [rank_test(x, matrix_dim=m) for m in (8, 16, 32, 64)]
+    p += [linear_complexity_test(x, block_len=m) for m in (500, 1000)]
+    p += [longest_runs_test(x[:n]) for n in (128, 6272, 750_000)]
+    digest = hashlib.sha256(np.array(p, dtype="<f8").tobytes()).hexdigest()
+    assert digest == EXACT_PVALUE_DIGESTS[name]
+
+
 def test_battery_stays_within_its_memory_budget():
     """The traced-allocation peak of one million-bit run: the spectral test's
     float arrays, not one int64 walk per cumulative-sums direction."""
