@@ -13,6 +13,8 @@ at least one applicable procedure failed at the significance level.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -326,9 +328,15 @@ def cmd_replay(args) -> int:
         if argv[i - 1] == "--out":
             argv[i] = str(out_dir / Path(argv[i]).name)
     try:
-        replayed = build_parser().parse_args(argv)
+        # a help or version flag prints its text and exits from inside argparse
+        with contextlib.redirect_stdout(io.StringIO()):
+            replayed = build_parser().parse_args(argv)
     except UsageError as exc:
         raise DataError(f"manifest argv {manifest.argv} does not parse: {exc}") from None
+    except SystemExit:
+        raise DataError(
+            f"manifest argv {manifest.argv} does not parse: it asks for help or the version"
+        ) from None
     out_dir.mkdir(parents=True, exist_ok=True)
     return replayed.func(replayed)
 

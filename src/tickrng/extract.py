@@ -185,9 +185,9 @@ def flip_debias(raw: BitStream) -> BitStream:
     detection and cancels the parity bias to first order.  The transform
     is an involution.
     """
-    n = len(raw)
-    mask = (np.arange(n, dtype=np.int64) & 1).astype(np.uint8)
-    return BitStream(raw.bits ^ mask)
+    bits = raw.bits.copy()
+    bits[1::2] ^= 1
+    return BitStream(bits)
 
 
 def balance(bits: BitStream) -> BalanceResult:

@@ -50,11 +50,14 @@ with x = stat / 2 its upper tail Q(d / 2, x) is a finite sum:
 Each term takes one ``math.lgamma``.  Against ``scipy.special.gammaincc``
 the relative error is at most 1e-10 for d up to 2^16 and statistics up
 to 40 standard deviations above the mean; the tests check this bound.
+LongestRuns, Rank and LinearComplexity share one Pearson goodness-of-fit
+helper, ``_chi2_fit``, over their class counts.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -159,6 +162,13 @@ def _chi2_sf(dof: int, stat: float) -> float:
     return terms + math.erfc(math.sqrt(x)) if dof % 2 else terms
 
 
+def _chi2_fit(counts: np.ndarray, probabilities: np.ndarray) -> float:
+    """Pearson goodness-of-fit tail of class ``counts`` against class ``probabilities``."""
+    expected = int(counts.sum()) * probabilities
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    return _chi2_sf(len(probabilities) - 1, stat)
+
+
 def _cusum_pvalue(n: int, z: int) -> float:
     sq = math.sqrt(n)
     cdf = np.vectorize(lambda j: 0.5 * math.erfc(-j * z / sq / math.sqrt(2.0)), otypes=[float])
@@ -250,10 +260,7 @@ def longest_runs_test(bits) -> float:
     longest = np.zeros(nblocks, dtype=np.int64)
     np.maximum.at(longest, starts // (block_len + 2), ends - starts)
     clipped = np.clip(longest, lo, hi)
-    counts = np.bincount(clipped - lo, minlength=hi - lo + 1)
-    expected = nblocks * np.asarray(pi)
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return _chi2_sf(len(pi) - 1, chi2)
+    return _chi2_fit(np.bincount(clipped - lo, minlength=hi - lo + 1), np.asarray(pi))
 
 
 def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
@@ -305,15 +312,8 @@ def rank_test(bits, matrix_dim: int = 32) -> float:
     p_full = _rank_probability(m, m)
     p_one_less = _rank_probability(m, m - 1)
     p_rest = 1.0 - p_full - p_one_less
-    f_full = int(np.count_nonzero(ranks == m))
-    f_one_less = int(np.count_nonzero(ranks == m - 1))
-    f_rest = nmat - f_full - f_one_less
-    chi2 = (
-        (f_full - p_full * nmat) ** 2 / (p_full * nmat)
-        + (f_one_less - p_one_less * nmat) ** 2 / (p_one_less * nmat)
-        + (f_rest - p_rest * nmat) ** 2 / (p_rest * nmat)
-    )
-    return _chi2_sf(2, chi2)
+    counts = np.bincount(np.minimum(m - ranks, 2), minlength=3)  # full, one less, the rest
+    return _chi2_fit(counts, np.array([p_full, p_one_less, p_rest]))
 
 
 def dft_test(bits, min_n: int = 1000) -> float:
@@ -515,9 +515,7 @@ def linear_complexity_test(bits, block_len: int = 500) -> float:
     complexities = lfsr_complexities(x[: nblocks * block_len].reshape(nblocks, block_len))
     t_values = sign * (complexities - mu) + 2.0 / 9.0
     counts = np.bincount(np.searchsorted(_LC_CLASS_BOUNDS, t_values, side="left"), minlength=7)
-    expected = nblocks * _LC_CLASS_PROBS
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return _chi2_sf(6, chi2)
+    return _chi2_fit(counts, _LC_CLASS_PROBS)
 
 
 @dataclass(frozen=True)
@@ -555,58 +553,48 @@ class TestReport:
         return sorted(self.entries, key=lambda e: (e.test_index, e.run_index))
 
 
-def _run_procedures(x: np.ndarray, params: dict) -> list[tuple[TestId, float | None]]:
-    out: list[tuple[TestId, float | None]] = []
-
-    def attempt(test_id: TestId, fn) -> None:
-        try:
-            out.append((test_id, fn()))
-        except InsufficientDataError:
-            out.append((test_id, None))
-
-    def attempt_pair(first: TestId, second: TestId, fn) -> None:
-        try:
-            p1, p2 = fn()
-        except InsufficientDataError:
-            p1 = p2 = None
-        out.extend(((first, p1), (second, p2)))
-
-    attempt(TestId.FREQUENCY, lambda: frequency_test(x))
-    attempt(
-        TestId.BLOCK_FREQUENCY,
-        lambda: block_frequency_test(x, block_len=params["block_frequency_block_len"]),
-    )
-    attempt_pair(TestId.CUSUM_FORWARD, TestId.CUSUM_REVERSE, lambda: _cumulative_sums(x, 100))
-    attempt(TestId.RUNS, lambda: runs_test(x))
-    attempt(TestId.LONGEST_RUNS, lambda: longest_runs_test(x))
-    attempt(TestId.RANK, lambda: rank_test(x, matrix_dim=params["rank_matrix_dim"]))
-    attempt(TestId.DFFT, lambda: dft_test(x))
-    attempt(TestId.UNIVERSAL, lambda: universal_test(x))
-    # One overlapping-count pass serves ApEn (m + 1, m) and Serial (m, m - 1,
-    # m - 2): count once at the widest width an applicable test uses, then fold.
+def _run_procedures(x: np.ndarray, params: dict) -> Iterator[tuple[TestId, float | None]]:
+    """Yield ``(test_id, p-value or None)`` for every report row of one run, in
+    report order; ``None`` marks a procedure that does not apply to the run."""
     apen_len = params["approximate_entropy_block_len"]
     serial_len = params["serial_block_len"]
+    # One overlapping-count pass serves ApEn (m + 1, m) and Serial (m, m - 1,
+    # m - 2): count once at the widest width an applicable test uses, then fold.
+    # A test too long for the run sets no width, so no 2^m table is allocated for it.
     width = max(
         apen_len + 1 if x.size >= _approximate_entropy_min_bits(apen_len) else 0,
         serial_len if x.size >= _serial_min_bits(serial_len) else 0,
     )
-    shared: list[np.ndarray] = []
+    wide = _overlapping_counts(x, width) if width else None
 
-    def shared_counts(bits: np.ndarray, m: int) -> np.ndarray:
-        if not shared:
-            shared.append(_overlapping_counts(bits, width))
-        return _fold(shared[0], m)
+    def counts(_bits: np.ndarray, m: int) -> np.ndarray:
+        return _fold(wide, m)
 
-    attempt(
-        TestId.APPROXIMATE_ENTROPY,
-        lambda: _approximate_entropy(x, apen_len, 100, shared_counts),
+    procedures = (
+        ((TestId.FREQUENCY,), lambda: (frequency_test(x),)),
+        (
+            (TestId.BLOCK_FREQUENCY,),
+            lambda: (block_frequency_test(x, block_len=params["block_frequency_block_len"]),),
+        ),
+        ((TestId.CUSUM_FORWARD, TestId.CUSUM_REVERSE), lambda: _cumulative_sums(x, 100)),
+        ((TestId.RUNS,), lambda: (runs_test(x),)),
+        ((TestId.LONGEST_RUNS,), lambda: (longest_runs_test(x),)),
+        ((TestId.RANK,), lambda: (rank_test(x, matrix_dim=params["rank_matrix_dim"]),)),
+        ((TestId.DFFT,), lambda: (dft_test(x),)),
+        ((TestId.UNIVERSAL,), lambda: (universal_test(x),)),
+        ((TestId.APPROXIMATE_ENTROPY,), lambda: (_approximate_entropy(x, apen_len, 100, counts),)),
+        ((TestId.SERIAL_1, TestId.SERIAL_2), lambda: _serial(x, serial_len, 100, counts)),
+        (
+            (TestId.LINEAR_COMPLEXITY,),
+            lambda: (linear_complexity_test(x, block_len=params["linear_complexity_block_len"]),),
+        ),
     )
-    attempt_pair(TestId.SERIAL_1, TestId.SERIAL_2, lambda: _serial(x, serial_len, 100, shared_counts))
-    attempt(
-        TestId.LINEAR_COMPLEXITY,
-        lambda: linear_complexity_test(x, block_len=params["linear_complexity_block_len"]),
-    )
-    return out
+    for rows, call in procedures:
+        try:
+            p_values = call()
+        except InsufficientDataError:
+            p_values = (None,) * len(rows)
+        yield from zip(rows, p_values)
 
 
 def run_battery(bits, alpha: float = 0.01, run_len: int = 1_000_000, **overrides) -> TestReport:
@@ -630,14 +618,11 @@ def run_battery(bits, alpha: float = 0.01, run_len: int = 1_000_000, **overrides
         raise InsufficientDataError(
             f"battery needs at least one run of {run_len} bits, got {x.size}"
         )
-    entries: list[TestEntry] = []
-    for run_index in range(runs):
-        segment = x[run_index * run_len : (run_index + 1) * run_len]
-        for test_id, p in _run_procedures(segment, params):
-            if p is None:
-                entries.append(
-                    TestEntry(test_id, run_index, float("nan"), passed=False, applicable=False)
-                )
-            else:
-                entries.append(TestEntry(test_id, run_index, p, passed=p >= alpha))
+    entries = [
+        TestEntry(test_id, i, p, passed=p >= alpha)
+        if p is not None
+        else TestEntry(test_id, i, float("nan"), passed=False, applicable=False)
+        for i in range(runs)
+        for test_id, p in _run_procedures(x[i * run_len : (i + 1) * run_len], params)
+    ]
     return TestReport(entries=entries, alpha=alpha, run_len=run_len, parameters=params)

@@ -655,16 +655,29 @@ def test_replay_rejects_a_manifest_that_is_not_a_utf8_json_object(capsys, tmp_pa
     [
         ["simulate", "--mu", "0.5", "--events", "10", "--bogus", "--out", "x"],
         ["simulate", "--mu", "0.5", "--events", "10", "--out"],
+        ["simulate", "--help"],
+        ["simulate", "-h"],
+        ["simulate", "--mu", "0.5", "--hel", "--out", "x"],
+        ["--version"],
     ],
-    ids=["unknown-flag", "out-without-value"],
+    ids=["unknown-flag", "out-without-value", "help", "short-help", "abbreviated-help", "version"],
 )
 def test_replay_of_an_argv_that_does_not_parse_is_a_data_error(capsys, tmp_path, argv):
     path = tmp_path / "bad.manifest.json"
-    path.write_text(json.dumps(_manifest_json(argv=argv)))
+    path.write_text(json.dumps(_manifest_json(subcommand=argv[0], argv=argv)))
     rc, out, err = run(capsys, "replay", str(path), "--out-dir", str(tmp_path / "rr"))
     assert (rc, out) == (2, "")
     assert err.startswith(f"data error: manifest argv {argv} does not parse: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "rr").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["replay", "simulate"])
+def test_subcommand_help_prints_usage_and_exits_zero(capsys, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: tickrng {subcommand} ")
 
 
 def test_replay_refuses_a_replay_manifest(capsys, tmp_path):
