@@ -111,12 +111,25 @@ def test_bbm92_is_deterministic():
     assert run_bbm92(params) == run_bbm92(params)
 
 
+def guarded_party(run, params: ProtocolParams) -> str | None:
+    """The party a round's detection guard names, or None if the round runs."""
+    try:
+        run(params)
+    except GuardError as exc:
+        who, _, rest = str(exc).partition(" ")
+        assert rest == "has zero detection probability; no events would ever arrive"
+        return who
+    return None
+
+
 def test_zero_detection_probability_is_guarded():
-    dead_source = SourceModel(Distribution.POISSON, 0.0, 0.0)
-    with pytest.raises(GuardError):
-        run_bbm92(make_params(pair_source=dead_source, n_gates=1000))
-    with pytest.raises(GuardError):
-        run_bb84(make_params(pair_source=dead_source, n_gates=1000))
+    rounds = [run_bbm92, run_bb84, lambda p: run_bb84(p, heralded_alice=True)]
+    # Alice's channel is unused by plain BB84, whose Alice draws fair bits.
+    blind_alice = make_params(channel_transmittance_alice=0.0, n_gates=1000)
+    assert [guarded_party(run, blind_alice) for run in rounds] == ["Alice", None, "Alice"]
+    # With no photons at all, BBM92 checks Alice first and both BB84 rounds Bob.
+    dead_source = make_params(pair_source=SourceModel(Distribution.POISSON, 0.0, 0.0), n_gates=1000)
+    assert [guarded_party(run, dead_source) for run in rounds] == ["Alice", "Bob", "Bob"]
 
 
 def run_all_protocols(params: ProtocolParams) -> list:
