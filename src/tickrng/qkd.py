@@ -21,6 +21,10 @@ therefore every result, equal those of whole-length draws.  Only one
 boolean flag per gate and party outlives a block; the slots, bases and
 coincidences are built from the detections alone.
 
+``_sift`` gathers the bases at the coincidences for all three rounds:
+each hands it every party's bases, one per detection in gate order, and
+its per-gate detection flags; plain BB84's Alice sends in every gate.
+
 ``eve_qnd_advantage`` models an eavesdropper who measures photon numbers
 without disturbing them (a quantum non-demolition probe) and therefore
 learns which *gate* each detection fell into, but not the slot inside
@@ -112,9 +116,10 @@ def _click_probabilities(survival: float, n_photons: np.ndarray) -> np.ndarray:
     """Per-gate click probability ``1 - (1 - survival) ** n_photons``.
 
     The power is taken once per photon number up to
-    ``min(max n_photons, n_gates, _CLICK_TABLE_CAP)`` and looked up; gates
-    past that table take their own power.  The inputs of every power are
-    those of the per-gate formula, so the values are too.
+    ``min(max n_photons, n_photons.size, _CLICK_TABLE_CAP)`` (the block's
+    gates cap the table) and looked up; gates past it take their own power.
+    The inputs of every power are those of the per-gate formula, so the
+    values are too.
     """
     cap = min(int(n_photons.max()), n_photons.size, _CLICK_TABLE_CAP)
     table = 1.0 - (1.0 - survival) ** np.arange(cap + 1, dtype=n_photons.dtype)
@@ -183,39 +188,42 @@ def _detections(
     return EventStream(slots, clock)
 
 
-def _basis_bits(
-    stream: EventStream, clock: ClockConfig, k_bootstrap: int, boot_seed
-) -> np.ndarray:
-    """Chooser outputs consumed by each detection: bootstrap bits, then mod-2 bits."""
-    mod2 = extract_mod2(stream).bits
-    if k_bootstrap == 0:
-        return mod2
-    boot = bootstrap_buffer(clock, k_bootstrap, boot_seed).bits
-    return np.concatenate([boot, mod2])[: len(stream)]
-
-
-def _party_guard(source: SourceModel, survival: float, clock: ClockConfig, who: str) -> None:
+def _survival(source: SourceModel, transmittance: float, clock: ClockConfig, who: str) -> float:
+    """Party ``who``'s survival ``eta * transmittance``; ``GuardError`` if it never detects."""
+    survival = source.eta * transmittance
     eff = SourceModel(source.distribution, source.mu, survival)
     if click_probability(eff) <= 0.0 and clock.dark_prob <= 0.0:
         raise GuardError(f"{who} has zero detection probability; no events would ever arrive")
+    return survival
 
 
-def _sift(
+def _timing_bases(
+    rng: np.random.Generator,
+    detected: np.ndarray,
+    clock: ClockConfig,
     params: ProtocolParams,
-    seed_pair,
-    pair_gates: int,
-    basis_a: np.ndarray,
-    basis_b: np.ndarray,
-    basis_a_c: np.ndarray,
-    basis_b_c: np.ndarray,
-) -> ProtocolResult:
+    boot_seed,
+) -> np.ndarray:
+    """Chooser outputs consumed by each detection: bootstrap bits, then mod-2 bits."""
+    stream = _detections(rng, detected, clock, params.profile)
+    mod2 = extract_mod2(stream).bits
+    if params.k_bootstrap == 0:
+        return mod2
+    boot = bootstrap_buffer(clock, params.k_bootstrap, boot_seed).bits
+    return np.concatenate([boot, mod2])[: len(stream)]
+
+
+def _sift(params: ProtocolParams, seed_pair, pair_gates: int, alice, bob) -> ProtocolResult:
     """Sift the coincidences on matched bases and draw the intrinsic errors.
 
-    ``basis_a_c`` and ``basis_b_c`` are the parties' bases at the
-    coincidences, in gate order.
+    Each party is ``(bases, detected)``: the bases of its detections in
+    gate order and its per-gate detection flags.
     """
+    (basis_a, det_a), (basis_b, det_b) = alice, bob
+    # basis_x[det_y[det_x]]: the bases of X's detections where Y detected too.
+    basis_a_c = basis_a[det_b[det_a]]
     n_coinc = basis_a_c.size
-    n_sift = int(np.count_nonzero(basis_a_c == basis_b_c))
+    n_sift = int(np.count_nonzero(basis_a_c == basis_b[det_a[det_b]]))
     errors = rng(seed_pair).random(n_sift) < params.intrinsic_error
     qber = float(errors.mean()) if n_sift else 0.0
     return ProtocolResult(
@@ -232,10 +240,8 @@ def _sift(
 def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     """Entangled-pair protocol: both parties choose bases from their detection times."""
     source = params.pair_source
-    surv_a = source.eta * params.channel_transmittance_alice
-    surv_b = source.eta * params.channel_transmittance_bob
-    _party_guard(source, surv_a, params.clock_alice, "Alice")
-    _party_guard(source, surv_b, params.clock_bob, "Bob")
+    surv_a = _survival(source, params.channel_transmittance_alice, params.clock_alice, "Alice")
+    surv_b = _survival(source, params.channel_transmittance_bob, params.clock_bob, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_a, boot_b = (
         np.random.SeedSequence(params.seed).spawn(6)
     )
@@ -243,21 +249,9 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     pair_gates, (det_a, det_b) = _photon_clicks(
         rng(seed_src), source, params.n_gates, [(rng_a, surv_a), (rng_b, surv_b)]
     )
-    # Each stream is dropped once its bases are taken.
-    basis_a = _basis_bits(
-        _detections(rng_a, det_a, params.clock_alice, params.profile),
-        params.clock_alice, params.k_bootstrap, boot_a,
-    )
-    basis_b = _basis_bits(
-        _detections(rng_b, det_b, params.clock_bob, params.profile),
-        params.clock_bob, params.k_bootstrap, boot_b,
-    )
-    # At the coincidences: basis_x[det_y[det_x]] keeps the bases of X's
-    # detections in the gates where Y detected too.
-    return _sift(
-        params, seed_pair, pair_gates, basis_a, basis_b,
-        basis_a[det_b[det_a]], basis_b[det_a[det_b]],
-    )
+    basis_a = _timing_bases(rng_a, det_a, params.clock_alice, params, boot_a)
+    basis_b = _timing_bases(rng_b, det_b, params.clock_bob, params, boot_b)
+    return _sift(params, seed_pair, pair_gates, (basis_a, det_a), (basis_b, det_b))
 
 
 def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolResult:
@@ -269,37 +263,27 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
     Bob detection counts.
     """
     source = params.pair_source
-    surv_b = source.eta * params.channel_transmittance_bob
-    _party_guard(source, surv_b, params.clock_bob, "Bob")
+    surv_b = _survival(source, params.channel_transmittance_bob, params.clock_bob, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_b = np.random.SeedSequence(params.seed).spawn(5)
-    rng_b = rng(seed_b)
+    rng_a, rng_b = rng(seed_a), rng(seed_b)
     parties = [(rng_b, surv_b)]
     if heralded_alice:
-        surv_a = source.eta * params.channel_transmittance_alice
-        _party_guard(source, surv_a, params.clock_alice, "Alice")
-        rng_a = rng(seed_a)
+        surv_a = _survival(source, params.channel_transmittance_alice, params.clock_alice, "Alice")
         parties.append((rng_a, surv_a))
     pair_gates, flags = _photon_clicks(rng(seed_src), source, params.n_gates, parties)
     det_b = flags[0]
-    basis_b = _basis_bits(
-        _detections(rng_b, det_b, params.clock_bob, params.profile),
-        params.clock_bob, params.k_bootstrap, boot_b,
-    )
-
+    basis_b = _timing_bases(rng_b, det_b, params.clock_bob, params, boot_b)
     if heralded_alice:
         det_a = flags[1]
         # Alice's basis is the high bit of her mod-4 symbol; the low (key)
         # bit never surfaces here because errors are applied as a mask.
         basis_a, _ = mod4_arrays(_detections(rng_a, det_a, params.clock_alice, params.profile))
-        basis_a_c = basis_a[det_b[det_a]]
-        basis_b_c = basis_b[det_a[det_b]]
     else:
-        # One call: uint8 integers share each 32-bit draw within a call, so
-        # block-wise calls would give other bits.
-        basis_a = rng(seed_a).integers(0, 2, size=params.n_gates, dtype=np.uint8)
-        basis_a_c = basis_a[det_b]
-        basis_b_c = basis_b
-    return _sift(params, seed_pair, pair_gates, basis_a, basis_b, basis_a_c, basis_b_c)
+        # Alice sends in every gate.  One call: uint8 integers share each
+        # 32-bit draw within a call, so block-wise calls would give other bits.
+        basis_a = rng_a.integers(0, 2, size=params.n_gates, dtype=np.uint8)
+        det_a = np.ones(params.n_gates, dtype=bool)
+    return _sift(params, seed_pair, pair_gates, (basis_a, det_a), (basis_b, det_b))
 
 
 def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:

@@ -532,6 +532,18 @@ class TestEntry:
     def test_index(self) -> int:
         return self.test_id.index
 
+    def _key(self) -> tuple:
+        # A NaN p-value marks a procedure that did not apply; two such
+        # entries are equal by value, not only when they share one NaN.
+        p_value = None if math.isnan(self.p_value) else self.p_value
+        return (self.test_id, self.run_index, p_value, self.passed, self.applicable)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, TestEntry) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass
 class TestReport:

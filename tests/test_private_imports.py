@@ -1,6 +1,9 @@
-"""Package layout: no module reaches into another module's private names."""
+"""Package layout: no module reaches into another module's private names, and every
+name a module exports in ``__all__`` resolves, once."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import tickrng
@@ -48,3 +51,13 @@ def test_no_module_uses_another_modules_private_names():
         if (names := private_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def test_every_modules_public_names_resolve_once():
+    submodules = [f"tickrng.{m.name}" for m in pkgutil.iter_modules(tickrng.__path__)]
+    modules = [tickrng] + [importlib.import_module(name) for name in submodules]
+    exported = [(module, module.__all__) for module in modules if hasattr(module, "__all__")]
+    assert len(exported) >= 9
+    for module, public in exported:
+        assert len(set(public)) == len(public), module.__name__
+        assert [name for name in public if not hasattr(module, name)] == [], module.__name__

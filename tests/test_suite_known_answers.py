@@ -834,6 +834,12 @@ def test_battery_is_deterministic():
     b = run_battery(bits)
     assert a.entries == b.entries
     assert a.parameters == b.parameters
+    # Each not-applicable entry holds its own NaN p-value.
+    a, b = (run_battery(bits[:2000], run_len=2000) for _ in range(2))
+    assert sum(not e.applicable for e in a.entries) == 6
+    assert all(math.isnan(e.p_value) for e in a.entries if not e.applicable)
+    assert a.entries == b.entries
+    assert list(map(hash, a.entries)) == list(map(hash, b.entries))
 
 
 def test_battery_report_digest_is_pinned(tmp_path):
