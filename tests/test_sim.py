@@ -163,6 +163,31 @@ def test_gated_dead_time_stream_is_pinned():
     assert digest == "7f275a22cbea63c694f02ce8e52f7b6751cf6c7fd94fa5e8bee68efae4f59cd6"
 
 
+# (source, slots_per_gate, dead_slots, dark_prob, profile, seed, SHA-256 of the
+# slots) for gated streams whose dead time drops candidates that follow a
+# dropped one, taken from the per-candidate filter.  Each run of 2x10^5 events
+# takes 13 to 21 top-up batches, so the last kept click is carried across
+# many batch boundaries.
+PINNED_GATED_TANGLED_DEAD_TIME = [
+    (SourceModel(Distribution.POISSON, 0.5), 2, 3, 0.0, IntraGateProfile.uniform(), 331,
+     "2030b7053d58f33551fd519a03a0467c8da5c3b7a8ea929c41c6dace5a4c82c2"),
+    (SourceModel(Distribution.POISSON, 0.5), 1, 3, 0.0, IntraGateProfile.uniform(), 337,
+     "22fc547a8e227a46db9e846921c5475cf347bdace1b40fbaea36b546e922c947"),
+    (SourceModel(Distribution.THERMAL, 0.8), 4, 9, 0.0, IntraGateProfile.uniform(), 347,
+     "2cdc8552ec594204dbece02780b8bff6c2de6d36ced9653dbb20357bec7e213c"),
+    (SourceModel(Distribution.POISSON, 0.3), 2, 5, 0.02, IntraGateProfile.weighted([0.3, 0.7]), 349,
+     "2c7dfe7c045f27c8b1b1e82c7ffcccf2ba2c7741eddbb42fd60df0924baebbec"),
+]
+
+
+@pytest.mark.parametrize("source, r, dead, dark, profile, seed, expected", PINNED_GATED_TANGLED_DEAD_TIME)
+def test_gated_tangled_dead_time_stream_is_pinned(source, r, dead, dark, profile, seed, expected):
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dead_slots=dead, dark_prob=dark)
+    stream = generate_gated(source, clock, profile, 200_000, seed=seed)
+    digest = hashlib.sha256(stream.slots.astype("<u8").tobytes()).hexdigest()
+    assert digest == expected
+
+
 # (source, slots_per_gate, dark_prob, profile, seed, SHA-256 of the slots) for
 # gated streams without dead time, taken when those had their own code path.
 PINNED_GATED_NO_DEAD_TIME = [
