@@ -81,6 +81,7 @@ def _not_a_slot(blob: bytes, pos: int) -> DataError:
 
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 _U64_MAX = 2**64 - 1
+_U64_MAX_DIGITS = np.frombuffer(str(_U64_MAX).encode(), dtype=np.uint8)
 
 
 def _parse_ascii_events(blob: bytes):
@@ -115,12 +116,19 @@ def _parse_ascii_events(blob: bytes):
     # The slice drops the [0] that fromstring reads from blank-only text.
     slots = np.fromstring(blob, dtype=np.uint64, sep=" ")[: starts.size]
     # The reader saturates a number above 2**64 - 1 to 2**64 - 1, so only
-    # tokens read as that value can overflow.
-    for i in np.flatnonzero(slots == _U64_MAX):
-        token = blob[starts[i] : ends[i]]
-        digits = token.lstrip(b"0")
-        if len(digits) > 20 or int(digits) > _U64_MAX:
-            raise DataError(f"{where(i)}: slot index {token.decode()} overflows 64 bits")
+    # tokens read as that value can overflow.  One fits when its last 20
+    # bytes are the digits of 2**64 - 1 and all bytes before them are "0".
+    sat = np.flatnonzero(slots == _U64_MAX)
+    if sat.size:
+        tails = ends[sat] - 20
+        over = (np.lib.stride_tricks.sliding_window_view(buf, 20)[tails] != _U64_MAX_DIGITS).any(axis=1)
+        # The largest byte before each tail; reduceat returns the first byte
+        # of an empty range, so a token of exactly 20 bytes is masked out.
+        lead = np.maximum.reduceat(buf, np.stack((starts[sat], tails), axis=1).ravel())[0::2]
+        over |= (lead > ord("0")) & (tails > starts[sat])
+        if over.any():
+            i = int(sat[over.argmax()])
+            raise DataError(f"{where(i)}: slot index {blob[starts[i] : ends[i]].decode()} overflows 64 bits")
     return slots, where
 
 

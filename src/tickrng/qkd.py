@@ -180,10 +180,7 @@ def _detections(
     slots += profile.sample(rng, slots.size, r)
     if clock.dead_slots:
         keep = apply_dead_time(slots, clock.dead_slots, -(clock.dead_slots + 1))
-        dropped = slots[~keep]
-        dropped -= 1
-        dropped //= r
-        detected[dropped] = False
+        detected[np.flatnonzero(detected)[~keep]] = False
         slots = slots[keep]
     return EventStream(slots, clock)
 
@@ -299,9 +296,7 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
         raise ValueError("the timing adversary is defined for gated clocks")
     n_events = as_count(n_events, "n_events", positive=True)
     source = params.pair_source
-    eff = SourceModel(
-        source.distribution, source.mu, source.eta * params.channel_transmittance_bob
-    )
+    eff = SourceModel(source.distribution, source.mu, source.eta * params.channel_transmittance_bob)
     (child,) = np.random.SeedSequence(params.seed).spawn(1)
     stream = generate_gated(eff, clock, params.profile, n_events, child)
     true_bits = extract_mod2(stream).bits

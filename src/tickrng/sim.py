@@ -98,33 +98,33 @@ class IntraGateProfile:
 
     @classmethod
     def fixed_slot(cls, slot: int) -> "IntraGateProfile":
-        return cls(kind="fixed", slot=as_count(slot, "fixed slot", positive=True))
+        return cls(kind="fixed", slot=slot)
 
     @classmethod
     def weighted(cls, weights) -> "IntraGateProfile":
-        w = tuple(float(v) for v in weights)
-        if not w:
-            raise ValueError("weighted profile needs at least one weight")
-        if not all(v >= 0.0 for v in w):  # also rejects NaN
-            raise ValueError(f"weights must be non-negative numbers, got {w!r}")
-        if abs(sum(w) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
-        return cls(kind="weighted", weights=w)
+        return cls(kind="weighted", weights=weights)
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "fixed", "weighted"):
+        if self.kind == "fixed":
+            object.__setattr__(self, "slot", as_count(self.slot, "fixed slot", positive=True))
+        elif self.kind == "weighted":
+            w = () if self.weights is None else tuple(float(v) for v in self.weights)
+            if not w:
+                raise ValueError("weighted profile needs at least one weight")
+            if not all(v >= 0.0 for v in w):  # also rejects NaN
+                raise ValueError(f"weights must be non-negative numbers, got {w!r}")
+            if abs(sum(w) - 1.0) > 1e-12:
+                raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
+            object.__setattr__(self, "weights", w)
+        elif self.kind != "uniform":
             raise ValueError(f"unknown intra-gate profile kind {self.kind!r}")
 
     def _check(self, slots_per_gate: int) -> None:
         if self.kind == "fixed" and self.slot > slots_per_gate:
-            raise ValueError(
-                f"fixed slot {self.slot} outside gate of {slots_per_gate} slots"
-            )
+            raise ValueError(f"fixed slot {self.slot} outside gate of {slots_per_gate} slots")
         if self.kind == "weighted" and len(self.weights) != slots_per_gate:
-            raise ValueError(
-                f"weighted profile has {len(self.weights)} weights for a gate of "
-                f"{slots_per_gate} slots"
-            )
+            raise ValueError(f"weighted profile has {len(self.weights)} weights "
+                             f"for a gate of {slots_per_gate} slots")
 
     def sample(self, rng: np.random.Generator, size: int, slots_per_gate: int) -> np.ndarray:
         """Draw ``size`` intra-gate slot indices in ``1..slots_per_gate``."""
@@ -223,11 +223,9 @@ def generate_free_running(
     p_slot = _opportunity_click_probability(source, clock)
     if p_slot <= 0.0:
         raise GuardError("per-slot click probability is 0; the stream would never terminate")
-    expected_span = n_events * (1.0 / p_slot + clock.dead_slots)
-    if expected_span > 2.0**62:
+    if n_events * (1.0 / p_slot + clock.dead_slots) > 2.0**62:
         raise GuardError("requested stream would overflow 64-bit slot indices")
-    gen = rng(seed)
-    gaps = gen.geometric(p_slot, size=n_events).astype(np.int64)
+    gaps = rng(seed).geometric(p_slot, size=n_events).astype(np.int64)
     if clock.dead_slots:
         gaps[1:] += clock.dead_slots
     return EventStream(np.cumsum(gaps), clock)
@@ -292,28 +290,33 @@ def apply_dead_time(slots: np.ndarray, dead: int, last: int) -> np.ndarray:
 
     ``slots`` are strictly increasing candidate slots and ``last`` is the
     slot of the last accepted click before them, below ``slots[0]``
-    (``-(dead + 1)`` when there is none).  A candidate is kept when it
-    lies more than ``dead`` slots after the last kept click.  A gap above
-    ``dead`` to the previous candidate always keeps it, and a gap of at
-    most ``dead`` to a kept candidate always drops it; only candidates
-    whose predecessor was itself dropped are resolved one by one.
+    (``-(dead + 1)`` when there is none).  The kept clicks form a chain:
+    the first candidate more than ``dead`` after ``last``, then the first
+    more than ``dead`` after that one, and so on.  Every candidate more
+    than ``dead`` after its predecessor is on it; the rest of the chain is
+    followed by pointer doubling over the *near* candidates, those whose
+    successor lies within ``dead``.
     """
     slots = np.asarray(slots, dtype=np.int64)
-    keep = np.empty(slots.size, dtype=bool)
-    keep[:1] = slots[:1] - last > dead
-    np.greater(np.diff(slots), dead, out=keep[1:])
-    drop = ~keep
-    tangled = np.flatnonzero(drop[1:] & drop[:-1]) + 1
-    previous = -2
-    for i in tangled.tolist():
-        if i != previous + 1:
-            # Slot i - 1 heads a cluster and was dropped: the click before it was kept.
-            last = int(slots[i - 2]) if i >= 2 else last
-        if int(slots[i]) - last > dead:
-            keep[i] = True
-            last = int(slots[i])
-        previous = i
-    return keep
+    # keep[-1] stands for the end of the candidates, where a jump may land.
+    keep = np.zeros(slots.size + 1, dtype=bool)
+    np.greater(np.diff(slots), dead, out=keep[1:-1])
+    keep[np.searchsorted(slots, last + dead, "right")] = True
+    near = np.flatnonzero(~keep[1:-1])
+    # Each near candidate's jump, the first candidate clear of it: those in
+    # between all succeed a near one, so only those successors are searched.
+    jump = np.searchsorted(slots[near + 1], slots[near] + dead, "right")
+    jump += near + 1 - np.arange(near.size)
+    # Each jump as the first near candidate at or after it; the walk ends
+    # where that one is kept, as it always is past a jump that is not near.
+    marked = np.append(keep[near], True)
+    step = np.searchsorted(near, np.append(jump, slots.size))
+    step[marked[step]] = near.size
+    while (step < near.size).any():
+        marked[step[marked]] = True
+        step = step[step]
+    keep[jump[marked[:-1]]] = True
+    return keep[:-1]
 
 
 def empirical_parity(stream: EventStream) -> tuple[int, int]:

@@ -374,6 +374,9 @@ def test_eve_rejects_bad_r_values(capsys):
     rc, _, err = run(capsys, "eve", "--r-values", "1,zero", "--mu", "0.5")
     assert rc == 1
     assert "usage error" in err
+    rc, _, err = run(capsys, "eve", "--r-values", ",", "--mu", "0.5")
+    assert rc == 1
+    assert "--r-values must name at least one gate width" in err
 
 
 # ----------------------------------------------------------------- replay

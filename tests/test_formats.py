@@ -220,6 +220,12 @@ PARSE_CASES = {
         b"18446744073709551615\n18446744073709551615\n018446744073709551616\n"
     ),
     "first_of_two_overflows": b"7\n99999999999999999999\n0000000000000000000001\n1" + b"0" * 21 + b"\n",
+    # Every saturated token is checked: a nonzero digit before a fitting tail
+    # overflows, and so does the last line.
+    "10^5_max_lines_then_overflows": (
+        b"18446744073709551615\n0018446744073709551615\n" * 50_000
+        + b"100018446744073709551615\n18446744073709551616\n"
+    ),
     **{f"grammar_{i}": b"1\n\n2\n" + bad.encode() + b"\n99999\n" for i, bad in enumerate(GRAMMAR_REJECTS)},
 }
 

@@ -103,6 +103,28 @@ def test_zero_click_probability_raises_guard():
     source = SourceModel(Distribution.POISSON, 0.0)
     with pytest.raises(GuardError):
         generate_free_running(source, FREE, 10, seed=0)
+    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
+    with pytest.raises(GuardError, match="per-gate click probability is 0"):
+        generate_gated(source, gated, IntraGateProfile.uniform(), 10, seed=0)
+
+
+def test_streams_past_64_bit_slots_raise_guard():
+    # 10^7 events at a click probability of about 1e-12 span some 1e19 slots.
+    source = SourceModel(Distribution.POISSON, 1e-12)
+    with pytest.raises(GuardError, match="overflow 64-bit slot indices"):
+        generate_free_running(source, FREE, 10**7, seed=0)
+    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
+    with pytest.raises(GuardError, match="overflow 64-bit slot indices"):
+        generate_gated(source, gated, IntraGateProfile.uniform(), 10**7, seed=0)
+
+
+def test_gated_top_up_gives_up_when_the_dead_time_drops_every_candidate():
+    # Nearly every gate clicks, and each top-up batch of one candidate lands
+    # within the 10^5-slot dead time of the first click.
+    source = SourceModel(Distribution.POISSON, 50.0)
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=1, dead_slots=100_000)
+    with pytest.raises(GuardError, match="gave up after 10000 batches"):
+        generate_gated(source, clock, IntraGateProfile.uniform(), 2, seed=0)
 
 
 def test_zero_events_yields_empty_stream():
@@ -261,6 +283,39 @@ def test_dead_time_carried_last_drops_the_first_candidates():
     assert_dead_time_matches_reference([9, 10, 11, 12, 13, 14, 30], 3, last=8)
 
 
+def test_dead_time_matches_reference_on_adversarial_slots():
+    rng = np.random.default_rng(17)
+    random_slots = np.cumsum(rng.integers(1, 6, size=2000))
+    # Dead time 0 keeps every strictly increasing candidate.
+    assert apply_dead_time(random_slots, 0, -1).all()
+    assert_dead_time_matches_reference(random_slots, 0)
+    assert_dead_time_matches_reference(random_slots, 0, last=int(random_slots[0]) - 1)
+    # A dead time far longer than the stream keeps one candidate in 10^4.
+    consecutive = np.arange(1, 100_001)
+    assert np.count_nonzero(apply_dead_time(consecutive, 10_000, -10_001)) == 10
+    assert_dead_time_matches_reference(consecutive, 10_000)
+    assert_dead_time_matches_reference(consecutive, 10_000, last=0)
+    # One candidate with the last click inside its dead time, and just outside it.
+    assert not apply_dead_time([10], 5, 7)[0]
+    assert_dead_time_matches_reference([10], 5, last=7)
+    assert_dead_time_matches_reference([10], 5, last=4)
+
+
+@pytest.mark.parametrize("dead", [2, 5])
+def test_dead_time_carried_across_every_split_equals_one_pass(dead):
+    """Filtering ``slots[:k]`` then ``slots[k:]`` from the last kept slot, as
+    ``generate_gated`` does between top-up batches, equals one pass."""
+    rng = np.random.default_rng(dead)
+    slots = np.cumsum(rng.integers(1, dead + 2, size=400))
+    last = int(slots[0]) - int(rng.integers(1, dead + 2))
+    whole = reference_dead_time(slots, dead, last)
+    assert np.array_equal(apply_dead_time(slots, dead, last), whole)
+    for k in range(slots.size + 1):
+        head = apply_dead_time(slots[:k], dead, last)
+        carried = int(slots[:k][head][-1]) if head.any() else last
+        assert np.array_equal(np.concatenate([head, apply_dead_time(slots[k:], dead, carried)]), whole)
+
+
 def test_gated_intra_slots_follow_weighted_profile():
     source = SourceModel(Distribution.POISSON, 1.0)
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=3)
@@ -324,6 +379,22 @@ def test_profile_validation():
     short = IntraGateProfile.weighted([0.5, 0.5])
     with pytest.raises(ValueError):
         short.sample(np.random.default_rng(0), 10, slots_per_gate=3)
+    # The constructor checks what the classmethods check.
+    with pytest.raises(ValueError, match=r"^unknown intra-gate profile kind 'sometimes'$"):
+        IntraGateProfile("sometimes")
+    with pytest.raises(ValueError, match=r"^fixed slot must be a positive integer, got None$"):
+        IntraGateProfile("fixed")
+    with pytest.raises(ValueError, match=r"^fixed slot must be a positive integer, got 0$"):
+        IntraGateProfile("fixed", slot=0)
+    with pytest.raises(ValueError, match=r"^weighted profile needs at least one weight$"):
+        IntraGateProfile("weighted")
+    with pytest.raises(ValueError, match=r"^weights must be non-negative numbers, got \(2\.0, -1\.0\)$"):
+        IntraGateProfile("weighted", weights=(2.0, -1.0))
+    with pytest.raises(ValueError, match=r"^weights must sum to 1, got 1\.1$"):
+        IntraGateProfile("weighted", weights=(0.5, 0.6))
+    assert IntraGateProfile("weighted", weights=np.array([0.25, 0.75])) == IntraGateProfile.weighted([0.25, 0.75])
+    assert IntraGateProfile.weighted([0.25, 0.75]).weights == (0.25, 0.75)
+    assert IntraGateProfile("fixed", slot=2.0) == IntraGateProfile.fixed_slot(2)
 
 
 def test_profile_odd_slot_probability():

@@ -425,6 +425,11 @@ def test_rank_needs_thirty_eight_matrices():
         rank_test(np.ones(38 * 1024 - 1, dtype=np.uint8))
 
 
+def test_rank_rejects_matrices_wider_than_64():
+    with pytest.raises(ValueError, match=r"^matrix dimension must lie in 1\.\.64, got 65$"):
+        rank_test(np.ones(38 * 65 * 65, dtype=np.uint8), matrix_dim=65)
+
+
 # --------------------------------------------------------------------- dft
 
 
@@ -648,6 +653,11 @@ def test_lfsr_complexity_hand_examples():
     assert lfsr_complexity([0, 1] * 5) == 2
     assert lfsr_complexity([1]) == 1
     assert lfsr_complexity(BitStream([0, 1, 1])) == lfsr_complexity([0, 1, 1]) == 2
+
+
+def test_lfsr_complexity_rejects_a_negative_sequence_integer():
+    with pytest.raises(ValueError, match="sequence integer must be non-negative"):
+        lfsr_complexity_int(-1, 3)
 
 
 def test_lfsr_complexity_matches_textbook_synthesis():
