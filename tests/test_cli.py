@@ -92,6 +92,28 @@ def test_bias_of_a_bright_poisson_source_does_not_overflow(capsys):
     assert lines["P_ODD"] == "1.000000"
 
 
+# The mu*eta values of the pinned `bias` stdout: 0, the small values where the
+# bias is a rounding error, the fair-to-saturated range, and the bright end
+# where exp(mu*eta) would overflow.
+BIAS_GRID = [
+    "0", "1e-08", "1e-06", "0.0001", "0.001", "0.01", "0.05", "0.1", "0.25", "0.5",
+    "1", "1.0986122886681098", "2", "3", "5", "10", "20", "36.7", "37", "100",
+    "709.8", "710", "1000",
+]
+
+
+def test_bias_stdout_is_pinned(capsys):
+    """The whole `bias` stdout for both distributions over BIAS_GRID, one run
+    after another, is pinned in STDOUT_DIR/bias_grid.txt."""
+    out = []
+    for dist in ("poisson", "thermal"):
+        for mu_eta in BIAS_GRID:
+            rc, stdout, err = run(capsys, "bias", "--dist", dist, "--mu-eta", mu_eta)
+            assert (rc, err) == (0, "")
+            out.append(stdout)
+    assert "".join(out) == (STDOUT_DIR / "bias_grid.txt").read_text()
+
+
 def test_bias_monte_carlo_agrees_with_the_analytic_split(capsys):
     rc, out, _ = run(
         capsys, "bias", "--dist", "thermal", "--mu-eta", "0.5",

@@ -1,5 +1,6 @@
 """Bit extraction: hand-worked interval examples plus distributional checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -216,6 +217,17 @@ def test_bootstrap_matches_a_dark_only_stream():
     assert buffer == extract_mod2(dark_stream)
     gaps = np.diff(dark_stream.slots) - 2  # dead time shifts every gap
     assert geometric_gof_pvalue(gaps, 0.01, max_n=50) > 0.001
+
+
+@pytest.mark.parametrize("dark, dead, seed, expected", [
+    (0.01, 0, 431, "eb22ae37d3fb7baad7a31df844ba29bee521079eb81d2e6e50b2b6267ee46f93"),
+    (0.2, 3, 433, "d5e6065099787ce0542bd94d2daf1fd698151b92c2bd14f4b02e7c3c26bcf447"),
+])
+def test_bootstrap_bits_are_pinned(dark, dead, seed, expected):
+    """SHA-256 of 5000 bootstrap bits, one byte per bit."""
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dark_prob=dark, dead_slots=dead)
+    bits = bootstrap_buffer(clock, 5000, seed=seed).bits
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == expected
 
 
 def test_bootstrap_is_deterministic():

@@ -131,6 +131,22 @@ def test_parity_probabilities_match_series_oracle(make, mu_eta):
     assert bias.p_odd == pytest.approx(odd, abs=1e-10)
 
 
+# mu*eta = 0 and 2001 values from 1e-8 to 1e3, evenly spaced in log.
+WIDE_MU_ETA_GRID = [0.0] + [10.0 ** (k / 200.0) for k in range(-1600, 601)]
+
+
+def test_parity_probabilities_match_the_per_distribution_closed_forms():
+    """The forms written out per distribution before one law served both:
+    Poissonian bit for bit, thermal within 1e-12."""
+    for mu_eta in WIDE_MU_ETA_GRID:
+        tail = math.exp(-mu_eta)
+        bias = parity_probabilities(poisson(mu_eta))
+        assert (bias.p_even, bias.p_odd) == (tail / (1.0 + tail), 1.0 / (1.0 + tail))
+        bias = parity_probabilities(thermal(mu_eta))
+        assert bias.p_even == pytest.approx(1.0 / (mu_eta + 2.0), rel=0, abs=1e-12)
+        assert bias.p_odd == pytest.approx((mu_eta + 1.0) / (mu_eta + 2.0), rel=0, abs=1e-12)
+
+
 @pytest.mark.parametrize("make", [poisson, thermal])
 def test_parity_probabilities_sum_to_one_and_odd_dominates(make):
     for mu_eta in MU_ETA_GRID:

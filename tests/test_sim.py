@@ -232,6 +232,28 @@ def test_gated_stream_without_dead_time_is_pinned(source, r, dark, profile, seed
     assert digest == expected
 
 
+# (source, dead_slots, dark_prob, seed, SHA-256 of the slots) for free-running
+# streams of 50,000 events, with and without a dead time.
+PINNED_FREE_RUNNING = [
+    (SourceModel(Distribution.POISSON, 0.5), 0, 0.0, 401,
+     "6f4d920309d9d24480f6a8cdaeecd56a561f4bb1e5f9c93af11d4ae07d9ae877"),
+    (SourceModel(Distribution.POISSON, 0.5), 3, 0.0, 409,
+     "cb62256aad4ac2e873e43789b8011e03f4128bd24afbc8b6a74735999698b577"),
+    (SourceModel(Distribution.THERMAL, 0.8, 0.5), 0, 0.0, 419,
+     "c4954e9dcf4ff5e0bc6eed119c31a18c4ed7249e75939166e0808cc61c871dfa"),
+    (SourceModel(Distribution.THERMAL, 0.8, 0.5), 3, 0.01, 421,
+     "6824c9713afe286309e5670eceb454f314dae3028d2ec43832539cc7e2c2f3a2"),
+]
+
+
+@pytest.mark.parametrize("source, dead, dark, seed, expected", PINNED_FREE_RUNNING)
+def test_free_running_stream_is_pinned(source, dead, dark, seed, expected):
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=dead, dark_prob=dark)
+    stream = generate_free_running(source, clock, 50_000, seed=seed)
+    digest = hashlib.sha256(stream.slots.astype("<u8").tobytes()).hexdigest()
+    assert digest == expected
+
+
 def assert_dead_time_matches_reference(slots, dead: int, last: int | None = None) -> None:
     if last is None:
         last = -(dead + 1)
