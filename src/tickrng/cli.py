@@ -305,12 +305,12 @@ def cmd_protocol(args) -> int:
 
 def cmd_eve(args) -> int:
     params_at = _gated_params(args, n_gates=1)
+    if not args.r_values.replace(",", "").strip():
+        raise UsageError("--r-values must name at least one gate width")
     try:
-        r_values = [int(v) for v in args.r_values.split(",") if v.strip()]
+        r_values = [int(v) for v in args.r_values.split(",")]
     except ValueError:
         raise UsageError(f"--r-values must be a comma-separated list of integers, got {args.r_values!r}")
-    if not r_values:
-        raise UsageError("--r-values must name at least one gate width")
     rows = [(r, eve_qnd_advantage(params_at(r), args.events)) for r in r_values]
     text = "slots_per_gate,advantage\n" + "".join(f"{r},{adv:.6f}\n" for r, adv in rows)
     _emit_text(args, text, r_values=r_values)

@@ -25,7 +25,8 @@ Python object per line:
   padded byte masks; numpy's own text reader (``np.fromstring`` with
   ``sep=" "``) then converts the checked text.  It saturates a number
   above 2**64 - 1 to 2**64 - 1, so only tokens read as that value are
-  compared with it as Python ints.
+  checked for overflow, by array operations: their last 20 bytes against
+  the digits of 2**64 - 1, and the bytes before those against ``0``.
 
 Both kernels are tested for equal bytes, values and error messages
 against the per-line formulas they replaced (one ``str`` per slot;
@@ -206,7 +207,7 @@ def read_bits(path, fmt: str = "ascii01") -> BitStream:
     if len(payload) > need:
         raise DataError(f"packed bit file has {len(payload) - need} trailing bytes")
     unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    if bit_len and unpacked[bit_len:].any():
+    if unpacked[bit_len:].any():
         raise DataError("packed bit file has non-zero padding bits")
     return BitStream(unpacked[:bit_len])
 

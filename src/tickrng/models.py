@@ -121,20 +121,15 @@ def window_pmf(p: float, n: int) -> float:
 def parity_probabilities(source: SourceModel) -> AnalyticBias:
     """Closed-form probability that the first clicking window index is even/odd.
 
-    Poissonian: ``P_EVEN = 1/(1+exp(mu*eta))``, ``P_ODD = 1/(1+exp(-mu*eta))``.
-    Thermal:    ``P_EVEN = 1/(mu*eta+2)``,     ``P_ODD = (mu*eta+1)/(mu*eta+2)``.
-    Both reduce to the alternating tail sums of :func:`window_pmf` at the
-    source's click probability, and to (0.5, 0.5) at ``mu*eta = 0``.
+    With ``q`` the probability that a window stays dark -- ``exp(-mu*eta)``
+    (Poissonian) or ``1/(mu*eta + 1)`` (thermal) -- the index is geometric
+    with ratio ``q``, and the alternating tail sums of :func:`window_pmf`
+    are ``P_EVEN = q/(1+q)`` and ``P_ODD = 1/(1+q)``: (0.5, 0.5) at
+    ``mu*eta = 0``, and no overflow however bright the source.
     """
     me = source.effective_mean
-    if source.distribution is Distribution.POISSON:
-        tail = math.exp(-me)  # exp(+mu*eta) would overflow beyond mu*eta ~ 709.8
-        p_even = tail / (1.0 + tail)
-        p_odd = 1.0 / (1.0 + tail)
-    else:
-        p_even = 1.0 / (me + 2.0)
-        p_odd = (me + 1.0) / (me + 2.0)
-    return AnalyticBias(p_even=p_even, p_odd=p_odd)
+    q = math.exp(-me) if source.distribution is Distribution.POISSON else 1.0 / (me + 1.0)
+    return AnalyticBias(p_even=q / (1.0 + q), p_odd=1.0 / (1.0 + q))
 
 
 def balance_ratio(p: float) -> float:

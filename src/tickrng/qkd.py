@@ -28,8 +28,9 @@ its per-gate detection flags; plain BB84's Alice sends in every gate.
 ``eve_qnd_advantage`` models an eavesdropper who measures photon numbers
 without disturbing them (a quantum non-demolition probe) and therefore
 learns which *gate* each detection fell into, but not the slot inside
-the gate.  Her best guess of each basis bit is the maximum-likelihood
-parity of the slot count given the gate count.
+the gate.  She guesses each basis bit as the parity of the gate interval
+times ``slots_per_gate``, the first guess flipped when odd intra-gate slots
+are the likelier ones (the maximum-likelihood guess only without dead time).
 """
 
 from __future__ import annotations
@@ -202,12 +203,10 @@ def _timing_bases(
     boot_seed,
 ) -> np.ndarray:
     """Chooser outputs consumed by each detection: bootstrap bits, then mod-2 bits."""
-    stream = _detections(rng, detected, clock, params.profile)
-    mod2 = extract_mod2(stream).bits
-    if params.k_bootstrap == 0:
-        return mod2
+    # The event stream is freed here, before the copy that prepends the bootstrap bits.
+    mod2 = extract_mod2(_detections(rng, detected, clock, params.profile)).bits
     boot = bootstrap_buffer(clock, params.k_bootstrap, boot_seed).bits
-    return np.concatenate([boot, mod2])[: len(stream)]
+    return np.concatenate([boot, mod2])[: mod2.size]
 
 
 def _sift(params: ProtocolParams, seed_pair, pair_gates: int, alice, bob) -> ProtocolResult:
@@ -287,9 +286,10 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     """Empirical advantage of a gate-resolution timing adversary over guessing.
 
     Eve observes only which gate each of Bob's detections fell into and
-    guesses each basis bit by the maximum-likelihood parity of the slot
-    interval given the gate interval.  Returns the empirical probability
-    of a correct guess minus 1/2.
+    guesses each basis bit as the parity of the gate interval times
+    ``slots_per_gate``, flipping the first guess when odd intra-gate slots
+    are the likelier ones.  Returns the empirical probability of a correct
+    guess minus 1/2.
     """
     clock = params.clock_bob
     if clock.mode is not ClockMode.GATED:

@@ -118,6 +118,10 @@ class IntraGateProfile:
             object.__setattr__(self, "weights", w)
         elif self.kind != "uniform":
             raise ValueError(f"unknown intra-gate profile kind {self.kind!r}")
+        if self.slot is not None and self.kind != "fixed":
+            raise ValueError(f"a {self.kind} profile takes no slot, got {self.slot!r}")
+        if self.weights is not None and self.kind != "weighted":
+            raise ValueError(f"a {self.kind} profile takes no weights, got {self.weights!r}")
 
     def _check(self, slots_per_gate: int) -> None:
         if self.kind == "fixed" and self.slot > slots_per_gate:
@@ -226,8 +230,7 @@ def generate_free_running(
     if n_events * (1.0 / p_slot + clock.dead_slots) > 2.0**62:
         raise GuardError("requested stream would overflow 64-bit slot indices")
     gaps = rng(seed).geometric(p_slot, size=n_events).astype(np.int64)
-    if clock.dead_slots:
-        gaps[1:] += clock.dead_slots
+    gaps[1:] += clock.dead_slots
     return EventStream(np.cumsum(gaps), clock)
 
 

@@ -399,6 +399,11 @@ def test_eve_rejects_bad_r_values(capsys):
     rc, _, err = run(capsys, "eve", "--r-values", ",", "--mu", "0.5")
     assert rc == 1
     assert "--r-values must name at least one gate width" in err
+    # Every item must be an integer: an empty one is an error, not skipped.
+    for r_values in ("1,,2", "2,"):
+        rc, out, err = run(capsys, "eve", "--r-values", r_values, "--mu", "0.5")
+        assert (rc, out) == (1, "")
+        assert err == f"usage error: --r-values must be a comma-separated list of integers, got {r_values!r}\n"
 
 
 # ----------------------------------------------------------------- replay

@@ -414,6 +414,14 @@ def test_profile_validation():
         IntraGateProfile("weighted", weights=(2.0, -1.0))
     with pytest.raises(ValueError, match=r"^weights must sum to 1, got 1\.1$"):
         IntraGateProfile("weighted", weights=(0.5, 0.6))
+    # A field the kind does not use is an error, not ignored.
+    with pytest.raises(ValueError, match=r"^a uniform profile takes no slot, got 3$"):
+        IntraGateProfile("uniform", slot=3, weights=(0.5,))
+    with pytest.raises(ValueError, match=r"^a fixed profile takes no weights, got \(0\.5, 0\.5\)$"):
+        IntraGateProfile("fixed", slot=1, weights=(0.5, 0.5))
+    with pytest.raises(ValueError, match=r"^a weighted profile takes no slot, got 1$"):
+        IntraGateProfile("weighted", slot=1, weights=(0.5, 0.5))
+    assert IntraGateProfile("uniform") == IntraGateProfile.uniform()
     assert IntraGateProfile("weighted", weights=np.array([0.25, 0.75])) == IntraGateProfile.weighted([0.25, 0.75])
     assert IntraGateProfile.weighted([0.25, 0.75]).weights == (0.25, 0.75)
     assert IntraGateProfile("fixed", slot=2.0) == IntraGateProfile.fixed_slot(2)
