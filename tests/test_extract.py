@@ -52,6 +52,23 @@ def test_intervals_can_drop_the_opening_interval():
     assert intervals(stream_of(7), include_first=False).tolist() == []
 
 
+@pytest.mark.parametrize("include_first", [True, False])
+@pytest.mark.parametrize("slots", [(), (262,)], ids=["empty", "one-slot"])
+def test_first_interval_rule_on_empty_and_one_slot_streams(slots, include_first):
+    """Only a first interval counted from tick 0 can come out of these streams:
+    slot 262 is 6 modulo 256 and 2 modulo 4."""
+    stream = stream_of(*slots)
+    cfg = ExtractorConfig(include_first=include_first)
+    first = list(slots) if include_first else []
+    gaps = intervals(stream, include_first)
+    assert (gaps.dtype, gaps.tolist()) == (np.uint64, first)
+    bits = extract_mod2(stream, cfg).bits
+    assert (bits.dtype, bits.tolist()) == (np.uint8, [0] * len(first))
+    basis, key = mod4_arrays(stream, cfg)
+    assert (basis.dtype, basis.tolist()) == (np.uint8, [1] * len(first))
+    assert (key.dtype, key.tolist()) == (np.uint8, [0] * len(first))
+
+
 def test_mod2_hand_examples():
     assert extract_mod2(stream_of(3, 5, 10)) == BitStream.from_bits([1, 0, 1])
     assert extract_mod2(stream_of(2, 4, 6, 8)) == BitStream.from_bits([0, 0, 0, 0])

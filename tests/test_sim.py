@@ -118,6 +118,28 @@ def test_streams_past_64_bit_slots_raise_guard():
         generate_gated(source, gated, IntraGateProfile.uniform(), 10**7, seed=0)
 
 
+def test_guard_messages_are_pinned():
+    """The exact text of each generator's never-clicks and reach guards."""
+    dark = SourceModel(Distribution.POISSON, 0.0)
+    dim = SourceModel(Distribution.POISSON, 1e-12)
+    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
+    uniform = IntraGateProfile.uniform()
+    cases = [
+        (lambda: generate_free_running(dark, FREE, 10, seed=0),
+         "per-slot click probability is 0; the stream would never terminate"),
+        (lambda: generate_gated(dark, gated, uniform, 10, seed=0),
+         "per-gate click probability is 0; the stream would never terminate"),
+        (lambda: generate_free_running(dim, FREE, 10**7, seed=0),
+         "requested stream would overflow 64-bit slot indices"),
+        (lambda: generate_gated(dim, gated, uniform, 10**7, seed=0),
+         "requested stream would overflow 64-bit slot indices"),
+    ]
+    for call, message in cases:
+        with pytest.raises(GuardError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_gated_top_up_gives_up_when_the_dead_time_drops_every_candidate():
     # Nearly every gate clicks, and each top-up batch of one candidate lands
     # within the 10^5-slot dead time of the first click.

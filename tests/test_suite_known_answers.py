@@ -722,6 +722,17 @@ def test_linear_complexity_matches_independent_binning():
     )
 
 
+@pytest.mark.parametrize("procedure, n, message", [
+    (longest_runs_test, 100, "longest runs test needs at least 128 bits, got 100"),
+    (universal_test, 1000, "universal test needs at least 387840 bits, got 1000"),
+    (linear_complexity_test, 1000, "linear complexity test needs at least 100000 bits, got 1000"),
+], ids=["longest-runs", "universal", "linear-complexity"])
+def test_length_messages_are_pinned(procedure, n, message):
+    with pytest.raises(InsufficientDataError) as exc:
+        procedure(np.ones(n, dtype=np.uint8))
+    assert str(exc.value) == message
+
+
 def test_linear_complexity_needs_two_hundred_blocks():
     with pytest.raises(InsufficientDataError):
         linear_complexity_test(np.ones(200 * 500 - 1, dtype=np.uint8))
