@@ -127,6 +127,11 @@ class BalanceResult(NamedTuple):
     degenerate: bool
 
 
+def _differences(values: np.ndarray, include_first: bool) -> np.ndarray:
+    """Differences of consecutive ``values``, led by ``values[0] - 0`` with ``include_first``."""
+    return np.diff(values, prepend=np.zeros(int(include_first), values.dtype))
+
+
 def intervals(stream: EventStream, include_first: bool = True) -> np.ndarray:
     """Clock counts between consecutive detections.
 
@@ -134,22 +139,12 @@ def intervals(stream: EventStream, include_first: bool = True) -> np.ndarray:
     clock tick 0, yielding one interval per detection; otherwise the
     first detection only starts the counter.
     """
-    if include_first:
-        return np.diff(stream.slots, prepend=np.uint64(0))
-    return np.diff(stream.slots)
-
-
-def _low_byte_intervals(stream: EventStream, include_first: bool) -> np.ndarray:
-    """:func:`intervals` modulo 256, as uint8: the differences of the slots' low bytes."""
-    low = stream.slots.astype(np.uint8)
-    if include_first:
-        return np.diff(low, prepend=np.uint8(0))
-    return np.diff(low)
+    return _differences(stream.slots, include_first)
 
 
 def extract_mod2(stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()) -> BitStream:
     """One bit per interval: the interval length modulo 2."""
-    gaps = _low_byte_intervals(stream, cfg.include_first)
+    gaps = _differences(stream.slots.astype(np.uint8), cfg.include_first)
     gaps &= 1
     return BitStream(gaps)
 
@@ -158,7 +153,7 @@ def mod4_arrays(
     stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """(basis, key) uint8 bit arrays of the intervals modulo 4: their high and low bits."""
-    key = _low_byte_intervals(stream, cfg.include_first)
+    key = _differences(stream.slots.astype(np.uint8), cfg.include_first)
     basis = key >> 1
     basis &= 1
     key &= 1

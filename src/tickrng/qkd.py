@@ -186,13 +186,20 @@ def _detections(
     return EventStream(slots, clock)
 
 
-def _survival(source: SourceModel, transmittance: float, clock: ClockConfig, who: str) -> float:
-    """Party ``who``'s survival ``eta * transmittance``; ``GuardError`` if it never detects."""
-    survival = source.eta * transmittance
-    eff = SourceModel(source.distribution, source.mu, survival)
-    if click_probability(eff) <= 0.0 and clock.dark_prob <= 0.0:
+def _party(params: ProtocolParams, who: str) -> SourceModel:
+    """Party ``who``'s source, at survival ``eta * transmittance``.
+
+    :class:`GuardError` if the party never detects, or if its slots, up to
+    ``n_gates * slots_per_gate``, would reach past 2**62.
+    """
+    source, clock = params.pair_source, getattr(params, f"clock_{who.lower()}")
+    transmittance = getattr(params, f"channel_transmittance_{who.lower()}")
+    party = SourceModel(source.distribution, source.mu, source.eta * transmittance)
+    if click_probability(party) <= 0.0 and clock.dark_prob <= 0.0:
         raise GuardError(f"{who} has zero detection probability; no events would ever arrive")
-    return survival
+    if params.n_gates * clock.slots_per_gate > 2**62:
+        raise GuardError("requested stream would overflow 64-bit slot indices")
+    return party
 
 
 def _timing_bases(
@@ -235,15 +242,13 @@ def _sift(params: ProtocolParams, seed_pair, pair_gates: int, alice, bob) -> Pro
 
 def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     """Entangled-pair protocol: both parties choose bases from their detection times."""
-    source = params.pair_source
-    surv_a = _survival(source, params.channel_transmittance_alice, params.clock_alice, "Alice")
-    surv_b = _survival(source, params.channel_transmittance_bob, params.clock_bob, "Bob")
+    alice, bob = _party(params, "Alice"), _party(params, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_a, boot_b = (
         np.random.SeedSequence(params.seed).spawn(6)
     )
     rng_a, rng_b = rng(seed_a), rng(seed_b)
     pair_gates, (det_a, det_b) = _photon_clicks(
-        rng(seed_src), source, params.n_gates, [(rng_a, surv_a), (rng_b, surv_b)]
+        rng(seed_src), params.pair_source, params.n_gates, [(rng_a, alice.eta), (rng_b, bob.eta)]
     )
     basis_a = _timing_bases(rng_a, det_a, params.clock_alice, params, boot_a)
     basis_b = _timing_bases(rng_b, det_b, params.clock_bob, params, boot_b)
@@ -258,15 +263,12 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
     heralded count; otherwise she draws fair bits and every gate with a
     Bob detection counts.
     """
-    source = params.pair_source
-    surv_b = _survival(source, params.channel_transmittance_bob, params.clock_bob, "Bob")
     seed_src, seed_a, seed_b, seed_pair, boot_b = np.random.SeedSequence(params.seed).spawn(5)
     rng_a, rng_b = rng(seed_a), rng(seed_b)
-    parties = [(rng_b, surv_b)]
+    parties = [(rng_b, _party(params, "Bob").eta)]
     if heralded_alice:
-        surv_a = _survival(source, params.channel_transmittance_alice, params.clock_alice, "Alice")
-        parties.append((rng_a, surv_a))
-    pair_gates, flags = _photon_clicks(rng(seed_src), source, params.n_gates, parties)
+        parties.append((rng_a, _party(params, "Alice").eta))
+    pair_gates, flags = _photon_clicks(rng(seed_src), params.pair_source, params.n_gates, parties)
     det_b = flags[0]
     basis_b = _timing_bases(rng_b, det_b, params.clock_bob, params, boot_b)
     if heralded_alice:
@@ -295,10 +297,9 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     if clock.mode is not ClockMode.GATED:
         raise ValueError("the timing adversary is defined for gated clocks")
     n_events = as_count(n_events, "n_events", positive=True)
-    source = params.pair_source
-    eff = SourceModel(source.distribution, source.mu, source.eta * params.channel_transmittance_bob)
+    bob = _party(params, "Bob")
     (child,) = np.random.SeedSequence(params.seed).spawn(1)
-    stream = generate_gated(eff, clock, params.profile, n_events, child)
+    stream = generate_gated(bob, clock, params.profile, n_events, child)
     true_bits = extract_mod2(stream).bits
 
     r = clock.slots_per_gate

@@ -202,9 +202,19 @@ class EventStream:
         return int(self.slots.size)
 
 
-def _opportunity_click_probability(source: SourceModel, clock: ClockConfig) -> float:
-    """Merged photon-or-dark click probability per detection opportunity."""
-    return 1.0 - (1.0 - click_probability(source)) * (1.0 - clock.dark_prob)
+def _stream_click_probability(source: SourceModel, clock: ClockConfig, n_events: int) -> float:
+    """Merged photon-or-dark click probability per detection opportunity.
+
+    :class:`GuardError` if it is 0, or if ``n_events`` detections would
+    reach past 2**62 slots, each taking ``slots_per_gate / p + dead_slots``.
+    """
+    p = 1.0 - (1.0 - click_probability(source)) * (1.0 - clock.dark_prob)
+    if p <= 0.0:
+        unit = "gate" if clock.mode is ClockMode.GATED else "slot"
+        raise GuardError(f"per-{unit} click probability is 0; the stream would never terminate")
+    if n_events * (clock.slots_per_gate / p + clock.dead_slots) > 2.0**62:
+        raise GuardError("requested stream would overflow 64-bit slot indices")
+    return p
 
 
 def generate_free_running(
@@ -224,11 +234,7 @@ def generate_free_running(
     n_events = as_count(n_events, "n_events")
     if n_events == 0:
         return EventStream(np.empty(0, dtype=np.uint64), clock)
-    p_slot = _opportunity_click_probability(source, clock)
-    if p_slot <= 0.0:
-        raise GuardError("per-slot click probability is 0; the stream would never terminate")
-    if n_events * (1.0 / p_slot + clock.dead_slots) > 2.0**62:
-        raise GuardError("requested stream would overflow 64-bit slot indices")
+    p_slot = _stream_click_probability(source, clock, n_events)
     gaps = rng(seed).geometric(p_slot, size=n_events).astype(np.int64)
     gaps[1:] += clock.dead_slots
     return EventStream(np.cumsum(gaps), clock)
@@ -256,11 +262,7 @@ def generate_gated(
     profile._check(r)
     if n_events == 0:
         return EventStream(np.empty(0, dtype=np.uint64), clock)
-    p_gate = _opportunity_click_probability(source, clock)
-    if p_gate <= 0.0:
-        raise GuardError("per-gate click probability is 0; the stream would never terminate")
-    if n_events * (1.0 / p_gate) * r > 2.0**62:
-        raise GuardError("requested stream would overflow 64-bit slot indices")
+    p_gate = _stream_click_probability(source, clock, n_events)
     gen = rng(seed)
     # Each batch draws one candidate per free entry, builds the candidates in
     # place, and moves the ones the dead time keeps to the front.

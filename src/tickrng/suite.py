@@ -244,8 +244,7 @@ def longest_runs_test(bits) -> float:
     """Distribution of the longest run of ones per block, chi-square."""
     x = bit_array(bits)
     n = x.size
-    if n < _LONGEST_RUNS_TIERS[-1][0]:
-        raise InsufficientDataError(f"longest runs test needs at least 128 bits, got {n}")
+    _require(n, _LONGEST_RUNS_TIERS[-1][0], "longest runs test")
     for min_n, block_len, lo, hi, pi in _LONGEST_RUNS_TIERS:
         if n >= min_n:
             break
@@ -373,10 +372,7 @@ def universal_test(bits) -> float:
     occurrence of each non-overlapping L-bit block."""
     x = bit_array(bits)
     n = x.size
-    if n < _UNIVERSAL_THRESHOLDS[-1][0]:
-        raise InsufficientDataError(
-            f"universal test needs at least {_UNIVERSAL_THRESHOLDS[-1][0]} bits, got {n}"
-        )
+    _require(n, _UNIVERSAL_THRESHOLDS[-1][0], "universal test")
     for threshold, block_len in _UNIVERSAL_THRESHOLDS:
         if n >= threshold:
             break
@@ -501,10 +497,7 @@ def linear_complexity_test(bits, block_len: int = 500) -> float:
     block_len = as_count(block_len, "block_len", positive=True)
     x = bit_array(bits)
     n = x.size
-    if n < 200 * block_len:
-        raise InsufficientDataError(
-            f"linear complexity test needs at least {200 * block_len} bits, got {n}"
-        )
+    _require(n, 200 * block_len, "linear complexity test")
     nblocks = n // block_len
     mu = (
         block_len / 2.0

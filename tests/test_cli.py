@@ -376,6 +376,21 @@ def test_protocol_guard_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "gated", "--slots-per-gate", "2", "--dead-slots", "9223372036854775808",
+     "--events", "10", "--mu-eta", "0.5", "--seed", "1", "--out", "e.txt"],
+    ["simulate", "--mode", "gated", "--slots-per-gate", "2", "--dead-slots", "4611686018427387904",
+     "--events", "1000000", "--mu-eta", "0.5", "--seed", "1", "--out", "e.txt"],
+    ["protocol", "--mu-eta", "0.5", "--gates", "1000", "--seed", "1",
+     "--slots-per-gate", "4611686018427387904"],
+], ids=["dead-2^63", "dead-2^62", "protocol-gate-2^62"])
+def test_streams_past_64_bit_slots_exit_two(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: requested stream would overflow 64-bit slot indices\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # -------------------------------------------------------------------- eve
 
 
@@ -390,6 +405,12 @@ def test_eve_sweep_table(capsys):
     assert lines[1] == "1,0.500000"
     r2 = float(lines[2].split(",")[1])
     assert abs(r2) < 3 * 0.5 / 20000**0.5
+
+
+def test_eve_without_photons_names_bob(capsys):
+    rc, out, err = run(capsys, "eve", "--mu", "0", "--seed", "1")
+    assert (rc, out) == (2, "")
+    assert err == "error: Bob has zero detection probability; no events would ever arrive\n"
 
 
 def test_eve_rejects_bad_r_values(capsys):

@@ -132,6 +132,21 @@ def test_zero_detection_probability_is_guarded():
     assert [guarded_party(run, dead_source) for run in rounds] == ["Alice", "Bob", "Bob"]
 
 
+def test_rounds_past_64_bit_slots_are_guarded():
+    """Every round, and Eve's stream of Bob's detections, checks a party's
+    reach, n_gates * slots_per_gate, against 2**62 before drawing."""
+    wide = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2**62)
+    rounds = [run_bbm92, run_bb84, lambda p: run_bb84(p, heralded_alice=True),
+              lambda p: eve_qnd_advantage(p, 10)]
+    for params in (make_params(clock_bob=wide, n_gates=2), make_params(clock_bob=GATED_4, n_gates=2**61)):
+        for run in rounds:
+            with pytest.raises(GuardError) as exc:
+                run(params)
+            assert str(exc.value) == "requested stream would overflow 64-bit slot indices"
+    # Plain BB84 never uses Alice's clock, so it does not check it.
+    assert run_bb84(make_params(clock_alice=wide, n_gates=1000)).coincidences > 0
+
+
 def run_all_protocols(params: ProtocolParams) -> list:
     return [run_bbm92(params), run_bb84(params), run_bb84(params, heralded_alice=True)]
 

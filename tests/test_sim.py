@@ -118,6 +118,17 @@ def test_streams_past_64_bit_slots_raise_guard():
         generate_gated(source, gated, IntraGateProfile.uniform(), 10**7, seed=0)
 
 
+def test_gated_reach_counts_the_dead_time():
+    """Each gated detection takes slots_per_gate / p plus the dead time, so a
+    dead time near 2**62 trips the reach guard before any draw; 2**63 no
+    longer overflows the filter's int64 arithmetic."""
+    source = SourceModel(Distribution.POISSON, 0.5)
+    for dead, n_events in ((2**63, 10), (2**62, 10**6), (2**59, 10)):
+        gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=dead)
+        with pytest.raises(GuardError, match=r"^requested stream would overflow 64-bit slot indices$"):
+            generate_gated(source, gated, IntraGateProfile.uniform(), n_events, seed=1)
+
+
 def test_guard_messages_are_pinned():
     """The exact text of each generator's never-clicks and reach guards."""
     dark = SourceModel(Distribution.POISSON, 0.0)
