@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -70,7 +71,31 @@ class UsageError(Exception):
     pass
 
 
+# Every number on the command line is read by these two.
+def _integer(text: str) -> int:
+    """An optional "-" and ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _real(text: str) -> float:
+    """An integer with an optional "." fraction and exponent, or nan or inf,
+    which every real option's range check refuses with its own message."""
+    if not re.fullmatch(r"-?([0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|inf|nan)", text):
+        raise ValueError(f"invalid float value: {text!r}")
+    return float(text)
+
+
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a bad command line; ``type=int`` and ``type=float``
+    options read with :func:`_integer` and :func:`_real`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, _integer)
+        self.register("type", float, _real)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -80,7 +105,7 @@ def _add_source_args(parser: _Parser) -> None:
         "--dist", choices=[d.value for d in Distribution], default="poisson", dest="distribution",
     )
     parser.add_argument("--mu", type=float, default=None, help="mean photon number per window")
-    parser.add_argument("--eta", type=float, default=1.0, help="detector efficiency")
+    parser.add_argument("--eta", type=float, default=None, help="detector efficiency (default 1.0)")
     parser.add_argument(
         "--mu-eta", type=float, default=None, dest="mu_eta",
         help="shorthand for --mu VALUE --eta 1.0",
@@ -88,13 +113,17 @@ def _add_source_args(parser: _Parser) -> None:
 
 
 def _source_from_args(args) -> SourceModel:
-    """The source model; rewrites ``--mu-eta X`` in ``args`` as ``--mu X --eta 1.0``."""
+    """The source model; rewrites ``--mu-eta X`` in ``args`` as ``--mu X --eta 1.0``,
+    and an unset ``--eta`` as ``--eta 1.0``."""
     if args.mu_eta is not None:
-        if args.mu is not None:
-            raise UsageError("--mu and --mu-eta are mutually exclusive")
-        args.mu, args.eta, args.mu_eta = args.mu_eta, 1.0, None
+        for flag in ("mu", "eta"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} and --mu-eta are mutually exclusive")
+        args.mu, args.mu_eta = args.mu_eta, None
     if args.mu is None:
         raise UsageError("one of --mu or --mu-eta is required")
+    if args.eta is None:
+        args.eta = 1.0
     return SourceModel(Distribution(args.distribution), args.mu, args.eta)
 
 
@@ -102,9 +131,9 @@ def _profile_from_spec(spec: str) -> IntraGateProfile:
     if spec == "uniform":
         return IntraGateProfile.uniform()
     if spec.startswith("fixed:"):
-        return IntraGateProfile.fixed_slot(int(spec.split(":", 1)[1]))
+        return IntraGateProfile.fixed_slot(_integer(spec.split(":", 1)[1]))
     if spec.startswith("weighted:"):
-        weights = [float(w) for w in spec.split(":", 1)[1].split(",")]
+        weights = [_real(w) for w in spec.split(":", 1)[1].split(",")]
         return IntraGateProfile.weighted(weights)
     raise UsageError(
         f"unknown profile {spec!r}; expected 'uniform', 'fixed:K' or 'weighted:w1,w2,...'"
@@ -308,7 +337,7 @@ def cmd_eve(args) -> int:
     if not args.r_values.replace(",", "").strip():
         raise UsageError("--r-values must name at least one gate width")
     try:
-        r_values = [int(v) for v in args.r_values.split(",")]
+        r_values = [_integer(v.strip(" \t")) for v in args.r_values.split(",")]
     except ValueError:
         raise UsageError(f"--r-values must be a comma-separated list of integers, got {args.r_values!r}")
     rows = [(r, eve_qnd_advantage(params_at(r), args.events)) for r in r_values]

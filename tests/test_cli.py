@@ -139,6 +139,81 @@ def test_bias_requires_exactly_one_intensity(capsys):
     assert rc == 1
 
 
+# ---------------------------------------------------------------- numbers
+
+# Every number the CLI reads: an integer is an optional "-" and ASCII digits;
+# a real may add a "." fraction and an exponent with an optional sign.
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--mu-eta", "0.5", "--gates", "+1_000", "--profile", "fixed:\u0662"],
+    ["protocol", "--mu-eta", "0.5", "--gates", "+1000"],
+    ["protocol", "--mu-eta", "0.5", "--gates", "1_000"],
+    ["protocol", "--mu-eta", "0.5", "--gates", "1000", "--profile", "fixed:\u0662"],
+    ["protocol", "--mu-eta", "0.5", "--gates", "1000", "--profile", "fixed: 1"],
+    ["protocol", "--mu-eta", "0.5", "--gates", "1000", "--slots-per-gate", "3",
+     "--profile", "weighted:0.5,0_25,0.25"],
+    ["protocol", "--mu-eta", "0.5", "--gates", "1000", "--t-bob", "\u0661.0"],
+    ["eve", "--mu", "0.5", "--r-values", "1_0"],
+    ["eve", "--mu", "0.5", "--r-values", "\u0662"],
+    ["eve", "--mu", "0.5", "--r-values", "1,+2"],
+    ["bias", "--mu", "0_5"],
+    ["bias", "--mu", " 0.5"],
+    ["bias", "--mu", ".5"],
+    ["bias", "--mu", "1."],
+    ["bias", "--mu", "1e"],
+    ["bias", "--mu", "0x1"],
+    ["bias", "--mu", "Infinity"],
+    ["bias", "--mu-eta", "+0.5"],
+    ["bias", "--mu", "0.5", "--mc-events", "1_000"],
+    ["simulate", "--mu", "0.5", "--events", "10", "--seed", "\u0663", "--out", "x"],
+    ["test", "--bits", "bits.txt", "--alpha", "0.0_1"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_numbers_outside_the_grammar_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numbers_in_the_grammar_read_as_before(capsys):
+    def stdout(*argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        return out
+
+    bias = stdout("bias", "--mu-eta", "0.5", "--mc-events", "1000", "--seed", "5")
+    for mu_eta in ("5e-1", "5E-01", "0.05e+1", "50.0e-2"):
+        assert stdout("bias", "--mu-eta", mu_eta, "--mc-events", "01000", "--seed", "005") == bias
+    eve = stdout("eve", "--mu", "0.5", "--r-values", "1,3", "--events", "500", "--seed", "3")
+    assert stdout("eve", "--mu", "5e-1", "--r-values", "\t1 ,03", "--events", "500", "--seed", "3") == eve
+    profile = ["protocol", "--mu-eta", "0.5", "--gates", "1000", "--slots-per-gate", "2", "--seed", "1"]
+    assert stdout(*profile, "--profile", "weighted:2.5e-1,0.75") == stdout(
+        *profile, "--profile", "weighted:0.25,0.75")
+    assert stdout(*profile, "--profile", "fixed:02") == stdout(*profile, "--profile", "fixed:2")
+
+
+@pytest.mark.parametrize("subcommand", ["bias", "simulate", "protocol", "eve"])
+def test_mu_eta_refuses_an_explicit_eta(capsys, tmp_path, monkeypatch, subcommand):
+    monkeypatch.chdir(tmp_path)
+    rest = {"bias": [], "simulate": ["--events", "10", "--out", "x"],
+            "protocol": ["--gates", "100"], "eve": ["--events", "100"]}[subcommand]
+    for eta in ("0.3", "1.0"):
+        rc, out, err = run(capsys, subcommand, "--mu-eta", "0.5", "--eta", eta, *rest)
+        assert (rc, out) == (1, "")
+        assert err == "usage error: --eta and --mu-eta are mutually exclusive\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unset_eta_is_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "bias", "--mu", "0.5") == run(capsys, "bias", "--mu", "0.5", "--eta", "1")
+    assert run(capsys, "bias", "--mu", "0.5", "--eta", "0.5") == run(capsys, "bias", "--mu", "0.25")
+    for flags in (["--mu", "0.5"], ["--mu-eta", "0.5"]):
+        assert main(["simulate", *flags, "--events", "10", "--seed", "1", "--out", "x"]) == 0
+        argv = read_manifest("x.manifest.json").argv
+        assert argv[argv.index("--mu"):argv.index("--mu") + 4] == ["--mu", "0.5", "--eta", "1.0"]
+
+
 # --------------------------------------------------------------- simulate
 
 
