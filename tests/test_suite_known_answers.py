@@ -22,6 +22,7 @@ from tickrng.extract import BitStream, extract_mod2, flip_debias
 from tickrng.formats import write_report
 from tickrng.lfsr import lfsr_complexities, lfsr_complexity, lfsr_complexity_int
 from tickrng.models import Distribution, SourceModel
+from tickrng import suite
 from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
 from tickrng.suite import (
     DEFAULT_PARAMETERS,
@@ -909,6 +910,102 @@ def test_exact_pvalues_of_a_pin_stream_are_pinned(name):
     p += [longest_runs_test(x[:n]) for n in (128, 6272, 750_000)]
     digest = hashlib.sha256(np.array(p, dtype="<f8").tobytes()).hexdigest()
     assert digest == EXACT_PVALUE_DIGESTS[name]
+
+
+# PCG64 bits whose battery p-values are pinned at every run length below, on
+# both sides of 2^13, 2^15 and 2^18, under four (ApEn, Serial) block lengths:
+# the defaults, then (16, 10), (3, 3) and (12, 12).  Each case holds the rows
+# that do not apply and the SHA-256 of the little-endian float64 p-values,
+# NaN where a row does not apply.
+BLOCK_LENGTH_PINS = {
+    (10, 16): {
+        8191: ("Rank Universal ApproximateEntropy Serial1 Serial2 LinearComplexity",
+              "461577ceee92dfb11d662de19f53a5484637fcead08b94b02f670c4aa1562dea"),
+        8192: ("Rank Universal ApproximateEntropy Serial1 Serial2 LinearComplexity",
+              "e7fd5b84d66a75f2783ed76934074b458d2bb15257bb0961eb721c8e36eee85c"),
+        32767: ("Rank Universal ApproximateEntropy Serial1 Serial2 LinearComplexity",
+              "5262548d0efb6720aee7a97017f4754e3ecd95f6b83320360eaad6f7bf8231b4"),
+        32768: ("Rank Universal Serial1 Serial2 LinearComplexity",
+              "d02da24a71f5569a1750a0e0be58d479850a6450138fe7c0b097ace0d813a885"),
+        262143: ("Universal Serial1 Serial2",
+              "0c5f89ae3a5064c8f9753166339df20547d9790f7b9d4efd3cf021c582581e21"),
+        262144: ("Universal",
+              "87dbe57d9e567352d26b98a71981579927b4fadd030c5e67ee59a04e28a0d7a0"),
+    },
+    (16, 10): {
+        8191: ("Rank Universal ApproximateEntropy LinearComplexity",
+              "4fa2cc5320191369de4189fb3193724707796024d3e20c720ed08decc3432420"),
+        8192: ("Rank Universal ApproximateEntropy LinearComplexity",
+              "87d79db91350d0ff4bba93b9fa8fc4ddfaf3db3fa2fd4abe8a793b47f75bedab"),
+        32767: ("Rank Universal ApproximateEntropy LinearComplexity",
+              "acaa767448de4406e7cdeb4d8dbbcc5be31944187a73fcbe9dda6e68f9671348"),
+        32768: ("Rank Universal ApproximateEntropy LinearComplexity",
+              "c3ead79a26330706a81c6edab8d08e319f8a48a562edeec78940bc109b8ed372"),
+        262143: ("Universal ApproximateEntropy",
+              "016e523c37cd770140445333796e29beb824f68080b318f1a80cb717ed30e2ec"),
+        262144: ("Universal ApproximateEntropy",
+              "5cf54f0c6d4a472d28de3708b243187d19a85966a523be3fb8ac45140a24c927"),
+    },
+    (3, 3): {
+        8191: ("Rank Universal LinearComplexity",
+              "d3b4b57e3ab79a121bdffd8f80c71708e9dc51fac3cf9f8c4fb99fa0c9bd37a5"),
+        8192: ("Rank Universal LinearComplexity",
+              "f898a8ba3fbd5fe2bc61013fca82e1bc4c98039018810629b5875c749b4670d8"),
+        32767: ("Rank Universal LinearComplexity",
+              "b1deda7b9016644631fc2b1340a007c3dce21223db4a1c2a9ce11da85ace9afe"),
+        32768: ("Rank Universal LinearComplexity",
+              "783a6ef24dd881fc8f4ccf593bce0846e7d10e76dc720896902165cdef5e6274"),
+        262143: ("Universal",
+              "08d2fd80c7a8bce30a88f985b021936cd6a98fc05fee5105983b28e2a30a5d1c"),
+        262144: ("Universal",
+              "3f17e7c5b4ffd89eb40683704f88578c38f8cb48c4981543fd4d00a2459d4056"),
+    },
+    (12, 12): {
+        8191: ("Rank Universal ApproximateEntropy Serial1 Serial2 LinearComplexity",
+              "461577ceee92dfb11d662de19f53a5484637fcead08b94b02f670c4aa1562dea"),
+        8192: ("Rank Universal ApproximateEntropy Serial1 Serial2 LinearComplexity",
+              "e7fd5b84d66a75f2783ed76934074b458d2bb15257bb0961eb721c8e36eee85c"),
+        32767: ("Rank Universal ApproximateEntropy LinearComplexity",
+              "42470e062fa8c689abcc23caab3a1165d82ffa0b6dd5527ef4dab141855b9d86"),
+        32768: ("Rank Universal ApproximateEntropy LinearComplexity",
+              "d9f7e59036b6bede9be2de77396ceb521ead6513f9122998d0ba93e3dd1c2092"),
+        262143: ("Universal",
+              "a194db12c991fb6e004d408a71660c7cc18a3b5e08b94ea6b306ac4952991165"),
+        262144: ("Universal",
+              "9dcd605c2e5b18582b090d72b755be82ea9220cf2e112843c349bdaf55ffb1b6"),
+    },
+}
+
+
+@pytest.mark.parametrize("apen_len, serial_len, n", [
+    (apen_len, serial_len, n) for (apen_len, serial_len), cases in BLOCK_LENGTH_PINS.items() for n in cases
+])
+def test_exact_pvalues_under_each_block_length_setting_are_pinned(apen_len, serial_len, n):
+    overrides = {} if (apen_len, serial_len) == (10, 16) else {
+        "approximate_entropy_block_len": apen_len, "serial_block_len": serial_len}
+    bits = random_bits(20261019, 1 << 18)[:n]
+    entries = run_battery(bits, run_len=n, **overrides).entries
+    not_applicable = " ".join(e.test_id.value for e in entries if not e.applicable)
+    digest = hashlib.sha256(np.array([e.p_value for e in entries], dtype="<f8").tobytes()).hexdigest()
+    assert (not_applicable, digest) == BLOCK_LENGTH_PINS[apen_len, serial_len][n]
+
+
+@pytest.mark.parametrize("apen_len, serial_len", BLOCK_LENGTH_PINS)
+@pytest.mark.parametrize("run_len", [(1 << 13) - 1, 1 << 13, 1 << 15, 1 << 18])
+def test_battery_counts_patterns_at_most_once_per_run(monkeypatch, apen_len, serial_len, run_len):
+    """ApEn and Serial share one overlapping-pattern count per run, and its
+    table of 2^m counts is at most a quarter of the run."""
+    widths = []
+
+    def counting(x, m):
+        widths.append(m)
+        return _overlapping_counts(x, m)
+
+    monkeypatch.setattr(suite, "_overlapping_counts", counting)
+    run_battery(random_bits(97, 3 * run_len), run_len=run_len,
+                approximate_entropy_block_len=apen_len, serial_block_len=serial_len)
+    assert len(widths) <= 3
+    assert all(4 << m <= run_len for m in widths)
 
 
 def test_battery_stays_within_its_memory_budget():
