@@ -350,22 +350,19 @@ def cmd_replay(args) -> int:
     manifest = read_manifest(args.manifest)
     if manifest.subcommand == "replay":
         raise DataError("a replay manifest cannot be replayed")
-    out_dir = Path(args.out_dir)
-    argv = list(manifest.argv)
-    # only the value after --out names an output; any other item stays as recorded
-    for i in range(1, len(argv)):
-        if argv[i - 1] == "--out":
-            argv[i] = str(out_dir / Path(argv[i]).name)
     try:
         # a help or version flag prints its text and exits from inside argparse
         with contextlib.redirect_stdout(io.StringIO()):
-            replayed = build_parser().parse_args(argv)
+            replayed = build_parser().parse_args(manifest.argv)
     except UsageError as exc:
         raise DataError(f"manifest argv {manifest.argv} does not parse: {exc}") from None
     except SystemExit:
         raise DataError(
             f"manifest argv {manifest.argv} does not parse: it asks for help or the version"
         ) from None
+    out_dir = Path(args.out_dir)
+    if getattr(replayed, "out", None):
+        replayed.out = str(out_dir / Path(replayed.out).name)
     out_dir.mkdir(parents=True, exist_ok=True)
     return replayed.func(replayed)
 

@@ -207,12 +207,15 @@ def _stream_click_probability(source: SourceModel, clock: ClockConfig, n_events:
 
     :class:`GuardError` if it is 0, or if ``n_events`` detections would
     reach past 2**62 slots, each taking ``slots_per_gate / p + dead_slots``.
+    A count above 2**62 is refused first: the float product cannot take
+    one past float range.
     """
     p = 1.0 - (1.0 - click_probability(source)) * (1.0 - clock.dark_prob)
     if p <= 0.0:
         unit = "gate" if clock.mode is ClockMode.GATED else "slot"
         raise GuardError(f"per-{unit} click probability is 0; the stream would never terminate")
-    if n_events * (clock.slots_per_gate / p + clock.dead_slots) > 2.0**62:
+    big = max(n_events, clock.slots_per_gate, clock.dead_slots) > 2**62
+    if big or n_events * (clock.slots_per_gate / p + clock.dead_slots) > 2.0**62:
         raise GuardError("requested stream would overflow 64-bit slot indices")
     return p
 

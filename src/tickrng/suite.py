@@ -14,9 +14,11 @@ The costliest procedures run on whole-array kernels:
   run.  The circularly extended run is packed once, every m-bit window
   is read out of a ``uint64`` word, and one ``bincount`` gives the
   counts.  Circular counts for width m - 1 are ``c[0::2] + c[1::2]`` of
-  those for m, so ``run_battery`` counts once at the widest width an
-  applicable test needs and folds down for Serial (m, m - 1, m - 2) and
-  ApEn (m + 1, m).  Either test called alone counts the same way.
+  those for m, so ``run_battery`` counts once, at the wider of ApEn's
+  width m + 1 and Serial's m among the widths w with 4 * 2^w <= n, and
+  folds down for Serial (m, m - 1, m - 2) and ApEn (m + 1, m); each
+  test that applies has n >= 4 * 2^w at its own w.  Either test called
+  alone counts the same way.
 - LinearComplexity runs Berlekamp–Massey on all blocks in lockstep,
   64 blocks per word (:func:`tickrng.lfsr.lfsr_complexities`).
 - Rank packs each 32-bit matrix row into a word and eliminates all
@@ -430,24 +432,18 @@ def _fold(counts: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
-def _approximate_entropy_min_bits(block_len: int, min_n: int = 100) -> int:
-    return max(min_n, 1 << (block_len + 5))
-
-
-def _serial_min_bits(block_len: int, min_n: int = 100) -> int:
-    return max(min_n, 1 << (block_len + 2))
-
-
-def _approximate_entropy(bits, block_len: int, min_n: int, count) -> float:
+def _approximate_entropy(bits, block_len: int, min_n: int, counts=None) -> float:
+    """``counts``: circular counts at width >= block_len + 1, or None to count here."""
     block_len = as_count(block_len, "block_len", positive=True)
     x = bit_array(bits)
     n = x.size
-    _require(n, _approximate_entropy_min_bits(block_len, min_n), "approximate entropy test")
-    wide = count(x, block_len + 1)
+    _require(n, max(min_n, 1 << (block_len + 5)), "approximate entropy test")
+    if counts is None:
+        counts = _overlapping_counts(x, block_len + 1)
     phi = []
     for m in (block_len, block_len + 1):
-        counts = _fold(wide, m)
-        probs = counts[counts > 0] / n
+        folded = _fold(counts, m)
+        probs = folded[folded > 0] / n
         phi.append(float((probs * np.log(probs)).sum()))
     apen = phi[0] - phi[1]
     # ApEn <= ln 2, so the statistic is >= 0; on perfectly balanced input it
@@ -458,17 +454,19 @@ def _approximate_entropy(bits, block_len: int, min_n: int, count) -> float:
 
 def approximate_entropy_test(bits, block_len: int = 10, min_n: int = 100) -> float:
     """Compares frequencies of overlapping m and m+1 bit patterns."""
-    return _approximate_entropy(bits, block_len, min_n, _overlapping_counts)
+    return _approximate_entropy(bits, block_len, min_n)
 
 
-def _serial(bits, block_len: int, min_n: int, count) -> tuple[float, float]:
+def _serial(bits, block_len: int, min_n: int, counts=None) -> tuple[float, float]:
+    """``counts``: circular counts at width >= block_len, or None to count here."""
     block_len = as_count(block_len, "block_len", positive=True)
     if block_len < 3:
         raise ValueError("block length must be >= 3")
     x = bit_array(bits)
     n = x.size
-    _require(n, _serial_min_bits(block_len, min_n), "serial test")
-    counts = count(x, block_len)
+    _require(n, max(min_n, 1 << (block_len + 2)), "serial test")
+    if counts is None:
+        counts = _overlapping_counts(x, block_len)
     psi = []  # psi-square for widths m, m - 1, m - 2
     for m in (block_len, block_len - 1, block_len - 2):
         counts = _fold(counts, m)
@@ -480,7 +478,7 @@ def _serial(bits, block_len: int, min_n: int, count) -> tuple[float, float]:
 
 def serial_test(bits, block_len: int = 16, min_n: int = 100) -> tuple[float, float]:
     """First- and second-difference psi-square statistics of overlapping patterns."""
-    return _serial(bits, block_len, min_n, _overlapping_counts)
+    return _serial(bits, block_len, min_n)
 
 
 # Exact class probabilities for the complexity deviation T: the geometric
@@ -563,17 +561,9 @@ def _run_procedures(x: np.ndarray, params: dict) -> Iterator[tuple[TestId, float
     report order; ``None`` marks a procedure that does not apply to the run."""
     apen_len = params["approximate_entropy_block_len"]
     serial_len = params["serial_block_len"]
-    # One overlapping-count pass serves ApEn (m + 1, m) and Serial (m, m - 1,
-    # m - 2): count once at the widest width an applicable test uses, then fold.
-    # A test too long for the run sets no width, so no 2^m table is allocated for it.
-    width = max(
-        apen_len + 1 if x.size >= _approximate_entropy_min_bits(apen_len) else 0,
-        serial_len if x.size >= _serial_min_bits(serial_len) else 0,
-    )
-    wide = _overlapping_counts(x, width) if width else None
-
-    def counts(_bits: np.ndarray, m: int) -> np.ndarray:
-        return _fold(wide, m)
+    # one count for ApEn and Serial, at the width the module docstring gives
+    widths = [w for w in (apen_len + 1, serial_len) if 4 << w <= x.size]
+    counts = _overlapping_counts(x, max(widths)) if widths else None
 
     procedures = (
         ((TestId.FREQUENCY,), lambda: (frequency_test(x),)),

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, exit codes, manifests, replay."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import tickrng
-from tickrng.cli import main
+from tickrng.cli import build_parser, main
 from tickrng.extract import BitStream
 from tickrng.formats import read_bits, read_events, read_manifest, write_bits
 
@@ -466,6 +467,73 @@ def test_streams_past_64_bit_slots_exit_two(capsys, tmp_path, monkeypatch, argv)
     assert list(tmp_path.iterdir()) == []
 
 
+BIG = "1" + "0" * 399  # a count past float range
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mu", "0.5", "--events", BIG, "--out", "x"],
+    ["simulate", "--mu", "0.5", "--events", "10", "--dead-slots", BIG, "--out", "x"],
+    ["simulate", "--mode", "gated", "--mu", "0.5", "--events", "10", "--dead-slots", BIG, "--out", "x"],
+    ["simulate", "--mode", "gated", "--mu", "0.5", "--events", "10", "--slots-per-gate", BIG, "--out", "x"],
+    ["simulate", "--mode", "gated", "--mu", "0.5", "--events", BIG, "--out", "x"],
+    ["bias", "--mu", "0.5", "--mc-events", BIG],
+    ["eve", "--mu", "0.5", "--events", BIG],
+    ["protocol", "--mu", "0.5", "--gates", "100", "--dark-prob", "0.1", "--k-bootstrap", BIG],
+], ids=["free-events", "free-dead", "gated-dead", "gated-gate", "gated-events", "bias-mc-events",
+        "eve-events", "protocol-k-bootstrap"])
+def test_counts_past_float_range_are_past_64_bit_slots(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: requested stream would overflow 64-bit slot indices\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# A small command line per subcommand that runs; each of its integer options
+# is set in turn to each of INTEGER_EXTREMES.
+SMALL_RUNS = {
+    "simulate-free": ["simulate", "--mu", "0.5", "--events", "10", "--seed", "1", "--out", "x"],
+    "simulate-gated": ["simulate", "--mode", "gated", "--slots-per-gate", "2", "--mu", "0.5",
+                       "--events", "10", "--seed", "1", "--out", "x"],
+    "bias": ["bias", "--mu", "0.5", "--mc-events", "10", "--seed", "1"],
+    "test": ["test", "--bits", "bits.txt", "--run-len", "1000"],
+    "protocol": ["protocol", "--mu", "0.5", "--gates", "100", "--dark-prob", "0.1", "--seed", "1"],
+    "eve": ["eve", "--mu", "0.5", "--events", "100", "--seed", "1"],
+}
+INTEGER_EXTREMES = {"-1": "-1", "0": "0", "10^399": BIG}
+
+
+def integer_options() -> dict[str, list[str]]:
+    """Each subcommand's ``type=int`` options, read off the parser."""
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [action.option_strings[0] for action in parser._actions if action.type is int]
+        for name, parser in subcommands.choices.items()
+    }
+
+
+def test_every_subcommand_with_an_integer_option_has_a_small_run():
+    assert {name for name, options in integer_options().items() if options} == {
+        argv[0] for argv in SMALL_RUNS.values()}
+
+
+@pytest.mark.parametrize("case, option, value", [
+    (case, option, value)
+    for case, argv in SMALL_RUNS.items()
+    for option in integer_options()[argv[0]]
+    for value in INTEGER_EXTREMES
+])
+def test_no_exception_escapes_main_for_an_integer_option(capsys, tmp_path, monkeypatch, case, option, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bits.txt").write_text("01" * 1000)
+    argv = list(SMALL_RUNS[case])
+    if option in argv:
+        argv[argv.index(option) + 1] = INTEGER_EXTREMES[value]
+    else:
+        argv += [option, INTEGER_EXTREMES[value]]
+    rc, _, _ = run(capsys, *argv)
+    assert rc in (0, 1, 2, 3)
+
+
 # -------------------------------------------------------------------- eve
 
 
@@ -726,6 +794,22 @@ def test_replay_rewrites_only_the_out_value(capsys, monkeypatch, tmp_path, name)
     rc, _, err = run(capsys, "replay", name + ".manifest.json", "--out-dir", "rr")
     assert (rc, err) == (0, "")
     assert (tmp_path / "rr" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("spelling", [["--ou", "{}"], ["--out={}"]], ids=["prefix", "equals"])
+def test_replay_writes_only_under_the_out_dir_however_out_is_spelled(capsys, tmp_path, spelling):
+    """argparse also reads ``--out`` as a prefix of it or joined to its value by "="."""
+    elsewhere = tmp_path / "elsewhere" / "events.txt"
+    argv = ["simulate", "--mu", "0.5", "--events", "500", "--seed", "1"]
+    argv += [item.format(elsewhere) for item in spelling]
+    path = tmp_path / "spelled.manifest.json"
+    path.write_text(json.dumps(_manifest_json(argv=argv, outputs=[str(elsewhere)])))
+    rc, _, err = run(capsys, "replay", str(path), "--out-dir", str(tmp_path / "rr"))
+    assert (rc, err) == (0, "")
+    assert not elsewhere.parent.exists()
+    again = tmp_path / "rr" / "events.txt"
+    assert sorted(tmp_path.joinpath("rr").iterdir()) == [again, again.with_name("events.txt.manifest.json")]
+    assert read_manifest(str(again) + ".manifest.json").outputs == [str(again)]
 
 
 def _manifest_json(**fields) -> dict:
