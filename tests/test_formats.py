@@ -88,6 +88,23 @@ def test_events_ascii_bytes_are_pinned(tmp_path, name):
     assert np.array_equal(read_events(path).slots, stream.slots)
 
 
+# SHA-256 of the binary event bytes of the same streams.
+BINARY_EVENT_PINS = {
+    "gated_r2_mu_eta_0.5": "cf5d535f7500758ed2d62166cddba0bfadd6cb10271142cf2ae0d3b7347941c2",
+    "gated_r1_mu_eta_1e-9": "7adea7056efc7c2207ba17c4a2dc7183747fe426eb316f5e684985a387bd3940",
+    "boundaries": "d26ad56f5cf7d0600c4cb5de0dca4c5b0b51bb8bc4bfc85f3fcee10afc9863a6",
+}
+
+
+@pytest.mark.parametrize("name", ASCII_EVENT_PINS)
+def test_events_binary_bytes_are_pinned(tmp_path, name):
+    stream = ASCII_EVENT_PINS[name][0]()
+    path = tmp_path / "events.bin"
+    write_events(stream, path, fmt="binary")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BINARY_EVENT_PINS[name]
+    assert np.array_equal(read_events(path, fmt="binary").slots, stream.slots)
+
+
 def test_pinned_gated_stream_reaches_fourteen_digits():
     assert len(str(int(gated_stream(1, 1e-9, 20_000).slots[-1]))) == 14
 
