@@ -449,7 +449,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except GuardError as exc:
+    except (GuardError, MemoryError) as exc:  # MemoryError: an array the host refuses to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:  # after DataError, which is a ValueError

@@ -13,20 +13,30 @@ the CLI is accompanied by a JSON run manifest (``<file>.manifest.json``)
 recording the exact command, parameters and random generator, so any
 output can be reproduced bit-exactly with ``tickrng replay``.
 
-Ascii event files are written and parsed by whole-array kernels, with no
-Python object per line:
+Event files are written and parsed one fixed-size block at a time, by
+array kernels with no Python object per line, so the work memory does not
+grow with the stream:
 
-- The writer fills an (n, width + 1) byte matrix right to left by
-  repeated division by 10, width being the digit count of the largest
+- The writer formats 2**16 slots at a time and appends each block to the
+  file.  It fills an (n, width + 1) byte matrix right to left by repeated
+  division by 10, width being the digit count of the block's largest
   slot, with a newline in the last column.  Each row's leading-zero
-  columns are dropped by a mask chosen by its digit count.
-- The reader checks that every byte is a digit, a blank or a newline and
+  columns are dropped by a mask chosen by its own digit count, so the
+  bytes do not depend on the block.  Binary blocks are written from the
+  slots' own buffer.
+- The reader keeps the file's bytes and fills one uint64 array, sized by
+  the newline count, from blocks of whole lines of about 1 MiB.  In each
+  block it checks that every byte is a digit, a blank or a newline and
   that no blank run splits a line into two numbers, from the edges of
   padded byte masks; numpy's own text reader (``np.fromstring`` with
   ``sep=" "``) then converts the checked text.  It saturates a number
   above 2**64 - 1 to 2**64 - 1, so only tokens read as that value are
   checked for overflow, by array operations: their last 20 bytes against
   the digits of 2**64 - 1, and the bytes before those against ``0``.
+  Errors name lines of the whole file, and the error is the one a single
+  pass would give: the first stray byte, else the first split line, else
+  the first overflow.  The line of a slot is looked up only when a
+  message names it, from the first entry and byte of its block.
 
 Both kernels are tested for equal bytes, values and error messages
 against the per-line formulas they replaced (one ``str`` per slot;
@@ -37,6 +47,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -80,57 +91,113 @@ def _not_a_slot(blob: bytes, pos: int) -> DataError:
     return DataError(f"line {_line_of(blob, pos)}: {text!r} is not a decimal slot index")
 
 
+_WRITE_BLOCK = 2**16  # slots formatted and written at a time
+_READ_BLOCK = 2**20  # bytes checked and converted at a time, up to a line end
+
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 _U64_MAX = 2**64 - 1
 _U64_MAX_DIGITS = np.frombuffer(str(_U64_MAX).encode(), dtype=np.uint8)
 
 
-def _parse_ascii_events(blob: bytes):
-    """Slot indices of an ascii event file and a function naming the line of entry i."""
-    buf = np.frombuffer(blob, dtype=np.uint8)
-    digit = (buf - ord("0")) < 10
+def _padded_digits(buf: np.ndarray) -> np.ndarray:
+    """The digit mask of ``buf`` with False at each end."""
+    padded = np.zeros(buf.size + 2, dtype=bool)
+    np.less(buf - ord("0"), 10, out=padded[1:-1])
+    return padded
+
+
+def _check_block(blob: bytes, start: int, buf: np.ndarray):
+    """The padded digit mask of the block ``buf`` at byte ``start`` and its first split line.
+
+    Raises at the block's first byte that is not a digit, a blank or a
+    newline; the split line is a :class:`DataError` or None.
+    """
+    padded = _padded_digits(buf)
     # Every byte that is neither a digit nor a newline must be a blank.
-    blank = digit | (buf == ord("\n"))
+    blank = np.equal(buf, ord("\n"))
+    blank |= padded[1:-1]
     np.logical_not(blank, out=blank)
     other = buf[blank]
     stray = (other != ord(" ")) & (other != ord("\t")) & (other != ord("\r"))
     if stray.any():
-        raise _not_a_slot(blob, int(np.flatnonzero(blank)[stray.argmax()]))
-    # padded holds a byte mask with False at each end: the blanks, then the
-    # digits.  Run k of a mask covers bytes edges[2k] .. edges[2k + 1] - 1.
-    padded = np.zeros(buf.size + 2, dtype=bool)
-    padded[1:-1] = blank
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    padded[1:-1] = digit
-    del digit, blank
+        raise _not_a_slot(blob, start + int(np.flatnonzero(blank)[stray.argmax()]))
+    if not other.size:
+        return padded, None
+    # Run k of the blank mask covers bytes edges[2k] .. edges[2k + 1] - 1.
+    edges = np.flatnonzero(np.diff(blank, prepend=False, append=False))
+    del blank
     # A blank run with a digit on each side splits a line into two numbers.
     split = padded[edges[0::2]] & padded[edges[1::2] + 1]
-    if split.any():
-        raise _not_a_slot(blob, int(edges[0::2][split.argmax()]))
+    return padded, _not_a_slot(blob, start + int(edges[0::2][split.argmax()])) if split.any() else None
+
+
+def _overflow(blob: bytes, start: int, buf: np.ndarray, padded: np.ndarray, slots: np.ndarray):
+    """The first overflowing slot of the block ``buf`` at byte ``start``, as a :class:`DataError`, or None.
+
+    The reader saturates a number above 2**64 - 1 to 2**64 - 1, so only
+    tokens read as that value can overflow.  One fits when its last 20
+    bytes are the digits of 2**64 - 1 and all bytes before them are "0".
+    """
+    sat = np.flatnonzero(slots == _U64_MAX)
+    if not sat.size:
+        return None
+    # Token k covers bytes edges[2k] .. edges[2k + 1] - 1 of the block.
     edges = np.flatnonzero(padded[1:] != padded[:-1])
-    del padded
-    starts, ends = edges[0::2], edges[1::2]
+    heads, ends = edges[0::2][sat], edges[1::2][sat]
+    tails = ends - 20
+    over = (np.lib.stride_tricks.sliding_window_view(buf, 20)[tails] != _U64_MAX_DIGITS).any(axis=1)
+    # The largest byte before each tail; reduceat returns the first byte of
+    # an empty range, so a token of exactly 20 bytes is masked out.
+    lead = np.maximum.reduceat(buf, np.stack((heads, tails), axis=1).ravel())[0::2]
+    over |= (lead > ord("0")) & (tails > heads)
+    if not over.any():
+        return None
+    head, end = start + int(heads[over.argmax()]), start + int(ends[over.argmax()])
+    return DataError(f"line {_line_of(blob, head)}: slot index {blob[head:end].decode()} overflows 64 bits")
+
+
+def _parse_ascii_events(blob: bytes):
+    """Slot indices of an ascii event file and a function naming the line of entry i.
+
+    The file is checked and converted in blocks of whole lines, each of at
+    least ``_READ_BLOCK`` bytes but the last.  The error is the one a pass
+    over the whole file gives: the first stray byte, else the first split
+    line, else the first overflowing slot.
+    """
+    slots = np.empty(blob.count(b"\n") + 1, dtype=np.uint64)
+    # Block k starts at byte bounds[k] and at entry firsts[k].
+    bounds, firsts = [0], []
+    split = overflow = None
+    n = 0
+    while bounds[-1] < len(blob):
+        start = bounds[-1]
+        end = blob.find(b"\n", start + _READ_BLOCK - 1) + 1 or len(blob)
+        bounds.append(end)
+        firsts.append(n)
+        buf = np.frombuffer(blob, dtype=np.uint8, count=end - start, offset=start)
+        padded, block_split = _check_block(blob, start, buf)
+        split = split or block_split
+        # After a split line or an overflow, only a stray byte (or, after an
+        # overflow, a split line) further on changes the error.
+        if split or overflow:
+            continue
+        count = np.count_nonzero(padded[1:] > padded[:-1])
+        # The slice drops the [0] that fromstring reads from blank-only text.
+        block = slots[n : n + count]
+        block[:] = np.fromstring(buf, dtype=np.uint64, sep=" ")[:count]
+        overflow = _overflow(blob, start, buf, padded, block)
+        n += count
+    if split or overflow:
+        raise split or overflow
 
     def where(i: int) -> str:
-        return f"line {_line_of(blob, int(starts[i]))}"
+        k = bisect_right(firsts, i) - 1
+        buf = np.frombuffer(blob, dtype=np.uint8, count=bounds[k + 1] - bounds[k], offset=bounds[k])
+        padded = _padded_digits(buf)
+        head = np.flatnonzero(padded[1:] > padded[:-1])[i - firsts[k]]
+        return f"line {_line_of(blob, bounds[k] + int(head))}"
 
-    # The slice drops the [0] that fromstring reads from blank-only text.
-    slots = np.fromstring(blob, dtype=np.uint64, sep=" ")[: starts.size]
-    # The reader saturates a number above 2**64 - 1 to 2**64 - 1, so only
-    # tokens read as that value can overflow.  One fits when its last 20
-    # bytes are the digits of 2**64 - 1 and all bytes before them are "0".
-    sat = np.flatnonzero(slots == _U64_MAX)
-    if sat.size:
-        tails = ends[sat] - 20
-        over = (np.lib.stride_tricks.sliding_window_view(buf, 20)[tails] != _U64_MAX_DIGITS).any(axis=1)
-        # The largest byte before each tail; reduceat returns the first byte
-        # of an empty range, so a token of exactly 20 bytes is masked out.
-        lead = np.maximum.reduceat(buf, np.stack((starts[sat], tails), axis=1).ravel())[0::2]
-        over |= (lead > ord("0")) & (tails > starts[sat])
-        if over.any():
-            i = int(sat[over.argmax()])
-            raise DataError(f"{where(i)}: slot index {blob[starts[i] : ends[i]].decode()} overflows 64 bits")
-    return slots, where
+    return slots[:n], where
 
 
 def _format_slots(slots: np.ndarray) -> np.ndarray:
@@ -176,11 +243,10 @@ def read_events(path, fmt: str = "ascii") -> EventStream:
 def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:
     if fmt not in EVENT_FORMATS:
         raise ValueError(f"unknown event format {fmt!r}")
-    path = Path(path)
-    if fmt == "ascii":
-        path.write_bytes(_format_slots(stream.slots))
-    else:
-        path.write_bytes(stream.slots.astype("<u8").tobytes())
+    encode = _format_slots if fmt == "ascii" else (lambda block: block.astype("<u8", copy=False))
+    with Path(path).open("wb") as fh:
+        for start in range(0, stream.slots.size, _WRITE_BLOCK):
+            fh.write(encode(stream.slots[start : start + _WRITE_BLOCK]))
 
 
 def read_bits(path, fmt: str = "ascii01") -> BitStream:

@@ -57,6 +57,34 @@ def test_battery_report_is_the_same_without_scipy(capsys, tmp_path):
     assert (tmp_path / "there.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
+# A process's ru_maxrss starts at the peak of the process it was forked
+# from, so each CLI call is launched by a small interpreter, not by pytest.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def fresh_peak_rss_mb(cwd: Path, *argv: str) -> float:
+    """Peak RSS in MB of one CLI call in a fresh interpreter, from ``os.wait4``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
+    cli = [sys.executable, "-c", "from tickrng.cli import run\nrun()\n", *argv]
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, *cli], cwd=cwd, env=env, capture_output=True, check=True)
+    rc, maxrss_kib = map(int, done.stdout.split())
+    assert rc == 0
+    return maxrss_kib / 1024
+
+
+def test_simulating_a_million_ascii_events_costs_little_memory_over_the_interpreter(tmp_path):
+    # Formatting the whole file at once took about 62 MB over `--version`.
+    argv = ["--mode", "gated", "--slots-per-gate", "2", "--mu-eta", "0.5", "--events", "1000000"]
+    simulate = fresh_peak_rss_mb(tmp_path, "simulate", *argv, "--format", "ascii", "--out", "events.txt")
+    assert simulate - fresh_peak_rss_mb(tmp_path, "--version") < 45
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
     done = subprocess.run(
@@ -485,6 +513,20 @@ def test_counts_past_float_range_are_past_64_bit_slots(capsys, tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (2, "", "error: requested stream would overflow 64-bit slot indices\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--mu", "0.5", "--gates", "4611686018427387904", "--slots-per-gate", "1"],
+    ["simulate", "--mode", "gated", "--mu-eta", "0.5", "--events", "100000000000000000", "--out", "x"],
+], ids=["protocol-4-EiB", "simulate-711-PiB"])
+def test_an_allocation_the_host_refuses_is_an_error(capsys, tmp_path, monkeypatch, argv):
+    # Within reach, yet each run's first array is larger than any address
+    # space, so numpy refuses it at once.
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

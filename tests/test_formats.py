@@ -210,6 +210,11 @@ def test_format_slots_matches_the_reference(name):
     )
 
 
+def max_lines_then_overflows(pairs: int) -> bytes:
+    fitting = b"18446744073709551615\n0018446744073709551615\n"
+    return fitting * pairs + b"100018446744073709551615\n18446744073709551616\n"
+
+
 PARSE_CASES = {
     "leading_zeros": b"007\n000000000000000000000000000042\n",
     "5000_leading_zeros": b"0" * 5000 + b"9\n",
@@ -239,11 +244,13 @@ PARSE_CASES = {
     "first_of_two_overflows": b"7\n99999999999999999999\n0000000000000000000001\n1" + b"0" * 21 + b"\n",
     # Every saturated token is checked: a nonzero digit before a fitting tail
     # overflows, and so does the last line.
-    "10^5_max_lines_then_overflows": (
-        b"18446744073709551615\n0018446744073709551615\n" * 50_000
-        + b"100018446744073709551615\n18446744073709551616\n"
-    ),
+    "10^5_max_lines_then_overflows": max_lines_then_overflows(50_000),
     **{f"grammar_{i}": b"1\n\n2\n" + bad.encode() + b"\n99999\n" for i, bad in enumerate(GRAMMAR_REJECTS)},
+    # A stray byte anywhere is named before a split line, and both before an
+    # overflow, wherever they are in the file.
+    "split_then_a_stray_byte": b"1 2\n3\nx\n",
+    "overflow_then_a_split": b"99999999999999999999\n3\n4 5\n",
+    "overflow_then_a_stray_byte": b"99999999999999999999\n3\nx\n",
 }
 
 
@@ -279,14 +286,107 @@ def test_parse_ascii_events_matches_the_reference_on_random_files(seed):
     assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
 
 
-def test_ascii_event_kernels_stay_within_their_memory_budget(tmp_path):
-    # Per-line Python objects cost about 14x the file to write and 20x to read.
-    stream = gated_stream(2, 0.5, 100_000)
+@pytest.mark.parametrize("n_events", [100_000, 1_000_000])
+def test_ascii_event_kernels_stay_within_their_memory_budget(tmp_path, n_events):
+    # The writers hold one block of slots at a time, whatever the stream's
+    # length.  The reader holds the file, its slots, the stream's copy of
+    # them and the work of one block.
+    stream = gated_stream(2, 0.5, n_events)
+    assert traced_peak(write_events, stream, tmp_path / "events.bin", "binary") <= 4 * 2**20
     path = tmp_path / "events.txt"
-    write_peak = traced_peak(write_events, stream, path)
+    assert traced_peak(write_events, stream, path) <= 4 * 2**20
     size = path.stat().st_size
-    assert traced_peak(read_events, path) <= 16 * size
-    assert write_peak <= 10 * size
+    assert traced_peak(read_events, path) <= size + 16 * n_events + formats._READ_BLOCK
+
+
+@pytest.fixture(params=[1, 7, 64])
+def small_blocks(request, monkeypatch) -> int:
+    """Read and write events in blocks of this many bytes or slots."""
+    monkeypatch.setattr(formats, "_READ_BLOCK", request.param)
+    monkeypatch.setattr(formats, "_WRITE_BLOCK", request.param)
+    return request.param
+
+
+# In blocks of one line, the 10^5-line case takes seconds; a 10^2-line
+# one keeps every kind of line it has.
+SMALL_BLOCK_PARSE_CASES = {
+    **{name: blob for name, blob in PARSE_CASES.items() if len(blob) < 10**5},
+    "10^2_max_lines_then_overflows": max_lines_then_overflows(50),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_BLOCK_PARSE_CASES)
+def test_parse_in_small_blocks_matches_the_reference(small_blocks, name):
+    blob = SMALL_BLOCK_PARSE_CASES[name]
+    assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_parse_in_small_blocks_matches_the_reference_on_random_files(small_blocks, seed):
+    blob = random_event_file(np.random.default_rng(seed))
+    assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
+
+
+@pytest.mark.parametrize("name", FORMAT_CASES)
+def test_events_written_in_small_blocks_match_the_reference(tmp_path, small_blocks, name):
+    slots = np.unique(FORMAT_CASES[name])
+    stream = EventStream(slots[slots > 0], FREE)
+    write_events(stream, tmp_path / "events.txt")
+    assert (tmp_path / "events.txt").read_bytes() == reference_format_slots(stream.slots)
+    write_events(stream, tmp_path / "events.bin", fmt="binary")
+    assert (tmp_path / "events.bin").read_bytes() == b"".join(v.to_bytes(8, "little") for v in stream.slots.tolist())
+
+
+def read_outcome(read, blob: bytes, tmp_path):
+    """The slots ``read`` gives the event file ``blob``, or its error message."""
+    path = tmp_path / "events.txt"
+    path.write_bytes(blob)
+    try:
+        return read(path).slots.tolist()
+    except DataError as exc:
+        return str(exc)
+
+
+def reference_read(path) -> EventStream:
+    slots, where = reference_parse_slots(path.read_bytes())
+    return EventStream(slots, FREE, where)
+
+
+def edge_case(block: int, line: bytes) -> bytes:
+    """A first line of ``block`` bytes holding slot 5, which ends the first block, then ``line``."""
+    return b"0" * (block - 1) + b"5\n" + line + b"\n"
+
+
+ASCII_MESSAGE_CASES = [
+    b"5\n3\n",
+    b"5\n5\n",
+    b"1\ntwo\n",
+    b"0\n4\n",
+    b"7\n18446744073709551616\n",
+    b"1\n2\n\xff3\n",
+    *(b"1\n\n2\n" + bad.encode() + b"\n99999\n" for bad in GRAMMAR_REJECTS),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ASCII_MESSAGE_CASES)))
+def test_ascii_messages_in_small_blocks_match_the_reference(tmp_path, small_blocks, case):
+    blob = ASCII_MESSAGE_CASES[case]
+    assert read_outcome(read_events, blob, tmp_path) == read_outcome(reference_read, blob, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b"3", "line 2: non-increasing slot index 3 (previous was 5)"),
+        (b"5", "line 2: duplicate slot index 5 (previous was 5)"),
+        (b"18446744073709551616", "line 2: slot index 18446744073709551616 overflows 64 bits"),
+    ],
+)
+def test_errors_right_after_a_block_edge_name_their_line(tmp_path, small_blocks, line, message):
+    blob = edge_case(small_blocks, line)
+    assert blob.find(b"\n", small_blocks - 1) == small_blocks  # the first block ends at line 1
+    assert read_outcome(read_events, blob, tmp_path) == message
+    assert read_outcome(reference_read, blob, tmp_path) == message
 
 
 def test_events_non_utf8_byte_names_the_line(tmp_path):
