@@ -459,6 +459,18 @@ def test_protocol_summary_lines(capsys, tmp_path):
     assert manifest.subcommand == "protocol"
 
 
+def test_protocol_stdout_of_a_round_without_coincidences_is_pinned(capsys):
+    """Bob almost never clicks: no coincidence, so his basis balance and the
+    sift fraction are 0, while the source still emitted in 6 gates."""
+    rc, stdout, err = run(capsys, "protocol", "--mu", "0.5", "--gates", "20", "--t-bob", "0.001", "--seed", "3")
+    assert (rc, err) == (0, "")
+    assert stdout == (
+        "protocol=bbm92\ngates=20\nseed=3\ncoincidences=0\nsifted_length=0\nqber=0.000000\n"
+        "basis_balance_alice=0.200000\nbasis_balance_bob=0.000000\nsift_fraction=0.000000\n"
+        "pair_gates=6\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["bb84", "bb84-heralded"])
 def test_protocol_variants_run(capsys, name):
     rc, stdout, _ = run(

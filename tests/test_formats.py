@@ -1,12 +1,14 @@
 """File formats: golden bytes, round trips, and malformed-input errors."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 from conftest import reference_format_slots, reference_parse_slots, traced_peak
 
+import tickrng
 from tickrng import formats
 from tickrng.errors import DataError
 from tickrng.extract import BitStream
@@ -24,7 +26,7 @@ from tickrng.formats import (
 )
 from tickrng.models import Distribution, SourceModel
 from tickrng.sim import ClockConfig, ClockMode, EventStream, IntraGateProfile, generate_gated
-from tickrng.suite import TestEntry, TestId, TestReport
+from tickrng.suite import TestEntry, TestId, TestReport, run_battery
 
 FREE = ClockConfig(mode=ClockMode.FREE_RUNNING)
 
@@ -548,6 +550,29 @@ def test_report_csv_layout(tmp_path):
     assert len(lines) == 5
 
 
+def test_report_csv_bytes_with_not_applicable_rows_are_pinned(tmp_path):
+    """A one-run report at 2^13 bits, where six procedures do not apply."""
+    bits = np.random.Generator(np.random.PCG64(20261019)).integers(0, 2, size=1 << 13, dtype=np.uint8)
+    path = tmp_path / "report.csv"
+    write_report(run_battery(bits, run_len=1 << 13), path)
+    assert path.read_bytes() == (
+        b"test_id,test_index,run_index,p_value,pass\r\n"
+        b"Frequency,1,0,0.565613,1\r\n"
+        b"BlockFrequency,2,0,0.430895,1\r\n"
+        b"CusumForward,3,0,0.716766,1\r\n"
+        b"CusumReverse,4,0,0.90022,1\r\n"
+        b"Runs,5,0,0.34386,1\r\n"
+        b"LongestRuns,6,0,0.585812,1\r\n"
+        b"Rank,7,0,NA,NA\r\n"
+        b"DFFT,8,0,0.273519,1\r\n"
+        b"Universal,9,0,NA,NA\r\n"
+        b"ApproximateEntropy,10,0,NA,NA\r\n"
+        b"Serial1,11,0,NA,NA\r\n"
+        b"Serial2,12,0,NA,NA\r\n"
+        b"LinearComplexity,13,0,NA,NA\r\n"
+    )
+
+
 def test_report_rows_follow_pass_rule(tmp_path):
     entries = [
         TestEntry(TestId.FREQUENCY, 0, 0.01, passed=0.01 >= 0.01),
@@ -595,3 +620,32 @@ def test_manifest_rejects_missing_fields(tmp_path):
     path.write_text('{"subcommand": "simulate"}')
     with pytest.raises(DataError, match="missing"):
         read_manifest(path)
+
+
+REQUIRED_MANIFEST_FIELDS = {
+    "subcommand": "simulate",
+    "argv": ["simulate"],
+    "parameters": {},
+    "outputs": ["x"],
+}
+
+
+@pytest.mark.parametrize("missing", [
+    ("subcommand",), ("argv",), ("parameters",), ("outputs",), ("argv", "outputs"), ("subcommand", "parameters"),
+], ids="-".join)
+def test_manifest_names_its_first_missing_field(tmp_path, missing):
+    """The first required field absent, in declaration order, is named."""
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps({k: v for k, v in REQUIRED_MANIFEST_FIELDS.items() if k not in missing}))
+    with pytest.raises(DataError) as exc:
+        read_manifest(path)
+    assert str(exc.value) == f"manifest is missing required field: {missing[0]!r}"
+
+
+def test_manifest_defaults_its_optional_fields_and_ignores_unknown_keys(tmp_path):
+    path = tmp_path / "m.manifest.json"
+    path.write_text(json.dumps({**REQUIRED_MANIFEST_FIELDS, "metrics": {"wall_s": 1.0}}))
+    assert read_manifest(path) == RunManifest(
+        subcommand="simulate", argv=["simulate"], parameters={}, outputs=["x"],
+        generator=None, conventions={}, version=tickrng.__version__,
+    )

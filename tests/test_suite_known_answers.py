@@ -491,6 +491,23 @@ def test_universal_matches_the_matrix_product_oracle(kind, n):
     assert universal_test(bits) == reference_universal_pvalue(bits)
 
 
+# Exact Universal p-values of PCG64 bits (seed 20261019) on both sides of
+# the first three block-length edges, L = 6/7, 7/8 and 8/9.
+UNIVERSAL_EDGE_PINS = {
+    904_959: 0.8233008084962024,
+    904_960: 0.2569506927868441,
+    2_068_479: 0.36534923290461085,
+    2_068_480: 0.8182824474844841,
+    4_654_079: 0.6428936430369132,
+    4_654_080: 0.0695307875365124,
+}
+
+
+@pytest.mark.parametrize("n", UNIVERSAL_EDGE_PINS)
+def test_universal_pvalues_at_the_block_length_edges_are_pinned(n):
+    assert universal_test(random_bits(20261019, 4_654_080)[:n]) == UNIVERSAL_EDGE_PINS[n]
+
+
 def test_universal_threshold_boundary():
     with pytest.raises(InsufficientDataError):
         universal_test(np.ones(387_839, dtype=np.uint8))
