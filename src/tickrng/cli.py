@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -316,18 +318,9 @@ def cmd_protocol(args) -> int:
         result = run_bbm92(params)
     else:
         result = run_bb84(params, heralded_alice=(args.protocol == "bb84-heralded"))
-    lines = [
-        f"protocol={args.protocol}",
-        f"gates={params.n_gates}",
-        f"seed={params.seed}",
-        f"coincidences={result.coincidences}",
-        f"sifted_length={result.sifted_length}",
-        f"qber={result.qber:.6f}",
-        f"basis_balance_alice={result.basis_balance_alice:.6f}",
-        f"basis_balance_bob={result.basis_balance_bob:.6f}",
-        f"sift_fraction={result.sift_fraction:.6f}",
-        f"pair_gates={result.pair_gates}",
-    ]
+    lines = [f"protocol={args.protocol}", f"gates={params.n_gates}", f"seed={params.seed}"]
+    for name, value in asdict(result).items():
+        lines.append(f"{name}={value:.6f}" if isinstance(value, float) else f"{name}={value}")
     _emit_text(args, "\n".join(lines) + "\n", conventions=_CONVENTIONS)
     return 0
 
@@ -362,6 +355,16 @@ def cmd_replay(args) -> int:
         ) from None
     out_dir = Path(args.out_dir)
     if getattr(replayed, "out", None):
+        # A relative input is read from where the run was made: the manifest's
+        # directory, less the directories of a relative --out that it ends in.
+        made_in = Path(os.path.abspath(args.manifest)).parent.parts
+        out_dirs = Path(replayed.out).parent.parts
+        depth = len(made_in) - len(out_dirs)
+        dest = {"extract": "events", "test": "bits"}.get(replayed.subcommand)
+        if dest and not os.path.isabs(replayed.out) and made_in[depth:] == out_dirs:
+            source = getattr(replayed, dest)
+            if not os.path.isabs(source):
+                setattr(replayed, dest, os.path.relpath(os.path.join(*made_in[:depth], source)))
         replayed.out = str(out_dir / Path(replayed.out).name)
     out_dir.mkdir(parents=True, exist_ok=True)
     return replayed.func(replayed)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -300,18 +300,8 @@ def write_report(report: TestReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)
         for entry in report.sorted_entries():
-            if entry.applicable:
-                writer.writerow(
-                    [
-                        entry.test_id.value,
-                        entry.test_index,
-                        entry.run_index,
-                        f"{entry.p_value:.6g}",
-                        int(entry.passed),
-                    ]
-                )
-            else:
-                writer.writerow([entry.test_id.value, entry.test_index, entry.run_index, "NA", "NA"])
+            result = (f"{entry.p_value:.6g}", int(entry.passed)) if entry.applicable else ("NA", "NA")
+            writer.writerow([entry.test_id.value, entry.test_index, entry.run_index, *result])
 
 
 @dataclass
@@ -352,18 +342,10 @@ def read_manifest(path) -> RunManifest:
     for name in ("parameters", "conventions"):
         if not isinstance(raw.get(name, {}), dict):
             raise DataError(f"manifest {name} must be a JSON object")
-    try:
-        manifest = RunManifest(
-            subcommand=raw["subcommand"],
-            argv=raw["argv"],
-            parameters=raw["parameters"],
-            outputs=raw["outputs"],
-            generator=raw.get("generator"),
-            conventions=raw.get("conventions", {}),
-            version=raw.get("version", __version__),
-        )
-    except KeyError as exc:
-        raise DataError(f"manifest is missing required field: {exc}") from None
+    for f in fields(RunManifest):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise DataError(f"manifest is missing required field: {f.name!r}")
+    manifest = RunManifest(**{f.name: raw[f.name] for f in fields(RunManifest) if f.name in raw})
     if not (_is_str_list(manifest.argv) and manifest.argv[:1] == [manifest.subcommand]):
         raise DataError("manifest argv must be a list of strings that starts with its subcommand")
     if not _is_str_list(manifest.outputs):

@@ -354,30 +354,15 @@ _UNIVERSAL_TABLE = {
     16: (15.167379, 3.421),
 }
 
-_UNIVERSAL_THRESHOLDS = (
-    (1_059_061_760, 16),
-    (496_435_200, 15),
-    (231_669_760, 14),
-    (107_560_960, 13),
-    (49_643_520, 12),
-    (22_753_280, 11),
-    (10_342_400, 10),
-    (4_654_080, 9),
-    (2_068_480, 8),
-    (904_960, 7),
-    (387_840, 6),
-)
-
 
 def universal_test(bits) -> float:
     """Maurer's universal statistic: mean log2 distance to the previous
     occurrence of each non-overlapping L-bit block."""
     x = bit_array(bits)
     n = x.size
-    _require(n, _UNIVERSAL_THRESHOLDS[-1][0], "universal test")
-    for threshold, block_len in _UNIVERSAL_THRESHOLDS:
-        if n >= threshold:
-            break
+    # SP 800-22 2.9: the largest tabulated L with n >= (Q + K) L, Q = 10 * 2^L, K = 1000 * 2^L
+    _require(n, 1010 * 6 * 2**6, "universal test")
+    block_len = max(L for L in _UNIVERSAL_TABLE if n >= 1010 * L * 2**L)
     q = 10 * (1 << block_len)
     k = n // block_len - q
     columns = x[: (q + k) * block_len].reshape(q + k, block_len)

@@ -839,6 +839,49 @@ def test_replay_reproduces_the_output_and_the_manifest(
     )
 
 
+@pytest.mark.parametrize("prefix", ["", "a/"], ids=["made-inside-a", "made-from-the-parent"])
+def test_replay_finds_relative_inputs_from_any_directory(capsys, monkeypatch, tmp_path, prefix):
+    """A run made in directory ``a/``, or from its parent with ``a/`` paths,
+    replays from either directory, and so does the replay's own manifest."""
+    (tmp_path / "a").mkdir()
+    monkeypatch.chdir(tmp_path / "a" if not prefix else tmp_path)
+    assert main(["simulate", "--mode", "gated", "--mu", "0.5", "--events", "3000", "--seed", "5",
+                 "--out", f"{prefix}ev.txt"]) == 0
+    assert main(["extract", "--events", f"{prefix}ev.txt", "--out", f"{prefix}bits.txt"]) == 0
+    assert main(["test", "--bits", f"{prefix}bits.txt", "--run-len", "2000", "--out", f"{prefix}report.csv"]) in (0, 3)
+    capsys.readouterr()
+    for name in ("bits.txt", "report.csv"):
+        original = (tmp_path / "a" / name).read_bytes()
+        for cwd, manifest, out_dir in [
+            (tmp_path, f"a/{name}", "out"),
+            (tmp_path / "a", name, "out"),
+            (tmp_path, f"out/{name}", "again"),
+            (tmp_path / "a", f"../out/{name}", "again"),
+        ]:
+            monkeypatch.chdir(cwd)
+            rc, _, err = run(capsys, "replay", f"{manifest}.manifest.json", "--out-dir", out_dir)
+            assert (rc in (0, 3), err) == (True, "")
+            assert (cwd / out_dir / name).read_bytes() == original
+
+
+def test_replay_leaves_inputs_alone_when_the_manifest_moved(capsys, monkeypatch, tmp_path):
+    """A manifest whose path does not end in its output's directories says
+    nothing of where its run was made, so its input is read as recorded."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    main(["simulate", "--mu", "0.5", "--events", "500", "--seed", "1", "--out", "a/ev.txt"])
+    main(["extract", "--events", "a/ev.txt", "--out", "a/bits.txt"])
+    shutil.copy("a/bits.txt.manifest.json", "elsewhere/bits.txt.manifest.json")
+    rc, _, err = run(capsys, "replay", "elsewhere/bits.txt.manifest.json", "--out-dir", "out")
+    assert (rc, err) == (0, "")
+    assert read_manifest("out/bits.txt.manifest.json").argv[:3] == ["extract", "--events", "a/ev.txt"]
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    rc, _, err = run(capsys, "replay", "bits.txt.manifest.json", "--out-dir", "out")
+    assert rc == 2
+    assert "No such file or directory: 'a/ev.txt'" in err
+
+
 @pytest.mark.parametrize("name", ["1", "ascii"])
 def test_replay_rewrites_only_the_out_value(capsys, monkeypatch, tmp_path, name):
     """An output named like another flag's value leaves that value alone."""

@@ -61,3 +61,9 @@ def test_every_modules_public_names_resolve_once():
     for module, public in exported:
         assert len(set(public)) == len(public), module.__name__
         assert [name for name in public if not hasattr(module, name)] == [], module.__name__
+
+
+def test_the_test_oracles_take_no_private_names():
+    """The slow oracles in ``conftest.py`` share no private constant or
+    helper with the code they check."""
+    assert private_imports(Path(__file__).with_name("conftest.py").read_text()) == []
