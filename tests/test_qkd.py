@@ -358,6 +358,15 @@ def test_block_wise_detections_match_one_whole_length_draw_past_the_default_bloc
     assert_same_detections(block_detections(params), whole_array_detections(params))
 
 
+def test_dead_time_keeps_a_detection_at_slot_one():
+    """No click precedes gate 0, so its detection at slot 1 is kept."""
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4, dead_slots=2)
+    detected = np.array([True, False, False, True])
+    stream = qkd._detections(rng(0), detected, clock, IntraGateProfile.fixed_slot(1))
+    assert stream.slots.tolist() == [1, 13]
+    assert detected.tolist() == [True, False, False, True]
+
+
 def test_bb84_qber_and_sifting():
     result = run_bb84(make_params(intrinsic_error=0.05, seed=233))
     sigma_q = math.sqrt(0.05 * 0.95 / result.sifted_length)

@@ -10,6 +10,7 @@ from scipy.stats import chisquare
 from conftest import binomial_sigma, geometric_gof_pvalue, reference_dead_time
 from tickrng.errors import DataError, GuardError
 from tickrng.models import Distribution, SourceModel, click_probability, parity_probabilities
+from tickrng import sim
 from tickrng.sim import (
     GENERATOR_ALGORITHM,
     ClockConfig,
@@ -17,6 +18,7 @@ from tickrng.sim import (
     EventStream,
     IntraGateProfile,
     apply_dead_time,
+    check_slots,
     empirical_parity,
     generate_free_running,
     generate_gated,
@@ -151,6 +153,19 @@ def test_guard_messages_are_pinned():
         assert str(exc.value) == message
 
 
+def test_reach_guard_passes_exactly_at_two_to_the_62():
+    """A certain click (Poisson mu*eta = 50 rounds p to 1.0) takes one slot
+    per event at r = 1 and two at r = 2, so these counts reach exactly
+    2**62 slots, which is allowed; no slot is allocated."""
+    source = SourceModel(Distribution.POISSON, 50.0)
+    r1 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=1)
+    r2 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
+    assert sim._stream_click_probability(source, r1, 2**62) == 1.0
+    assert sim._stream_click_probability(source, r2, 2**61) == 1.0
+    with pytest.raises(GuardError, match="^requested stream would overflow 64-bit slot indices$"):
+        sim._stream_click_probability(source, r1, 2**62 + 1)
+
+
 def test_gated_top_up_gives_up_when_the_dead_time_drops_every_candidate():
     # Nearly every gate clicks, and each top-up batch of one candidate lands
     # within the 10^5-slot dead time of the first click.
@@ -165,6 +180,13 @@ def test_zero_events_yields_empty_stream():
     assert len(generate_free_running(source, FREE, 0, seed=0)) == 0
     gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
     assert len(generate_gated(source, gated, IntraGateProfile.uniform(), 0, seed=0)) == 0
+
+
+def test_zero_events_still_check_the_profile_against_the_gate():
+    source = SourceModel(Distribution.POISSON, 0.5)
+    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
+    with pytest.raises(ValueError, match="^fixed slot 3 outside gate of 2 slots$"):
+        generate_gated(source, gated, IntraGateProfile.fixed_slot(3), 0, seed=0)
 
 
 def test_gated_r1_matches_free_running_distribution():
@@ -482,6 +504,18 @@ def test_event_stream_validation():
         EventStream(np.array([[1, 2]], dtype=np.int64), FREE)
     with pytest.raises(DataError, match="integers"):
         EventStream(np.array([1.2, 1.7, 3.0]), FREE)  # would truncate to 1, 1, 3
+
+
+def test_check_slots_messages_are_pinned():
+    cases = [
+        ([1, 1], "entry 2: duplicate slot index 1 (previous was 1)"),
+        ([0, 1], "entry 1: slot index must be >= 1, got 0"),
+        ([2, 5, 3], "entry 3: non-increasing slot index 3 (previous was 5)"),
+    ]
+    for slots, message in cases:
+        with pytest.raises(DataError) as exc:
+            check_slots(np.array(slots, dtype=np.int64))
+        assert str(exc.value) == message
 
 
 def test_event_stream_is_read_only():
