@@ -197,6 +197,8 @@ def _parse_ascii_events(blob: bytes):
         head = np.flatnonzero(padded[1:] > padded[:-1])[i - firsts[k]]
         return f"line {_line_of(blob, bounds[k] + int(head))}"
 
+    # Read-only, so the stream keeps these slots without a copy.
+    slots.setflags(write=False)
     return slots[:n], where
 
 

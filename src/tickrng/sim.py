@@ -12,6 +12,14 @@ accepted click suppresses later candidates.
 Gap sampling uses inverse-CDF geometric draws rather than per-slot
 Bernoulli trials; the two are distributionally identical and the tests
 check the generated gap histogram against :func:`tickrng.models.window_pmf`.
+
+The gated generator and the slot validator work ``_BLOCK`` slots at a
+time, so besides the slots themselves they hold only one block's
+temporaries.  Drawing a batch's geometric gaps, or its profile slots, in
+blocks takes the same draws from the generator as one whole-length call,
+so the blocks do not change a single slot.  A stream keeps the read-only
+uint64 slots the generators make, and a binary file's bytes, without a
+copy.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ __all__ = [
 GENERATOR_ALGORITHM = "PCG64"
 
 _MAX_TOPUP_BATCHES = 10_000
+_BLOCK = 2**16  # slots drawn, filtered and checked at a time
 
 
 def rng(seed) -> np.random.Generator:
@@ -151,30 +160,64 @@ class IntraGateProfile:
         return float(sum(self.weights[0::2]))
 
 
-def check_slots(slots, where: Callable[[int], str] | None = None) -> np.ndarray:
-    """``slots`` as a new 1-d uint64 array of strictly increasing indices >= 1.
+def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: int = 0) -> np.ndarray:
+    """``slots`` as a read-only 1-d uint64 array of strictly increasing indices >= 1.
 
     Raises :class:`DataError` for a non-integer dtype, a slot below 1 or a
-    slot not above its predecessor; the bad entry ``i`` is named by
-    ``where(i)``, by default ``entry i+1``.
+    slot not above its predecessor, naming the bad entry ``i`` by
+    ``where(i)``, by default ``entry i+1``; only when no entry is bad, for
+    a gap of ``dead_slots`` or less.  The slots are checked ``_BLOCK`` at a
+    time.  They are returned without a copy when no writable array can
+    change them: a uint64 array that is read-only, as is every array in its
+    ``base`` chain, which ends in an array owning its memory or in
+    ``bytes``.  Anything else is copied.
     """
     arr = np.asarray(slots)
     if arr.ndim != 1:
         raise DataError("event slots must be a 1-d array")
     if arr.dtype.kind not in "iu":
         raise DataError(f"event slots must be integers, got dtype {arr.dtype}")
-    if arr.size:
-        bad = np.flatnonzero(arr[1:] <= arr[:-1]) + 1
-        if arr[0] < 1 or bad.size:
-            name = where or (lambda i: f"entry {i + 1}")
-            i = 0 if arr[0] < 1 else int(bad[0])
-            value = int(arr[i])
-            if value < 1:
-                raise DataError(f"{name(i)}: slot index must be >= 1, got {value}")
-            last = int(arr[i - 1])
-            kind = "duplicate" if value == last else "non-increasing"
-            raise DataError(f"{name(i)}: {kind} slot index {value} (previous was {last})")
-    return arr.astype(np.uint64)
+    name = where or (lambda i: f"entry {i + 1}")
+
+    def bad_entry(i: int) -> DataError:
+        value = int(arr[i])
+        if value < 1:
+            return DataError(f"{name(i)}: slot index must be >= 1, got {value}")
+        last = int(arr[i - 1])
+        kind = "duplicate" if value == last else "non-increasing"
+        return DataError(f"{name(i)}: {kind} slot index {value} (previous was {last})")
+
+    if arr.size and arr[0] < 1:
+        raise bad_entry(0)
+    too_close = False
+    # Windows of _BLOCK + 1 entries, each overlapping the next by one.
+    for start in range(0, arr.size - 1, _BLOCK):
+        window = arr[start : start + _BLOCK + 1]
+        bad = window[1:] <= window[:-1]
+        if bad.any():
+            raise bad_entry(start + 1 + int(bad.argmax()))
+        too_close = too_close or (dead_slots > 0 and int(np.diff(window).min()) <= dead_slots)
+    if too_close:
+        raise DataError(f"event gaps must exceed the dead time of {dead_slots} slots")
+    if arr.dtype != np.uint64 or _writable(arr):
+        arr = arr.astype(np.uint64)
+        arr.setflags(write=False)
+    return arr
+
+
+def _writable(arr: np.ndarray) -> bool:
+    """Whether a writable array, or memory not held as ``bytes``, can reach ``arr``'s data."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return True
+        arr = arr.base
+    return not (arr is None or isinstance(arr, bytes))
+
+
+def _frozen(slots: np.ndarray) -> np.ndarray:
+    """The int64 ``slots`` the generator filled, as read-only uint64 for a stream."""
+    slots.setflags(write=False)
+    return slots.view(np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +226,9 @@ class EventStream:
 
     The slots are checked by :func:`check_slots`, which names a bad entry
     by ``where`` (a file reader passes its line namer), and every gap must
-    exceed the clock's dead time.
+    exceed the clock's dead time.  The stream holds them read-only: it
+    copies an array a writable one can reach, such as a caller's, and keeps
+    the generators' own arrays and a binary file's bytes as they are.
     """
 
     slots: np.ndarray
@@ -191,12 +236,7 @@ class EventStream:
     where: InitVar[Callable[[int], str] | None] = None
 
     def __post_init__(self, where):
-        arr = check_slots(self.slots, where)
-        dead = self.clock.dead_slots
-        if dead and arr.size > 1 and int(np.diff(arr).min()) <= dead:
-            raise DataError(f"event gaps must exceed the dead time of {dead} slots")
-        arr.setflags(write=False)
-        object.__setattr__(self, "slots", arr)
+        object.__setattr__(self, "slots", check_slots(self.slots, where, self.clock.dead_slots))
 
     def __len__(self) -> int:
         return int(self.slots.size)
@@ -238,9 +278,10 @@ def generate_free_running(
     if n_events == 0:
         return EventStream(np.empty(0, dtype=np.uint64), clock)
     p_slot = _stream_click_probability(source, clock, n_events)
-    gaps = rng(seed).geometric(p_slot, size=n_events).astype(np.int64)
-    gaps[1:] += clock.dead_slots
-    return EventStream(np.cumsum(gaps), clock)
+    slots = rng(seed).geometric(p_slot, size=n_events)
+    slots[1:] += clock.dead_slots
+    np.cumsum(slots, out=slots)
+    return EventStream(_frozen(slots), clock)
 
 
 def generate_gated(
@@ -257,6 +298,12 @@ def generate_gated(
     slot of a click in gate ``g`` at intra-gate slot ``i`` is
     ``(g - 1) * slots_per_gate + i``.  With a dead time, candidate clicks
     falling within ``dead_slots`` of the last accepted click are lost.
+
+    Each top-up batch draws one candidate per missing event: first all of
+    its geometric gate gaps, then all of its intra-gate slots.  Both are
+    drawn ``_BLOCK`` at a time into the stream's own array, which leaves
+    the generator's draw order, and so every slot, as one whole-batch draw
+    would; only one block's profile and dead-time temporaries are held.
     """
     if clock.mode is not ClockMode.GATED:
         raise ValueError("generate_gated requires a gated clock")
@@ -267,26 +314,31 @@ def generate_gated(
         return EventStream(np.empty(0, dtype=np.uint64), clock)
     p_gate = _stream_click_probability(source, clock, n_events)
     gen = rng(seed)
-    # Each batch draws one candidate per free entry, builds the candidates in
-    # place, and moves the ones the dead time keeps to the front.
     accepted = np.empty(n_events, dtype=np.int64)
     have = 0
-    last_gate = 0
+    last_gate = -1  # 0-based gate of the last candidate
     last_slot = -(clock.dead_slots + 1)
     for _ in range(_MAX_TOPUP_BATCHES):
         candidates = accepted[have:]
-        np.cumsum(gen.geometric(p_gate, size=candidates.size), out=candidates)
-        candidates += last_gate - 1
-        last_gate = int(candidates[-1]) + 1
-        candidates *= r
-        candidates += profile.sample(gen, candidates.size, r)
-        kept = candidates[apply_dead_time(candidates, clock.dead_slots, last_slot)]
-        candidates[: kept.size] = kept
-        have += kept.size
+        for start in range(0, candidates.size, _BLOCK):
+            block = candidates[start : start + _BLOCK]
+            np.cumsum(gen.geometric(p_gate, size=block.size), out=block)
+            block += last_gate
+            last_gate = int(block[-1])
+        # The kept candidates move to the front, behind those kept before.
+        kept = 0
+        for start in range(0, candidates.size, _BLOCK):
+            block = candidates[start : start + _BLOCK]
+            block *= r
+            block += profile.sample(gen, block.size, r)
+            block = block[apply_dead_time(block, clock.dead_slots, last_slot)]
+            candidates[kept : kept + block.size] = block
+            kept += block.size
+            if kept:
+                last_slot = int(candidates[kept - 1])
+        have += kept
         if have == n_events:
-            return EventStream(accepted, clock)
-        if kept.size:
-            last_slot = int(kept[-1])
+            return EventStream(_frozen(accepted), clock)
     raise GuardError(
         "dead time rejected too many candidate clicks; "
         f"gave up after {_MAX_TOPUP_BATCHES} batches"

@@ -301,6 +301,15 @@ def test_ascii_event_kernels_stay_within_their_memory_budget(tmp_path, n_events)
     assert traced_peak(read_events, path) <= size + 16 * n_events + formats._READ_BLOCK
 
 
+def test_binary_event_reading_holds_only_the_file(tmp_path):
+    """The stream keeps the file's bytes as its slots, without a copy."""
+    stream = gated_stream(2, 0.5, 1_000_000)
+    path = tmp_path / "events.bin"
+    write_events(stream, path, "binary")
+    assert traced_peak(read_events, path, "binary") <= path.stat().st_size + 2**20
+    assert isinstance(read_events(path, "binary").slots.base, bytes)
+
+
 @pytest.fixture(params=[1, 7, 64])
 def small_blocks(request, monkeypatch) -> int:
     """Read and write events in blocks of this many bytes or slots."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import binomial_sigma, geometric_gof_pvalue, reference_dead_time
+from conftest import binomial_sigma, geometric_gof_pvalue, reference_dead_time, traced_peak
 from tickrng.errors import DataError, GuardError
 from tickrng.models import Distribution, SourceModel, click_probability, parity_probabilities
 from tickrng import sim
@@ -309,6 +309,73 @@ def test_free_running_stream_is_pinned(source, dead, dark, seed, expected):
     assert digest == expected
 
 
+def slots_digest(stream: EventStream) -> str:
+    return hashlib.sha256(stream.slots.astype("<u8").tobytes()).hexdigest()
+
+
+def gated_pin_cases():
+    """Every gated stream pin as (clock, profile, source, n_events, seed, digest)."""
+    yield (ClockConfig(mode=ClockMode.GATED, slots_per_gate=8, dead_slots=3), IntraGateProfile.uniform(),
+           SourceModel(Distribution.POISSON, 0.5), 100_000, 301,
+           "7f275a22cbea63c694f02ce8e52f7b6751cf6c7fd94fa5e8bee68efae4f59cd6")
+    for source, r, dead, dark, profile, seed, expected in PINNED_GATED_TANGLED_DEAD_TIME:
+        clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dead_slots=dead, dark_prob=dark)
+        yield clock, profile, source, 200_000, seed, expected
+    for source, r, dark, profile, seed, expected in PINNED_GATED_NO_DEAD_TIME:
+        clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dark_prob=dark)
+        yield clock, profile, source, 20_000, seed, expected
+
+
+GATED_PIN_CASES = list(gated_pin_cases())
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("case", range(len(GATED_PIN_CASES)), ids=lambda i: f"pin{i}")
+def test_gated_stream_pins_hold_in_small_blocks(monkeypatch, block, case):
+    """Drawing, filtering and checking the slots in blocks of 7 or 64 gives
+    the pinned streams.  At 7 the 200,000-event streams take seconds each,
+    so those four are compared with the default blocks on 10,000 events."""
+    clock, profile, source, n_events, seed, expected = GATED_PIN_CASES[case]
+    if block == 7 and n_events == 200_000:
+        n_events = 10_000
+        expected = slots_digest(generate_gated(source, clock, profile, n_events, seed))
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    assert slots_digest(generate_gated(source, clock, profile, n_events, seed)) == expected
+
+
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("source, dead, dark, seed, expected", PINNED_FREE_RUNNING)
+def test_free_running_stream_pins_hold_in_small_blocks(monkeypatch, block, source, dead, dark, seed, expected):
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=dead, dark_prob=dark)
+    assert slots_digest(generate_free_running(source, clock, 50_000, seed=seed)) == expected
+
+
+@pytest.mark.parametrize("case", range(len(GATED_PIN_CASES)), ids=lambda i: f"pin{i}")
+def test_gated_streams_in_blocks_of_one_equal_the_default_blocks(monkeypatch, case):
+    clock, profile, source, _, seed, _ = GATED_PIN_CASES[case]
+    expected = generate_gated(source, clock, profile, 1_000, seed).slots
+    monkeypatch.setattr(sim, "_BLOCK", 1)
+    assert np.array_equal(generate_gated(source, clock, profile, 1_000, seed).slots, expected)
+
+
+@pytest.mark.parametrize("source, dead, dark, seed, expected", PINNED_FREE_RUNNING)
+def test_free_running_streams_in_blocks_of_one_equal_the_default_blocks(monkeypatch, source, dead, dark, seed, expected):
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=dead, dark_prob=dark)
+    expected = generate_free_running(source, clock, 5_000, seed=seed).slots
+    monkeypatch.setattr(sim, "_BLOCK", 1)
+    assert np.array_equal(generate_free_running(source, clock, 5_000, seed=seed).slots, expected)
+
+
+def test_gated_simulation_stays_within_its_memory_budget():
+    """The stream's 8 bytes per event, and one block's draws and filter."""
+    source = SourceModel(Distribution.POISSON, 0.5)
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=8, dead_slots=3)
+    n_events = 2_000_000
+    peak = traced_peak(generate_gated, source, clock, IntraGateProfile.uniform(), n_events, 301)
+    assert peak <= 8 * n_events + 4 * 2**20
+
+
 def assert_dead_time_matches_reference(slots, dead: int, last: int | None = None) -> None:
     if last is None:
         last = -(dead + 1)
@@ -522,3 +589,70 @@ def test_event_stream_is_read_only():
     stream = EventStream(np.array([1, 2, 3], dtype=np.uint64), FREE)
     with pytest.raises(ValueError):
         stream.slots[0] = 9
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_check_slots_names_a_bad_entry_in_a_later_block_by_its_stream_index(monkeypatch, block):
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    slots = np.arange(1, 201, dtype=np.uint64)
+    slots[150] = slots[149]
+    with pytest.raises(DataError) as exc:
+        check_slots(slots)
+    assert str(exc.value) == "entry 151: duplicate slot index 150 (previous was 150)"
+    slots[150], slots[170] = 151, 5
+    with pytest.raises(DataError) as exc:
+        check_slots(slots, lambda i: f"line {i + 10}")
+    assert str(exc.value) == "line 180: non-increasing slot index 5 (previous was 170)"
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_a_bad_slot_after_a_dead_time_violation_is_reported_first(monkeypatch, block):
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    dead = ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=2)
+    slots = np.arange(1, 301, dtype=np.int64) * 3
+    slots[3] = slots[2] + 1
+    with pytest.raises(DataError) as exc:
+        EventStream(slots, dead)
+    assert str(exc.value) == "event gaps must exceed the dead time of 2 slots"
+    slots[100] = slots[99]
+    with pytest.raises(DataError) as exc:
+        EventStream(slots, dead)
+    assert str(exc.value) == "entry 101: duplicate slot index 300 (previous was 300)"
+
+
+def test_a_callers_array_is_copied():
+    """Mutating the caller's array, or the array under a read-only view of
+    it, leaves the stream as it was built."""
+    slots = np.array([1, 2, 3], dtype=np.uint64)
+    view = slots[:]
+    view.setflags(write=False)
+    streams = [EventStream(slots, FREE), EventStream(view, FREE)]
+    slots[:] = [7, 8, 9]
+    for stream in streams:
+        assert stream.slots.tolist() == [1, 2, 3]
+        assert not stream.slots.flags.writeable
+
+
+def test_read_only_slots_no_writable_array_reaches_are_kept():
+    owned = np.array([1, 2, 3], dtype=np.uint64)
+    owned.setflags(write=False)
+    assert EventStream(owned, FREE).slots is owned
+    from_bytes = np.frombuffer(np.array([1, 5], dtype=np.uint64).tobytes(), dtype=np.uint64)
+    assert EventStream(from_bytes, FREE).slots is from_bytes
+    from_bytearray = np.frombuffer(bytearray(from_bytes.tobytes()), dtype=np.uint64)
+    from_bytearray.setflags(write=False)
+    assert EventStream(from_bytearray, FREE).slots is not from_bytearray
+    signed = np.array([1, 2], dtype=np.int64)
+    signed.setflags(write=False)
+    assert EventStream(signed, FREE).slots.dtype == np.uint64
+
+
+def test_generated_slots_are_not_copied():
+    source = SourceModel(Distribution.POISSON, 0.5)
+    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=1)
+    for stream in (generate_gated(source, gated, IntraGateProfile.uniform(), 1000, seed=1),
+                   generate_free_running(source, FREE, 1000, seed=1)):
+        assert stream.slots.dtype == np.uint64
+        assert not stream.slots.flags.writeable
+        assert not stream.slots.base.flags.writeable
+        assert stream.slots.base.base is None
