@@ -12,14 +12,8 @@ accepted click suppresses later candidates.
 Gap sampling uses inverse-CDF geometric draws rather than per-slot
 Bernoulli trials; the two are distributionally identical and the tests
 check the generated gap histogram against :func:`tickrng.models.window_pmf`.
-
-The gated generator and the slot validator work ``_BLOCK`` slots at a
-time, so besides the slots themselves they hold only one block's
-temporaries.  Drawing a batch's geometric gaps, or its profile slots, in
-blocks takes the same draws from the generator as one whole-length call,
-so the blocks do not change a single slot.  A stream keeps the read-only
-uint64 slots the generators make, and a binary file's bytes, without a
-copy.
+Gated slots are drawn, filtered and checked ``_BLOCK`` at a time, with
+the same draws as one whole-length call.
 """
 
 from __future__ import annotations
@@ -164,13 +158,10 @@ def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: in
     """``slots`` as a read-only 1-d uint64 array of strictly increasing indices >= 1.
 
     Raises :class:`DataError` for a non-integer dtype, a slot below 1 or a
-    slot not above its predecessor, naming the bad entry ``i`` by
-    ``where(i)``, by default ``entry i+1``; only when no entry is bad, for
-    a gap of ``dead_slots`` or less.  The slots are checked ``_BLOCK`` at a
-    time.  They are returned without a copy when no writable array can
-    change them: a uint64 array that is read-only, as is every array in its
-    ``base`` chain, which ends in an array owning its memory or in
-    ``bytes``.  Anything else is copied.
+    slot not above its predecessor, naming entry ``i`` by ``where(i)``
+    (``entry i+1`` by default); only then for a gap of ``dead_slots`` or
+    less.  Copies unless ``slots`` is uint64 and read-only down its
+    ``base`` chain, which ends in an owning array or ``bytes``.
     """
     arr = np.asarray(slots)
     if arr.ndim != 1:
@@ -206,7 +197,7 @@ def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: in
 
 
 def _writable(arr: np.ndarray) -> bool:
-    """Whether a writable array, or memory not held as ``bytes``, can reach ``arr``'s data."""
+    """Whether writable memory can reach ``arr``'s data."""
     while isinstance(arr, np.ndarray):
         if arr.flags.writeable:
             return True
@@ -215,7 +206,7 @@ def _writable(arr: np.ndarray) -> bool:
 
 
 def _frozen(slots: np.ndarray) -> np.ndarray:
-    """The int64 ``slots`` the generator filled, as read-only uint64 for a stream."""
+    """The generator's int64 ``slots`` as read-only uint64."""
     slots.setflags(write=False)
     return slots.view(np.uint64)
 
@@ -226,9 +217,8 @@ class EventStream:
 
     The slots are checked by :func:`check_slots`, which names a bad entry
     by ``where`` (a file reader passes its line namer), and every gap must
-    exceed the clock's dead time.  The stream holds them read-only: it
-    copies an array a writable one can reach, such as a caller's, and keeps
-    the generators' own arrays and a binary file's bytes as they are.
+    exceed the clock's dead time.  A writable array that can reach them,
+    such as a caller's, is copied.
     """
 
     slots: np.ndarray
@@ -298,12 +288,9 @@ def generate_gated(
     slot of a click in gate ``g`` at intra-gate slot ``i`` is
     ``(g - 1) * slots_per_gate + i``.  With a dead time, candidate clicks
     falling within ``dead_slots`` of the last accepted click are lost.
-
-    Each top-up batch draws one candidate per missing event: first all of
-    its geometric gate gaps, then all of its intra-gate slots.  Both are
-    drawn ``_BLOCK`` at a time into the stream's own array, which leaves
-    the generator's draw order, and so every slot, as one whole-batch draw
-    would; only one block's profile and dead-time temporaries are held.
+    Each top-up batch draws all its gate gaps, then all its intra-gate
+    slots, ``_BLOCK`` at a time into the stream's array, in the order of
+    whole-batch draws.
     """
     if clock.mode is not ClockMode.GATED:
         raise ValueError("generate_gated requires a gated clock")

@@ -633,7 +633,7 @@ def test_a_callers_array_is_copied():
         assert not stream.slots.flags.writeable
 
 
-def test_read_only_slots_no_writable_array_reaches_are_kept():
+def test_read_only_slots_are_kept_when_no_writable_array_reaches_them():
     owned = np.array([1, 2, 3], dtype=np.uint64)
     owned.setflags(write=False)
     assert EventStream(owned, FREE).slots is owned
