@@ -197,8 +197,7 @@ def _parse_ascii_events(blob: bytes):
         head = np.flatnonzero(padded[1:] > padded[:-1])[i - firsts[k]]
         return f"line {_line_of(blob, bounds[k] + int(head))}"
 
-    # Read-only, so the stream keeps these slots without a copy.
-    slots.setflags(write=False)
+    slots.setflags(write=False)  # so the stream keeps them
     return slots[:n], where
 
 

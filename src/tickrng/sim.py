@@ -12,8 +12,7 @@ accepted click suppresses later candidates.
 Gap sampling uses inverse-CDF geometric draws rather than per-slot
 Bernoulli trials; the two are distributionally identical and the tests
 check the generated gap histogram against :func:`tickrng.models.window_pmf`.
-Gated slots are drawn, filtered and checked ``_BLOCK`` at a time, with
-the same draws as one whole-length call.
+Gated draws come in ``_BLOCK``-slot blocks, in one call's draw order.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ __all__ = [
 GENERATOR_ALGORITHM = "PCG64"
 
 _MAX_TOPUP_BATCHES = 10_000
-_BLOCK = 2**16  # slots drawn, filtered and checked at a time
+_BLOCK = 2**16
 
 
 def rng(seed) -> np.random.Generator:
@@ -159,9 +158,9 @@ def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: in
 
     Raises :class:`DataError` for a non-integer dtype, a slot below 1 or a
     slot not above its predecessor, naming entry ``i`` by ``where(i)``
-    (``entry i+1`` by default); only then for a gap of ``dead_slots`` or
-    less.  Copies unless ``slots`` is uint64 and read-only down its
-    ``base`` chain, which ends in an owning array or ``bytes``.
+    (``entry i+1`` by default), else for a gap of ``dead_slots`` or less.
+    Copies unless ``slots`` is uint64 and read-only down to an owner or
+    ``bytes``.
     """
     arr = np.asarray(slots)
     if arr.ndim != 1:
@@ -181,7 +180,6 @@ def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: in
     if arr.size and arr[0] < 1:
         raise bad_entry(0)
     too_close = False
-    # Windows of _BLOCK + 1 entries, each overlapping the next by one.
     for start in range(0, arr.size - 1, _BLOCK):
         window = arr[start : start + _BLOCK + 1]
         bad = window[1:] <= window[:-1]
@@ -190,35 +188,22 @@ def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: in
         too_close = too_close or (dead_slots > 0 and int(np.diff(window).min()) <= dead_slots)
     if too_close:
         raise DataError(f"event gaps must exceed the dead time of {dead_slots} slots")
-    if arr.dtype != np.uint64 or _writable(arr):
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if arr.dtype != np.uint64 or not (base is None or isinstance(base, bytes)):
         arr = arr.astype(np.uint64)
         arr.setflags(write=False)
     return arr
-
-
-def _writable(arr: np.ndarray) -> bool:
-    """Whether writable memory can reach ``arr``'s data."""
-    while isinstance(arr, np.ndarray):
-        if arr.flags.writeable:
-            return True
-        arr = arr.base
-    return not (arr is None or isinstance(arr, bytes))
-
-
-def _frozen(slots: np.ndarray) -> np.ndarray:
-    """The generator's int64 ``slots`` as read-only uint64."""
-    slots.setflags(write=False)
-    return slots.view(np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
 class EventStream:
     """Detection slot indices (64-bit unsigned, strictly increasing, first >= 1).
 
-    The slots are checked by :func:`check_slots`, which names a bad entry
-    by ``where`` (a file reader passes its line namer), and every gap must
-    exceed the clock's dead time.  A writable array that can reach them,
-    such as a caller's, is copied.
+    The slots are checked, and copied if need be, by :func:`check_slots`,
+    which names a bad entry by ``where`` (a file reader passes its line
+    namer), and every gap must exceed the clock's dead time.
     """
 
     slots: np.ndarray
@@ -271,7 +256,8 @@ def generate_free_running(
     slots = rng(seed).geometric(p_slot, size=n_events)
     slots[1:] += clock.dead_slots
     np.cumsum(slots, out=slots)
-    return EventStream(_frozen(slots), clock)
+    slots.setflags(write=False)
+    return EventStream(slots.view(np.uint64), clock)
 
 
 def generate_gated(
@@ -288,9 +274,8 @@ def generate_gated(
     slot of a click in gate ``g`` at intra-gate slot ``i`` is
     ``(g - 1) * slots_per_gate + i``.  With a dead time, candidate clicks
     falling within ``dead_slots`` of the last accepted click are lost.
-    Each top-up batch draws all its gate gaps, then all its intra-gate
-    slots, ``_BLOCK`` at a time into the stream's array, in the order of
-    whole-batch draws.
+    Each top-up batch draws all its gaps, then all its intra-gate slots,
+    ``_BLOCK`` at a time: the same draws as whole-batch calls.
     """
     if clock.mode is not ClockMode.GATED:
         raise ValueError("generate_gated requires a gated clock")
@@ -303,7 +288,7 @@ def generate_gated(
     gen = rng(seed)
     accepted = np.empty(n_events, dtype=np.int64)
     have = 0
-    last_gate = -1  # 0-based gate of the last candidate
+    last_gate = -1
     last_slot = -(clock.dead_slots + 1)
     for _ in range(_MAX_TOPUP_BATCHES):
         candidates = accepted[have:]
@@ -312,8 +297,7 @@ def generate_gated(
             np.cumsum(gen.geometric(p_gate, size=block.size), out=block)
             block += last_gate
             last_gate = int(block[-1])
-        # The kept candidates move to the front, behind those kept before.
-        kept = 0
+        kept = 0  # the kept candidates move to the front
         for start in range(0, candidates.size, _BLOCK):
             block = candidates[start : start + _BLOCK]
             block *= r
@@ -325,7 +309,8 @@ def generate_gated(
                 last_slot = int(candidates[kept - 1])
         have += kept
         if have == n_events:
-            return EventStream(_frozen(accepted), clock)
+            accepted.setflags(write=False)
+            return EventStream(accepted.view(np.uint64), clock)
     raise GuardError(
         "dead time rejected too many candidate clicks; "
         f"gave up after {_MAX_TOPUP_BATCHES} batches"
