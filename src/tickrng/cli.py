@@ -366,6 +366,10 @@ def cmd_replay(args) -> int:
             if not os.path.isabs(source):
                 setattr(replayed, dest, os.path.relpath(os.path.join(*made_in[:depth], source)))
         replayed.out = str(out_dir / Path(replayed.out).name)
+        if dest and out_dir.is_absolute():
+            # An absolute --out says nothing of where the replay was made, so
+            # its manifest records its input as an absolute path too.
+            setattr(replayed, dest, os.path.abspath(getattr(replayed, dest)))
     out_dir.mkdir(parents=True, exist_ok=True)
     return replayed.func(replayed)
 

@@ -36,6 +36,7 @@ __all__ = [
     "ExtractorConfig",
     "BalanceResult",
     "intervals",
+    "interval_bytes",
     "extract_mod2",
     "extract_mod4",
     "mod4_arrays",
@@ -127,11 +128,6 @@ class BalanceResult(NamedTuple):
     degenerate: bool
 
 
-def _differences(values: np.ndarray, include_first: bool) -> np.ndarray:
-    """Differences of consecutive ``values``, led by ``values[0] - 0`` with ``include_first``."""
-    return np.diff(values, prepend=np.zeros(int(include_first), values.dtype))
-
-
 def intervals(stream: EventStream, include_first: bool = True) -> np.ndarray:
     """Clock counts between consecutive detections.
 
@@ -139,12 +135,31 @@ def intervals(stream: EventStream, include_first: bool = True) -> np.ndarray:
     clock tick 0, yielding one interval per detection; otherwise the
     first detection only starts the counter.
     """
-    return _differences(stream.slots, include_first)
+    slots = stream.slots
+    return np.diff(slots, prepend=np.zeros(int(include_first), slots.dtype))
+
+
+def interval_bytes(slots: np.ndarray, prev: int | None = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """The intervals ending at ``slots``, modulo 256, as uint8 (into ``out`` if given).
+
+    The first is counted from slot ``prev`` (clock tick 0 by default), so
+    blocks of one stream, each passed the last slot before it, give the
+    whole stream's bytes; with ``prev=None`` the first slot only starts
+    the counter.
+    """
+    low = slots.astype(np.uint8)
+    if prev is None:
+        return np.subtract(low[1:], low[:-1], out=out)
+    if out is None:
+        out = np.empty_like(low)
+    np.subtract(low[1:], low[:-1], out=out[1:])
+    np.subtract(low[:1], int(prev) & 0xFF, out=out[:1])
+    return out
 
 
 def extract_mod2(stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()) -> BitStream:
     """One bit per interval: the interval length modulo 2."""
-    gaps = _differences(stream.slots.astype(np.uint8), cfg.include_first)
+    gaps = interval_bytes(stream.slots, 0 if cfg.include_first else None)
     gaps &= 1
     return BitStream(gaps)
 
@@ -153,7 +168,7 @@ def mod4_arrays(
     stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """(basis, key) uint8 bit arrays of the intervals modulo 4: their high and low bits."""
-    key = _differences(stream.slots.astype(np.uint8), cfg.include_first)
+    key = interval_bytes(stream.slots, 0 if cfg.include_first else None)
     basis = key >> 1
     basis &= 1
     key &= 1

@@ -197,8 +197,11 @@ def _parse_ascii_events(blob: bytes):
         head = np.flatnonzero(padded[1:] > padded[:-1])[i - firsts[k]]
         return f"line {_line_of(blob, bounds[k] + int(head))}"
 
-    slots.setflags(write=False)  # so the stream keeps them
-    return slots[:n], where
+    # Trimmed in place to the slots filled (blank lines leave entries
+    # unfilled) and frozen, so the stream keeps the array itself.
+    slots.resize(n, refcheck=False)  # no view of it is used any more
+    slots.setflags(write=False)
+    return slots, where
 
 
 def _format_slots(slots: np.ndarray) -> np.ndarray:

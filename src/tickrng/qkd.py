@@ -17,9 +17,9 @@ gates: the pair numbers and each party's photon-click uniforms, then, in
 a second pass over each party's generator, its dark-count uniforms.  A
 generator called block by block yields the values of one whole-length
 call, so the seed contract is unchanged: each generator's draws, and
-therefore every result, equal those of whole-length draws.  Only one
-boolean flag per gate and party outlives a block; the slots, bases and
-coincidences are built from the detections alone.
+therefore every result, equal those of whole-length draws.  What
+outlives a block is one boolean flag per gate and party and one byte per
+detection: the interval ending at it, modulo 256, all its bases need.
 
 ``_sift`` gathers the bases at the coincidences for all three rounds:
 each hands it every party's bases, one per detection in gate order, and
@@ -35,19 +35,20 @@ are the likelier ones (the maximum-likelihood guess only without dead time).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError, as_count
-from .extract import balance, BitStream, bootstrap_buffer, extract_mod2, mod4_arrays
+from .errors import DataError, GuardError, as_count
+from .extract import balance, BitStream, bootstrap_buffer, interval_bytes
 from .models import click_probability, Distribution, SourceModel
 from .sim import (
     ClockConfig,
     ClockMode,
-    EventStream,
     IntraGateProfile,
     apply_dead_time,
+    check_slots,
     generate_gated,
     rng,
 )
@@ -156,17 +157,16 @@ def _photon_clicks(
     return pair_gates, flags
 
 
-def _detections(
+def _detection_blocks(
     rng: np.random.Generator,
     detected: np.ndarray,
     clock: ClockConfig,
     profile: IntraGateProfile,
-) -> EventStream:
-    """The party's event stream in its own slots, from its per-gate
-    photon-click flags ``detected``.
+) -> Iterator[np.ndarray]:
+    """The party's checked slots, per ``_GATE_BLOCK`` gates, from its photon-click flags.
 
-    ``detected`` gains the dark counts, drawn block by block after the
-    photon clicks, and loses the detections the dead time drops.
+    ``detected`` gains the dark counts on the call, so its count bounds the
+    detections, and loses the dead-time drops as the blocks are taken.
     """
     if clock.dark_prob > 0.0:
         uniforms = np.empty(min(detected.size, _GATE_BLOCK))
@@ -175,15 +175,48 @@ def _detections(
             u = uniforms[: block.size]
             rng.random(out=u)
             block |= u < clock.dark_prob
-    r = clock.slots_per_gate
-    slots = np.flatnonzero(detected)
-    slots *= r
-    slots += profile.sample(rng, slots.size, r)
-    if clock.dead_slots:
-        keep = apply_dead_time(slots, clock.dead_slots, -(clock.dead_slots + 1))
-        detected[np.flatnonzero(detected)[~keep]] = False
-        slots = slots[keep]
-    return EventStream(slots, clock)
+    r, dead = clock.slots_per_gate, clock.dead_slots
+
+    def blocks() -> Iterator[np.ndarray]:
+        last = -(dead + 1)
+        for start in range(0, detected.size, _GATE_BLOCK):
+            flags = detected[start : start + _GATE_BLOCK]
+            slots = np.flatnonzero(flags) + start  # owned, so check_slots keeps it
+            slots *= r
+            slots += profile.sample(rng, slots.size, r)
+            if dead and slots.size:
+                keep = apply_dead_time(slots, dead, last)
+                flags[flags] = keep
+                slots = slots[keep]
+            if slots.size:
+                first = int(slots[0])
+                if first - last <= dead:
+                    raise DataError(f"detection slot {first} does not follow {last} by more than {dead} slots")
+                last = int(slots[-1])
+            slots.setflags(write=False)
+            yield check_slots(slots.view(np.uint64), dead_slots=dead)
+
+    return blocks()
+
+
+def _detection_bytes(
+    rng: np.random.Generator,
+    detected: np.ndarray,
+    clock: ClockConfig,
+    profile: IntraGateProfile,
+    lead: int = 0,
+) -> np.ndarray:
+    """``lead`` unset bytes, then one uint8 per detection of
+    :func:`_detection_blocks`: the interval ending at it, modulo 256."""
+    blocks = _detection_blocks(rng, detected, clock, profile)
+    out = np.empty(lead + np.count_nonzero(detected), dtype=np.uint8)
+    end, last = lead, 0
+    for slots in blocks:
+        interval_bytes(slots, last, out=out[end : end + slots.size])
+        end += slots.size
+        if slots.size:
+            last = int(slots[-1])
+    return out[:end]
 
 
 def _party(params: ProtocolParams, who: str) -> SourceModel:
@@ -210,29 +243,38 @@ def _timing_bases(
     boot_seed,
 ) -> np.ndarray:
     """Chooser outputs consumed by each detection: bootstrap bits, then mod-2 bits."""
-    # The event stream is freed here, before the copy that prepends the bootstrap bits.
-    mod2 = extract_mod2(_detections(rng, detected, clock, params.profile)).bits
     boot = bootstrap_buffer(clock, params.k_bootstrap, boot_seed).bits
-    return np.concatenate([boot, mod2])[: mod2.size]
+    # The mod-2 bits are built behind the bootstrap bits, in one byte per
+    # detection, and the chooser's outputs are the first of them.
+    chooser = _detection_bytes(rng, detected, clock, params.profile, lead=boot.size)
+    chooser[boot.size :] &= 1
+    chooser[: boot.size] = boot
+    return chooser[: chooser.size - boot.size]
 
 
 def _sift(params: ProtocolParams, seed_pair, pair_gates: int, alice, bob) -> ProtocolResult:
     """Sift the coincidences on matched bases and draw the intrinsic errors.
 
     Each party is ``(bases, detected)``: the bases of its detections in
-    gate order and its per-gate detection flags.
+    gate order and its per-gate detection flags.  The error uniforms are
+    drawn ``_GATE_BLOCK`` at a time and counted.
     """
     (basis_a, det_a), (basis_b, det_b) = alice, bob
     # basis_x[det_y[det_x]]: the bases of X's detections where Y detected too.
     basis_a_c = basis_a[det_b[det_a]]
     n_coinc = basis_a_c.size
     n_sift = int(np.count_nonzero(basis_a_c == basis_b[det_a[det_b]]))
-    errors = rng(seed_pair).random(n_sift) < params.intrinsic_error
-    qber = float(errors.mean()) if n_sift else 0.0
+    error_rng = rng(seed_pair)
+    uniforms = np.empty(min(n_sift, _GATE_BLOCK))
+    n_err = 0
+    for start in range(0, n_sift, _GATE_BLOCK):
+        u = uniforms[: n_sift - start]
+        error_rng.random(out=u)
+        n_err += int(np.count_nonzero(u < params.intrinsic_error))
     return ProtocolResult(
         coincidences=n_coinc,
         sifted_length=n_sift,
-        qber=qber,
+        qber=n_err / n_sift if n_sift else 0.0,
         basis_balance_alice=balance(BitStream(basis_a)).ratio,
         basis_balance_bob=balance(BitStream(basis_b)).ratio,
         sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
@@ -275,7 +317,9 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
         det_a = flags[1]
         # Alice's basis is the high bit of her mod-4 symbol; the low (key)
         # bit never surfaces here because errors are applied as a mask.
-        basis_a, _ = mod4_arrays(_detections(rng_a, det_a, params.clock_alice, params.profile))
+        basis_a = _detection_bytes(rng_a, det_a, params.clock_alice, params.profile)
+        basis_a >>= 1
+        basis_a &= 1
     else:
         # Alice sends in every gate.  One call: uint8 integers share each
         # 32-bit draw within a call, so block-wise calls would give other bits.
@@ -300,21 +344,27 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     bob = _party(params, "Bob")
     (child,) = np.random.SeedSequence(params.seed).spawn(1)
     stream = generate_gated(bob, clock, params.profile, n_events, child)
-    true_bits = extract_mod2(stream).bits
 
     r = clock.slots_per_gate
     # Each guess is the parity of (gate interval) * r, counting the first
     # interval from gate 0: the gate interval's parity for odd r, 0 for even
-    # r.  The 0-based gates (slot - 1) // r are computed in place, and the
-    # parities read off their low byte.
-    gates = stream.slots - np.uint64(1)
-    gates //= np.uint64(r)
-    guesses = np.diff(gates.astype(np.uint8), prepend=np.uint8(0))
-    guesses &= r & 1
+    # r.  Block by block, the true bits and the guesses are the low bits of
+    # the slot and 0-based gate (slot - 1) // r intervals.
     # First interval: the intra-gate slot itself contributes its parity
     # (bias q_odd); later intervals see the difference of two profile
     # draws, which is even with probability >= 1/2 for any profile.
-    if params.profile.odd_slot_probability(r) > 0.5:
-        guesses[0] ^= 1
-    correct = float(np.count_nonzero(guesses == true_bits)) / true_bits.size
-    return correct - 0.5
+    flip_first = params.profile.odd_slot_probability(r) > 0.5
+    correct = last_slot = last_gate = 0
+    for start in range(0, stream.slots.size, _GATE_BLOCK):
+        slots = stream.slots[start : start + _GATE_BLOCK]
+        gates = slots - np.uint64(1)
+        gates //= np.uint64(r)
+        guesses = interval_bytes(gates, last_gate)
+        guesses &= r & 1
+        if start == 0 and flip_first:
+            guesses[0] ^= 1
+        true_bits = interval_bytes(slots, last_slot)
+        true_bits &= 1
+        correct += int(np.count_nonzero(guesses == true_bits))
+        last_slot, last_gate = int(slots[-1]), int(gates[-1])
+    return correct / stream.slots.size - 0.5

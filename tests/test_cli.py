@@ -864,6 +864,30 @@ def test_replay_finds_relative_inputs_from_any_directory(capsys, monkeypatch, tm
             assert (cwd / out_dir / name).read_bytes() == original
 
 
+def test_a_replay_to_an_absolute_out_dir_replays_from_any_directory(capsys, monkeypatch, tmp_path):
+    """A replay written to an absolute --out-dir records absolute inputs, so
+    its own manifest replays from the run's parent directory and from inside it."""
+    (tmp_path / "a").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--mode", "gated", "--mu", "0.5", "--events", "3000", "--seed", "5",
+                 "--out", "a/ev.txt"]) == 0
+    assert main(["extract", "--events", "a/ev.txt", "--out", "a/bits.txt"]) == 0
+    assert main(["test", "--bits", "a/bits.txt", "--run-len", "2000", "--out", "a/report.csv"]) in (0, 3)
+    capsys.readouterr()
+    absolute = tmp_path / "abs" / "out"
+    for name in ("bits.txt", "report.csv"):
+        original = (tmp_path / "a" / name).read_bytes()
+        monkeypatch.chdir(tmp_path)
+        rc, _, err = run(capsys, "replay", f"a/{name}.manifest.json", "--out-dir", str(absolute))
+        assert (rc in (0, 3), err) == (True, "")
+        assert (absolute / name).read_bytes() == original
+        for cwd in (tmp_path, tmp_path / "a"):
+            monkeypatch.chdir(cwd)
+            rc, _, err = run(capsys, "replay", f"{absolute / name}.manifest.json", "--out-dir", "o3")
+            assert (rc in (0, 3), err) == (True, "")
+            assert (cwd / "o3" / name).read_bytes() == original
+
+
 def test_replay_leaves_inputs_alone_when_the_manifest_moved(capsys, monkeypatch, tmp_path):
     """A manifest whose path does not end in its output's directories says
     nothing of where its run was made, so its input is read as recorded."""

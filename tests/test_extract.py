@@ -20,6 +20,7 @@ from tickrng.extract import (
     extract_mod2,
     extract_mod4,
     flip_debias,
+    interval_bytes,
     intervals,
     mod4_arrays,
     symbol_from_interval,
@@ -143,6 +144,33 @@ def test_extraction_is_consistent_across_a_stream_split():
     cfg = ExtractorConfig(include_first=False)
     stitched = np.concatenate([extract_mod2(head).bits, extract_mod2(tail, cfg).bits])
     assert BitStream(stitched) == full
+
+
+INTERVAL_BYTE_SLOTS = {
+    "random": np.cumsum(np.random.default_rng(5).integers(1, 600, size=1000, dtype=np.uint64)),
+    # Gaps of 2**32 and more, and gaps that are multiples of 256.
+    "wide": np.cumsum(np.array([2**32 + 3, 256, 2**40, 1, 2**62 - 2**41, 512], dtype=np.uint64)),
+    "periodic": np.arange(1, 2000, 256, dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERVAL_BYTE_SLOTS))
+@pytest.mark.parametrize("block", [1, 7, 64, 10_000])
+def test_interval_bytes_in_blocks_are_the_intervals_modulo_256(case, block):
+    """Blocks, each passed the last slot before it, give the whole stream's
+    64-bit intervals modulo 256; ``prev=None`` drops the first interval."""
+    slots = INTERVAL_BYTE_SLOTS[case]
+    stream = EventStream(slots, FREE)
+    modulo_256 = [(intervals(stream, first) % np.uint64(256)).astype(np.uint8) for first in (True, False)]
+    assert np.array_equal(interval_bytes(slots), modulo_256[0])
+    assert np.array_equal(interval_bytes(slots, None), modulo_256[1])
+    out = np.full(slots.size + 1, 9, dtype=np.uint8)
+    prev = 0
+    for start in range(0, slots.size, block):
+        part = slots[start : start + block]
+        assert interval_bytes(part, prev, out=out[start : start + part.size]).base is out
+        prev = int(part[-1])
+    assert np.array_equal(out[:-1], modulo_256[0]) and out[-1] == 9
 
 
 def test_ones_fraction_tracks_the_odd_interval_probability():

@@ -291,14 +291,14 @@ def test_parse_ascii_events_matches_the_reference_on_random_files(seed):
 @pytest.mark.parametrize("n_events", [100_000, 1_000_000])
 def test_ascii_event_kernels_stay_within_their_memory_budget(tmp_path, n_events):
     # The writers hold one block of slots at a time, whatever the stream's
-    # length.  The reader holds the file, its slots, the stream's copy of
-    # them and the work of one block.
+    # length.  The reader holds the file, its slots, which the stream keeps
+    # without a copy, and the work of one block.
     stream = gated_stream(2, 0.5, n_events)
     assert traced_peak(write_events, stream, tmp_path / "events.bin", "binary") <= 4 * 2**20
     path = tmp_path / "events.txt"
     assert traced_peak(write_events, stream, path) <= 4 * 2**20
     size = path.stat().st_size
-    assert traced_peak(read_events, path) <= size + 16 * n_events + formats._READ_BLOCK
+    assert traced_peak(read_events, path) <= size + 8 * n_events + 4 * formats._READ_BLOCK
 
 
 def test_binary_event_reading_holds_only_the_file(tmp_path):
@@ -307,6 +307,25 @@ def test_binary_event_reading_holds_only_the_file(tmp_path):
     path = tmp_path / "events.bin"
     write_events(stream, path, "binary")
     assert traced_peak(read_events, path, "binary") <= path.stat().st_size + 2**20
+    assert isinstance(read_events(path, "binary").slots.base, bytes)
+
+
+def test_event_streams_keep_the_readers_array_and_only_their_slots(tmp_path, monkeypatch):
+    """An ascii stream keeps the parser's array, trimmed in place to its
+    slots however many blank lines the file has; a binary one keeps the
+    file's bytes."""
+    path = tmp_path / "events.txt"
+    path.write_bytes(b"1\n" + b"\n" * 1000 + b"2\n")
+    slots = read_events(path).slots
+    assert slots.tolist() == [1, 2]
+    assert slots.base is None and slots.nbytes == 16
+    parsed = []
+    parse = formats._parse_ascii_events
+    monkeypatch.setattr(formats, "_parse_ascii_events", lambda blob: parsed.append(parse(blob)) or parsed[-1])
+    for text in (b"1\n2\n", b"3\n5", b"1\n" + b"\n" * 1000 + b"2\n", b""):
+        path.write_bytes(text)
+        assert read_events(path).slots is parsed[-1][0]
+    write_events(gated_stream(2, 0.5, 1000), path, "binary")
     assert isinstance(read_events(path, "binary").slots.base, bytes)
 
 

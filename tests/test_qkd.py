@@ -14,7 +14,7 @@ from conftest import (
     traced_peak,
 )
 from tickrng import qkd
-from tickrng.errors import GuardError
+from tickrng.errors import DataError, GuardError
 from tickrng.models import Distribution, SourceModel
 from tickrng.qkd import ProtocolParams, eve_qnd_advantage, run_bb84, run_bbm92
 from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, apply_dead_time, rng
@@ -293,7 +293,8 @@ def block_detections(params: ProtocolParams) -> tuple[int, list]:
     )
     parties = []
     for gen, detected, clock in zip(gens, flags, (params.clock_alice, params.clock_bob)):
-        parties.append((detected, qkd._detections(gen, detected, clock, params.profile).slots))
+        blocks = qkd._detection_blocks(gen, detected, clock, params.profile)
+        parties.append((detected, np.concatenate(list(blocks))))
     return pair_gates, parties
 
 
@@ -362,9 +363,25 @@ def test_dead_time_keeps_a_detection_at_slot_one():
     """No click precedes gate 0, so its detection at slot 1 is kept."""
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4, dead_slots=2)
     detected = np.array([True, False, False, True])
-    stream = qkd._detections(rng(0), detected, clock, IntraGateProfile.fixed_slot(1))
-    assert stream.slots.tolist() == [1, 13]
+    blocks = qkd._detection_blocks(rng(0), detected, clock, IntraGateProfile.fixed_slot(1))
+    assert np.concatenate(list(blocks)).tolist() == [1, 13]
     assert detected.tolist() == [True, False, False, True]
+
+
+@pytest.mark.parametrize("block", [1, 2, None])
+def test_detection_blocks_check_the_dead_time_across_block_edges(monkeypatch, block):
+    """With the dead-time filter switched off, detections in adjacent gates
+    break the dead time; each block is checked, and so is each block's first
+    slot against the last one before it."""
+    if block is not None:
+        monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+    monkeypatch.setattr(qkd, "apply_dead_time", lambda slots, dead, last: np.ones(len(slots), dtype=bool))
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=2)
+    detected = np.array([False, True, True, False])
+    blocks = qkd._detection_blocks(rng(0), detected, clock, IntraGateProfile.fixed_slot(1))
+    message = "gaps must exceed the dead time of 2" if block is None else "slot 5 does not follow 3 by more than 2"
+    with pytest.raises(DataError, match=message):
+        list(blocks)
 
 
 def test_bb84_qber_and_sifting():
@@ -614,6 +631,26 @@ def test_eve_advantages_are_pinned(r, expected):
     assert eve_advantage_for(r, n_events=200_000) == expected
 
 
+@pytest.mark.parametrize("block", [7, 64])
+def test_eve_advantages_stay_pinned_in_small_blocks(monkeypatch, block):
+    monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+    got = [(r, eve_advantage_for(r, n_events=200_000)) for r, _ in PINNED_EVE_ADVANTAGES]
+    assert got == PINNED_EVE_ADVANTAGES
+
+
+def test_eve_in_one_event_blocks_matches_the_default_block(monkeypatch):
+    """At 2x10^5 events one-event blocks take seconds, so 10^4 events are
+    compared with the default block; r = 3 flips the first guess."""
+    expected = [eve_advantage_for(r, n_events=10_000) for r, _ in PINNED_EVE_ADVANTAGES]
+    monkeypatch.setattr(qkd, "_GATE_BLOCK", 1)
+    assert [eve_advantage_for(r, n_events=10_000) for r, _ in PINNED_EVE_ADVANTAGES] == expected
+
+
+def test_a_pinned_round_sifts_past_one_gate_block():
+    """So the pins cover the intrinsic-error uniforms drawn in more than one block."""
+    assert max(result[1] for *_, result in PINNED_BLOCK_RESULTS) > qkd._GATE_BLOCK
+
+
 def sweep_params(n_gates: int, slots_per_gate: int = 2) -> ProtocolParams:
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=slots_per_gate, dark_prob=1e-3)
     return make_params(
@@ -626,16 +663,21 @@ def sweep_params(n_gates: int, slots_per_gate: int = 2) -> ProtocolParams:
     )
 
 
-@pytest.mark.parametrize("protocol", ["bbm92", "bb84h"])
+@pytest.mark.parametrize("protocol", ["bbm92", "bb84", "bb84h"])
 def test_protocol_rounds_stay_within_their_memory_budget(protocol):
-    """The traced-allocation peak of a 2x10^6-gate round: the two parties'
-    per-gate flags and one party's detections, not a float64 uniform and
-    click probability per gate for each party."""
-    run = {"bbm92": run_bbm92, "bb84h": lambda p: run_bb84(p, heralded_alice=True)}[protocol]
-    assert traced_peak(run, sweep_params(2_000_000)) <= 20.5e6
+    """The traced-allocation peak of a 2x10^6-gate round: the parties'
+    per-gate flags (and plain BB84 Alice's per-gate bases), one byte per
+    detection and the work of one gate block, not a party's int64 slots or
+    a float64 per gate or per sifted coincidence."""
+    run = {
+        "bbm92": run_bbm92,
+        "bb84": run_bb84,
+        "bb84h": lambda p: run_bb84(p, heralded_alice=True),
+    }[protocol]
+    assert traced_peak(run, sweep_params(2_000_000)) <= 12e6
 
 
 def test_eve_stays_within_its_memory_budget():
-    """The traced-allocation peak of 10^6 events: the gated simulator's, not
-    uint64 and int64 copies of the gate intervals."""
-    assert traced_peak(eve_qnd_advantage, sweep_params(1, slots_per_gate=4), 1_000_000) <= 26e6
+    """The traced-allocation peak of 10^6 events: the gated simulator's, then
+    the stream and the work of one block, not a copy of the gate intervals."""
+    assert traced_peak(eve_qnd_advantage, sweep_params(1, slots_per_gate=4), 1_000_000) <= 12e6
