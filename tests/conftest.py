@@ -8,8 +8,8 @@ import pytest
 
 from tickrng.errors import DataError
 from tickrng.extract import BitStream, intervals
-from tickrng.models import window_pmf
-from tickrng.sim import apply_dead_time
+from tickrng.models import SourceModel, window_pmf
+from tickrng.sim import apply_dead_time, generate_gated
 from tickrng.suite import TestEntry, TestId, TestReport, run_battery
 
 # report types, not test classes, despite their names
@@ -152,6 +152,26 @@ def reference_at_coincidences(bits, detected, coincident) -> np.ndarray:
     ``coincident`` the gates both parties detected in.
     """
     return np.asarray(bits)[(np.cumsum(detected) - 1)[coincident]]
+
+
+def reference_eve_advantage(params, n_events: int) -> float:
+    """Full 64-bit intervals: the slow oracle for ``qkd.eve_qnd_advantage``.
+
+    Bob's stream is drawn as the adversary's is; each guess is the parity
+    of the 0-based gate interval times ``slots_per_gate``, the first
+    interval counted from gate 0 and its guess flipped when odd intra-gate
+    slots are the likelier ones.
+    """
+    source, clock = params.pair_source, params.clock_bob
+    bob = SourceModel(source.distribution, source.mu, source.eta * params.channel_transmittance_bob)
+    (child,) = np.random.SeedSequence(params.seed).spawn(1)
+    stream = generate_gated(bob, clock, params.profile, n_events, child)
+    r = np.uint64(clock.slots_per_gate)
+    true_bits = intervals(stream) & np.uint64(1)
+    gates = (stream.slots - np.uint64(1)) // r
+    guesses = (np.diff(gates, prepend=np.uint64(0)) * r) & np.uint64(1)
+    guesses[0] ^= np.uint64(params.profile.odd_slot_probability(clock.slots_per_gate) > 0.5)
+    return int(np.count_nonzero(guesses == true_bits)) / stream.slots.size - 0.5
 
 
 def reference_cusum_excursion(x, direction: str) -> int:

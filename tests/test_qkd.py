@@ -11,6 +11,7 @@ from conftest import (
     reference_click_probabilities,
     reference_dead_time,
     reference_detections,
+    reference_eve_advantage,
     traced_peak,
 )
 from tickrng import qkd
@@ -644,6 +645,36 @@ def test_eve_in_one_event_blocks_matches_the_default_block(monkeypatch):
     expected = [eve_advantage_for(r, n_events=10_000) for r, _ in PINNED_EVE_ADVANTAGES]
     monkeypatch.setattr(qkd, "_GATE_BLOCK", 1)
     assert [eve_advantage_for(r, n_events=10_000) for r, _ in PINNED_EVE_ADVANTAGES] == expected
+
+
+def eve_profile(kind: str, r: int) -> IntraGateProfile:
+    if kind == "uniform":
+        return IntraGateProfile.uniform()
+    if kind == "weighted":  # odd slots twice as likely as even ones
+        weights = [2.0 - i % 2 for i in range(r)]
+        return IntraGateProfile.weighted([w / sum(weights) for w in weights])
+    return IntraGateProfile.fixed_slot(1 if kind == "fixed:1" else r)
+
+
+@pytest.mark.parametrize("dark_prob, dead_slots", [(0.0, 0), (0.0, 3), (0.05, 0), (0.05, 3)])
+@pytest.mark.parametrize("profile", ["uniform", "fixed:1", "fixed:r", "weighted"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 257])
+def test_eve_matches_the_full_interval_oracle(monkeypatch, r, profile, dark_prob, dead_slots):
+    """Exact at blocks 1, 7 and the default; r = 257 wraps the intra-gate
+    slot past one byte."""
+    params = ProtocolParams(
+        pair_source=SourceModel(Distribution.POISSON, 0.5, 0.2),
+        clock_alice=GATED_2,
+        clock_bob=ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dark_prob=dark_prob, dead_slots=dead_slots),
+        profile=eve_profile(profile, r),
+        n_gates=1,
+        seed=263,
+    )
+    expected = reference_eve_advantage(params, 2000)
+    for block in (None, 7, 1):
+        if block is not None:
+            monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+        assert eve_qnd_advantage(params, 2000) == expected
 
 
 def test_a_pinned_round_sifts_past_one_gate_block():
