@@ -18,12 +18,12 @@ a second pass over each party's generator, its dark-count uniforms.  A
 generator called block by block yields the values of one whole-length
 call, so the seed contract is unchanged: each generator's draws, and
 therefore every result, equal those of whole-length draws.  What
-outlives a block is one boolean flag per gate and party and one byte per
-detection: the interval ending at it, modulo 256, all its bases need.
+outlives a block is one boolean flag per gate and party and, from
+``_bases``, one byte per detection: its chooser output.
 
-``_sift`` gathers the bases at the coincidences for all three rounds:
-each hands it every party's bases, one per detection in gate order, and
-its per-gate detection flags; plain BB84's Alice sends in every gate.
+``_sift`` gathers the bases at the coincidences for all three rounds from
+each party's bases, one per detection in gate order, and its per-gate
+detection flags; plain BB84's Alice sends in every gate.
 
 ``eve_qnd_advantage`` models an eavesdropper who measures photon numbers
 without disturbing them (a quantum non-demolition probe) and therefore
@@ -35,7 +35,6 @@ are the likelier ones (the maximum-likelihood guess only without dead time).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,16 +156,20 @@ def _photon_clicks(
     return pair_gates, flags
 
 
-def _detection_blocks(
+def _bases(
     rng: np.random.Generator,
     detected: np.ndarray,
     clock: ClockConfig,
     profile: IntraGateProfile,
-) -> Iterator[np.ndarray]:
-    """The party's checked slots, per ``_GATE_BLOCK`` gates, from its photon-click flags.
+    boot: np.ndarray,
+    bit: int,
+) -> np.ndarray:
+    """One chooser output per detection: the bits ``boot``, then bit ``bit``
+    of each interval ending at a detection, modulo 256.
 
-    ``detected`` gains the dark counts on the call, so its count bounds the
-    detections, and loses the dead-time drops as the blocks are taken.
+    ``detected`` gains the dark counts, so its count bounds the detections,
+    and loses the dead-time drops; each ``_GATE_BLOCK`` gates' slots pass
+    ``check_slots``.
     """
     if clock.dark_prob > 0.0:
         uniforms = np.empty(min(detected.size, _GATE_BLOCK))
@@ -176,47 +179,30 @@ def _detection_blocks(
             rng.random(out=u)
             block |= u < clock.dark_prob
     r, dead = clock.slots_per_gate, clock.dead_slots
-
-    def blocks() -> Iterator[np.ndarray]:
-        last = -(dead + 1)
-        for start in range(0, detected.size, _GATE_BLOCK):
-            flags = detected[start : start + _GATE_BLOCK]
-            slots = np.flatnonzero(flags) + start  # owned, so check_slots keeps it
-            slots *= r
-            slots += profile.sample(rng, slots.size, r)
-            if dead and slots.size:
-                keep = apply_dead_time(slots, dead, last)
-                flags[flags] = keep
-                slots = slots[keep]
-            if slots.size:
-                first = int(slots[0])
-                if first - last <= dead:
-                    raise DataError(f"detection slot {first} does not follow {last} by more than {dead} slots")
-                last = int(slots[-1])
-            slots.setflags(write=False)
-            yield check_slots(slots.view(np.uint64), dead_slots=dead)
-
-    return blocks()
-
-
-def _detection_bytes(
-    rng: np.random.Generator,
-    detected: np.ndarray,
-    clock: ClockConfig,
-    profile: IntraGateProfile,
-    lead: int = 0,
-) -> np.ndarray:
-    """``lead`` unset bytes, then one uint8 per detection of
-    :func:`_detection_blocks`: the interval ending at it, modulo 256."""
-    blocks = _detection_blocks(rng, detected, clock, profile)
-    out = np.empty(lead + np.count_nonzero(detected), dtype=np.uint8)
-    end, last = lead, 0
-    for slots in blocks:
-        interval_bytes(slots, last, out=out[end : end + slots.size])
+    out = np.empty(boot.size + np.count_nonzero(detected), dtype=np.uint8)
+    out[: boot.size] = boot
+    end, last = boot.size, -(dead + 1)
+    for start in range(0, detected.size, _GATE_BLOCK):
+        flags = detected[start : start + _GATE_BLOCK]
+        slots = np.flatnonzero(flags) + start  # owned, so check_slots keeps it
+        slots *= r
+        slots += profile.sample(rng, slots.size, r)
+        if dead:
+            keep = apply_dead_time(slots, dead, last)
+            flags[flags] = keep
+            slots = slots[keep]
+        if slots.size and slots[0] - last <= dead:
+            raise DataError(f"detection slot {slots[0]} does not follow {last} by more than {dead} slots")
+        slots.setflags(write=False)
+        checked = check_slots(slots.view(np.uint64), dead_slots=dead)
+        interval_bytes(checked, max(last, 0), out=out[end : end + slots.size])
         end += slots.size
         if slots.size:
             last = int(slots[-1])
-    return out[:end]
+    chooser = out[boot.size : end]
+    chooser >>= bit
+    chooser &= 1
+    return out[: end - boot.size]
 
 
 def _party(params: ProtocolParams, who: str) -> SourceModel:
@@ -233,23 +219,6 @@ def _party(params: ProtocolParams, who: str) -> SourceModel:
     if params.n_gates * clock.slots_per_gate > 2**62:
         raise GuardError("requested stream would overflow 64-bit slot indices")
     return party
-
-
-def _timing_bases(
-    rng: np.random.Generator,
-    detected: np.ndarray,
-    clock: ClockConfig,
-    params: ProtocolParams,
-    boot_seed,
-) -> np.ndarray:
-    """Chooser outputs consumed by each detection: bootstrap bits, then mod-2 bits."""
-    boot = bootstrap_buffer(clock, params.k_bootstrap, boot_seed).bits
-    # The mod-2 bits are built behind the bootstrap bits, in one byte per
-    # detection, and the chooser's outputs are the first of them.
-    chooser = _detection_bytes(rng, detected, clock, params.profile, lead=boot.size)
-    chooser[boot.size :] &= 1
-    chooser[: boot.size] = boot
-    return chooser[: chooser.size - boot.size]
 
 
 def _sift(params: ProtocolParams, seed_pair, pair_gates: int, alice, bob) -> ProtocolResult:
@@ -292,8 +261,9 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     pair_gates, (det_a, det_b) = _photon_clicks(
         rng(seed_src), params.pair_source, params.n_gates, [(rng_a, alice.eta), (rng_b, bob.eta)]
     )
-    basis_a = _timing_bases(rng_a, det_a, params.clock_alice, params, boot_a)
-    basis_b = _timing_bases(rng_b, det_b, params.clock_bob, params, boot_b)
+    clock_a, clock_b, k = params.clock_alice, params.clock_bob, params.k_bootstrap
+    basis_a = _bases(rng_a, det_a, clock_a, params.profile, bootstrap_buffer(clock_a, k, boot_a).bits, 0)
+    basis_b = _bases(rng_b, det_b, clock_b, params.profile, bootstrap_buffer(clock_b, k, boot_b).bits, 0)
     return _sift(params, seed_pair, pair_gates, (basis_a, det_a), (basis_b, det_b))
 
 
@@ -312,19 +282,18 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
         parties.append((rng_a, _party(params, "Alice").eta))
     pair_gates, flags = _photon_clicks(rng(seed_src), params.pair_source, params.n_gates, parties)
     det_b = flags[0]
-    basis_b = _timing_bases(rng_b, det_b, params.clock_bob, params, boot_b)
+    boot = bootstrap_buffer(params.clock_bob, params.k_bootstrap, boot_b).bits
+    basis_b = _bases(rng_b, det_b, params.clock_bob, params.profile, boot, 0)
     if heralded_alice:
         det_a = flags[1]
         # Alice's basis is the high bit of her mod-4 symbol; the low (key)
         # bit never surfaces here because errors are applied as a mask.
-        basis_a = _detection_bytes(rng_a, det_a, params.clock_alice, params.profile)
-        basis_a >>= 1
-        basis_a &= 1
+        basis_a = _bases(rng_a, det_a, params.clock_alice, params.profile, np.empty(0, np.uint8), 1)
     else:
         # Alice sends in every gate.  One call: uint8 integers share each
         # 32-bit draw within a call, so block-wise calls would give other bits.
         basis_a = rng_a.integers(0, 2, size=params.n_gates, dtype=np.uint8)
-        det_a = np.ones(params.n_gates, dtype=bool)
+        det_a = np.broadcast_to(True, params.n_gates)
     return _sift(params, seed_pair, pair_gates, (basis_a, det_a), (basis_b, det_b))
 
 
@@ -334,8 +303,10 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     Eve observes only which gate each of Bob's detections fell into and
     guesses each basis bit as the parity of the gate interval times
     ``slots_per_gate``, flipping the first guess when odd intra-gate slots
-    are the likelier ones.  Returns the empirical probability of a correct
-    guess minus 1/2.
+    are the likelier ones.  A detection in 0-based gate g at intra-gate slot
+    i is at slot g * slots_per_gate + i, so a guess is right where i's parity
+    equals the last detection's, or the likelier parity for the first.
+    Returns the empirical probability of a correct guess minus 1/2.
     """
     clock = params.clock_bob
     if clock.mode is not ClockMode.GATED:
@@ -346,25 +317,18 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     stream = generate_gated(bob, clock, params.profile, n_events, child)
 
     r = clock.slots_per_gate
-    # Each guess is the parity of (gate interval) * r, counting the first
-    # interval from gate 0: the gate interval's parity for odd r, 0 for even
-    # r.  Block by block, the true bits and the guesses are the low bits of
-    # the slot and 0-based gate (slot - 1) // r intervals.
-    # First interval: the intra-gate slot itself contributes its parity
-    # (bias q_odd); later intervals see the difference of two profile
-    # draws, which is even with probability >= 1/2 for any profile.
-    flip_first = params.profile.odd_slot_probability(r) > 0.5
-    correct = last_slot = last_gate = 0
+    # The likelier parity of i stands before the first detection.
+    parity = int(params.profile.odd_slot_probability(r) > 0.5)
+    correct = 0
     for start in range(0, stream.slots.size, _GATE_BLOCK):
         slots = stream.slots[start : start + _GATE_BLOCK]
-        gates = slots - np.uint64(1)
-        gates //= np.uint64(r)
-        guesses = interval_bytes(gates, last_gate)
-        guesses &= r & 1
-        if start == 0 and flip_first:
-            guesses[0] ^= 1
-        true_bits = interval_bytes(slots, last_slot)
-        true_bits &= 1
-        correct += int(np.count_nonzero(guesses == true_bits))
-        last_slot, last_gate = int(slots[-1]), int(gates[-1])
+        gate_starts = slots - 1
+        gate_starts //= r
+        gate_starts *= r
+        # i modulo 256, which keeps i's parity.
+        odd = slots.astype(np.uint8)
+        odd -= gate_starts.astype(np.uint8)
+        odd &= 1
+        correct += odd.size - int(np.count_nonzero(interval_bytes(odd, parity)))
+        parity = int(odd[-1])
     return correct / stream.slots.size - 0.5

@@ -105,7 +105,7 @@ def reference_click_probabilities(survival: float, n_photons) -> np.ndarray:
 
 def reference_detections(rng, n_photons, survival: float, clock, profile) -> tuple[np.ndarray, np.ndarray]:
     """Whole-length draws over every gate: the slow oracle for ``qkd._photon_clicks``
-    and ``qkd._detections``.
+    and the slots of ``qkd._bases``.
 
     ``rng`` is the party's generator and ``n_photons`` every gate's pair
     number; returns the per-gate detection flags and the party's slots.

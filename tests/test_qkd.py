@@ -18,7 +18,7 @@ from tickrng import qkd
 from tickrng.errors import DataError, GuardError
 from tickrng.models import Distribution, SourceModel
 from tickrng.qkd import ProtocolParams, eve_qnd_advantage, run_bb84, run_bbm92
-from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, apply_dead_time, rng
+from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, apply_dead_time, check_slots, rng
 
 GATED_2 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
 GATED_4 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4)
@@ -285,6 +285,21 @@ def survivals(params: ProtocolParams) -> list[float]:
     return [eta * params.channel_transmittance_alice, eta * params.channel_transmittance_bob]
 
 
+def party_slots(gen, detected, clock, profile) -> np.ndarray:
+    """The slots ``qkd._bases`` passes through ``check_slots``, its blocks joined."""
+    blocks = []
+
+    def spy(slots, **kwargs):
+        blocks.append(check_slots(slots, **kwargs))
+        assert blocks[-1] is slots  # read-only and owned, so not copied
+        return blocks[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qkd, "check_slots", spy)
+        qkd._bases(gen, detected, clock, profile, np.empty(0, np.uint8), 0)
+    return np.concatenate(blocks)
+
+
 def block_detections(params: ProtocolParams) -> tuple[int, list]:
     """``pair_gates`` and each party's (flags, slots) from the block-wise kernels."""
     seed_src, *seeds = np.random.SeedSequence(params.seed).spawn(3)
@@ -294,8 +309,7 @@ def block_detections(params: ProtocolParams) -> tuple[int, list]:
     )
     parties = []
     for gen, detected, clock in zip(gens, flags, (params.clock_alice, params.clock_bob)):
-        blocks = qkd._detection_blocks(gen, detected, clock, params.profile)
-        parties.append((detected, np.concatenate(list(blocks))))
+        parties.append((detected, party_slots(gen, detected, clock, params.profile)))
     return pair_gates, parties
 
 
@@ -364,8 +378,7 @@ def test_dead_time_keeps_a_detection_at_slot_one():
     """No click precedes gate 0, so its detection at slot 1 is kept."""
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4, dead_slots=2)
     detected = np.array([True, False, False, True])
-    blocks = qkd._detection_blocks(rng(0), detected, clock, IntraGateProfile.fixed_slot(1))
-    assert np.concatenate(list(blocks)).tolist() == [1, 13]
+    assert party_slots(rng(0), detected, clock, IntraGateProfile.fixed_slot(1)).tolist() == [1, 13]
     assert detected.tolist() == [True, False, False, True]
 
 
@@ -373,16 +386,15 @@ def test_dead_time_keeps_a_detection_at_slot_one():
 def test_detection_blocks_check_the_dead_time_across_block_edges(monkeypatch, block):
     """With the dead-time filter switched off, detections in adjacent gates
     break the dead time; each block is checked, and so is each block's first
-    slot against the last one before it."""
+    slot against the last one before it (in two-gate blocks, 5 of 5 and 7)."""
     if block is not None:
         monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
     monkeypatch.setattr(qkd, "apply_dead_time", lambda slots, dead, last: np.ones(len(slots), dtype=bool))
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=2)
-    detected = np.array([False, True, True, False])
-    blocks = qkd._detection_blocks(rng(0), detected, clock, IntraGateProfile.fixed_slot(1))
+    detected = np.array([False, True, True, True])
     message = "gaps must exceed the dead time of 2" if block is None else "slot 5 does not follow 3 by more than 2"
     with pytest.raises(DataError, match=message):
-        list(blocks)
+        party_slots(rng(0), detected, clock, IntraGateProfile.fixed_slot(1))
 
 
 def test_bb84_qber_and_sifting():
@@ -457,6 +469,14 @@ def test_eve_advantage_does_not_grow_with_resolution():
 def test_eve_requires_a_gated_clock():
     params = make_params(clock_bob=ClockConfig(mode=ClockMode.FREE_RUNNING), n_gates=1)
     with pytest.raises(ValueError):
+        eve_qnd_advantage(params, 100)
+
+
+def test_eve_refuses_a_free_running_clock_before_checking_bob():
+    """Bob never detects here, yet the clock is refused first, by name."""
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING)
+    params = make_params(pair_source=SourceModel(Distribution.POISSON, 0.5, 0.0), clock_bob=clock, n_gates=1)
+    with pytest.raises(ValueError, match="the timing adversary is defined for gated clocks"):
         eve_qnd_advantage(params, 100)
 
 
@@ -696,16 +716,16 @@ def sweep_params(n_gates: int, slots_per_gate: int = 2) -> ProtocolParams:
 
 @pytest.mark.parametrize("protocol", ["bbm92", "bb84", "bb84h"])
 def test_protocol_rounds_stay_within_their_memory_budget(protocol):
-    """The traced-allocation peak of a 2x10^6-gate round: the parties'
-    per-gate flags (and plain BB84 Alice's per-gate bases), one byte per
-    detection and the work of one gate block, not a party's int64 slots or
-    a float64 per gate or per sifted coincidence."""
+    """The traced-allocation peak of a 2x10^6-gate round: the detecting
+    parties' per-gate flags (plain BB84's Alice has per-gate bases and no
+    flags), one byte per detection and the work of one gate block, not a
+    party's int64 slots or a float64 per gate or per sifted coincidence."""
     run = {
         "bbm92": run_bbm92,
         "bb84": run_bb84,
         "bb84h": lambda p: run_bb84(p, heralded_alice=True),
     }[protocol]
-    assert traced_peak(run, sweep_params(2_000_000)) <= 12e6
+    assert traced_peak(run, sweep_params(2_000_000)) <= 10e6
 
 
 def test_eve_stays_within_its_memory_budget():
