@@ -1,5 +1,6 @@
-"""Package layout: no module reaches into another module's private names, and every
-name a module exports in ``__all__`` resolves, once."""
+"""Package layout: no module reaches into another module's private names, every
+name a module exports in ``__all__`` resolves, once, and every name it imports
+is used."""
 
 import ast
 import importlib
@@ -67,3 +68,35 @@ def test_the_test_oracles_take_no_private_names():
     """The slow oracles in ``conftest.py`` share no private constant or
     helper with the code they check."""
     assert private_imports(Path(__file__).with_name("conftest.py").read_text()) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Each name a module imports and neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_the_checker_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .sim import rng, check_slots\n__all__ = ['check_slots']\nnp.zeros(0)\n"
+    )
+    assert unused_imports(source) == ["os", "rng"]
+    assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := unused_imports(path.read_text()))
+    }
+    assert offenders == {}
