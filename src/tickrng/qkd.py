@@ -195,6 +195,7 @@ def _bases(
             raise DataError(f"detection slot {slots[0]} does not follow {last} by more than {dead} slots")
         slots.setflags(write=False)
         checked = check_slots(slots.view(np.uint64), dead_slots=dead)
+        # The first interval counts from tick 0; the dead-time carry starts below it.
         interval_bytes(checked, max(last, 0), out=out[end : end + slots.size])
         end += slots.size
         if slots.size:

@@ -386,7 +386,8 @@ def test_dead_time_keeps_a_detection_at_slot_one():
 def test_detection_blocks_check_the_dead_time_across_block_edges(monkeypatch, block):
     """With the dead-time filter switched off, detections in adjacent gates
     break the dead time; each block is checked, and so is each block's first
-    slot against the last one before it (in two-gate blocks, 5 of 5 and 7)."""
+    slot against the last one before it: in two-gate blocks the second
+    block holds slots 5 and 7, and 5 is named."""
     if block is not None:
         monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
     monkeypatch.setattr(qkd, "apply_dead_time", lambda slots, dead, last: np.ones(len(slots), dtype=bool))
