@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest

@@ -1,6 +1,6 @@
 """Package layout: no module reaches into another module's private names, every
-name a module exports in ``__all__`` resolves, once, and every name it imports
-is used."""
+name a module exports in ``__all__`` resolves, once, and every name a module
+or a test file imports is used."""
 
 import ast
 import importlib
@@ -94,9 +94,11 @@ def test_the_checker_sees_unused_imports():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
+    """Neither the package's modules nor the test files."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     offenders = {
-        path.name: names
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{path.parent.name}/{path.name}": names
+        for path in paths
         if (names := unused_imports(path.read_text()))
     }
     assert offenders == {}
