@@ -200,10 +200,13 @@ def flip_debias(raw: BitStream) -> BitStream:
     return BitStream(bits)
 
 
-def balance(bits: BitStream) -> BalanceResult:
-    """Ratio of the rarer to the more common bit value (1.0 = perfectly balanced)."""
-    ones = bits.ones()
-    zeros = len(bits) - ones
+def balance(bits: BitStream | tuple[int, int]) -> BalanceResult:
+    """Ratio of the rarer to the more common bit value (1.0 = perfectly balanced).
+
+    ``bits`` may also be given by its counts, ``(ones, length)``.
+    """
+    ones, length = (bits.ones(), len(bits)) if isinstance(bits, BitStream) else bits
+    zeros = length - ones
     if ones == 0 or zeros == 0:
         return BalanceResult(0.0, True)
     return BalanceResult(min(ones, zeros) / max(ones, zeros), False)

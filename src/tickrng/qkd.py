@@ -12,18 +12,15 @@ equals Alice's except with the intrinsic error probability; on
 unmatched bases the outcomes are independent and the round is discarded
 by sifting.
 
-A round draws its per-gate randomness in blocks of ``_GATE_BLOCK``
-gates: the pair numbers and each party's photon-click uniforms, then, in
-a second pass over each party's generator, its dark-count uniforms.  A
-generator called block by block yields the values of one whole-length
-call, so the seed contract is unchanged: each generator's draws, and
-therefore every result, equal those of whole-length draws.  What
-outlives a block is one boolean flag per gate and party and, from
-``_bases``, one byte per detection: its chooser output.
-
-``_sift`` gathers the bases at the coincidences for all three rounds from
-each party's bases, one per detection in gate order, and its per-gate
-detection flags; plain BB84's Alice sends in every gate.
+A round runs in one pass over blocks of ``_GATE_BLOCK`` gates.  Each
+block draws its pair numbers, each party's photon clicks, dark counts
+and detection slots, and the intrinsic errors of its sifted
+coincidences; only counts and each party's carries outlive it, so a
+round's memory does not grow with its gates.  A generator called block
+by block, or copied and positioned by ``advance``, yields the values of
+one whole-length call, so the seed contract is unchanged: every result
+equals that of whole-length draws.  Plain BB84's Alice sends in every
+gate.
 
 ``eve_qnd_advantage`` models an eavesdropper who measures photon numbers
 without disturbing them (a quantum non-demolition probe) and therefore
@@ -40,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GuardError, as_count
-from .extract import balance, BitStream, bootstrap_buffer, interval_bytes
+from .extract import balance, bootstrap_buffer, interval_bytes
 from .models import click_probability, Distribution, SourceModel
 from .sim import (
     ClockConfig,
@@ -130,80 +127,82 @@ def _click_probabilities(survival: float, n_photons: np.ndarray) -> np.ndarray:
     return p_click
 
 
-def _photon_clicks(
-    source_rng: np.random.Generator,
-    source: SourceModel,
-    n_gates: int,
-    parties: list[tuple[np.random.Generator, float]],
-) -> tuple[int, list[np.ndarray]]:
-    """The number of gates with at least one pair, and each party's
-    per-gate photon-click flags.
+class _Detector:
+    """One detecting party, drawn gate block by gate block.
 
-    Block by block, ``source_rng`` draws the pair numbers and each party
-    ``(rng, survival)`` one uniform per gate.  Every generator yields the
-    values of one whole-length call.
+    Across blocks it carries its dead-time carry ``last``, the
+    ``len(boot)`` chooser outputs that lead its detections, and three
+    copies of its generator, each positioned once by ``advance``: the
+    click uniforms at 0, the dark-count uniforms at ``n_gates`` and the
+    profile draws after those.  ``Generator.random`` takes one 64-bit
+    word per double and ``advance`` clears the 32-bit buffer of
+    ``integers``, so each copy yields the values of one whole-length call.
     """
-    flags = [np.empty(n_gates, dtype=bool) for _ in parties]
-    uniforms = np.empty(min(n_gates, _GATE_BLOCK))
-    pair_gates = 0
-    for start in range(0, n_gates, _GATE_BLOCK):
-        n_photons = _sample_pair_numbers(source_rng, source, min(_GATE_BLOCK, n_gates - start))
-        pair_gates += int(np.count_nonzero(n_photons))
-        u = uniforms[: n_photons.size]
-        for (party_rng, survival), detected in zip(parties, flags):
-            party_rng.random(out=u)
-            np.less(u, _click_probabilities(survival, n_photons), out=detected[start : start + u.size])
-    return pair_gates, flags
 
+    def __init__(self, seed, n_gates: int, survival: float, clock: ClockConfig,
+                 profile: IntraGateProfile, boot: np.ndarray, bit: int):
+        self.survival, self.clock, self.profile, self.bit = survival, clock, profile, bit
+        self.clicks, self.darks, self.places = (rng(seed) for _ in range(3))
+        self.darks.bit_generator.advance(n_gates)
+        self.places.bit_generator.advance(n_gates * (1 + (clock.dark_prob > 0.0)))
+        self.pending = boot
+        self.last = -(clock.dead_slots + 1)
 
-def _bases(
-    rng: np.random.Generator,
-    detected: np.ndarray,
-    clock: ClockConfig,
-    profile: IntraGateProfile,
-    boot: np.ndarray,
-    bit: int,
-) -> np.ndarray:
-    """One chooser output per detection: the bits ``boot``, then bit ``bit``
-    of each interval ending at a detection, modulo 256.
+    def block(self, n_photons: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """The detection flags of the gates from ``start`` on, one per
+        photon number, and the bases of the detections among them.
 
-    ``detected`` gains the dark counts, so its count bounds the detections,
-    and loses the dead-time drops; each ``_GATE_BLOCK`` gates' slots pass
-    ``check_slots``.
-    """
-    if clock.dark_prob > 0.0:
-        uniforms = np.empty(min(detected.size, _GATE_BLOCK))
-        for start in range(0, detected.size, _GATE_BLOCK):
-            block = detected[start : start + _GATE_BLOCK]
-            u = uniforms[: block.size]
-            rng.random(out=u)
-            block |= u < clock.dark_prob
-    r, dead = clock.slots_per_gate, clock.dead_slots
-    out = np.empty(boot.size + np.count_nonzero(detected), dtype=np.uint8)
-    out[: boot.size] = boot
-    end, last = boot.size, -(dead + 1)
-    for start in range(0, detected.size, _GATE_BLOCK):
-        flags = detected[start : start + _GATE_BLOCK]
-        slots = np.flatnonzero(flags) + start  # owned, so check_slots keeps it
+        Dark counts join the clicks and the dead time drops detections;
+        the slots pass ``check_slots``.  Detection ``T`` takes chooser
+        output ``T``: the bits ``boot``, then bit ``bit`` of each interval
+        ending at a detection, modulo 256.
+        """
+        clock, r, dead = self.clock, self.clock.slots_per_gate, self.clock.dead_slots
+        detected = self.clicks.random(n_photons.size) < _click_probabilities(self.survival, n_photons)
+        if clock.dark_prob > 0.0:
+            detected |= self.darks.random(n_photons.size) < clock.dark_prob
+        slots = np.flatnonzero(detected) + start  # owned, so check_slots keeps it
         slots *= r
-        slots += profile.sample(rng, slots.size, r)
+        slots += self.profile.sample(self.places, slots.size, r)
         if dead:
-            keep = apply_dead_time(slots, dead, last)
-            flags[flags] = keep
+            keep = apply_dead_time(slots, dead, self.last)
+            detected[detected] = keep
             slots = slots[keep]
-        if slots.size and slots[0] - last <= dead:
-            raise DataError(f"detection slot {slots[0]} does not follow {last} by more than {dead} slots")
+        if slots.size and slots[0] - self.last <= dead:
+            raise DataError(f"detection slot {slots[0]} does not follow {self.last} by more than {dead} slots")
         slots.setflags(write=False)
         checked = check_slots(slots.view(np.uint64), dead_slots=dead)
         # The first interval counts from tick 0; the dead-time carry starts below it.
-        interval_bytes(checked, max(last, 0), out=out[end : end + slots.size])
-        end += slots.size
+        chooser = interval_bytes(checked, max(self.last, 0))
+        chooser >>= self.bit
+        chooser &= 1
         if slots.size:
-            last = int(slots[-1])
-    chooser = out[boot.size : end]
-    chooser >>= bit
-    chooser &= 1
-    return out[: end - boot.size]
+            self.last = int(slots[-1])
+        if self.pending.size:
+            chooser = np.concatenate((self.pending, chooser))
+            self.pending = chooser[slots.size :].copy()
+        return detected, chooser[: slots.size]
+
+
+class _Sender:
+    """Plain BB84's Alice: a fair basis bit in every gate.
+
+    numpy's uint8 ``integers(0, 2)`` takes four values from each 32-bit
+    draw and starts each call on a fresh one, so calls of a multiple of 4
+    values, with the at most 3 values left over carried, yield the values
+    of one whole-length call.
+    """
+
+    def __init__(self, seed):
+        self.rng = rng(seed)
+        self.carry = np.empty(0, np.uint8)
+
+    def block(self, n_photons: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        n = n_photons.size
+        drawn = self.rng.integers(0, 2, size=-((self.carry.size - n) // 4) * 4, dtype=np.uint8)
+        sends = np.concatenate((self.carry, drawn))
+        self.carry = sends[n:].copy()
+        return np.broadcast_to(True, n), sends[:n]
 
 
 def _party(params: ProtocolParams, who: str) -> SourceModel:
@@ -222,31 +221,37 @@ def _party(params: ProtocolParams, who: str) -> SourceModel:
     return party
 
 
-def _sift(params: ProtocolParams, seed_pair, pair_gates: int, alice, bob) -> ProtocolResult:
-    """Sift the coincidences on matched bases and draw the intrinsic errors.
+def _round(params: ProtocolParams, seed_src, seed_pair, alice, bob) -> ProtocolResult:
+    """Draw a round gate block by gate block, sift it and draw its intrinsic errors.
 
-    Each party is ``(bases, detected)``: the bases of its detections in
-    gate order and its per-gate detection flags.  The error uniforms are
-    drawn ``_GATE_BLOCK`` at a time and counted.
+    Each block takes its pair numbers from ``seed_src``'s generator, each
+    party's detection flags and bases from ``alice`` and ``bob``, and one
+    error uniform per coincidence on matched bases, in gate order, from
+    ``seed_pair``'s.  Only counts outlive a block.
     """
-    (basis_a, det_a), (basis_b, det_b) = alice, bob
-    # basis_x[det_y[det_x]]: the bases of X's detections where Y detected too.
-    basis_a_c = basis_a[det_b[det_a]]
-    n_coinc = basis_a_c.size
-    n_sift = int(np.count_nonzero(basis_a_c == basis_b[det_a[det_b]]))
-    error_rng = rng(seed_pair)
-    uniforms = np.empty(min(n_sift, _GATE_BLOCK))
-    n_err = 0
-    for start in range(0, n_sift, _GATE_BLOCK):
-        u = uniforms[: n_sift - start]
-        error_rng.random(out=u)
-        n_err += int(np.count_nonzero(u < params.intrinsic_error))
+    source_rng, error_rng = rng(seed_src), rng(seed_pair)
+    pair_gates = n_coinc = n_sift = n_err = 0
+    ones, detections = [0, 0], [0, 0]
+    for start in range(0, params.n_gates, _GATE_BLOCK):
+        size = min(_GATE_BLOCK, params.n_gates - start)
+        n_photons = _sample_pair_numbers(source_rng, params.pair_source, size)
+        pair_gates += int(np.count_nonzero(n_photons))
+        (det_a, basis_a), (det_b, basis_b) = alice.block(n_photons, start), bob.block(n_photons, start)
+        # basis_x[det_y[det_x]]: the bases of X's detections where Y detected too.
+        basis_a_c = basis_a[det_b[det_a]]
+        matched = int(np.count_nonzero(basis_a_c == basis_b[det_a[det_b]]))
+        n_coinc += basis_a_c.size
+        n_sift += matched
+        n_err += int(np.count_nonzero(error_rng.random(matched) < params.intrinsic_error))
+        for i, bases in enumerate((basis_a, basis_b)):
+            ones[i] += int(np.count_nonzero(bases))
+            detections[i] += bases.size
     return ProtocolResult(
         coincidences=n_coinc,
         sifted_length=n_sift,
         qber=n_err / n_sift if n_sift else 0.0,
-        basis_balance_alice=balance(BitStream(basis_a)).ratio,
-        basis_balance_bob=balance(BitStream(basis_b)).ratio,
+        basis_balance_alice=balance((ones[0], detections[0])).ratio,
+        basis_balance_bob=balance((ones[1], detections[1])).ratio,
         sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
         pair_gates=pair_gates,
     )
@@ -258,14 +263,11 @@ def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     seed_src, seed_a, seed_b, seed_pair, boot_a, boot_b = (
         np.random.SeedSequence(params.seed).spawn(6)
     )
-    rng_a, rng_b = rng(seed_a), rng(seed_b)
-    pair_gates, (det_a, det_b) = _photon_clicks(
-        rng(seed_src), params.pair_source, params.n_gates, [(rng_a, alice.eta), (rng_b, bob.eta)]
-    )
-    clock_a, clock_b, k = params.clock_alice, params.clock_bob, params.k_bootstrap
-    basis_a = _bases(rng_a, det_a, clock_a, params.profile, bootstrap_buffer(clock_a, k, boot_a).bits, 0)
-    basis_b = _bases(rng_b, det_b, clock_b, params.profile, bootstrap_buffer(clock_b, k, boot_b).bits, 0)
-    return _sift(params, seed_pair, pair_gates, (basis_a, det_a), (basis_b, det_b))
+    n, profile, k = params.n_gates, params.profile, params.k_bootstrap
+    clock_a, clock_b = params.clock_alice, params.clock_bob
+    detector_a = _Detector(seed_a, n, alice.eta, clock_a, profile, bootstrap_buffer(clock_a, k, boot_a).bits, 0)
+    detector_b = _Detector(seed_b, n, bob.eta, clock_b, profile, bootstrap_buffer(clock_b, k, boot_b).bits, 0)
+    return _round(params, seed_src, seed_pair, detector_a, detector_b)
 
 
 def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolResult:
@@ -277,25 +279,17 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
     Bob detection counts.
     """
     seed_src, seed_a, seed_b, seed_pair, boot_b = np.random.SeedSequence(params.seed).spawn(5)
-    rng_a, rng_b = rng(seed_a), rng(seed_b)
-    parties = [(rng_b, _party(params, "Bob").eta)]
+    n, profile, clock_b = params.n_gates, params.profile, params.clock_bob
+    survival_b = _party(params, "Bob").eta
     if heralded_alice:
-        parties.append((rng_a, _party(params, "Alice").eta))
-    pair_gates, flags = _photon_clicks(rng(seed_src), params.pair_source, params.n_gates, parties)
-    det_b = flags[0]
-    boot = bootstrap_buffer(params.clock_bob, params.k_bootstrap, boot_b).bits
-    basis_b = _bases(rng_b, det_b, params.clock_bob, params.profile, boot, 0)
-    if heralded_alice:
-        det_a = flags[1]
         # Alice's basis is the high bit of her mod-4 symbol; the low (key)
         # bit never surfaces here because errors are applied as a mask.
-        basis_a = _bases(rng_a, det_a, params.clock_alice, params.profile, np.empty(0, np.uint8), 1)
+        empty = np.empty(0, np.uint8)
+        alice = _Detector(seed_a, n, _party(params, "Alice").eta, params.clock_alice, profile, empty, 1)
     else:
-        # Alice sends in every gate.  One call: uint8 integers share each
-        # 32-bit draw within a call, so block-wise calls would give other bits.
-        basis_a = rng_a.integers(0, 2, size=params.n_gates, dtype=np.uint8)
-        det_a = np.broadcast_to(True, params.n_gates)
-    return _sift(params, seed_pair, pair_gates, (basis_a, det_a), (basis_b, det_b))
+        alice = _Sender(seed_a)
+    boot = bootstrap_buffer(clock_b, params.k_bootstrap, boot_b).bits
+    return _round(params, seed_src, seed_pair, alice, _Detector(seed_b, n, survival_b, clock_b, profile, boot, 0))
 
 
 def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:

@@ -529,12 +529,14 @@ def test_counts_past_float_range_are_past_64_bit_slots(capsys, tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("argv", [
-    ["protocol", "--mu", "0.5", "--gates", "4611686018427387904", "--slots-per-gate", "1"],
+    ["protocol", "--mu", "0.5", "--gates", "100", "--dark-prob", "0.1", "--k-bootstrap", "100000000000000000"],
     ["simulate", "--mode", "gated", "--mu-eta", "0.5", "--events", "100000000000000000", "--out", "x"],
-], ids=["protocol-4-EiB", "simulate-711-PiB"])
+], ids=["protocol-bootstrap-711-PiB", "simulate-711-PiB"])
 def test_an_allocation_the_host_refuses_is_an_error(capsys, tmp_path, monkeypatch, argv):
     # Within reach, yet each run's first array is larger than any address
-    # space, so numpy refuses it at once.
+    # space, so numpy refuses it at once.  A protocol round's own arrays
+    # span one gate block however many gates it has, so its bootstrap
+    # buffer is what the host refuses.
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")

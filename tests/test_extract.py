@@ -214,6 +214,12 @@ def test_balance_degenerate_cases():
     assert balance(BitStream.from_bits([])) == BalanceResult(0.0, True)
 
 
+@pytest.mark.parametrize("bits", [[0, 1, 0, 1], [0, 0, 0, 1], [1, 1, 0], [0, 0, 0], [1], []])
+def test_balance_of_counts_is_the_balance_of_the_bits(bits):
+    stream = BitStream.from_bits(bits)
+    assert balance((stream.ones(), len(stream))) == balance(stream)
+
+
 def test_weak_source_balance_and_debias():
     """At 0.0075 clicks per slot the raw balance sits near 1 - p; debiasing finishes the job."""
     p = 0.0075

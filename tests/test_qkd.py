@@ -148,8 +148,15 @@ def test_rounds_past_64_bit_slots_are_guarded():
     assert run_bb84(make_params(clock_alice=wide, n_gates=1000)).coincidences > 0
 
 
+ROUNDS = {
+    "bbm92": run_bbm92,
+    "bb84": run_bb84,
+    "bb84h": lambda p: run_bb84(p, heralded_alice=True),
+}
+
+
 def run_all_protocols(params: ProtocolParams) -> list:
-    return [run_bbm92(params), run_bb84(params), run_bb84(params, heralded_alice=True)]
+    return [run(params) for run in ROUNDS.values()]
 
 
 def test_protocol_dead_time_matches_the_reference_loop(monkeypatch):
@@ -176,12 +183,42 @@ def test_protocol_dead_time_matches_the_reference_loop(monkeypatch):
         check_result_invariants(result)
 
 
+def round_parties(run, params: ProtocolParams) -> tuple:
+    """A round's result and, per party in the order it first draws, its
+    per-gate flags, its bases and its checked slots, each joined over the
+    gate blocks.  Every block's slots pass ``check_slots`` without a copy."""
+    parties, current = {}, []
+    blocks = {cls: cls.block for cls in (qkd._Detector, qkd._Sender)}
+
+    def spy_block(self, n_photons, start):
+        current[:] = [parties.setdefault(self, ([], [], []))]
+        detected, bases = blocks[type(self)](self, n_photons, start)
+        current[0][0].append(np.array(detected))
+        current[0][1].append(bases)
+        return detected, bases
+
+    def spy_check(slots, **kwargs):
+        current[0][2].append(check_slots(slots, **kwargs))
+        assert current[0][2][-1] is slots  # read-only and owned, so not copied
+        return slots
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in blocks:
+            patch.setattr(cls, "block", spy_block)
+        patch.setattr(qkd, "check_slots", spy_check)
+        result = run(params)
+    return result, [
+        [np.concatenate(parts) if parts else np.empty(0, np.uint64) for parts in party]
+        for party in parties.values()
+    ]
+
+
 def run_with_reference_kernels(monkeypatch, params: ProtocolParams) -> tuple[list, list]:
     """Every protocol's result with the per-gate power patched in for the
-    fast click kernel, which must agree call by call, and with each sift
-    checked against the cumulative-sum coincidence lookup; also the photon
-    numbers each click kernel saw."""
-    fast_click, fast_sift = qkd._click_probabilities, qkd._sift
+    fast click kernel, which must agree call by call, and with each round's
+    sifting checked against the cumulative-sum coincidence lookup over its
+    parties' flags and bases; also the photon numbers each click kernel saw."""
+    fast_click = qkd._click_probabilities
     photon_numbers, lookups = [], []
 
     def click(survival, n_photons):
@@ -190,18 +227,19 @@ def run_with_reference_kernels(monkeypatch, params: ProtocolParams) -> tuple[lis
         photon_numbers.append(n_photons)
         return expected
 
-    def sift(params, seed_pair, pair_gates, alice, bob):
-        result = fast_sift(params, seed_pair, pair_gates, alice, bob)
-        coincident = alice[1] & bob[1]
-        basis_a_c, basis_b_c = (reference_at_coincidences(*party, coincident) for party in (alice, bob))
+    monkeypatch.setattr(qkd, "_click_probabilities", click)
+    results = []
+    for run in ROUNDS.values():
+        result, parties = round_parties(run, params)
+        # Each gate block draws Alice's detections before Bob's.
+        (flags_a, basis_a, _), (flags_b, basis_b, _) = parties
+        coincident = flags_a & flags_b
+        basis_a_c, basis_b_c = (reference_at_coincidences(bits, flags, coincident)
+                                for flags, bits in ((flags_a, basis_a), (flags_b, basis_b)))
         assert result.coincidences == basis_a_c.size
         assert result.sifted_length == np.count_nonzero(basis_a_c == basis_b_c)
         lookups.extend([basis_a_c, basis_b_c])
-        return result
-
-    monkeypatch.setattr(qkd, "_click_probabilities", click)
-    monkeypatch.setattr(qkd, "_sift", sift)
-    results = run_all_protocols(params)
+        results.append(result)
     # Alice and Bob in BBM92, Bob in BB84, Bob and Alice in heralded BB84;
     # both lookups in every protocol.
     assert len(photon_numbers) == 5 and len(lookups) == 6
@@ -285,32 +323,33 @@ def survivals(params: ProtocolParams) -> list[float]:
     return [eta * params.channel_transmittance_alice, eta * params.channel_transmittance_bob]
 
 
-def party_slots(gen, detected, clock, profile) -> np.ndarray:
-    """The slots ``qkd._bases`` passes through ``check_slots``, its blocks joined."""
-    blocks = []
+def party_slots(detected: np.ndarray, clock, profile) -> tuple[np.ndarray, np.ndarray]:
+    """The flags a detector keeps and the slots it passes through
+    ``check_slots``, block by block, when it clicks in exactly the gates
+    ``detected`` flags: survival 1, one photon in each flagged gate and
+    none elsewhere."""
+    detector = qkd._Detector(
+        np.random.SeedSequence(0), detected.size, 1.0, clock, profile, np.empty(0, np.uint8), 0
+    )
+    n_photons = detected.astype(np.int64)
+    flags, slots = [], []
 
-    def spy(slots, **kwargs):
-        blocks.append(check_slots(slots, **kwargs))
-        assert blocks[-1] is slots  # read-only and owned, so not copied
-        return blocks[-1]
+    def spy(block_slots, **kwargs):
+        slots.append(check_slots(block_slots, **kwargs))
+        assert slots[-1] is block_slots  # read-only and owned, so not copied
+        return slots[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qkd, "check_slots", spy)
-        qkd._bases(gen, detected, clock, profile, np.empty(0, np.uint8), 0)
-    return np.concatenate(blocks)
+        for start in range(0, detected.size, qkd._GATE_BLOCK):
+            flags.append(detector.block(n_photons[start : start + qkd._GATE_BLOCK], start)[0])
+    return np.concatenate(flags), np.concatenate(slots)
 
 
 def block_detections(params: ProtocolParams) -> tuple[int, list]:
-    """``pair_gates`` and each party's (flags, slots) from the block-wise kernels."""
-    seed_src, *seeds = np.random.SeedSequence(params.seed).spawn(3)
-    gens = [rng(seed) for seed in seeds]
-    pair_gates, flags = qkd._photon_clicks(
-        rng(seed_src), params.pair_source, params.n_gates, list(zip(gens, survivals(params)))
-    )
-    parties = []
-    for gen, detected, clock in zip(gens, flags, (params.clock_alice, params.clock_bob)):
-        parties.append((detected, party_slots(gen, detected, clock, params.profile)))
-    return pair_gates, parties
+    """``pair_gates`` and each party's (flags, slots) from a BBM92 round's gate blocks."""
+    result, parties = round_parties(run_bbm92, params)
+    return result.pair_gates, [(flags, slots) for flags, _, slots in parties]
 
 
 def whole_array_detections(params: ProtocolParams) -> tuple[int, list]:
@@ -378,8 +417,9 @@ def test_dead_time_keeps_a_detection_at_slot_one():
     """No click precedes gate 0, so its detection at slot 1 is kept."""
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4, dead_slots=2)
     detected = np.array([True, False, False, True])
-    assert party_slots(rng(0), detected, clock, IntraGateProfile.fixed_slot(1)).tolist() == [1, 13]
-    assert detected.tolist() == [True, False, False, True]
+    flags, slots = party_slots(detected, clock, IntraGateProfile.fixed_slot(1))
+    assert slots.tolist() == [1, 13]
+    assert flags.tolist() == [True, False, False, True]
 
 
 @pytest.mark.parametrize("block", [1, 2, None])
@@ -395,7 +435,21 @@ def test_detection_blocks_check_the_dead_time_across_block_edges(monkeypatch, bl
     detected = np.array([False, True, True, True])
     message = "gaps must exceed the dead time of 2" if block is None else "slot 5 does not follow 3 by more than 2"
     with pytest.raises(DataError, match=message):
-        party_slots(rng(0), detected, clock, IntraGateProfile.fixed_slot(1))
+        party_slots(detected, clock, IntraGateProfile.fixed_slot(1))
+
+
+@pytest.mark.parametrize("n_gates", [1, 3001])
+@pytest.mark.parametrize("block", [1, 7, 1000, None])
+def test_plain_bb84_sends_match_one_whole_length_draw(monkeypatch, n_gates, block):
+    """Alice's sends come in calls of a multiple of 4 values with at most 3
+    carried over, so every block size gives one whole-length call's values."""
+    if block is not None:
+        monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+    params = make_params(n_gates=n_gates, seed=269)
+    _, ((flags, sends, _), _) = round_parties(run_bb84, params)
+    seed_a = np.random.SeedSequence(params.seed).spawn(5)[1]
+    assert np.array_equal(sends, rng(seed_a).integers(0, 2, size=n_gates, dtype=np.uint8))
+    assert flags.all() and flags.size == n_gates
 
 
 def test_bb84_qber_and_sifting():
@@ -531,12 +585,7 @@ def test_protocol_results_are_pinned(protocol, k_bootstrap, dead_slots, expected
         intrinsic_error=0.05,
         k_bootstrap=k_bootstrap,
     )
-    run = {
-        "bbm92": run_bbm92,
-        "bb84": run_bb84,
-        "bb84h": lambda p: run_bb84(p, heralded_alice=True),
-    }[protocol]
-    assert dataclasses.astuple(run(params)) == expected
+    assert dataclasses.astuple(ROUNDS[protocol](params)) == expected
 
 
 def pinned_edge_params(case: str) -> ProtocolParams:
@@ -593,12 +642,7 @@ PINNED_EDGE_RESULTS = [
 
 @pytest.mark.parametrize("case, protocol, expected", PINNED_EDGE_RESULTS)
 def test_protocol_edge_results_are_pinned(case, protocol, expected):
-    run = {
-        "bbm92": run_bbm92,
-        "bb84": run_bb84,
-        "bb84h": lambda p: run_bb84(p, heralded_alice=True),
-    }[protocol]
-    assert dataclasses.astuple(run(pinned_edge_params(case))) == expected
+    assert dataclasses.astuple(ROUNDS[protocol](pinned_edge_params(case))) == expected
 
 
 def pinned_block_params(case: str) -> ProtocolParams:
@@ -636,12 +680,7 @@ PINNED_BLOCK_RESULTS = [
 
 @pytest.mark.parametrize("case, protocol, expected", PINNED_BLOCK_RESULTS)
 def test_protocol_results_past_one_gate_block_are_pinned(case, protocol, expected):
-    run = {
-        "bbm92": run_bbm92,
-        "bb84": run_bb84,
-        "bb84h": lambda p: run_bb84(p, heralded_alice=True),
-    }[protocol]
-    assert dataclasses.astuple(run(pinned_block_params(case))) == expected
+    assert dataclasses.astuple(ROUNDS[protocol](pinned_block_params(case))) == expected
 
 
 # Taken while the gate indices were differenced as uint64 and multiplied as int64.
@@ -715,18 +754,14 @@ def sweep_params(n_gates: int, slots_per_gate: int = 2) -> ProtocolParams:
     )
 
 
-@pytest.mark.parametrize("protocol", ["bbm92", "bb84", "bb84h"])
-def test_protocol_rounds_stay_within_their_memory_budget(protocol):
-    """The traced-allocation peak of a 2x10^6-gate round: the detecting
-    parties' per-gate flags (plain BB84's Alice has per-gate bases and no
-    flags), one byte per detection and the work of one gate block, not a
-    party's int64 slots or a float64 per gate or per sifted coincidence."""
-    run = {
-        "bbm92": run_bbm92,
-        "bb84": run_bb84,
-        "bb84h": lambda p: run_bb84(p, heralded_alice=True),
-    }[protocol]
-    assert traced_peak(run, sweep_params(2_000_000)) <= 10e6
+@pytest.mark.parametrize("protocol", sorted(ROUNDS))
+def test_protocol_rounds_run_in_flat_memory(protocol):
+    """The traced-allocation peak of a 4x10^6-gate round is that of a round
+    of two gate blocks and three gates, within 256 KiB: no per-gate flag or
+    per-detection basis outlives a block."""
+    run = ROUNDS[protocol]
+    short = traced_peak(run, sweep_params(2 * qkd._GATE_BLOCK + 3))
+    assert traced_peak(run, sweep_params(4_000_000)) <= short + 256 * 1024
 
 
 def test_eve_stays_within_its_memory_budget():
