@@ -342,7 +342,7 @@ def party_slots(detected: np.ndarray, clock, profile) -> tuple[np.ndarray, np.nd
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qkd, "check_slots", spy)
         for start in range(0, detected.size, qkd._GATE_BLOCK):
-            flags.append(detector.block(n_photons[start : start + qkd._GATE_BLOCK], start)[0])
+            flags.append(np.array(detector.block(n_photons[start : start + qkd._GATE_BLOCK], start)[0]))
     return np.concatenate(flags), np.concatenate(slots)
 
 
