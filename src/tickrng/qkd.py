@@ -104,6 +104,9 @@ def _sample_pair_numbers(rng: np.random.Generator, source: SourceModel, n_gates:
 # photons takes its own.
 _CLICK_TABLE_CAP = 1 << 16
 
+# A party's per-gate value where it kept no detection; its bases are 0 and 1.
+_NONE = 2
+
 # Gates per block of the per-gate draws: a block's float64 uniforms and
 # click probabilities take 1 MiB each, however many gates a round has.
 # Larger blocks were slower in-process, not faster.
@@ -151,11 +154,12 @@ class _Detector:
         # gates about 7000 more page faults.
         self.uniforms = np.empty(min(n_gates, _GATE_BLOCK))
         self.flags = np.empty(self.uniforms.size, dtype=bool)
+        self.gates = np.empty(self.uniforms.size, dtype=np.uint8)
 
-    def block(self, n_photons: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """The detection flags of the gates from ``start`` on, one per
-        photon number, and the bases of the detections among them.  The
-        flags are overwritten by the next call.
+    def block(self, n_photons: np.ndarray, start: int) -> np.ndarray:
+        """One value per gate from ``start`` on, one per photon number: the
+        basis bit of the party's detection in that gate, or ``_NONE`` where
+        it kept none.  The array is overwritten by the next call.
 
         Dark counts join the clicks and the dead time drops detections;
         the slots pass ``check_slots``.  Detection ``T`` takes chooser
@@ -169,13 +173,13 @@ class _Detector:
         if clock.dark_prob > 0.0:
             self.darks.random(out=u)
             detected |= u < clock.dark_prob
-        slots = np.flatnonzero(detected) + start  # owned, so check_slots keeps it
+        where = np.flatnonzero(detected)
+        slots = where + start  # owned, so check_slots keeps it
         slots *= r
         slots += self.profile.sample(self.places, slots.size, r)
         if dead:
             keep = apply_dead_time(slots, dead, self.last)
-            detected[detected] = keep
-            slots = slots[keep]
+            where, slots = where[keep], slots[keep]
         if slots.size and slots[0] - self.last <= dead:
             raise DataError(f"detection slot {slots[0]} does not follow {self.last} by more than {dead} slots")
         slots.setflags(write=False)
@@ -189,7 +193,10 @@ class _Detector:
         if self.pending.size:
             chooser = np.concatenate((self.pending, chooser))
             self.pending = chooser[slots.size :].copy()
-        return detected, chooser[: slots.size]
+        gates = self.gates[: n_photons.size]
+        gates.fill(_NONE)
+        gates[where] = chooser[: slots.size]
+        return gates
 
 
 class _Sender:
@@ -205,12 +212,12 @@ class _Sender:
         self.rng = rng(seed)
         self.carry = np.empty(0, np.uint8)
 
-    def block(self, n_photons: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(self, n_photons: np.ndarray, start: int) -> np.ndarray:
         n = n_photons.size
         drawn = self.rng.integers(0, 2, size=-((self.carry.size - n) // 4) * 4, dtype=np.uint8)
         sends = np.concatenate((self.carry, drawn))
         self.carry = sends[n:].copy()
-        return np.broadcast_to(True, n), sends[:n]
+        return sends[:n]
 
 
 def _party(params: ProtocolParams, who: str) -> SourceModel:
@@ -244,16 +251,15 @@ def _round(params: ProtocolParams, seed_src, seed_pair, alice, bob) -> ProtocolR
         size = min(_GATE_BLOCK, params.n_gates - start)
         n_photons = _sample_pair_numbers(source_rng, params.pair_source, size)
         pair_gates += int(np.count_nonzero(n_photons))
-        (det_a, basis_a), (det_b, basis_b) = alice.block(n_photons, start), bob.block(n_photons, start)
-        # basis_x[det_y[det_x]]: the bases of X's detections where Y detected too.
-        basis_a_c = basis_a[det_b[det_a]]
-        matched = int(np.count_nonzero(basis_a_c == basis_b[det_a[det_b]]))
-        n_coinc += basis_a_c.size
+        a, b = alice.block(n_photons, start), bob.block(n_photons, start)
+        for i, gates in enumerate((a, b)):
+            ones[i] += int(np.count_nonzero(gates == 1))
+            detections[i] += int(np.count_nonzero(gates < _NONE))
+        coincident = (a < _NONE) & (b < _NONE)
+        n_coinc += int(np.count_nonzero(coincident))
+        matched = int(np.count_nonzero(coincident & (a == b)))
         n_sift += matched
         n_err += int(np.count_nonzero(error_rng.random(matched) < params.intrinsic_error))
-        for i, bases in enumerate((basis_a, basis_b)):
-            ones[i] += int(np.count_nonzero(bases))
-            detections[i] += bases.size
     return ProtocolResult(
         coincidences=n_coinc,
         sifted_length=n_sift,

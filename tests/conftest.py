@@ -105,7 +105,8 @@ def reference_click_probabilities(survival: float, n_photons) -> np.ndarray:
 
 def reference_detections(rng, n_photons, survival: float, clock, profile) -> tuple[np.ndarray, np.ndarray]:
     """Whole-length draws over every gate: the slow oracle for the detection
-    flags and slots of ``qkd._Detector``, block by block.
+    flags (the gates a block's value is below 2 in) and slots of
+    ``qkd._Detector``, block by block.
 
     ``rng`` is the party's generator and ``n_photons`` every gate's pair
     number; returns the per-gate detection flags and the party's slots.

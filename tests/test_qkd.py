@@ -183,6 +183,14 @@ def test_protocol_dead_time_matches_the_reference_loop(monkeypatch):
         check_result_invariants(result)
 
 
+def flags_and_bases(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A party block's per-gate values split into its detection flags and
+    the bases of its detections: 0 and 1 are bases, 2 marks no detection."""
+    assert gates.dtype == np.uint8 and int(gates.max(initial=0)) <= 2
+    detected = gates < 2
+    return detected, gates[detected]
+
+
 def round_parties(run, params: ProtocolParams) -> tuple:
     """A round's result and, per party in the order it first draws, its
     per-gate flags, its bases and its checked slots, each joined over the
@@ -192,10 +200,11 @@ def round_parties(run, params: ProtocolParams) -> tuple:
 
     def spy_block(self, n_photons, start):
         current[:] = [parties.setdefault(self, ([], [], []))]
-        detected, bases = blocks[type(self)](self, n_photons, start)
-        current[0][0].append(np.array(detected))
-        current[0][1].append(bases)
-        return detected, bases
+        gates = blocks[type(self)](self, n_photons, start)
+        assert gates.size == n_photons.size
+        for part, got in zip(current[0], flags_and_bases(gates)):
+            part.append(got)
+        return gates
 
     def spy_check(slots, **kwargs):
         current[0][2].append(check_slots(slots, **kwargs))
@@ -342,7 +351,7 @@ def party_slots(detected: np.ndarray, clock, profile) -> tuple[np.ndarray, np.nd
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qkd, "check_slots", spy)
         for start in range(0, detected.size, qkd._GATE_BLOCK):
-            flags.append(np.array(detector.block(n_photons[start : start + qkd._GATE_BLOCK], start)[0]))
+            flags.append(flags_and_bases(detector.block(n_photons[start : start + qkd._GATE_BLOCK], start))[0])
     return np.concatenate(flags), np.concatenate(slots)
 
 
