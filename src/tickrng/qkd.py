@@ -13,14 +13,20 @@ unmatched bases the outcomes are independent and the round is discarded
 by sifting.
 
 A round runs in one pass over blocks of ``_GATE_BLOCK`` gates.  Each
-block draws its pair numbers, each party's photon clicks, dark counts
-and detection slots, and the intrinsic errors of its sifted
+block takes its pair numbers and draws each party's photon clicks, dark
+counts and detection slots, and the intrinsic errors of its sifted
 coincidences; only counts and each party's carries outlive it, so a
-round's memory does not grow with its gates.  A generator called block
-by block, or copied and positioned by ``advance``, yields the values of
-one whole-length call, so the seed contract is unchanged: every result
-equals that of whole-length draws.  Plain BB84's Alice sends in every
-gate.
+round's memory does not grow with its gates.  Each party gives one value
+per gate, its basis bit where it kept a detection and 2 where it did
+not, and the round counts coincidences, matched bases, ones and
+detections by comparing these arrays gate by gate.  A helper thread
+draws the next block's pair numbers while the round works on the
+current block; it alone uses the pair-number generator, one draw at a
+time in gate order, so the results do not depend on how the threads are
+scheduled.  A generator called block by block, or copied and positioned
+by ``advance``, yields the values of one whole-length call, so the seed
+contract is unchanged: every result equals that of whole-length draws.
+Plain BB84's Alice sends in every gate.
 
 ``eve_qnd_advantage`` models an eavesdropper who measures photon numbers
 without disturbing them (a quantum non-demolition probe) and therefore
@@ -111,6 +117,11 @@ _NONE = 2
 # click probabilities take 1 MiB each, however many gates a round has.
 # Larger blocks were slower in-process, not faster.
 _GATE_BLOCK = 1 << 17
+
+# Pair numbers are drawn in whole gate blocks, at least this many gates at
+# a time.  Handing a draw to the helper thread and back took about 0.1 ms
+# on two shared cores, so a draw per one-gate block doubled a round's time.
+_MIN_DRAW = 1 << 8
 
 
 def _click_probabilities(survival: float, n_photons: np.ndarray) -> np.ndarray:
@@ -236,36 +247,62 @@ def _party(params: ProtocolParams, who: str) -> SourceModel:
     return party
 
 
+def _sift_block(alice, bob, n_photons: np.ndarray, start: int, error_rng, error: float) -> tuple[int, ...]:
+    """The counts of the gate block from ``start`` on: Alice's ones and
+    detections, Bob's, the coincidences, the matched bases among them and
+    their intrinsic errors.  Nothing of the block outlives the call."""
+    a, b = alice.block(n_photons, start), bob.block(n_photons, start)
+    detected_a, detected_b = a < _NONE, b < _NONE
+    coincident = detected_a & detected_b
+    matched = int(np.count_nonzero(coincident & (a == b)))
+    errors = int(np.count_nonzero(error_rng.random(matched) < error))
+    return (int(np.count_nonzero(a == 1)), int(np.count_nonzero(detected_a)),
+            int(np.count_nonzero(b == 1)), int(np.count_nonzero(detected_b)),
+            int(np.count_nonzero(coincident)), matched, errors)
+
+
 def _round(params: ProtocolParams, seed_src, seed_pair, alice, bob) -> ProtocolResult:
     """Draw a round gate block by gate block, sift it and draw its intrinsic errors.
 
     Each block takes its pair numbers from ``seed_src``'s generator, each
-    party's detection flags and bases from ``alice`` and ``bob``, and one
-    error uniform per coincidence on matched bases, in gate order, from
+    party's per-gate bases from ``alice`` and ``bob``, and one error
+    uniform per coincidence on matched bases, in gate order, from
     ``seed_pair``'s.  Only counts outlive a block.
+
+    A helper thread draws the next pair numbers, for whole blocks and at
+    least ``_MIN_DRAW`` gates at a time, while this one works on the
+    current ones; numpy releases the interpreter lock while it draws.
+    Only the helper uses ``seed_src``'s generator, one draw at a time in
+    gate order, so the result does not depend on scheduling.
     """
+    # Imported here so that only protocol rounds pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
     source_rng, error_rng = rng(seed_src), rng(seed_pair)
-    pair_gates = n_coinc = n_sift = n_err = 0
-    ones, detections = [0, 0], [0, 0]
-    for start in range(0, params.n_gates, _GATE_BLOCK):
-        size = min(_GATE_BLOCK, params.n_gates - start)
-        n_photons = _sample_pair_numbers(source_rng, params.pair_source, size)
-        pair_gates += int(np.count_nonzero(n_photons))
-        a, b = alice.block(n_photons, start), bob.block(n_photons, start)
-        for i, gates in enumerate((a, b)):
-            ones[i] += int(np.count_nonzero(gates == 1))
-            detections[i] += int(np.count_nonzero(gates < _NONE))
-        coincident = (a < _NONE) & (b < _NONE)
-        n_coinc += int(np.count_nonzero(coincident))
-        matched = int(np.count_nonzero(coincident & (a == b)))
-        n_sift += matched
-        n_err += int(np.count_nonzero(error_rng.random(matched) < params.intrinsic_error))
+    n_gates, error = params.n_gates, params.intrinsic_error
+    per_draw = -(-_MIN_DRAW // _GATE_BLOCK) * _GATE_BLOCK
+
+    def pair_numbers(first: int) -> np.ndarray:
+        return _sample_pair_numbers(source_rng, params.pair_source, min(per_draw, n_gates - first))
+
+    pair_gates, totals = 0, [0] * 7
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        drawn = helper.submit(pair_numbers, 0)
+        for first in range(0, n_gates, per_draw):
+            pairs = drawn.result()
+            if first + per_draw < n_gates:
+                drawn = helper.submit(pair_numbers, first + per_draw)
+            pair_gates += int(np.count_nonzero(pairs))
+            for i in range(0, pairs.size, _GATE_BLOCK):
+                counts = _sift_block(alice, bob, pairs[i : i + _GATE_BLOCK], first + i, error_rng, error)
+                totals = [t + c for t, c in zip(totals, counts)]
+    ones_a, detections_a, ones_b, detections_b, n_coinc, n_sift, n_err = totals
     return ProtocolResult(
         coincidences=n_coinc,
         sifted_length=n_sift,
         qber=n_err / n_sift if n_sift else 0.0,
-        basis_balance_alice=balance((ones[0], detections[0])).ratio,
-        basis_balance_bob=balance((ones[1], detections[1])).ratio,
+        basis_balance_alice=balance((ones_a, detections_a)).ratio,
+        basis_balance_bob=balance((ones_b, detections_b)).ratio,
         sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
         pair_gates=pair_gates,
     )

@@ -41,6 +41,19 @@ def test_cli_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    """Only a protocol round imports ``concurrent.futures`` (and with it
+    ``queue``), so a fresh ``import tickrng.cli`` must not load them."""
+    code = (
+        "import sys\n"
+        "import tickrng.cli\n"
+        "loaded = [m for m in ('concurrent.futures', 'queue') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_battery_report_is_the_same_without_scipy(capsys, tmp_path):
     """``tickrng test --out`` in an interpreter where scipy cannot be
     imported writes the report the in-process run writes, byte for byte."""

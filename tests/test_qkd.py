@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -744,6 +746,58 @@ def test_eve_matches_the_full_interval_oracle(monkeypatch, r, profile, dark_prob
         if block is not None:
             monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
         assert eve_qnd_advantage(params, 2000) == expected
+
+
+class DrawFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("protocol", sorted(ROUNDS))
+@pytest.mark.parametrize("thread", ["helper", "main"])
+def test_a_failing_block_raises_and_leaves_no_thread(monkeypatch, protocol, thread):
+    """An error in the second pair-number draw, made on the helper thread,
+    or in the second detection block, made on the round's own thread while
+    the helper draws, reaches the caller as raised, and the helper thread
+    has ended by then."""
+    failure = DrawFailed(f"{thread} block 2")
+    calls = []
+
+    def fail_on_the_second_call(real):
+        def call(*args, **kwargs):
+            calls.append(threading.current_thread() is threading.main_thread())
+            if len(calls) == 2:
+                raise failure
+            return real(*args, **kwargs)
+        return call
+
+    if thread == "helper":
+        monkeypatch.setattr(qkd, "_sample_pair_numbers", fail_on_the_second_call(qkd._sample_pair_numbers))
+    else:
+        monkeypatch.setattr(qkd, "_click_probabilities", fail_on_the_second_call(qkd._click_probabilities))
+    threads = threading.active_count()
+    with pytest.raises(DrawFailed) as raised:
+        ROUNDS[protocol](sweep_params(3 * qkd._GATE_BLOCK))
+    assert raised.value is failure
+    assert calls == [thread == "main"] * 2
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("protocol", sorted(ROUNDS))
+def test_one_gate_blocks_with_constant_thread_switches_keep_the_pinned_result(monkeypatch, protocol):
+    """The helper draws while 256 one-gate blocks are worked on at a time,
+    with the interpreter switching threads every microsecond."""
+    monkeypatch.setattr(qkd, "_GATE_BLOCK", 1)
+    params = pinned_edge_params("mu-1e12")
+    assert params.n_gates > 2 * qkd._MIN_DRAW
+    expected = next(result for case, p, result in PINNED_EDGE_RESULTS if (case, p) == ("mu-1e12", protocol))
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = ROUNDS[protocol](params)
+    finally:
+        sys.setswitchinterval(interval)
+    assert dataclasses.astuple(result) == expected
+    assert threading.active_count() == threads
 
 
 def test_a_pinned_round_sifts_past_one_gate_block():
