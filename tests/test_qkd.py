@@ -800,6 +800,27 @@ def test_one_gate_blocks_with_constant_thread_switches_keep_the_pinned_result(mo
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("left", [0, 3])
+@pytest.mark.parametrize("block", [1, 7, 1000, None])
+def test_only_the_helper_draws_pair_numbers_in_whole_blocks(monkeypatch, block, left):
+    """Each draw covers the fewest whole gate blocks that hold at least
+    ``_MIN_DRAW`` = 256 gates, the last one the ``left`` gates after them,
+    and each is made on the helper thread."""
+    if block is not None:
+        monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+    sample, draws = qkd._sample_pair_numbers, []
+
+    def spy(source_rng, source, n_gates):
+        draws.append((n_gates, threading.current_thread() is threading.main_thread()))
+        return sample(source_rng, source, n_gates)
+
+    monkeypatch.setattr(qkd, "_sample_pair_numbers", spy)
+    per_draw = {1: 256, 7: 259, 1000: 1000, None: qkd._GATE_BLOCK}[block]
+    run_bb84(make_params(n_gates=2 * per_draw + left))
+    assert [size for size, _ in draws] == [per_draw, per_draw, left][: 3 if left else 2]
+    assert not any(on_main for _, on_main in draws)
+
+
 def test_a_pinned_round_sifts_past_one_gate_block():
     """So the pins cover the intrinsic-error uniforms drawn in more than one block."""
     assert max(result[1] for *_, result in PINNED_BLOCK_RESULTS) > qkd._GATE_BLOCK
