@@ -28,7 +28,6 @@ from .sim import (
     ClockMode,
     EventStream,
     IntraGateProfile,
-    empirical_parity,
     generate_free_running,
     generate_gated,
 )
@@ -37,14 +36,11 @@ from .extract import (
     BitStream,
     ExtractorConfig,
     Modulus,
-    SymbolPair,
     balance,
     bootstrap_buffer,
     extract_mod2,
-    extract_mod4,
     flip_debias,
     intervals,
-    symbol_from_interval,
 )
 from .suite import TestEntry, TestId, TestReport, run_battery
 from .qkd import ProtocolParams, ProtocolResult, eve_qnd_advantage, run_bb84, run_bbm92
@@ -66,21 +62,17 @@ __all__ = [
     "ClockMode",
     "EventStream",
     "IntraGateProfile",
-    "empirical_parity",
     "generate_free_running",
     "generate_gated",
     "BalanceResult",
     "BitStream",
     "ExtractorConfig",
     "Modulus",
-    "SymbolPair",
     "balance",
     "bootstrap_buffer",
     "extract_mod2",
-    "extract_mod4",
     "flip_debias",
     "intervals",
-    "symbol_from_interval",
     "TestEntry",
     "TestId",
     "TestReport",

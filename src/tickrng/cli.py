@@ -53,7 +53,6 @@ from .sim import (
     ClockConfig,
     ClockMode,
     IntraGateProfile,
-    empirical_parity,
     generate_free_running,
     generate_gated,
 )
@@ -256,13 +255,13 @@ def cmd_bias(args) -> int:
         seed = _resolve_seed(args)
         clock = ClockConfig(mode=ClockMode.FREE_RUNNING)
         stream = generate_free_running(source, clock, args.mc_events, seed)
-        even, odd = empirical_parity(stream)
-        total = even + odd
+        parities = extract_mod2(stream)
+        total = len(parities)
         lines += [
             f"mc_events           {total}",
             f"mc_seed             {seed}",
-            f"mc_even_fraction    {even / total:.6f}",
-            f"mc_odd_fraction     {odd / total:.6f}",
+            f"mc_even_fraction    {parities.zeros() / total:.6f}",
+            f"mc_odd_fraction     {parities.ones() / total:.6f}",
         ]
     print("\n".join(lines))
     return 0

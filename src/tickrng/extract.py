@@ -1,7 +1,8 @@
 """Randomness extraction from the clock counts between detections.
 
 The number of clock slots between consecutive detections, taken modulo
-2, is the raw random bit (modulo 4 yields a basis/key bit pair).  The
+2, is the raw random bit; taken modulo 4, its high and low bits are a
+basis/key bit pair (:func:`mod4_arrays`).  The
 raw bits carry a known bias towards odd counts; :func:`flip_debias`
 removes it by alternating the bit assignment on every detection.  Before
 any signal is admitted, a buffer of bits can be produced from dark
@@ -31,16 +32,13 @@ from .sim import ClockConfig, ClockMode, EventStream, generate_free_running
 __all__ = [
     "bit_array",
     "BitStream",
-    "SymbolPair",
     "Modulus",
     "ExtractorConfig",
     "BalanceResult",
     "intervals",
     "interval_bytes",
     "extract_mod2",
-    "extract_mod4",
     "mod4_arrays",
-    "symbol_from_interval",
     "flip_debias",
     "balance",
     "bootstrap_buffer",
@@ -100,17 +98,6 @@ class BitStream:
         return len(self) - self.ones()
 
 
-class SymbolPair(NamedTuple):
-    """Basis and key bit extracted from one interval modulo 4.
-
-    The basis bit is the high bit of ``interval mod 4`` and the key bit
-    the low bit, so the mod-2 key bit is unchanged by mod-4 extraction.
-    """
-
-    basis_bit: int
-    key_bit: int
-
-
 class Modulus(str, Enum):
     MOD2 = "mod2"
     MOD4 = "mod4"
@@ -167,24 +154,15 @@ def extract_mod2(stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()) 
 def mod4_arrays(
     stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(basis, key) uint8 bit arrays of the intervals modulo 4: their high and low bits."""
+    """(basis, key) uint8 bit arrays of the intervals modulo 4: their high and low bits.
+
+    The key bits are therefore :func:`extract_mod2`'s bits.
+    """
     key = interval_bytes(stream.slots, 0 if cfg.include_first else None)
     basis = key >> 1
     basis &= 1
     key &= 1
     return basis, key
-
-
-def extract_mod4(stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()) -> list[SymbolPair]:
-    """One (basis, key) pair per interval: the interval length modulo 4."""
-    basis, key = mod4_arrays(stream, cfg)
-    return [SymbolPair(int(b), int(k)) for b, k in zip(basis.tolist(), key.tolist())]
-
-
-def symbol_from_interval(n: int) -> SymbolPair:
-    """Basis/key pair for a single interval of ``n`` slots."""
-    v = as_count(n, "interval", positive=True) % 4
-    return SymbolPair(v >> 1, v & 1)
 
 
 def flip_debias(raw: BitStream) -> BitStream:

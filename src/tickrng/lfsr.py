@@ -1,76 +1,39 @@
 """Shortest-LFSR synthesis over GF(2) (Berlekamp–Massey).
 
 The linear complexity of a bit sequence is the length of the shortest
-linear feedback shift register that generates it.  Two engines:
+linear feedback shift register that generates it.
+:func:`lfsr_complexities` runs BM on many equal-length blocks at once,
+bit-sliced: block ``64 g + j`` lives in bit ``j`` of lane word ``g``.
+The blocks are transposed to an ``(N, G)`` word array ``S`` (row ``t``
+holds bit ``t`` of every block), and the connection polynomial ``C``
+and the pre-shifted ``x^(n-m) B`` are ``(N + 1, G)``-sized coefficient
+arrays.  Step ``n`` computes every lane's discrepancy as one masked
+AND/XOR-reduce of ``C`` against ``S`` reversed, then applies the update
+as one uniform masked XOR; lanes whose length changes (discrepancy and
+``2L <= n``, a packed mask) swap in the old ``C`` as their new ``B``.
 
-- :func:`lfsr_complexity_int` runs BM on one sequence held as a Python
-  integer, pre-multiplied by the current and previous connection
-  polynomials, so each step is a couple of word-level shift/xor
-  operations.  It is the engine of :func:`lfsr_complexity` and the
-  oracle the lockstep kernel is tested against.
-- :func:`lfsr_complexities` runs BM on many equal-length blocks at once,
-  bit-sliced: block ``64 g + j`` lives in bit ``j`` of lane word ``g``.
-  The blocks are transposed to an ``(N, G)`` word array ``S`` (row ``t``
-  holds bit ``t`` of every block), and the connection polynomial ``C``
-  and the pre-shifted ``x^(n-m) B`` are ``(N + 1, G)``-sized coefficient
-  arrays.  Step ``n`` computes every lane's discrepancy as one masked
-  AND/XOR-reduce of ``C`` against ``S`` reversed, then applies the update
-  as one uniform masked XOR; lanes whose length changes (discrepancy and
-  ``2L <= n``, a packed mask) swap in the old ``C`` as their new ``B``.
+The step touches only rows ``[:top]``, ``top = max L + 1`` over all
+blocks after the step's length changes.  ``deg C <= L`` always, and
+``deg x^(n-m) B <= n + 1 - L``: that is at most ``L`` where a
+discrepancy keeps the length (``2L > n``) and equals the new ``L``
+where it changes it, and lanes without a discrepancy are not updated;
+so every row at or above ``top`` is 0 wherever the step reads or
+writes.  On random blocks ``L`` is about ``n / 2``, so this halves the
+word work.  A changed block's ``2L`` becomes ``2(n + 1) - 2L``
+by one masked add, ``2L += hit * (2(n + 1) - 4L)``, with ``hit`` the
+change mask unpacked to 0/1 per block.
 
-  The step touches only rows ``[:top]``, ``top = max L + 1`` over all
-  blocks after the step's length changes.  ``deg C <= L`` always, and
-  ``deg x^(n-m) B <= n + 1 - L``: that is at most ``L`` where a
-  discrepancy keeps the length (``2L > n``) and equals the new ``L``
-  where it changes it, and lanes without a discrepancy are not updated;
-  so every row at or above ``top`` is 0 wherever the step reads or
-  writes.  On random blocks ``L`` is about ``n / 2``, so this halves the
-  word work.  A changed block's ``2L`` becomes ``2(n + 1) - 2L``
-  by one masked add, ``2L += hit * (2(n + 1) - 4L)``, with ``hit`` the
-  change mask unpacked to 0/1 per block.
+Its oracle is a scalar engine, ``reference_lfsr_complexity`` in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import as_count
 from .extract import bit_array
 
-__all__ = ["lfsr_complexity", "lfsr_complexity_int", "lfsr_complexities"]
-
-
-def lfsr_complexity_int(seq: int, length: int) -> int:
-    """Linear complexity of the first ``length`` bits of ``seq``.
-
-    Bit ``i`` of ``seq`` (the coefficient of ``2**i``) is the ``i``-th
-    sequence element.  The all-zero sequence has complexity 0.
-    """
-    length = as_count(length, "length")
-    if seq < 0:
-        raise ValueError("sequence integer must be non-negative")
-    fold_c = seq  # sequence times current connection polynomial, low bits consumed
-    fold_b = seq  # same for the polynomial before the last length change
-    deg = 0  # current LFSR length
-    gap = 0  # distance since the last discrepancy
-    for pos in range(length):
-        disc = fold_c & (1 << gap)
-        gap += 1
-        if disc:
-            fold_c >>= gap
-            gap = 0
-            if 2 * deg <= pos:
-                fold_b, fold_c = fold_c, fold_b
-                deg = pos + 1 - deg
-            fold_c ^= fold_b
-    return deg
-
-
-def lfsr_complexity(bits) -> int:
-    """Linear complexity of a 0/1 sequence (list, tuple or ndarray)."""
-    arr = bit_array(bits)
-    packed = np.packbits(arr, bitorder="little")
-    return lfsr_complexity_int(int.from_bytes(packed.tobytes(), "little"), arr.size)
+__all__ = ["lfsr_complexities"]
 
 
 def lfsr_complexities(blocks: np.ndarray) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "generate_free_running",
     "generate_gated",
     "apply_dead_time",
-    "empirical_parity",
     "rng",
 ]
 
@@ -349,15 +348,3 @@ def apply_dead_time(slots: np.ndarray, dead: int, last: int) -> np.ndarray:
         step = step[step]
     keep[jump[marked[:-1]]] = True
     return keep[:-1]
-
-
-def empirical_parity(stream: EventStream) -> tuple[int, int]:
-    """Count (even, odd) gaps between consecutive detections.
-
-    The first detection is differenced against clock tick 0.
-    """
-    if len(stream) == 0:
-        raise DataError("cannot compute parity of an empty event stream")
-    gaps = np.diff(stream.slots, prepend=np.uint64(0))
-    odd = int(np.count_nonzero(gaps & np.uint64(1)))
-    return len(stream) - odd, odd

@@ -175,6 +175,33 @@ def reference_eve_advantage(params, n_events: int) -> float:
     return int(np.count_nonzero(guesses == true_bits)) / stream.slots.size - 0.5
 
 
+def reference_lfsr_complexity(bits) -> int:
+    """Scalar Berlekamp–Massey: the slow oracle for ``lfsr.lfsr_complexities``.
+
+    The sequence is held as a Python integer (bit ``i`` is element ``i``)
+    pre-multiplied by the current and by the previous connection
+    polynomial, so each step is a couple of word-level shift/xor
+    operations.  The all-zero sequence has complexity 0.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    seq = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    fold_c = seq  # sequence times current connection polynomial, low bits consumed
+    fold_b = seq  # same for the polynomial before the last length change
+    deg = 0  # current LFSR length
+    gap = 0  # distance since the last discrepancy
+    for pos in range(bits.size):
+        disc = fold_c & (1 << gap)
+        gap += 1
+        if disc:
+            fold_c >>= gap
+            gap = 0
+            if 2 * deg <= pos:
+                fold_b, fold_c = fold_c, fold_b
+                deg = pos + 1 - deg
+            fold_c ^= fold_b
+    return deg
+
+
 def reference_cusum_excursion(x, direction: str) -> int:
     """One int64 walk per direction: the slow oracle for ``suite._cusum_excursions``."""
     x = np.asarray(x)

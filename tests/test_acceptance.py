@@ -15,15 +15,13 @@ import pytest
 from conftest import binomial_sigma, geometric_gof_pvalue
 from tickrng.extract import (
     BitStream,
-    SymbolPair,
     balance,
     extract_mod2,
-    extract_mod4,
     flip_debias,
-    symbol_from_interval,
+    mod4_arrays,
 )
 from tickrng.formats import read_bits, write_bits
-from tickrng.lfsr import lfsr_complexity
+from tickrng.lfsr import lfsr_complexities
 from tickrng.models import Distribution, SourceModel, balance_ratio, parity_probabilities
 from tickrng.qkd import ProtocolParams, eve_qnd_advantage, run_bbm92
 from tickrng.sim import (
@@ -31,7 +29,6 @@ from tickrng.sim import (
     ClockMode,
     EventStream,
     IntraGateProfile,
-    empirical_parity,
     generate_free_running,
     generate_gated,
 )
@@ -42,8 +39,8 @@ GATED_2 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
 
 
 def odd_fraction(stream) -> tuple[float, int]:
-    even, odd = empirical_parity(stream)
-    return odd / (even + odd), even + odd
+    parities = extract_mod2(stream)
+    return parities.ones() / len(parities), len(parities)
 
 
 def test_criterion_01_poisson_parity_split():
@@ -181,21 +178,22 @@ def test_criterion_10_hand_worked_examples_digest(tmp_path):
     bias = parity_probabilities(SourceModel(Distribution.POISSON, math.log(3.0)))
     assert (bias.p_even, bias.p_odd) == (pytest.approx(0.25), pytest.approx(0.75))
     # interval parity bookkeeping
-    assert empirical_parity(EventStream(np.array([2, 4, 6], dtype=np.uint64), FREE)) == (3, 0)
-    assert empirical_parity(EventStream(np.array([1, 2, 4, 7], dtype=np.uint64), FREE)) == (1, 3)
+    for slots, counts in (([2, 4, 6], (3, 0)), ([1, 2, 4, 7], (1, 3))):
+        parities = extract_mod2(EventStream(np.array(slots, dtype=np.uint64), FREE))
+        assert (parities.zeros(), parities.ones()) == counts
     # extraction on the worked interval list
     stream = EventStream(np.array([3, 5, 10], dtype=np.uint64), FREE)
     assert extract_mod2(stream) == BitStream.from_bits([1, 0, 1])
-    assert symbol_from_interval(6) == SymbolPair(1, 0)
-    assert extract_mod4(EventStream(np.array([1, 2, 9], dtype=np.uint64), FREE)) == [
-        SymbolPair(0, 1), SymbolPair(0, 1), SymbolPair(1, 1),
-    ]
+    basis, key = mod4_arrays(EventStream(np.array([6], dtype=np.uint64), FREE))
+    assert (basis.tolist(), key.tolist()) == ([1], [0])
+    basis, key = mod4_arrays(EventStream(np.array([1, 2, 9], dtype=np.uint64), FREE))
+    assert (basis.tolist(), key.tolist()) == ([0, 0, 1], [1, 1, 1])
     assert flip_debias(BitStream.from_bits([0, 0, 0, 0])) == BitStream.from_bits([0, 1, 0, 1])
     assert balance(BitStream.from_bits([0, 0, 0, 1])).ratio == pytest.approx(1 / 3)
     # battery hand values
     assert frequency_test([1, 1, 0, 1], min_n=1) == pytest.approx(0.31731, abs=1e-5)
     assert runs_test([0, 1, 0, 1], min_n=2) == pytest.approx(0.0455, abs=1e-4)
-    assert lfsr_complexity([0, 0, 1]) == 3
+    assert lfsr_complexities([[0, 0, 1]]).tolist() == [3]
     # serialized bit format golden bytes
     path = tmp_path / "bits.bin"
     write_bits(BitStream.from_bits([1, 0, 1]), path, fmt="packed")

@@ -5,8 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from tickrng.extract import bootstrap_buffer, symbol_from_interval
-from tickrng.lfsr import lfsr_complexity_int
+from tickrng.extract import bootstrap_buffer
 from tickrng.models import Distribution, SourceModel, photon_pmf, window_pmf
 from tickrng.qkd import ProtocolParams, eve_qnd_advantage
 from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_free_running, generate_gated
@@ -33,9 +32,7 @@ COUNTS = [
     ("n_events", "non-negative", lambda v: generate_free_running(SOURCE, FREE, v, seed=0)),
     ("n_events", "non-negative",
      lambda v: generate_gated(SOURCE, GATED, IntraGateProfile.uniform(), v, seed=0)),
-    ("interval", "positive", symbol_from_interval),
     ("bootstrap length", "non-negative", lambda v: bootstrap_buffer(DARK, v, seed=0)),
-    ("length", "non-negative", lambda v: lfsr_complexity_int(5, v)),
     ("photon number", "non-negative", lambda v: photon_pmf(SOURCE, v)),
     ("window index", "positive", lambda v: window_pmf(0.5, v)),
     ("n_gates", "positive", lambda v: ProtocolParams(SOURCE, GATED, GATED, IntraGateProfile.uniform(), v, 0)),

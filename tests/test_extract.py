@@ -13,19 +13,16 @@ from tickrng.extract import (
     BalanceResult,
     BitStream,
     ExtractorConfig,
-    SymbolPair,
     balance,
     bit_array,
     bootstrap_buffer,
     extract_mod2,
-    extract_mod4,
     flip_debias,
     interval_bytes,
     intervals,
     mod4_arrays,
-    symbol_from_interval,
 )
-from tickrng.lfsr import lfsr_complexities, lfsr_complexity
+from tickrng.lfsr import lfsr_complexities
 from tickrng.models import Distribution, SourceModel
 from tickrng.sim import (
     ClockConfig,
@@ -76,13 +73,9 @@ def test_mod2_hand_examples():
 
 
 def test_mod4_symbol_hand_examples():
-    assert symbol_from_interval(6) == SymbolPair(1, 0)
-    assert symbol_from_interval(4) == SymbolPair(0, 0)
-    assert extract_mod4(stream_of(1, 2, 9)) == [
-        SymbolPair(0, 1),
-        SymbolPair(0, 1),
-        SymbolPair(1, 1),
-    ]
+    assert [a.tolist() for a in mod4_arrays(stream_of(6))] == [[1], [0]]
+    assert [a.tolist() for a in mod4_arrays(stream_of(4))] == [[0], [0]]
+    assert [a.tolist() for a in mod4_arrays(stream_of(1, 2, 9))] == [[0, 0, 1], [1, 1, 1]]
 
 
 # Slot streams whose intervals straddle the low byte: gaps of 255, 256 and
@@ -118,20 +111,12 @@ def test_low_byte_extraction_matches_the_uint64_reference(case, include_first):
     assert mod2.dtype == basis.dtype == key.dtype == np.uint8
     assert np.array_equal(mod2, reference_mod2(stream, include_first))
     assert np.array_equal(basis, ref_basis) and np.array_equal(key, ref_key)
-    assert extract_mod4(stream, cfg) == list(map(SymbolPair, ref_basis.tolist(), ref_key.tolist()))
-
-
-def test_symbol_from_interval_rejects_bad_input():
-    for bad in (0, -3, 2.5):
-        with pytest.raises(ValueError):
-            symbol_from_interval(bad)
 
 
 def test_mod4_key_bit_equals_mod2_bit():
     source = SourceModel(Distribution.THERMAL, 0.7)
     stream = generate_free_running(source, FREE, 20_000, seed=61)
-    key_bits = BitStream.from_bits(pair.key_bit for pair in extract_mod4(stream))
-    assert key_bits == extract_mod2(stream)
+    assert BitStream(mod4_arrays(stream)[1]) == extract_mod2(stream)
 
 
 def test_extraction_is_consistent_across_a_stream_split():
@@ -325,10 +310,9 @@ def test_bit_array_passes_uint8_and_bool_without_a_copy():
         BitStream,
         BitStream.from_bits,
         frequency_test,
-        lfsr_complexity,
         lambda values: lfsr_complexities(np.array(values).reshape(2, -1)),
     ],
-    ids=["BitStream", "from_bits", "frequency_test", "lfsr_complexity", "lfsr_complexities"],
+    ids=["BitStream", "from_bits", "frequency_test", "lfsr_complexities"],
 )
 def test_every_bit_consumer_rejects_a_non_bit(consumer, bad):
     values = [0, 1] * 100

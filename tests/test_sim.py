@@ -9,6 +9,7 @@ from scipy.stats import chisquare
 
 from conftest import binomial_sigma, geometric_gof_pvalue, reference_dead_time, traced_peak
 from tickrng.errors import DataError, GuardError
+from tickrng.extract import extract_mod2
 from tickrng.models import Distribution, SourceModel, click_probability, parity_probabilities
 from tickrng import sim
 from tickrng.sim import (
@@ -19,7 +20,6 @@ from tickrng.sim import (
     IntraGateProfile,
     apply_dead_time,
     check_slots,
-    empirical_parity,
     generate_free_running,
     generate_gated,
 )
@@ -85,20 +85,18 @@ def test_gap_histogram_matches_window_pmf():
 def test_free_running_parity_matches_analytic_bias(distribution, mu_eta):
     source = SourceModel(distribution, mu_eta)
     stream = generate_free_running(source, FREE, 1_000_000, seed=int(mu_eta * 1000) + 29)
-    even, odd = empirical_parity(stream)
+    parities = extract_mod2(stream)
+    even, odd = parities.zeros(), parities.ones()
     bias = parity_probabilities(source)
     expected = [(even + odd) * bias.p_even, (even + odd) * bias.p_odd]
     assert chisquare([even, odd], expected).pvalue > 0.001
 
 
-def test_empirical_parity_hand_values():
-    assert empirical_parity(EventStream(np.array([2, 4, 6], dtype=np.uint64), FREE)) == (3, 0)
-    assert empirical_parity(EventStream(np.array([1, 2, 4, 7], dtype=np.uint64), FREE)) == (1, 3)
-
-
-def test_empirical_parity_rejects_empty_stream():
-    with pytest.raises(DataError):
-        empirical_parity(EventStream(np.empty(0, dtype=np.uint64), FREE))
+def test_gap_parity_hand_values():
+    """The gaps' (even, odd) counts, the first gap counted from tick 0."""
+    for slots, counts in (([2, 4, 6], (3, 0)), ([1, 2, 4, 7], (1, 3))):
+        parities = extract_mod2(EventStream(np.array(slots, dtype=np.uint64), FREE))
+        assert (parities.zeros(), parities.ones()) == counts
 
 
 def test_zero_click_probability_raises_guard():
@@ -202,9 +200,9 @@ def test_gated_even_r_uniform_profile_has_fair_gap_parity():
     source = source_for_slot_probability(0.3)
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
     stream = generate_gated(source, clock, IntraGateProfile.uniform(), 1_000_000, seed=37)
-    even, odd = empirical_parity(stream)
-    fraction_odd = odd / (even + odd)
-    assert abs(fraction_odd - 0.5) < 3 * binomial_sigma(0.5, even + odd)
+    parities = extract_mod2(stream)
+    fraction_odd = parities.ones() / len(parities)
+    assert abs(fraction_odd - 0.5) < 3 * binomial_sigma(0.5, len(parities))
 
 
 def test_gated_fixed_slot_r2_makes_all_gaps_even():

@@ -16,11 +16,16 @@ import pytest
 from scipy.special import gammaincc, ndtr
 from scipy.stats import chi2 as chi2_dist
 
-from conftest import reference_cusum_excursion, reference_universal_pvalue, traced_peak
+from conftest import (
+    reference_cusum_excursion,
+    reference_lfsr_complexity,
+    reference_universal_pvalue,
+    traced_peak,
+)
 from tickrng.errors import InsufficientDataError
 from tickrng.extract import BitStream, extract_mod2, flip_debias
 from tickrng.formats import write_report
-from tickrng.lfsr import lfsr_complexities, lfsr_complexity, lfsr_complexity_int
+from tickrng.lfsr import lfsr_complexities
 from tickrng.models import Distribution, SourceModel
 from tickrng import suite
 from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
@@ -665,36 +670,30 @@ def naive_berlekamp_massey(bits: list[int]) -> int:
     return L
 
 
-def test_lfsr_complexity_hand_examples():
-    assert lfsr_complexity([0, 0, 1]) == 3
-    assert lfsr_complexity([0] * 16) == 0
-    assert lfsr_complexity([0, 1] * 5) == 2
-    assert lfsr_complexity([1]) == 1
-    assert lfsr_complexity(BitStream([0, 1, 1])) == lfsr_complexity([0, 1, 1]) == 2
-
-
-def test_lfsr_complexity_rejects_a_negative_sequence_integer():
-    with pytest.raises(ValueError, match="sequence integer must be non-negative"):
-        lfsr_complexity_int(-1, 3)
+@pytest.mark.parametrize("complexity", [
+    lambda bits: int(lfsr_complexities([bits])[0]),
+    reference_lfsr_complexity,
+], ids=["lockstep", "oracle"])
+def test_lfsr_complexity_hand_examples(complexity):
+    assert complexity([0, 0, 1]) == 3
+    assert complexity([0] * 16) == 0
+    assert complexity([0, 1] * 5) == 2
+    assert complexity([1]) == 1
+    assert complexity(BitStream([0, 1, 1]).bits) == complexity([0, 1, 1]) == 2
 
 
 def test_lfsr_complexity_matches_textbook_synthesis():
+    """The lockstep kernel and its integer oracle both match textbook BM."""
     rng = np.random.default_rng(41)
-    for length in (1, 2, 3, 7, 16, 33, 64):
-        for _ in range(20):
-            bits = rng.integers(0, 2, size=length).tolist()
-            assert lfsr_complexity(bits) == naive_berlekamp_massey(bits)
-    for _ in range(6):
-        bits = rng.integers(0, 2, size=500).tolist()
-        assert lfsr_complexity(bits) == naive_berlekamp_massey(bits)
+    for length, count in ((1, 20), (2, 20), (3, 20), (7, 20), (16, 20), (33, 20), (64, 20), (500, 6)):
+        blocks = np.array([rng.integers(0, 2, size=length) for _ in range(count)])
+        textbook = [naive_berlekamp_massey(bits) for bits in blocks.tolist()]
+        assert lfsr_complexities(blocks).tolist() == textbook
+        assert integer_oracle_complexities(blocks) == textbook
 
 
 def integer_oracle_complexities(blocks: np.ndarray) -> list[int]:
-    out = []
-    for block in blocks:
-        packed = np.packbits(block, bitorder="little")
-        out.append(lfsr_complexity_int(int.from_bytes(packed.tobytes(), "little"), block.size))
-    return out
+    return [reference_lfsr_complexity(block) for block in blocks]
 
 
 @pytest.mark.parametrize("kind", ADVERSARIAL)
@@ -726,7 +725,7 @@ def test_linear_complexity_matches_independent_binning():
     counts = [0] * 7
     for i in range(200):
         block = bits[i * m : (i + 1) * m]
-        t = (-1) ** m * (lfsr_complexity(block) - mu) + 2 / 9
+        t = (-1) ** m * (reference_lfsr_complexity(block) - mu) + 2 / 9
         if t <= -2.5:
             counts[0] += 1
         elif t > 2.5:
@@ -761,9 +760,8 @@ def test_complexity_of_complement_moves_by_at_most_one():
     block's complexity shifts by at most 1 — the p-value itself is not
     complement-invariant, only this bound is."""
     rng = np.random.default_rng(47)
-    for _ in range(30):
-        bits = rng.integers(0, 2, size=100, dtype=np.uint8)
-        assert abs(lfsr_complexity(bits) - lfsr_complexity(1 - bits)) <= 1
+    blocks = np.array([rng.integers(0, 2, size=100, dtype=np.uint8) for _ in range(30)])
+    assert np.all(np.abs(lfsr_complexities(blocks) - lfsr_complexities(1 - blocks)) <= 1)
 
 
 # ------------------------------------------------- cross-test properties
