@@ -133,11 +133,13 @@ def _click_probabilities(survival: float, n_photons: np.ndarray) -> np.ndarray:
     The inputs of every power are those of the per-gate formula, so the
     values are too.
     """
-    cap = min(int(n_photons.max()), n_photons.size, _CLICK_TABLE_CAP)
+    top = int(n_photons.max())
+    cap = min(top, n_photons.size, _CLICK_TABLE_CAP)
     table = 1.0 - (1.0 - survival) ** np.arange(cap + 1, dtype=n_photons.dtype)
     p_click = table.take(n_photons, mode="clip")
-    past = np.flatnonzero(n_photons > cap)
-    p_click[past] = 1.0 - (1.0 - survival) ** n_photons[past]
+    if top > cap:
+        past = np.flatnonzero(n_photons > cap)
+        p_click[past] = 1.0 - (1.0 - survival) ** n_photons[past]
     return p_click
 
 
