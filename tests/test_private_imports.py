@@ -1,6 +1,7 @@
-"""Package layout: no module reaches into another module's private names, every
-name a module exports in ``__all__`` resolves, once, and every name a module
-or a test file imports is used."""
+"""Package layout: no module reaches into another module's private names;
+every name a module exports in ``__all__`` resolves, once; every name a module
+or a test file imports is used; and the package reads every top-level private
+name it defines."""
 
 import ast
 import importlib
@@ -102,3 +103,34 @@ def test_no_module_imports_a_name_it_does_not_use():
         if (names := unused_imports(path.read_text()))
     }
     assert offenders == {}
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``file:name`` for each top-level private name that no module of ``sources`` reads."""
+    defined, read = [], set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [f"{file}:{name}" for name in names if _is_private(name)]
+        read.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    return [entry for entry in defined if entry.split(":")[1] not in read]
+
+
+def test_the_checker_sees_dead_private_names():
+    sources = {
+        "a.py": "_TABLE = 2\n_DEAD, _PAIR = 1, 2\ndef _helper(x):\n    return x * _TABLE\nclass _Unused:\n    pass\n",
+        "b.py": "from .a import *\n_note: str = 'x'\nprint(_helper(1), __name__)\n",
+    }
+    assert dead_private_names(sources) == ["a.py:_DEAD", "a.py:_PAIR", "a.py:_Unused", "b.py:_note"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
