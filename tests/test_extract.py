@@ -1,5 +1,6 @@
 """Bit extraction: hand-worked interval examples plus distributional checks."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -292,6 +293,16 @@ def test_bitstream_is_read_only():
     bits = BitStream.from_bits([1, 0, 1])
     with pytest.raises(ValueError):
         bits.bits[0] = 0
+
+
+def test_bitstream_and_extractor_config_cannot_be_reassigned():
+    """A checked ``BitStream`` keeps its checked array, and the shared default
+    ``ExtractorConfig()`` of the extractors cannot be changed in place."""
+    bits = BitStream.from_bits([1, 0, 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bits.bits = np.array([2, 2, 2])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ExtractorConfig().include_first = False
 
 
 def test_bit_array_passes_uint8_and_bool_without_a_copy():
