@@ -35,10 +35,10 @@ The costliest procedures run on whole-array kernels:
   by radix, in the same order as any stable sort.
 
 Each kernel is tested for exact equality against a slow oracle:
-dictionary counts, ``lfsr_complexity_int``, row-by-row elimination, one
-int64 walk per direction (``reference_cusum_excursion`` in
-``tests/conftest.py``) and int64 block values by a matrix product
-(``reference_universal_pvalue``).
+dictionary counts, a scalar Berlekamp–Massey on Python integers
+(``reference_lfsr_complexity`` in ``tests/conftest.py``), row-by-row
+elimination, one int64 walk per direction (``reference_cusum_excursion``)
+and int64 block values by a matrix product (``reference_universal_pvalue``).
 
 Every p-value is a normal or a chi-square tail, computed in closed form
 with the standard library.  Normal tails are ``math.erfc``.  Each
