@@ -2,12 +2,12 @@
 
 The number of clock slots between consecutive detections, taken modulo
 2, is the raw random bit; taken modulo 4, its high and low bits are a
-basis/key bit pair (:func:`mod4_arrays`).  The
-raw bits carry a known bias towards odd counts; :func:`flip_debias`
-removes it by alternating the bit assignment on every detection.  Before
-any signal is admitted, a buffer of bits can be produced from dark
-counts alone (:func:`bootstrap_buffer`) so the first basis choices never
-depend on observable detections.
+basis/key bit pair (:func:`mod4_arrays`).  The raw bits carry a known
+bias towards odd counts; :func:`flip_debias` removes it by alternating
+the bit assignment on every detection.  Before any signal is admitted, a
+buffer of bits can be produced from dark counts alone
+(:func:`bootstrap_buffer`) so the first basis choices never depend on
+observable detections.
 
 Both extractors read only the interval modulo 4, so they work on the
 slots' low byte: ``slots.astype(uint8)`` keeps each slot modulo 256 and

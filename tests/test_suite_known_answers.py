@@ -689,11 +689,7 @@ def test_lfsr_complexity_matches_textbook_synthesis():
         blocks = np.array([rng.integers(0, 2, size=length) for _ in range(count)])
         textbook = [naive_berlekamp_massey(bits) for bits in blocks.tolist()]
         assert lfsr_complexities(blocks).tolist() == textbook
-        assert integer_oracle_complexities(blocks) == textbook
-
-
-def integer_oracle_complexities(blocks: np.ndarray) -> list[int]:
-    return [reference_lfsr_complexity(block) for block in blocks]
+        assert [reference_lfsr_complexity(block) for block in blocks] == textbook
 
 
 @pytest.mark.parametrize("kind", ADVERSARIAL)
@@ -703,7 +699,7 @@ def integer_oracle_complexities(blocks: np.ndarray) -> list[int]:
 )
 def test_lockstep_complexities_match_the_integer_oracle(kind, block_len, nblocks):
     blocks = adversarial_bits(kind, block_len * nblocks, seed=block_len).reshape(nblocks, block_len)
-    assert lfsr_complexities(blocks).tolist() == integer_oracle_complexities(blocks)
+    assert lfsr_complexities(blocks).tolist() == [reference_lfsr_complexity(block) for block in blocks]
 
 
 @pytest.mark.parametrize("block_len", [1, 2, 499, 500])
@@ -715,7 +711,7 @@ def test_lockstep_complexities_of_impulse_blocks(block_len):
     blocks = np.zeros((nblocks, block_len), dtype=np.uint8)
     j = np.arange(min(nblocks, block_len))
     blocks[j, block_len - 1 - j] = 1
-    assert lfsr_complexities(blocks).tolist() == integer_oracle_complexities(blocks)
+    assert lfsr_complexities(blocks).tolist() == [reference_lfsr_complexity(block) for block in blocks]
 
 
 def test_linear_complexity_matches_independent_binning():
