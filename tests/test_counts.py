@@ -24,7 +24,9 @@ GATED = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
 DARK = ClockConfig(mode=ClockMode.FREE_RUNNING, dark_prob=0.1)
 BITS = np.zeros(300, dtype=np.uint8)
 
-# (name in the message, "positive" or "non-negative", call taking the count)
+# (name in the message, "positive" or "non-negative", call taking the count).
+# A row's index is part of its test ids, so new rows take free places and no
+# row moves.
 COUNTS = [
     ("slots_per_gate", "positive", lambda v: ClockConfig(mode=ClockMode.GATED, slots_per_gate=v)),
     ("dead_slots", "non-negative", lambda v: ClockConfig(mode=ClockMode.GATED, dead_slots=v)),
@@ -32,7 +34,9 @@ COUNTS = [
     ("n_events", "non-negative", lambda v: generate_free_running(SOURCE, FREE, v, seed=0)),
     ("n_events", "non-negative",
      lambda v: generate_gated(SOURCE, GATED, IntraGateProfile.uniform(), v, seed=0)),
+    ("serial_block_len", "positive", lambda v: run_battery(BITS, serial_block_len=v)),
     ("bootstrap length", "non-negative", lambda v: bootstrap_buffer(DARK, v, seed=0)),
+    ("linear_complexity_block_len", "positive", lambda v: run_battery(BITS, linear_complexity_block_len=v)),
     ("photon number", "non-negative", lambda v: photon_pmf(SOURCE, v)),
     ("window index", "positive", lambda v: window_pmf(0.5, v)),
     ("n_gates", "positive", lambda v: ProtocolParams(SOURCE, GATED, GATED, IntraGateProfile.uniform(), v, 0)),
@@ -49,6 +53,7 @@ COUNTS = [
     ("block_len", "positive", lambda v: approximate_entropy_test(BITS, block_len=v)),
     ("block_len", "positive", lambda v: serial_test(BITS, block_len=v)),
     ("matrix_dim", "positive", lambda v: rank_test(BITS, matrix_dim=v)),
+    ("rank_matrix_dim", "positive", lambda v: run_battery(BITS, rank_matrix_dim=v)),
 ]
 
 
