@@ -875,6 +875,18 @@ def test_battery_is_deterministic():
     assert list(map(hash, a.entries)) == list(map(hash, b.entries))
 
 
+def test_battery_entries_with_not_applicable_rows_compare_and_hash_by_value():
+    """Two reports of one 2^13-bit stream, where six procedures do not apply,
+    hold equal entries that collapse pairwise in a set, and no two entries of
+    one report are equal."""
+    bits = random_bits(20261019, 1 << 13)
+    a, b = (run_battery(bits, run_len=1 << 13) for _ in range(2))
+    assert sum(not e.applicable for e in a.entries) == 6
+    assert a.entries == b.entries
+    assert set(a.entries) == set(b.entries)
+    assert len(set(a.entries)) == len(a.entries)
+
+
 def test_battery_report_digest_is_pinned(tmp_path):
     """SHA-256 of the CSV report of a 3-run PCG64 stream.  The digest was
     taken with the earlier one-width-at-a-time pattern counts, one BM per
