@@ -32,15 +32,12 @@ from .sim import (
     generate_gated,
 )
 from .extract import (
-    BalanceResult,
     BitStream,
     ExtractorConfig,
-    Modulus,
     balance,
     bootstrap_buffer,
     extract_mod2,
     flip_debias,
-    intervals,
 )
 from .suite import TestEntry, TestId, TestReport, run_battery
 from .qkd import ProtocolParams, ProtocolResult, eve_qnd_advantage, run_bb84, run_bbm92
@@ -64,15 +61,12 @@ __all__ = [
     "IntraGateProfile",
     "generate_free_running",
     "generate_gated",
-    "BalanceResult",
     "BitStream",
     "ExtractorConfig",
-    "Modulus",
     "balance",
     "bootstrap_buffer",
     "extract_mod2",
     "flip_debias",
-    "intervals",
     "TestEntry",
     "TestId",
     "TestReport",

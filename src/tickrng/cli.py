@@ -28,7 +28,6 @@ from .errors import DataError, GuardError
 from .extract import (
     BitStream,
     ExtractorConfig,
-    Modulus,
     balance,
     extract_mod2,
     flip_debias,
@@ -222,9 +221,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_extract(args) -> int:
     stream = read_events(args.events, fmt=args.events_format)
-    modulus = Modulus(args.modulus)
     conventions = ["first_interval"]
-    if modulus is Modulus.MOD2:
+    if args.modulus == "mod2":
         bits = extract_mod2(stream, ExtractorConfig(include_first=args.include_first))
     else:
         basis, key = mod4_arrays(stream, ExtractorConfig(include_first=args.include_first))
@@ -236,7 +234,7 @@ def cmd_extract(args) -> int:
     if args.debias:
         bits = flip_debias(bits)
         conventions.append("flip_debias_phase")
-    summary = f"wrote {len(bits)} bits to {args.out} (balance {balance(bits).ratio:.6f})"
+    summary = f"wrote {len(bits)} bits to {args.out} (balance {balance(bits):.6f})"
     _stage(args, lambda path: write_bits(bits, path, fmt=args.bits_format), summary, conventions)
     return 0
 
@@ -395,7 +393,7 @@ def build_parser() -> _Parser:
     p.add_argument("--debias", action="store_true")
     p.add_argument("--events", required=True)
     p.add_argument("--events-format", choices=EVENT_FORMATS, default="ascii")
-    p.add_argument("--modulus", choices=[m.value for m in Modulus], default="mod2")
+    p.add_argument("--modulus", choices=["mod2", "mod4"], default="mod2")
     p.add_argument("--include-first", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--bits-format", choices=BIT_FORMATS, default="ascii01")
     p.add_argument("--out", required=True)

@@ -13,15 +13,12 @@ Both extractors read only the interval modulo 4, so they work on the
 slots' low byte: ``slots.astype(uint8)`` keeps each slot modulo 256 and
 ``uint8`` subtraction wraps modulo 256, so the differences of the low
 bytes are the intervals modulo 256, exactly, even where a 64-bit
-interval is 2**32 or more.  :func:`intervals` keeps the full 64-bit
-counts.
+interval is 2**32 or more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +29,7 @@ from .sim import ClockConfig, ClockMode, EventStream, generate_free_running
 __all__ = [
     "bit_array",
     "BitStream",
-    "Modulus",
     "ExtractorConfig",
-    "BalanceResult",
-    "intervals",
     "interval_bytes",
     "extract_mod2",
     "mod4_arrays",
@@ -79,10 +73,6 @@ class BitStream:
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
-    @classmethod
-    def from_bits(cls, values) -> "BitStream":
-        return cls(list(values))
-
     def __len__(self) -> int:
         return int(self.bits.size)
 
@@ -98,36 +88,13 @@ class BitStream:
         return len(self) - self.ones()
 
 
-class Modulus(str, Enum):
-    MOD2 = "mod2"
-    MOD4 = "mod4"
-
-
 @dataclass(frozen=True)
 class ExtractorConfig:
     include_first: bool = True
 
 
-class BalanceResult(NamedTuple):
-    """min/max ratio of the two bit counts; degenerate when one count is 0."""
-
-    ratio: float
-    degenerate: bool
-
-
-def intervals(stream: EventStream, include_first: bool = True) -> np.ndarray:
-    """Clock counts between consecutive detections.
-
-    With ``include_first`` the first detection is differenced against
-    clock tick 0, yielding one interval per detection; otherwise the
-    first detection only starts the counter.
-    """
-    slots = stream.slots
-    return np.diff(slots, prepend=np.zeros(int(include_first), slots.dtype))
-
-
-def interval_bytes(slots: np.ndarray, prev: int | None = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """The intervals ending at ``slots``, modulo 256, as uint8 (into ``out`` if given).
+def interval_bytes(slots: np.ndarray, prev: int | None = 0) -> np.ndarray:
+    """The intervals ending at ``slots``, modulo 256, as uint8.
 
     The first is counted from slot ``prev`` (clock tick 0 by default), so
     blocks of one stream, each passed the last slot before it, give the
@@ -136,9 +103,8 @@ def interval_bytes(slots: np.ndarray, prev: int | None = 0, out: np.ndarray | No
     """
     low = slots.astype(np.uint8)
     if prev is None:
-        return np.subtract(low[1:], low[:-1], out=out)
-    if out is None:
-        out = np.empty_like(low)
+        return np.subtract(low[1:], low[:-1])
+    out = np.empty_like(low)
     np.subtract(low[1:], low[:-1], out=out[1:])
     np.subtract(low[:1], int(prev) & 0xFF, out=out[:1])
     return out
@@ -178,16 +144,15 @@ def flip_debias(raw: BitStream) -> BitStream:
     return BitStream(bits)
 
 
-def balance(bits: BitStream | tuple[int, int]) -> BalanceResult:
-    """Ratio of the rarer to the more common bit value (1.0 = perfectly balanced).
+def balance(bits: BitStream | tuple[int, int]) -> float:
+    """Ratio of the rarer to the more common bit value: 1.0 when perfectly
+    balanced, 0.0 when one value never occurs.
 
     ``bits`` may also be given by its counts, ``(ones, length)``.
     """
     ones, length = (bits.ones(), len(bits)) if isinstance(bits, BitStream) else bits
     zeros = length - ones
-    if ones == 0 or zeros == 0:
-        return BalanceResult(0.0, True)
-    return BalanceResult(min(ones, zeros) / max(ones, zeros), False)
+    return min(ones, zeros) / max(ones, zeros) if ones and zeros else 0.0
 
 
 def bootstrap_buffer(clock: ClockConfig, k: int, seed) -> BitStream:

@@ -97,7 +97,7 @@ class ProtocolResult:
     basis_balance_alice: float
     basis_balance_bob: float
     sift_fraction: float
-    pair_gates: int = 0  # gates in which the source emitted at least one pair
+    pair_gates: int  # gates in which the source emitted at least one pair
 
 
 def _sample_pair_numbers(rng: np.random.Generator, source: SourceModel, n_gates: int) -> np.ndarray:
@@ -303,8 +303,8 @@ def _round(params: ProtocolParams, seed_src, seed_pair, alice, bob) -> ProtocolR
         coincidences=n_coinc,
         sifted_length=n_sift,
         qber=n_err / n_sift if n_sift else 0.0,
-        basis_balance_alice=balance((ones_a, detections_a)).ratio,
-        basis_balance_bob=balance((ones_b, detections_b)).ratio,
+        basis_balance_alice=balance((ones_a, detections_a)),
+        basis_balance_bob=balance((ones_b, detections_b)),
         sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
         pair_gates=pair_gates,
     )

@@ -496,29 +496,20 @@ def linear_complexity_test(bits, block_len: int = 500) -> float:
 
 @dataclass(frozen=True)
 class TestEntry:
-    """One procedure's outcome on one run."""
+    """One procedure's outcome on one run; ``p_value`` is None where it did not apply."""
 
     test_id: TestId
     run_index: int
-    p_value: float
+    p_value: float | None
     passed: bool
-    applicable: bool = True
 
     @property
     def test_index(self) -> int:
         return self.test_id.index
 
-    def _key(self) -> tuple:
-        # A NaN p-value marks a procedure that did not apply; two such
-        # entries are equal by value, not only when they share one NaN.
-        p_value = None if math.isnan(self.p_value) else self.p_value
-        return (self.test_id, self.run_index, p_value, self.passed, self.applicable)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, TestEntry) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+    @property
+    def applicable(self) -> bool:
+        return self.p_value is not None
 
 
 @dataclass
@@ -532,10 +523,6 @@ class TestReport:
 
     def failures(self) -> list[TestEntry]:
         return [e for e in self.entries if e.applicable and not e.passed]
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failures()
 
     def sorted_entries(self) -> list[TestEntry]:
         return sorted(self.entries, key=lambda e: (e.test_index, e.run_index))
@@ -599,9 +586,7 @@ def run_battery(bits, alpha: float = 0.01, run_len: int = 1_000_000, **overrides
             f"battery needs at least one run of {run_len} bits, got {x.size}"
         )
     entries = [
-        TestEntry(test_id, i, p, passed=p >= alpha)
-        if p is not None
-        else TestEntry(test_id, i, float("nan"), passed=False, applicable=False)
+        TestEntry(test_id, i, p, passed=p is not None and p >= alpha)
         for i in range(runs)
         for test_id, p in _run_procedures(x[i * run_len : (i + 1) * run_len], params)
     ]

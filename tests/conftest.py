@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tickrng.errors import DataError
-from tickrng.extract import BitStream, intervals
+from tickrng.extract import BitStream
 from tickrng.models import SourceModel, window_pmf
 from tickrng.sim import apply_dead_time, generate_gated
 from tickrng.suite import TestEntry, TestId, TestReport, run_battery
@@ -125,14 +125,26 @@ def reference_detections(rng, n_photons, survival: float, clock, profile) -> tup
     return detected, slots.astype(np.uint64)
 
 
+def reference_intervals(stream, include_first: bool = True) -> np.ndarray:
+    """Clock counts between consecutive detections, in full 64 bits: the
+    oracle for ``extract.interval_bytes``.
+
+    With ``include_first`` the first detection is differenced against
+    clock tick 0, yielding one interval per detection; otherwise the
+    first detection only starts the counter.
+    """
+    slots = stream.slots
+    return np.diff(slots, prepend=np.zeros(int(include_first), slots.dtype))
+
+
 def reference_mod2(stream, include_first: bool = True) -> np.ndarray:
     """uint64 intervals: the slow oracle for ``extract.extract_mod2``."""
-    return (intervals(stream, include_first) & np.uint64(1)).astype(np.uint8)
+    return (reference_intervals(stream, include_first) & np.uint64(1)).astype(np.uint8)
 
 
 def reference_mod4(stream, include_first: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """uint64 intervals modulo 4: the slow oracle for ``extract.mod4_arrays``."""
-    v = intervals(stream, include_first) % np.uint64(4)
+    v = reference_intervals(stream, include_first) % np.uint64(4)
     return (v >> np.uint64(1)).astype(np.uint8), (v & np.uint64(1)).astype(np.uint8)
 
 
@@ -168,7 +180,7 @@ def reference_eve_advantage(params, n_events: int) -> float:
     (child,) = np.random.SeedSequence(params.seed).spawn(1)
     stream = generate_gated(bob, clock, params.profile, n_events, child)
     r = np.uint64(clock.slots_per_gate)
-    true_bits = intervals(stream) & np.uint64(1)
+    true_bits = reference_intervals(stream) & np.uint64(1)
     gates = (stream.slots - np.uint64(1)) // r
     guesses = (np.diff(gates, prepend=np.uint64(0)) * r) & np.uint64(1)
     guesses[0] ^= np.uint64(params.profile.odd_slot_probability(clock.slots_per_gate) > 0.5)

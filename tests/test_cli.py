@@ -370,6 +370,17 @@ def test_extract_mod4_interleaves_basis_then_key(capsys, tmp_path):
     assert out.read_text() == "010111\n"
 
 
+@pytest.mark.parametrize("modulus", ["mod8", "MOD2", "2"])
+def test_extract_modulus_outside_mod2_and_mod4_is_a_usage_error(capsys, tmp_path, modulus):
+    events = tmp_path / "events.txt"
+    events.write_text("1\n2\n9\n")
+    out = tmp_path / "bits.txt"
+    rc, stdout, err = run(capsys, "extract", "--events", str(events), "--modulus", modulus, "--out", str(out))
+    assert (rc, stdout) == (1, "")
+    assert "usage error" in err and "invalid choice" in err
+    assert not out.exists()
+
+
 def test_extract_binary_events_round_trip(capsys, tmp_path):
     events = tmp_path / "events.bin"
     rc, _, _ = run(

@@ -465,7 +465,7 @@ def test_events_unknown_format_is_a_usage_error(tmp_path):
 
 def test_packed_bits_golden_bytes(tmp_path):
     path = tmp_path / "bits.bin"
-    write_bits(BitStream.from_bits([1, 0, 1]), path, fmt="packed")
+    write_bits(BitStream([1, 0, 1]), path, fmt="packed")
     assert path.read_bytes() == b"\x03" + b"\x00" * 7 + b"\xa0"
 
 
@@ -481,14 +481,14 @@ def test_bits_round_trip_large(tmp_path, fmt):
 @pytest.mark.parametrize("fmt", ["ascii01", "packed"])
 def test_bits_round_trip_empty(tmp_path, fmt):
     path = tmp_path / "bits"
-    write_bits(BitStream.from_bits([]), path, fmt=fmt)
+    write_bits(BitStream([]), path, fmt=fmt)
     assert len(read_bits(path, fmt=fmt)) == 0
 
 
 def test_ascii_bits_skip_whitespace(tmp_path):
     path = tmp_path / "bits.txt"
     path.write_text("10 1\n")
-    assert read_bits(path) == BitStream.from_bits([1, 0, 1])
+    assert read_bits(path) == BitStream([1, 0, 1])
 
 
 def test_ascii_bits_reject_stray_characters(tmp_path):
@@ -501,7 +501,7 @@ def test_ascii_bits_reject_stray_characters(tmp_path):
 def test_ascii_bits_accept_ascii_whitespace_only(tmp_path):
     path = tmp_path / "bits.txt"
     path.write_bytes(b"1\t0\r\n\x0b\x0c1 \n")
-    assert read_bits(path) == BitStream.from_bits([1, 0, 1])
+    assert read_bits(path) == BitStream([1, 0, 1])
     path.write_bytes("1\u00a00\n".encode())
     with pytest.raises(DataError, match="line 1.*stray"):
         read_bits(path)
@@ -516,7 +516,7 @@ def test_ascii_bits_non_utf8_byte_names_the_line(tmp_path):
 
 def test_ascii_bits_golden_bytes(tmp_path):
     path = tmp_path / "bits.txt"
-    write_bits(BitStream.from_bits([1, 0, 0, 1]), path)
+    write_bits(BitStream([1, 0, 0, 1]), path)
     assert path.read_bytes() == b"1001\n"
 
 
@@ -552,7 +552,7 @@ def test_bits_unknown_format_is_a_usage_error(tmp_path):
     with pytest.raises(ValueError):
         read_bits(tmp_path / "x", fmt="hex")
     with pytest.raises(ValueError):
-        write_bits(BitStream.from_bits([1]), tmp_path / "x", fmt="hex")
+        write_bits(BitStream([1]), tmp_path / "x", fmt="hex")
 
 
 # ------------------------------------------------------------------ report
@@ -563,7 +563,7 @@ def test_report_csv_layout(tmp_path):
         TestEntry(TestId.RUNS, 0, 0.25, passed=True),
         TestEntry(TestId.FREQUENCY, 1, 0.5, passed=True),
         TestEntry(TestId.FREQUENCY, 0, 0.001, passed=False),
-        TestEntry(TestId.UNIVERSAL, 0, float("nan"), passed=False, applicable=False),
+        TestEntry(TestId.UNIVERSAL, 0, None, passed=False),
     ]
     report = TestReport(entries=entries, alpha=0.01, run_len=100)
     path = tmp_path / "report.csv"

@@ -1,16 +1,19 @@
 """Package layout: no module reaches into another module's private names;
-every name a module exports in ``__all__`` resolves, once; every name a module
-or a test file imports is used; and the package reads every top-level private
-name it defines."""
+every name a module exports in ``__all__`` resolves, once, and is read by the
+package, the benchmark or the README; every name a module or a test file
+imports is used; and the package reads every top-level private name it
+defines."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import tickrng
 
 PACKAGE = Path(tickrng.__file__).parent
+REPO = Path(__file__).parents[1]
 
 
 def _is_private(name: str) -> bool:
@@ -55,14 +58,65 @@ def test_no_module_uses_another_modules_private_names():
     assert offenders == {}
 
 
-def test_every_modules_public_names_resolve_once():
+def exported_names() -> list[tuple[object, list[str]]]:
+    """``(module, __all__)`` for the package and each of its modules that has one."""
     submodules = [f"tickrng.{m.name}" for m in pkgutil.iter_modules(tickrng.__path__)]
     modules = [tickrng] + [importlib.import_module(name) for name in submodules]
-    exported = [(module, module.__all__) for module in modules if hasattr(module, "__all__")]
+    return [(module, module.__all__) for module in modules if hasattr(module, "__all__")]
+
+
+def test_every_modules_public_names_resolve_once():
+    exported = exported_names()
     assert len(exported) >= 9
     for module, public in exported:
         assert len(set(public)) == len(public), module.__name__
         assert [name for name in public if not hasattr(module, name)] == [], module.__name__
+
+
+def names_read(source: str, imports: bool = False) -> set[str]:
+    """Each name ``source`` reads as a ``Name`` or an attribute; with ``imports``,
+    also each name it imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_the_checker_sees_reads_and_imports():
+    source = "from .sim import rng\nx = check_slots(rng)\ny.bits = report.entries\nimport os\n"
+    assert names_read(source) == {"check_slots", "rng", "report", "entries", "y"}
+    assert names_read(source, imports=True) == {"check_slots", "rng", "report", "entries", "y", "os"}
+
+
+# The closed forms the tests check simulations against; ``balance_ratio``
+# is to become the free-running case of an exact model of the timing bits.
+PUBLIC_FOR_THE_TESTS = {"photon_pmf", "window_pmf", "balance_ratio"}
+
+
+def test_every_public_name_is_read():
+    """By a module of the package other than ``__init__.py``, or by the
+    benchmark or a python block of the README."""
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            read |= names_read(path.read_text())
+    readme = (REPO / "README.md").read_text()
+    for source in [p.read_text() for p in sorted((REPO / "bench").glob("*.py"))] + re.findall(
+        r"^```python\n(.*?)^```", readme, re.M | re.S
+    ):
+        read |= names_read(source, imports=True)
+    unread = {
+        f"{module.__name__}.{name}"
+        for module, public in exported_names()
+        for name in public
+        if name not in read | PUBLIC_FOR_THE_TESTS
+    }
+    assert unread == set()
 
 
 def test_the_test_oracles_take_no_private_names():
