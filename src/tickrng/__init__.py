@@ -12,68 +12,4 @@ formats plus a command line front end (:mod:`tickrng.formats`,
 
 __version__ = "0.1.0"
 
-from .errors import DataError, GuardError, InsufficientDataError
-from .models import (
-    AnalyticBias,
-    Distribution,
-    SourceModel,
-    balance_ratio,
-    click_probability,
-    parity_probabilities,
-    photon_pmf,
-    window_pmf,
-)
-from .sim import (
-    ClockConfig,
-    ClockMode,
-    EventStream,
-    IntraGateProfile,
-    generate_free_running,
-    generate_gated,
-)
-from .extract import (
-    BitStream,
-    ExtractorConfig,
-    balance,
-    bootstrap_buffer,
-    extract_mod2,
-    flip_debias,
-)
-from .suite import TestEntry, TestId, TestReport, run_battery
-from .qkd import ProtocolParams, ProtocolResult, eve_qnd_advantage, run_bb84, run_bbm92
-
-__all__ = [
-    "__version__",
-    "DataError",
-    "GuardError",
-    "InsufficientDataError",
-    "AnalyticBias",
-    "Distribution",
-    "SourceModel",
-    "balance_ratio",
-    "click_probability",
-    "parity_probabilities",
-    "photon_pmf",
-    "window_pmf",
-    "ClockConfig",
-    "ClockMode",
-    "EventStream",
-    "IntraGateProfile",
-    "generate_free_running",
-    "generate_gated",
-    "BitStream",
-    "ExtractorConfig",
-    "balance",
-    "bootstrap_buffer",
-    "extract_mod2",
-    "flip_debias",
-    "TestEntry",
-    "TestId",
-    "TestReport",
-    "run_battery",
-    "ProtocolParams",
-    "ProtocolResult",
-    "eve_qnd_advantage",
-    "run_bb84",
-    "run_bbm92",
-]
+__all__ = ["__version__"]

@@ -305,7 +305,7 @@ def write_report(report: TestReport, path) -> None:
         writer.writerow(REPORT_HEADER)
         for entry in report.sorted_entries():
             result = (f"{entry.p_value:.6g}", int(entry.passed)) if entry.applicable else ("NA", "NA")
-            writer.writerow([entry.test_id.value, entry.test_index, entry.run_index, *result])
+            writer.writerow([entry.test_id.value, entry.test_id.index, entry.run_index, *result])
 
 
 @dataclass

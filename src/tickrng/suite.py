@@ -205,18 +205,18 @@ def _cusum_excursions(x: np.ndarray) -> tuple[int, int]:
     return max(hi, -lo), max(end - lo, hi - end)
 
 
-def _cumulative_sums(bits, min_n: int) -> tuple[float, float]:
+def _cumulative_sums(bits) -> tuple[float, float]:
     x = bit_array(bits)
-    _require(x.size, max(min_n, 1), "cumulative sums test")
+    _require(x.size, 100, "cumulative sums test")
     forward, reverse = _cusum_excursions(x)
     return _cusum_pvalue(x.size, forward), _cusum_pvalue(x.size, reverse)
 
 
-def cumulative_sums_test(bits, direction: str = "forward", min_n: int = 100) -> float:
+def cumulative_sums_test(bits, direction: str = "forward") -> float:
     """Maximal excursion of the +/-1 partial-sum walk, forward or reverse."""
     if direction not in ("forward", "reverse"):
         raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-    forward, reverse = _cumulative_sums(bits, min_n)
+    forward, reverse = _cumulative_sums(bits)
     return forward if direction == "forward" else reverse
 
 
@@ -317,11 +317,11 @@ def rank_test(bits, matrix_dim: int = 32) -> float:
     return _chi2_fit(counts, np.array([p_full, p_one_less, p_rest]))
 
 
-def dft_test(bits, min_n: int = 1000) -> float:
+def dft_test(bits) -> float:
     """Fraction of below-threshold spectral peaks against the expected 95%."""
     x = bit_array(bits)
     n = x.size
-    _require(n, max(min_n, 2), "spectral test")
+    _require(n, 1000, "spectral test")
     # The +-1 signal is built in place, and the signal and then the
     # spectrum are dropped as soon as each is used, so that no third
     # float array is alive beside them.
@@ -417,12 +417,12 @@ def _fold(counts: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
-def _approximate_entropy(bits, block_len: int, min_n: int, counts=None) -> float:
+def _approximate_entropy(bits, block_len: int, counts=None) -> float:
     """``counts``: circular counts at width >= block_len + 1, or None to count here."""
     block_len = as_count(block_len, "block_len", positive=True)
     x = bit_array(bits)
     n = x.size
-    _require(n, max(min_n, 1 << (block_len + 5)), "approximate entropy test")
+    _require(n, max(100, 1 << (block_len + 5)), "approximate entropy test")
     if counts is None:
         counts = _overlapping_counts(x, block_len + 1)
     phi = []
@@ -437,19 +437,19 @@ def _approximate_entropy(bits, block_len: int, min_n: int, counts=None) -> float
     return _chi2_sf(1 << block_len, chi2)
 
 
-def approximate_entropy_test(bits, block_len: int = 10, min_n: int = 100) -> float:
+def approximate_entropy_test(bits, block_len: int = 10) -> float:
     """Compares frequencies of overlapping m and m+1 bit patterns."""
-    return _approximate_entropy(bits, block_len, min_n)
+    return _approximate_entropy(bits, block_len)
 
 
-def _serial(bits, block_len: int, min_n: int, counts=None) -> tuple[float, float]:
+def _serial(bits, block_len: int, counts=None) -> tuple[float, float]:
     """``counts``: circular counts at width >= block_len, or None to count here."""
     block_len = as_count(block_len, "block_len", positive=True)
     if block_len < 3:
         raise ValueError("block length must be >= 3")
     x = bit_array(bits)
     n = x.size
-    _require(n, max(min_n, 1 << (block_len + 2)), "serial test")
+    _require(n, max(100, 1 << (block_len + 2)), "serial test")
     if counts is None:
         counts = _overlapping_counts(x, block_len)
     psi = []  # psi-square for widths m, m - 1, m - 2
@@ -461,9 +461,9 @@ def _serial(bits, block_len: int, min_n: int, counts=None) -> tuple[float, float
     return _chi2_sf(1 << (block_len - 1), d1), _chi2_sf(1 << (block_len - 2), d2)
 
 
-def serial_test(bits, block_len: int = 16, min_n: int = 100) -> tuple[float, float]:
+def serial_test(bits, block_len: int = 16) -> tuple[float, float]:
     """First- and second-difference psi-square statistics of overlapping patterns."""
-    return _serial(bits, block_len, min_n)
+    return _serial(bits, block_len)
 
 
 # Exact class probabilities for the complexity deviation T: the geometric
@@ -504,10 +504,6 @@ class TestEntry:
     passed: bool
 
     @property
-    def test_index(self) -> int:
-        return self.test_id.index
-
-    @property
     def applicable(self) -> bool:
         return self.p_value is not None
 
@@ -525,7 +521,7 @@ class TestReport:
         return [e for e in self.entries if e.applicable and not e.passed]
 
     def sorted_entries(self) -> list[TestEntry]:
-        return sorted(self.entries, key=lambda e: (e.test_index, e.run_index))
+        return sorted(self.entries, key=lambda e: (e.test_id.index, e.run_index))
 
 
 def _run_procedures(x: np.ndarray, params: dict) -> Iterator[tuple[TestId, float | None]]:
@@ -543,14 +539,14 @@ def _run_procedures(x: np.ndarray, params: dict) -> Iterator[tuple[TestId, float
             (TestId.BLOCK_FREQUENCY,),
             lambda: (block_frequency_test(x, block_len=params["block_frequency_block_len"]),),
         ),
-        ((TestId.CUSUM_FORWARD, TestId.CUSUM_REVERSE), lambda: _cumulative_sums(x, 100)),
+        ((TestId.CUSUM_FORWARD, TestId.CUSUM_REVERSE), lambda: _cumulative_sums(x)),
         ((TestId.RUNS,), lambda: (runs_test(x),)),
         ((TestId.LONGEST_RUNS,), lambda: (longest_runs_test(x),)),
         ((TestId.RANK,), lambda: (rank_test(x, matrix_dim=params["rank_matrix_dim"]),)),
         ((TestId.DFFT,), lambda: (dft_test(x),)),
         ((TestId.UNIVERSAL,), lambda: (universal_test(x),)),
-        ((TestId.APPROXIMATE_ENTROPY,), lambda: (_approximate_entropy(x, apen_len, 100, counts),)),
-        ((TestId.SERIAL_1, TestId.SERIAL_2), lambda: _serial(x, serial_len, 100, counts)),
+        ((TestId.APPROXIMATE_ENTROPY,), lambda: (_approximate_entropy(x, apen_len, counts),)),
+        ((TestId.SERIAL_1, TestId.SERIAL_2), lambda: _serial(x, serial_len, counts)),
         (
             (TestId.LINEAR_COMPLEXITY,),
             lambda: (linear_complexity_test(x, block_len=params["linear_complexity_block_len"]),),

@@ -27,14 +27,13 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 def test_cli_import_leaves_scipy_unloaded():
     """No runtime module needs scipy, the battery included, so a fresh
-    ``import tickrng.cli`` must not load it, and the battery names must
-    still import from the package."""
+    ``import tickrng.cli`` must not load it."""
     code = (
         "import sys\n"
         "import tickrng.cli\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
-        "from tickrng import run_battery, TestReport, TestEntry, TestId\n"
+        "from tickrng.suite import run_battery, TestReport, TestEntry, TestId\n"
         "assert run_battery.__module__ == 'tickrng.suite'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
@@ -48,6 +47,19 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
         "import sys\n"
         "import tickrng.cli\n"
         "loaded = [m for m in ('concurrent.futures', 'queue') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_bare_package_import_loads_no_module():
+    """The package root holds only ``__version__``, so a fresh
+    ``import tickrng`` must load none of its modules and not numpy."""
+    code = (
+        "import sys\n"
+        "import tickrng\n"
+        "loaded = [m for m in sys.modules if m.startswith('tickrng.') or m.split('.')[0] == 'numpy']\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))

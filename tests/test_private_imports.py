@@ -1,8 +1,8 @@
 """Package layout: no module reaches into another module's private names;
-every name a module exports in ``__all__`` resolves, once, and is read by the
-package, the benchmark or the README; every name a module or a test file
-imports is used; and the package reads every top-level private name it
-defines."""
+every name a module exports in ``__all__`` resolves, once, is exported by no
+other module or the package root, and is read by the package, the benchmark
+or the README; every name a module or a test file imports is used; and the
+package reads every top-level private name it defines."""
 
 import ast
 import importlib
@@ -71,6 +71,15 @@ def test_every_modules_public_names_resolve_once():
     for module, public in exported:
         assert len(set(public)) == len(public), module.__name__
         assert [name for name in public if not hasattr(module, name)] == [], module.__name__
+
+
+def test_every_public_name_has_one_home():
+    """No name is exported by two ``__all__`` lists, the package root's included."""
+    homes = {}
+    for module, public in exported_names():
+        for name in public:
+            homes.setdefault(name, []).append(module.__name__)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}
 
 
 def names_read(source: str, imports: bool = False) -> set[str]:

@@ -1054,7 +1054,7 @@ def test_battery_records_parameters():
 def test_battery_sorted_entries_order():
     bits = random_bits(83, 200_000)
     report = run_battery(bits, run_len=100_000)
-    keys = [(e.test_index, e.run_index) for e in report.sorted_entries()]
+    keys = [(e.test_id.index, e.run_index) for e in report.sorted_entries()]
     assert keys == sorted(keys)
 
 
