@@ -454,10 +454,16 @@ def test_events_binary_order_error_names_the_entry(tmp_path):
 
 
 def test_events_unknown_format_is_a_usage_error(tmp_path):
-    with pytest.raises(ValueError):
-        read_events(tmp_path / "x", fmt="csv")
-    with pytest.raises(ValueError):
-        write_events(stream_of(1), tmp_path / "x", fmt="csv")
+    """A bad ``fmt`` is a plain ValueError naming it, raised before any file
+    is read or made."""
+    for call in (
+        lambda: read_events(tmp_path / "x", fmt="csv"),
+        lambda: write_events(stream_of(1), tmp_path / "x", fmt="csv"),
+    ):
+        with pytest.raises(ValueError, match=r"^unknown event format 'csv'$") as raised:
+            call()
+        assert type(raised.value) is ValueError
+    assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------------------------- bits
@@ -549,10 +555,16 @@ def test_packed_bits_reject_nonzero_padding(tmp_path):
 
 
 def test_bits_unknown_format_is_a_usage_error(tmp_path):
-    with pytest.raises(ValueError):
-        read_bits(tmp_path / "x", fmt="hex")
-    with pytest.raises(ValueError):
-        write_bits(BitStream([1]), tmp_path / "x", fmt="hex")
+    """A bad ``fmt`` is a plain ValueError naming it, raised before any file
+    is read or made."""
+    for call in (
+        lambda: read_bits(tmp_path / "x", fmt="hex"),
+        lambda: write_bits(BitStream([1]), tmp_path / "x", fmt="hex"),
+    ):
+        with pytest.raises(ValueError, match=r"^unknown bit format 'hex'$") as raised:
+            call()
+        assert type(raised.value) is ValueError
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------ report
