@@ -21,41 +21,17 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import DataError, GuardError
-from .extract import (
-    BitStream,
-    ExtractorConfig,
-    balance,
-    extract_mod2,
-    flip_debias,
-    mod4_arrays,
-)
-from .formats import (
-    BIT_FORMATS,
-    EVENT_FORMATS,
-    RunManifest,
-    read_bits,
-    read_events,
-    read_manifest,
-    write_bits,
-    write_events,
-    write_manifest,
-    write_report,
-)
 from .models import Distribution, SourceModel, parity_probabilities
-from .qkd import ProtocolParams, eve_qnd_advantage, run_bb84, run_bbm92
-from .sim import (
-    GENERATOR_ALGORITHM,
-    ClockConfig,
-    ClockMode,
-    IntraGateProfile,
-    generate_free_running,
-    generate_gated,
-)
-from .suite import TestId, run_battery
+
+# Beyond the standard library this module imports only ``errors`` and the
+# closed forms of ``models`` here; each subcommand imports the layers it runs
+# when it runs.  So ``--version``, ``--help``, a usage error and an analytic
+# ``bias`` load no numpy; ``simulate`` and ``extract`` load ``sim``,
+# ``extract`` and ``formats``; ``test`` adds the battery (``suite`` and
+# ``lfsr``) but not ``qkd``; and ``protocol`` and ``eve`` load ``qkd`` but not
+# the battery.  (The module docstring is the --help text, so this is a comment.)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -85,6 +61,15 @@ def _real(text: str) -> float:
     if not re.fullmatch(r"-?([0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|inf|nan)", text):
         raise ValueError(f"invalid float value: {text!r}")
     return float(text)
+
+
+class _Seed(argparse.Action):
+    """Stores ``--seed``, which numpy's seed sequence takes only when non-negative."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"expected a non-negative integer, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,7 +112,10 @@ def _source_from_args(args) -> SourceModel:
     return SourceModel(Distribution(args.distribution), args.mu, args.eta)
 
 
-def _profile_from_spec(spec: str) -> IntraGateProfile:
+def _profile_from_spec(spec: str):
+    """The ``IntraGateProfile`` that ``--profile`` names."""
+    from .sim import IntraGateProfile
+
     if spec == "uniform":
         return IntraGateProfile.uniform()
     if spec.startswith("fixed:"):
@@ -143,6 +131,8 @@ def _profile_from_spec(spec: str) -> IntraGateProfile:
 def _resolve_seed(args) -> int:
     """``args.seed``, drawn fresh and stored back when none was given."""
     if args.seed is None:
+        import numpy as np
+
         args.seed = int(np.random.SeedSequence().entropy)
     return args.seed
 
@@ -159,6 +149,11 @@ def _stage(args, write, summary: str = "", conventions=(), **parameters) -> None
     declares ``--seed``.  Callers first resolve the seed and ``--mu-eta``
     into ``args``, so the argv is the canonical form of the run.
     """
+    import numpy as np
+
+    from .formats import RunManifest, write_manifest
+    from .sim import GENERATOR_ALGORITHM
+
     write(args.out)
     argv, declared = [args.subcommand], {}
     for action in args.parser._actions:
@@ -197,6 +192,9 @@ def _emit_text(args, text: str, **manifest) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .formats import write_events
+    from .sim import ClockConfig, ClockMode, generate_free_running, generate_gated
+
     source = _source_from_args(args)
     profile = _profile_from_spec(args.profile)
     mode = ClockMode.GATED if args.mode == "gated" else ClockMode.FREE_RUNNING
@@ -220,6 +218,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    import numpy as np
+
+    from .extract import BitStream, ExtractorConfig, balance, extract_mod2, flip_debias, mod4_arrays
+    from .formats import read_events, write_bits
+
     stream = read_events(args.events, fmt=args.events_format)
     conventions = ["first_interval"]
     if args.modulus == "mod2":
@@ -250,6 +253,9 @@ def cmd_bias(args) -> int:
         f"predicted_balance   {analytic.p_even / analytic.p_odd:.6f}",
     ]
     if args.mc_events:
+        from .extract import extract_mod2
+        from .sim import ClockConfig, ClockMode, generate_free_running
+
         seed = _resolve_seed(args)
         clock = ClockConfig(mode=ClockMode.FREE_RUNNING)
         stream = generate_free_running(source, clock, args.mc_events, seed)
@@ -266,6 +272,11 @@ def cmd_bias(args) -> int:
 
 
 def cmd_test(args) -> int:
+    # The battery first: compiled from source after formats, it leaves this
+    # call's peak RSS about 0.5 MB higher.
+    from .suite import TestId, run_battery
+    from .formats import read_bits, write_report
+
     bits = read_bits(args.bits, fmt=args.bits_format)
     report = run_battery(bits, alpha=args.alpha, run_len=args.run_len)
     runs = len({e.run_index for e in report.entries})
@@ -294,6 +305,9 @@ def _gated_params(args, **options):
     and each call builds the clock before the parameters, so a usage error
     names the first bad option.
     """
+    from .qkd import ProtocolParams
+    from .sim import ClockConfig, ClockMode
+
     source = _source_from_args(args)
     profile = _profile_from_spec(args.profile)
     seed = _resolve_seed(args)
@@ -306,6 +320,8 @@ def _gated_params(args, **options):
 
 
 def cmd_protocol(args) -> int:
+    from .qkd import run_bb84, run_bbm92
+
     params = _gated_params(
         args, n_gates=args.gates, channel_transmittance_alice=args.t_alice,
         channel_transmittance_bob=args.t_bob, intrinsic_error=args.error,
@@ -323,6 +339,8 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_eve(args) -> int:
+    from .qkd import eve_qnd_advantage
+
     params_at = _gated_params(args, n_gates=1)
     if not args.r_values.replace(",", "").strip():
         raise UsageError("--r-values must name at least one gate width")
@@ -337,6 +355,8 @@ def cmd_eve(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .formats import read_manifest
+
     manifest = read_manifest(args.manifest)
     if manifest.subcommand == "replay":
         raise DataError("a replay manifest cannot be replayed")
@@ -384,30 +404,30 @@ def build_parser() -> _Parser:
     p.add_argument("--dark-prob", type=float, default=0.0)
     p.add_argument("--dead-slots", type=int, default=0)
     p.add_argument("--events", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=EVENT_FORMATS, default="ascii")
+    p.add_argument("--seed", type=int, default=None, action=_Seed)
+    p.add_argument("--format", choices=["ascii", "binary"], default="ascii")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("extract", help="extract bits from an event stream")
     p.add_argument("--debias", action="store_true")
     p.add_argument("--events", required=True)
-    p.add_argument("--events-format", choices=EVENT_FORMATS, default="ascii")
+    p.add_argument("--events-format", choices=["ascii", "binary"], default="ascii")
     p.add_argument("--modulus", choices=["mod2", "mod4"], default="mod2")
     p.add_argument("--include-first", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--bits-format", choices=BIT_FORMATS, default="ascii01")
+    p.add_argument("--bits-format", choices=["ascii01", "packed"], default="ascii01")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract, parser=p)
 
     p = sub.add_parser("bias", help="analytic parity split, optionally vs Monte Carlo")
     _add_source_args(p)
     p.add_argument("--mc-events", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, action=_Seed)
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("test", help="run the statistical battery on a bit stream")
     p.add_argument("--bits", required=True)
-    p.add_argument("--bits-format", choices=BIT_FORMATS, default="ascii01")
+    p.add_argument("--bits-format", choices=["ascii01", "packed"], default="ascii01")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--run-len", type=int, default=1_000_000)
     p.add_argument("--out", default=None, help="write the CSV report here")
@@ -424,7 +444,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dark-prob", type=float, default=0.0)
     p.add_argument("--profile", default="uniform")
     p.add_argument("--k-bootstrap", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, action=_Seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_protocol, parser=p)
 
@@ -434,7 +454,7 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", default="uniform")
     p.add_argument("--dark-prob", type=float, default=0.0)
     p.add_argument("--events", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, action=_Seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eve, parser=p)
 

@@ -8,10 +8,15 @@ byte is an error naming its line.  Slot indices lie in 1..2**64 - 1 and
 strictly increase.  Bit streams are either ``ascii01`` -- the bytes ``0``
 and ``1`` with ASCII whitespace (space, tab, LF, VT, FF, CR) ignored -- or
 a packed format with an 8-byte little-endian bit-count header followed by
-MSB-first bytes, zero-padded.  Reports are CSV.  Every file produced by
-the CLI is accompanied by a JSON run manifest (``<file>.manifest.json``)
-recording the exact command, parameters and random generator, so any
-output can be reproduced bit-exactly with ``tickrng replay``.
+MSB-first bytes, zero-padded.  The ``fmt`` of the four readers and
+writers is one of the strings ``ascii`` and ``binary`` for events,
+``ascii01`` and ``packed`` for bits; any other is a ``ValueError``.
+Reports are CSV; :func:`write_report` takes the battery's report without
+this module importing the battery, so event and bit I/O loads no
+``suite``.  Every file produced by the CLI is accompanied by a JSON run
+manifest (``<file>.manifest.json``) recording the exact command,
+parameters and random generator, so any output can be reproduced
+bit-exactly with ``tickrng replay``.
 
 Event files are written and parsed one fixed-size block at a time, by
 array kernels with no Python object per line, so the work memory does not
@@ -50,6 +55,7 @@ import json
 from bisect import bisect_right
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,11 +63,11 @@ from . import __version__
 from .errors import DataError
 from .extract import BitStream
 from .sim import ClockConfig, ClockMode, EventStream
-from .suite import TestReport
+
+if TYPE_CHECKING:
+    from .suite import TestReport
 
 __all__ = [
-    "EVENT_FORMATS",
-    "BIT_FORMATS",
     "read_events",
     "write_events",
     "read_bits",
@@ -74,8 +80,6 @@ __all__ = [
     "read_manifest",
 ]
 
-EVENT_FORMATS = ("ascii", "binary")
-BIT_FORMATS = ("ascii01", "packed")
 REPORT_HEADER = ("test_id", "test_index", "run_index", "p_value", "pass")
 
 
@@ -232,7 +236,7 @@ def _format_slots(slots: np.ndarray) -> np.ndarray:
 
 def read_events(path, fmt: str = "ascii") -> EventStream:
     """Read a free-running event stream; an empty file yields an empty stream."""
-    if fmt not in EVENT_FORMATS:
+    if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     clock = ClockConfig(mode=ClockMode.FREE_RUNNING)
     blob = Path(path).read_bytes()
@@ -245,7 +249,7 @@ def read_events(path, fmt: str = "ascii") -> EventStream:
 
 
 def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:
-    if fmt not in EVENT_FORMATS:
+    if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     encode = _format_slots if fmt == "ascii" else (lambda block: block.astype("<u8", copy=False))
     with Path(path).open("wb") as fh:
@@ -254,7 +258,7 @@ def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:
 
 
 def read_bits(path, fmt: str = "ascii01") -> BitStream:
-    if fmt not in BIT_FORMATS:
+    if fmt not in ("ascii01", "packed"):
         raise ValueError(f"unknown bit format {fmt!r}")
     blob = Path(path).read_bytes()
     if fmt == "ascii01":
@@ -283,7 +287,7 @@ def read_bits(path, fmt: str = "ascii01") -> BitStream:
 
 
 def write_bits(bits: BitStream, path, fmt: str = "ascii01") -> None:
-    if fmt not in BIT_FORMATS:
+    if fmt not in ("ascii01", "packed"):
         raise ValueError(f"unknown bit format {fmt!r}")
     path = Path(path)
     if fmt == "ascii01":

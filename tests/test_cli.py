@@ -27,14 +27,14 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 def test_cli_import_leaves_scipy_unloaded():
     """No runtime module needs scipy, the battery included, so a fresh
-    ``import tickrng.cli`` must not load it."""
+    ``import tickrng.cli, tickrng.suite`` must not load it."""
     code = (
         "import sys\n"
         "import tickrng.cli\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "assert not loaded, loaded\n"
         "from tickrng.suite import run_battery, TestReport, TestEntry, TestId\n"
         "assert run_battery.__module__ == 'tickrng.suite'\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -42,10 +42,10 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
     """Only a protocol round imports ``concurrent.futures`` (and with it
-    ``queue``), so a fresh ``import tickrng.cli`` must not load them."""
+    ``queue``), so a fresh ``import tickrng.cli, tickrng.qkd`` must not load them."""
     code = (
         "import sys\n"
-        "import tickrng.cli\n"
+        "import tickrng.cli, tickrng.qkd\n"
         "loaded = [m for m in ('concurrent.futures', 'queue') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
@@ -64,6 +64,54 @@ def test_bare_package_import_loads_no_module():
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# Each call, its exit code and its tickrng modules beyond the front end (the
+# package root, ``cli``, ``errors`` and ``models``); a call loads numpy
+# exactly when it loads one of them.
+PIPELINE = {"sim", "extract", "formats"}
+LAYERS_LOADED = {
+    "version": (["--version"], 0, set()),
+    "help": (["--help"], 0, set()),
+    "usage-error": (["simulate", "--mu", "0.5", "--out", "x"], 1, set()),
+    "negative-seed": (["simulate", "--mu", "0.5", "--events", "20", "--seed", "-1", "--out", "x"], 1, set()),
+    "bias": (["bias", "--mu", "0.5", "--seed", "1"], 0, set()),
+    "simulate": (["simulate", "--mu", "0.5", "--events", "20", "--seed", "1", "--out", "x"], 0, PIPELINE),
+    "extract": (["extract", "--events", "events.txt", "--out", "x"], 0, PIPELINE),
+    "test": (["test", "--bits", "bits.txt", "--run-len", "100", "--out", "x"], 0, PIPELINE | {"suite", "lfsr"}),
+    "protocol": (["protocol", "--mu", "0.5", "--gates", "100", "--seed", "1"], 0, {"sim", "extract", "qkd"}),
+    "eve": (["eve", "--mu", "0.5", "--events", "100", "--seed", "1"], 0, {"sim", "extract", "qkd"}),
+}
+
+LOADED_AFTER_CALL = """
+import sys
+from tickrng.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:  # --version exits from inside argparse
+    rc = exc.code
+print(rc, *sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "tickrng"))
+"""
+
+
+@pytest.mark.parametrize("call", LAYERS_LOADED)
+def test_each_call_loads_only_its_own_layers(tmp_path, call):
+    """In a fresh interpreter: ``--version``, ``--help``, a usage error and an
+    analytic ``bias`` load no numpy; ``simulate`` and ``extract`` no battery and no
+    ``qkd``; ``test`` no ``qkd``; ``protocol`` and ``eve`` no battery."""
+    argv, exit_code, layers = LAYERS_LOADED[call]
+    (tmp_path / "events.txt").write_text("1\n3\n4\n")
+    (tmp_path / "bits.txt").write_text("0110" * 50)
+    env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_CALL, *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    rc, *loaded = done.stdout.splitlines()[-1].split()
+    assert int(rc) == exit_code, done.stderr
+    front_end = {"tickrng", "tickrng.cli", "tickrng.errors", "tickrng.models"}
+    numpy = {"numpy"} if layers else set()
+    assert set(loaded) == front_end | numpy | {f"tickrng.{m}" for m in layers}
 
 
 def test_battery_report_is_the_same_without_scipy(capsys, tmp_path):
@@ -244,6 +292,33 @@ def test_numbers_in_the_grammar_read_as_before(capsys):
     assert stdout(*profile, "--profile", "weighted:2.5e-1,0.75") == stdout(
         *profile, "--profile", "weighted:0.25,0.75")
     assert stdout(*profile, "--profile", "fixed:02") == stdout(*profile, "--profile", "fixed:2")
+
+
+# One run per subcommand that takes --seed; bias both with and without
+# its Monte Carlo part, which alone uses the seed.
+SEEDED_RUNS = {
+    "simulate": ["simulate", "--mu", "0.5", "--events", "10", "--out", "x"],
+    "bias": ["bias", "--mu", "0.5"],
+    "bias-mc": ["bias", "--mu", "0.5", "--mc-events", "10"],
+    "protocol": ["protocol", "--mu", "0.5", "--gates", "100", "--out", "x"],
+    "eve": ["eve", "--mu", "0.5", "--events", "100", "--out", "x"],
+}
+
+
+def test_every_subcommand_with_a_seed_has_a_seeded_run():
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seeded = {name for name, parser in subcommands.choices.items() if "--seed" in parser._option_string_actions}
+    assert seeded == {argv[0] for argv in SEEDED_RUNS.values()}
+
+
+@pytest.mark.parametrize("case", SEEDED_RUNS)
+@pytest.mark.parametrize("seed", ["-1", "-007", str(-2**64)])
+def test_a_negative_seed_is_a_usage_error_naming_the_option(capsys, tmp_path, monkeypatch, case, seed):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *SEEDED_RUNS[case], "--seed", seed)
+    assert (rc, out) == (1, "")
+    assert err == f"usage error: argument --seed: expected a non-negative integer, got {int(seed)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("subcommand", ["bias", "simulate", "protocol", "eve"])

@@ -133,18 +133,37 @@ def test_the_test_oracles_take_no_private_names():
     assert private_imports(Path(__file__).with_name("conftest.py").read_text()) == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(scope: ast.AST):
+    """The nodes under ``scope``, in source order, but not those of the
+    functions defined inside it."""
+    for node in ast.iter_child_nodes(scope):
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            yield from own_nodes(node)
+
+
 def unused_imports(source: str) -> list[str]:
-    """Each name a module imports and neither reads nor lists in ``__all__``."""
+    """Each name a module imports and neither reads nor lists in ``__all__``.
+
+    A name imported inside a function must be read inside that function,
+    the functions nested in it included."""
     tree = ast.parse(source)
-    imported, used = [], set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
-            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
-            used.update(ast.literal_eval(node.value))
-    return [name for name in imported if name not in used]
+    unused = []
+    for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, FUNCTIONS)]:
+        imported, used = [], set()
+        for node in own_nodes(scope):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                used.update(ast.literal_eval(node.value))
+        unused += [name for name in imported if name not in used]
+    return unused
 
 
 def test_the_checker_sees_unused_imports():
@@ -154,6 +173,17 @@ def test_the_checker_sees_unused_imports():
     )
     assert unused_imports(source) == ["os", "rng"]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def test_the_checker_reads_a_function_level_import_in_its_own_function():
+    source = (
+        "import math\n"
+        "def f():\n    import numpy as np\n    from .sim import rng\n    return rng\n"
+        "def g():\n    from .suite import TestId\n    def h():\n        return TestId\n    return np, math\n"
+        "class C:\n    def m(self):\n        import os\n        return lambda: os\n"
+    )
+    assert unused_imports(source) == ["np"]
+    assert unused_imports("def f():\n    import os\n\ndef g():\n    return os\n") == ["os"]
 
 
 def test_no_module_imports_a_name_it_does_not_use():
