@@ -26,8 +26,8 @@ from .errors import DataError, GuardError
 from .models import Distribution, SourceModel, parity_probabilities
 
 # Beyond the standard library this module imports only ``errors`` and the
-# closed forms of ``models`` here; each subcommand imports the layers it runs
-# when it runs.  So ``--version``, ``--help``, a usage error and an analytic
+# closed forms of ``models``; each subcommand imports the layers it runs when
+# it runs.  So ``--version``, ``--help``, a usage error and an analytic
 # ``bias`` load no numpy; ``simulate`` and ``extract`` load ``sim``,
 # ``extract`` and ``formats``; ``test`` adds the battery (``suite`` and
 # ``lfsr``) but not ``qkd``; and ``protocol`` and ``eve`` load ``qkd`` but not
