@@ -29,9 +29,10 @@ from .models import Distribution, SourceModel, parity_probabilities
 # closed forms of ``models``; each subcommand imports the layers it runs when
 # it runs.  So ``--version``, ``--help``, a usage error and an analytic
 # ``bias`` load no numpy; ``simulate`` and ``extract`` load ``sim``,
-# ``extract`` and ``formats``; ``test`` adds the battery (``suite`` and
-# ``lfsr``) but not ``qkd``; and ``protocol`` and ``eve`` load ``qkd`` but not
-# the battery.  (The module docstring is the --help text, so this is a comment.)
+# ``extract`` and ``formats``; ``test`` loads ``extract``, ``formats`` and the
+# battery (``suite`` and ``lfsr``) but no simulator and no ``qkd``; and
+# ``protocol`` and ``eve`` load ``qkd`` but not the battery.  (The module
+# docstring is the --help text, so this is a comment.)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -152,7 +153,6 @@ def _stage(args, write, summary: str = "", conventions=(), **parameters) -> None
     import numpy as np
 
     from .formats import RunManifest, write_manifest
-    from .sim import GENERATOR_ALGORITHM
 
     write(args.out)
     argv, declared = [args.subcommand], {}
@@ -170,6 +170,8 @@ def _stage(args, write, summary: str = "", conventions=(), **parameters) -> None
             declared[action.dest] = value
     generator = None
     if "seed" in vars(args):
+        from .sim import GENERATOR_ALGORITHM
+
         generator = {"algorithm": GENERATOR_ALGORITHM, "seed": args.seed, "numpy": np.__version__}
     manifest = RunManifest(
         subcommand=args.subcommand,

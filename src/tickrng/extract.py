@@ -4,10 +4,7 @@ The number of clock slots between consecutive detections, taken modulo
 2, is the raw random bit; taken modulo 4, its high and low bits are a
 basis/key bit pair (:func:`mod4_arrays`).  The raw bits carry a known
 bias towards odd counts; :func:`flip_debias` removes it by alternating
-the bit assignment on every detection.  Before any signal is admitted, a
-buffer of bits can be produced from dark counts alone
-(:func:`bootstrap_buffer`) so the first basis choices never depend on
-observable detections.
+the bit assignment on every detection.
 
 Both extractors read only the interval modulo 4, so they work on the
 slots' low byte: ``slots.astype(uint8)`` keeps each slot modulo 256 and
@@ -19,12 +16,14 @@ interval is 2**32 or more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DataError, GuardError, as_count
-from .models import Distribution, SourceModel
-from .sim import ClockConfig, ClockMode, EventStream, generate_free_running
+from .errors import DataError
+
+if TYPE_CHECKING:
+    from .sim import EventStream
 
 __all__ = [
     "bit_array",
@@ -35,7 +34,6 @@ __all__ = [
     "mod4_arrays",
     "flip_debias",
     "balance",
-    "bootstrap_buffer",
 ]
 
 
@@ -153,29 +151,3 @@ def balance(bits: BitStream | tuple[int, int]) -> float:
     ones, length = (bits.ones(), len(bits)) if isinstance(bits, BitStream) else bits
     zeros = length - ones
     return min(ones, zeros) / max(ones, zeros) if ones and zeros else 0.0
-
-
-def bootstrap_buffer(clock: ClockConfig, k: int, seed) -> BitStream:
-    """Produce ``k`` basis bits from dark counts alone (input light blocked).
-
-    Simulates the blocked-input phase: dark counts arrive per clock slot
-    with probability ``clock.dark_prob`` (dead time still applies); the
-    ``k`` intervals between them, the first counted from tick 0, give
-    ``k`` mod-2 bits that pre-fill the basis buffer before any signal is
-    admitted.  Equivalent to ``extract_mod2`` on a free-running stream
-    generated from a zero-photon source with the same dark probability,
-    dead time and seed.
-    """
-    k = as_count(k, "bootstrap length")
-    if k == 0:
-        return BitStream(np.empty(0, dtype=np.uint8))
-    if clock.dark_prob <= 0.0:
-        raise GuardError("bootstrap requires a positive dark-count probability")
-    blocked_input = SourceModel(Distribution.POISSON, 0.0, 0.0)
-    quiet_clock = ClockConfig(
-        mode=ClockMode.FREE_RUNNING,
-        dark_prob=clock.dark_prob,
-        dead_slots=clock.dead_slots,
-    )
-    stream = generate_free_running(blocked_input, quiet_clock, k, seed)
-    return extract_mod2(stream)

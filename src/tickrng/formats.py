@@ -13,10 +13,11 @@ writers is one of the strings ``ascii`` and ``binary`` for events,
 ``ascii01`` and ``packed`` for bits; any other is a ``ValueError``.
 Reports are CSV; :func:`write_report` takes the battery's report without
 this module importing the battery, so event and bit I/O loads no
-``suite``.  Every file produced by the CLI is accompanied by a JSON run
-manifest (``<file>.manifest.json``) recording the exact command,
-parameters and random generator, so any output can be reproduced
-bit-exactly with ``tickrng replay``.
+``suite``; and only :func:`read_events` imports the simulator's types,
+so bit and report I/O loads no ``sim``.  Every file produced by the CLI
+is accompanied by a JSON run manifest (``<file>.manifest.json``)
+recording the exact command, parameters and random generator, so any
+output can be reproduced bit-exactly with ``tickrng replay``.
 
 Event files are written and parsed one fixed-size block at a time, by
 array kernels with no Python object per line, so the work memory does not
@@ -62,9 +63,9 @@ import numpy as np
 from . import __version__
 from .errors import DataError
 from .extract import BitStream
-from .sim import ClockConfig, ClockMode, EventStream
 
 if TYPE_CHECKING:
+    from .sim import EventStream
     from .suite import TestReport
 
 __all__ = [
@@ -236,6 +237,8 @@ def _format_slots(slots: np.ndarray) -> np.ndarray:
 
 def read_events(path, fmt: str = "ascii") -> EventStream:
     """Read a free-running event stream; an empty file yields an empty stream."""
+    from .sim import ClockConfig, ClockMode, EventStream
+
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     clock = ClockConfig(mode=ClockMode.FREE_RUNNING)

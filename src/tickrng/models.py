@@ -20,18 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import as_count
-
-__all__ = [
-    "Distribution",
-    "SourceModel",
-    "AnalyticBias",
-    "photon_pmf",
-    "click_probability",
-    "window_pmf",
-    "parity_probabilities",
-    "balance_ratio",
-]
+__all__ = ["Distribution", "SourceModel", "AnalyticBias", "click_probability", "parity_probabilities"]
 
 
 class Distribution(str, Enum):
@@ -80,20 +69,6 @@ class AnalyticBias:
             raise ValueError("parity probabilities must sum to 1")
 
 
-def photon_pmf(source: SourceModel, n: int) -> float:
-    """Probability of exactly ``n`` photons in one detection window before loss.
-
-    Poissonian: ``exp(-mu) mu^n / n!``.  Thermal: ``mu^n / (mu+1)^(n+1)``.
-    """
-    n = as_count(n, "photon number")
-    mu = source.mu
-    if mu == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if source.distribution is Distribution.POISSON:
-        return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
-    return math.exp(n * math.log(mu) - (n + 1) * math.log1p(mu))
-
-
 def click_probability(source: SourceModel) -> float:
     """Probability that at least one photon is detected in one window.
 
@@ -107,37 +82,15 @@ def click_probability(source: SourceModel) -> float:
     return me / (me + 1.0)
 
 
-def window_pmf(p: float, n: int) -> float:
-    """Probability that the first clicking window is window ``n`` (1-indexed).
-
-    Windows click independently with probability ``p``, so the index is
-    geometric: ``(1-p)^(n-1) * p``.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"click probability must lie in [0, 1], got {p!r}")
-    return (1.0 - p) ** (as_count(n, "window index", positive=True) - 1) * p
-
-
 def parity_probabilities(source: SourceModel) -> AnalyticBias:
     """Closed-form probability that the first clicking window index is even/odd.
 
     With ``q`` the probability that a window stays dark -- ``exp(-mu*eta)``
     (Poissonian) or ``1/(mu*eta + 1)`` (thermal) -- the index is geometric
-    with ratio ``q``, and the alternating tail sums of :func:`window_pmf`
-    are ``P_EVEN = q/(1+q)`` and ``P_ODD = 1/(1+q)``: (0.5, 0.5) at
-    ``mu*eta = 0``, and no overflow however bright the source.
+    with ratio ``q``, and the alternating tail sums of its pmf
+    ``(1-q) q^(n-1)`` are ``P_EVEN = q/(1+q)`` and ``P_ODD = 1/(1+q)``:
+    (0.5, 0.5) at ``mu*eta = 0``, and no overflow however bright the source.
     """
     me = source.effective_mean
     q = math.exp(-me) if source.distribution is Distribution.POISSON else 1.0 / (me + 1.0)
     return AnalyticBias(p_even=q / (1.0 + q), p_odd=1.0 / (1.0 + q))
-
-
-def balance_ratio(p: float) -> float:
-    """Predicted zeros/ones balance ``P_EVEN / P_ODD = 1 - p`` of raw parity bits.
-
-    ``p`` is the per-window click probability; at ``p = 1`` every gap is a
-    single window, all bits are odd, and the ratio degenerates to 0.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"click probability must lie in [0, 1], got {p!r}")
-    return 1.0 - p

@@ -2,10 +2,12 @@
 
 Both parties derive their measurement-basis bits from the clock counts
 between their own detections (photon clicks and dark counts alike
-advance the chooser), optionally seeded by a buffer of dark-count-only
-bootstrap bits.  Detection ``T`` uses the chooser's ``T``-th output:
-the ``T``-th bootstrap bit while the buffer lasts, afterwards the bit
-derived from the interval ending at detection ``T - k_bootstrap``.
+advance the chooser).  Before any signal is admitted, a buffer of bits
+can be produced from dark counts alone (:func:`bootstrap_buffer`) so the
+first basis choices never depend on observable detections.  Detection
+``T`` uses the chooser's ``T``-th output: the ``T``-th bootstrap bit
+while the buffer lasts, afterwards the bit derived from the interval
+ending at detection ``T - k_bootstrap``.
 
 The channel is classical-correlation level: on matched bases Bob's bit
 equals Alice's except with the intrinsic error probability; on
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GuardError, as_count
-from .extract import balance, bootstrap_buffer, interval_bytes
+from .extract import BitStream, balance, extract_mod2, interval_bytes
 from .models import click_probability, Distribution, SourceModel
 from .sim import (
     ClockConfig,
@@ -51,11 +53,12 @@ from .sim import (
     IntraGateProfile,
     apply_dead_time,
     check_slots,
+    generate_free_running,
     generate_gated,
     rng,
 )
 
-__all__ = ["ProtocolParams", "ProtocolResult", "run_bbm92", "run_bb84", "eve_qnd_advantage"]
+__all__ = ["ProtocolParams", "ProtocolResult", "bootstrap_buffer", "run_bbm92", "run_bb84", "eve_qnd_advantage"]
 
 
 @dataclass(frozen=True)
@@ -308,6 +311,32 @@ def _round(params: ProtocolParams, seed_src, seed_pair, alice, bob) -> ProtocolR
         sift_fraction=n_sift / n_coinc if n_coinc else 0.0,
         pair_gates=pair_gates,
     )
+
+
+def bootstrap_buffer(clock: ClockConfig, k: int, seed) -> BitStream:
+    """Produce ``k`` basis bits from dark counts alone (input light blocked).
+
+    Simulates the blocked-input phase: dark counts arrive per clock slot
+    with probability ``clock.dark_prob`` (dead time still applies); the
+    ``k`` intervals between them, the first counted from tick 0, give
+    ``k`` mod-2 bits that pre-fill the basis buffer before any signal is
+    admitted.  Equivalent to ``extract_mod2`` on a free-running stream
+    generated from a zero-photon source with the same dark probability,
+    dead time and seed.
+    """
+    k = as_count(k, "bootstrap length")
+    if k == 0:
+        return BitStream(np.empty(0, dtype=np.uint8))
+    if clock.dark_prob <= 0.0:
+        raise GuardError("bootstrap requires a positive dark-count probability")
+    blocked_input = SourceModel(Distribution.POISSON, 0.0, 0.0)
+    quiet_clock = ClockConfig(
+        mode=ClockMode.FREE_RUNNING,
+        dark_prob=clock.dark_prob,
+        dead_slots=clock.dead_slots,
+    )
+    stream = generate_free_running(blocked_input, quiet_clock, k, seed)
+    return extract_mod2(stream)
 
 
 def run_bbm92(params: ProtocolParams) -> ProtocolResult:

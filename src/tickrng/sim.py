@@ -11,7 +11,8 @@ accepted click suppresses later candidates.
 
 Gap sampling uses inverse-CDF geometric draws rather than per-slot
 Bernoulli trials; the two are distributionally identical and the tests
-check the generated gap histogram against :func:`tickrng.models.window_pmf`.
+check the generated gap histogram against the geometric window pmf, the
+``window_pmf`` oracle of ``tests/conftest.py``.
 Gated draws come in ``_BLOCK``-slot blocks, in one call's draw order.
 """
 

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tickrng.errors import DataError
+from tickrng.errors import DataError, as_count
 from tickrng.extract import BitStream
-from tickrng.models import SourceModel, window_pmf
+from tickrng.models import Distribution, SourceModel
 from tickrng.sim import apply_dead_time, generate_gated
 from tickrng.suite import TestEntry, TestId, TestReport, run_battery
 
@@ -48,6 +48,44 @@ def reference_report() -> TestReport:
     rng = np.random.Generator(np.random.PCG64(REFERENCE_SEED))
     bits = BitStream(rng.integers(0, 2, REFERENCE_RUNS * RUN_LEN, dtype=np.uint8))
     return run_battery(bits, run_len=RUN_LEN)
+
+
+# Closed forms that the program does not compute; the tests check the
+# simulations and ``models`` against them.
+def photon_pmf(source: SourceModel, n: int) -> float:
+    """Probability of exactly ``n`` photons in one detection window before loss.
+
+    Poissonian: ``exp(-mu) mu^n / n!``.  Thermal: ``mu^n / (mu+1)^(n+1)``.
+    """
+    n = as_count(n, "photon number")
+    mu = source.mu
+    if mu == 0.0:
+        return 1.0 if n == 0 else 0.0
+    if source.distribution is Distribution.POISSON:
+        return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+    return math.exp(n * math.log(mu) - (n + 1) * math.log1p(mu))
+
+
+def window_pmf(p: float, n: int) -> float:
+    """Probability that the first clicking window is window ``n`` (1-indexed).
+
+    Windows click independently with probability ``p``, so the index is
+    geometric: ``(1-p)^(n-1) * p``.
+    """
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"click probability must lie in [0, 1], got {p!r}")
+    return (1.0 - p) ** (as_count(n, "window index", positive=True) - 1) * p
+
+
+def balance_ratio(p: float) -> float:
+    """Predicted zeros/ones balance ``P_EVEN / P_ODD = 1 - p`` of raw parity bits.
+
+    ``p`` is the per-window click probability; at ``p = 1`` every gap is a
+    single window, all bits are odd, and the ratio degenerates to 0.
+    """
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"click probability must lie in [0, 1], got {p!r}")
+    return 1.0 - p
 
 
 def geometric_gof_pvalue(gaps, p: float, max_n: int = 50) -> float:

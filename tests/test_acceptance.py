@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import binomial_sigma, geometric_gof_pvalue
+from conftest import balance_ratio, binomial_sigma, geometric_gof_pvalue
 from tickrng.extract import (
     BitStream,
     balance,
@@ -22,7 +22,7 @@ from tickrng.extract import (
 )
 from tickrng.formats import read_bits, write_bits
 from tickrng.lfsr import lfsr_complexities
-from tickrng.models import Distribution, SourceModel, balance_ratio, parity_probabilities
+from tickrng.models import Distribution, SourceModel, parity_probabilities
 from tickrng.qkd import ProtocolParams, eve_qnd_advantage, run_bbm92
 from tickrng.sim import (
     ClockConfig,

@@ -53,17 +53,27 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_bare_package_import_loads_no_module():
+# Each module and the package's modules beyond the root that importing it loads.
+IMPORT_LOADS = {"tickrng": set(), "tickrng.suite": {"errors", "extract", "lfsr", "suite"}}
+
+
+@pytest.mark.parametrize("module", IMPORT_LOADS)
+def test_bare_package_import_loads_no_module(module):
     """The package root holds only ``__version__``, so a fresh
-    ``import tickrng`` must load none of its modules and not numpy."""
+    ``import tickrng`` must load none of its modules and not numpy; the
+    battery works on bits alone, so a fresh ``import tickrng.suite`` loads
+    the bits layer and no simulator."""
     code = (
         "import sys\n"
-        "import tickrng\n"
-        "loaded = [m for m in sys.modules if m.startswith('tickrng.') or m.split('.')[0] == 'numpy']\n"
-        "assert not loaded, loaded\n"
+        f"import {module}\n"
+        "numpy = any(m.split('.')[0] == 'numpy' for m in sys.modules)\n"
+        "print(numpy, *sorted(m for m in sys.modules if m.split('.')[0] == 'tickrng'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    numpy, *loaded = done.stdout.split()
+    assert numpy == str(bool(IMPORT_LOADS[module]))
+    assert set(loaded) == {"tickrng"} | {f"tickrng.{m}" for m in IMPORT_LOADS[module]}
 
 
 # Each call, its exit code and its tickrng modules beyond the front end (the
@@ -78,7 +88,7 @@ LAYERS_LOADED = {
     "bias": (["bias", "--mu", "0.5", "--seed", "1"], 0, set()),
     "simulate": (["simulate", "--mu", "0.5", "--events", "20", "--seed", "1", "--out", "x"], 0, PIPELINE),
     "extract": (["extract", "--events", "events.txt", "--out", "x"], 0, PIPELINE),
-    "test": (["test", "--bits", "bits.txt", "--run-len", "100", "--out", "x"], 0, PIPELINE | {"suite", "lfsr"}),
+    "test": (["test", "--bits", "bits.txt", "--run-len", "100", "--out", "x"], 0, {"extract", "formats", "suite", "lfsr"}),
     "protocol": (["protocol", "--mu", "0.5", "--gates", "100", "--seed", "1"], 0, {"sim", "extract", "qkd"}),
     "eve": (["eve", "--mu", "0.5", "--events", "100", "--seed", "1"], 0, {"sim", "extract", "qkd"}),
 }
@@ -98,7 +108,7 @@ print(rc, *sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "
 def test_each_call_loads_only_its_own_layers(tmp_path, call):
     """In a fresh interpreter: ``--version``, ``--help``, a usage error and an
     analytic ``bias`` load no numpy; ``simulate`` and ``extract`` no battery and no
-    ``qkd``; ``test`` no ``qkd``; ``protocol`` and ``eve`` no battery."""
+    ``qkd``; ``test`` no simulator and no ``qkd``; ``protocol`` and ``eve`` no battery."""
     argv, exit_code, layers = LAYERS_LOADED[call]
     (tmp_path / "events.txt").write_text("1\n3\n4\n")
     (tmp_path / "bits.txt").write_text("0110" * 50)

@@ -1,7 +1,6 @@
 """Bit extraction: hand-worked interval examples plus distributional checks."""
 
 import dataclasses
-import hashlib
 import math
 
 import numpy as np
@@ -10,18 +9,16 @@ from scipy.stats import chisquare
 
 from conftest import (
     binomial_sigma,
-    geometric_gof_pvalue,
     reference_intervals,
     reference_mod2,
     reference_mod4,
 )
-from tickrng.errors import DataError, GuardError
+from tickrng.errors import DataError
 from tickrng.extract import (
     BitStream,
     ExtractorConfig,
     balance,
     bit_array,
-    bootstrap_buffer,
     extract_mod2,
     flip_debias,
     interval_bytes,
@@ -236,45 +233,6 @@ def test_gated_mod4_symbols_are_uniform():
     values = (gaps % np.uint64(4)).astype(np.int64)
     counts = [int(np.count_nonzero(values == v)) for v in range(4)]
     assert chisquare(counts).pvalue > 0.001
-
-
-def test_bootstrap_length_and_edge_cases():
-    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dark_prob=0.1)
-    assert len(bootstrap_buffer(clock, 0, seed=1)) == 0
-    assert len(bootstrap_buffer(clock, 5, seed=1)) == 5
-    with pytest.raises(ValueError):
-        bootstrap_buffer(clock, -1, seed=1)
-    # Its own message, not the simulator's zero-click-probability one.
-    with pytest.raises(GuardError, match="^bootstrap requires a positive dark-count probability$"):
-        bootstrap_buffer(ClockConfig(mode=ClockMode.FREE_RUNNING), 5, seed=1)
-
-
-def test_bootstrap_matches_a_dark_only_stream():
-    """The buffer equals mod-2 extraction of dark counts with the light blocked."""
-    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dark_prob=0.01, dead_slots=2)
-    buffer = bootstrap_buffer(clock, 100_000, seed=97)
-    blocked = SourceModel(Distribution.POISSON, 0.0, 0.0)
-    dark_stream = generate_free_running(blocked, clock, 100_000, seed=97)
-    assert buffer == extract_mod2(dark_stream)
-    gaps = np.diff(dark_stream.slots) - 2  # dead time shifts every gap
-    assert geometric_gof_pvalue(gaps, 0.01, max_n=50) > 0.001
-
-
-@pytest.mark.parametrize("dark, dead, seed, expected", [
-    (0.01, 0, 431, "eb22ae37d3fb7baad7a31df844ba29bee521079eb81d2e6e50b2b6267ee46f93"),
-    (0.2, 3, 433, "d5e6065099787ce0542bd94d2daf1fd698151b92c2bd14f4b02e7c3c26bcf447"),
-])
-def test_bootstrap_bits_are_pinned(dark, dead, seed, expected):
-    """SHA-256 of 5000 bootstrap bits, one byte per bit."""
-    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dark_prob=dark, dead_slots=dead)
-    bits = bootstrap_buffer(clock, 5000, seed=seed).bits
-    assert hashlib.sha256(bits.tobytes()).hexdigest() == expected
-
-
-def test_bootstrap_is_deterministic():
-    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dark_prob=0.05)
-    assert bootstrap_buffer(clock, 1000, seed=5) == bootstrap_buffer(clock, 1000, seed=5)
-    assert bootstrap_buffer(clock, 1000, seed=5) != bootstrap_buffer(clock, 1000, seed=6)
 
 
 def test_bitstream_validation_and_helpers():

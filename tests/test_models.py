@@ -4,16 +4,8 @@ import math
 
 import pytest
 
-from tickrng.models import (
-    AnalyticBias,
-    Distribution,
-    SourceModel,
-    balance_ratio,
-    click_probability,
-    parity_probabilities,
-    photon_pmf,
-    window_pmf,
-)
+from conftest import balance_ratio, photon_pmf, window_pmf
+from tickrng.models import AnalyticBias, Distribution, SourceModel, click_probability, parity_probabilities
 
 MU_ETA_GRID = [0.05, 0.1, 0.5, 1.0, 2.0, 5.0]
 

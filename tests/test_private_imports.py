@@ -102,11 +102,6 @@ def test_the_checker_sees_reads_and_imports():
     assert names_read(source, imports=True) == {"check_slots", "rng", "report", "entries", "y", "os"}
 
 
-# The closed forms the tests check simulations against; ``balance_ratio``
-# is to become the free-running case of an exact model of the timing bits.
-PUBLIC_FOR_THE_TESTS = {"photon_pmf", "window_pmf", "balance_ratio"}
-
-
 def test_every_public_name_is_read():
     """By a module of the package other than ``__init__.py``, or by the
     benchmark or a python block of the README."""
@@ -122,7 +117,7 @@ def test_every_public_name_is_read():
         f"{module.__name__}.{name}"
         for module, public in exported_names()
         for name in public
-        if name not in read | PUBLIC_FOR_THE_TESTS
+        if name not in read
     }
     assert unread == set()
 

@@ -1,6 +1,8 @@
-"""Protocol harness: sifting statistics, QBER, and the timing adversary."""
+"""Protocol harness: the dark-count bootstrap, sifting statistics, QBER, and
+the timing adversary."""
 
 import dataclasses
+import hashlib
 import math
 import sys
 import threading
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    geometric_gof_pvalue,
     reference_at_coincidences,
     reference_click_probabilities,
     reference_dead_time,
@@ -18,9 +21,18 @@ from conftest import (
 )
 from tickrng import qkd
 from tickrng.errors import DataError, GuardError
+from tickrng.extract import extract_mod2
 from tickrng.models import Distribution, SourceModel
-from tickrng.qkd import ProtocolParams, eve_qnd_advantage, run_bb84, run_bbm92
-from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, apply_dead_time, check_slots, rng
+from tickrng.qkd import ProtocolParams, bootstrap_buffer, eve_qnd_advantage, run_bb84, run_bbm92
+from tickrng.sim import (
+    ClockConfig,
+    ClockMode,
+    IntraGateProfile,
+    apply_dead_time,
+    check_slots,
+    generate_free_running,
+    rng,
+)
 
 GATED_2 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
 GATED_4 = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4)
@@ -107,6 +119,45 @@ def test_bbm92_bootstrap_prefills_the_basis_choosers():
 def test_bootstrap_without_dark_counts_is_guarded():
     with pytest.raises(GuardError):
         run_bbm92(make_params(k_bootstrap=100, n_gates=1000))
+
+
+def test_bootstrap_length_and_edge_cases():
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dark_prob=0.1)
+    assert len(bootstrap_buffer(clock, 0, seed=1)) == 0
+    assert len(bootstrap_buffer(clock, 5, seed=1)) == 5
+    with pytest.raises(ValueError):
+        bootstrap_buffer(clock, -1, seed=1)
+    # Its own message, not the simulator's zero-click-probability one.
+    with pytest.raises(GuardError, match="^bootstrap requires a positive dark-count probability$"):
+        bootstrap_buffer(ClockConfig(mode=ClockMode.FREE_RUNNING), 5, seed=1)
+
+
+def test_bootstrap_matches_a_dark_only_stream():
+    """The buffer equals mod-2 extraction of dark counts with the light blocked."""
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dark_prob=0.01, dead_slots=2)
+    buffer = bootstrap_buffer(clock, 100_000, seed=97)
+    blocked = SourceModel(Distribution.POISSON, 0.0, 0.0)
+    dark_stream = generate_free_running(blocked, clock, 100_000, seed=97)
+    assert buffer == extract_mod2(dark_stream)
+    gaps = np.diff(dark_stream.slots) - 2  # dead time shifts every gap
+    assert geometric_gof_pvalue(gaps, 0.01, max_n=50) > 0.001
+
+
+@pytest.mark.parametrize("dark, dead, seed, expected", [
+    (0.01, 0, 431, "eb22ae37d3fb7baad7a31df844ba29bee521079eb81d2e6e50b2b6267ee46f93"),
+    (0.2, 3, 433, "d5e6065099787ce0542bd94d2daf1fd698151b92c2bd14f4b02e7c3c26bcf447"),
+])
+def test_bootstrap_bits_are_pinned(dark, dead, seed, expected):
+    """SHA-256 of 5000 bootstrap bits, one byte per bit."""
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dark_prob=dark, dead_slots=dead)
+    bits = bootstrap_buffer(clock, 5000, seed=seed).bits
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == expected
+
+
+def test_bootstrap_is_deterministic():
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dark_prob=0.05)
+    assert bootstrap_buffer(clock, 1000, seed=5) == bootstrap_buffer(clock, 1000, seed=5)
+    assert bootstrap_buffer(clock, 1000, seed=5) != bootstrap_buffer(clock, 1000, seed=6)
 
 
 def test_bbm92_is_deterministic():
