@@ -36,6 +36,15 @@ learns which *gate* each detection fell into, but not the slot inside
 the gate.  She guesses each basis bit as the parity of the gate interval
 times ``slots_per_gate``, the first guess flipped when odd intra-gate slots
 are the likelier ones (the maximum-likelihood guess only without dead time).
+Her score depends on the intra-gate slots alone.  Without dead time she
+scores them block by block as ``intra_gate_slots`` draws them, so her
+memory does not grow with the events; with it, which clicks survive
+depends on their absolute slots, so Bob's whole stream is drawn first.
+
+Neither a round nor the streamed adversary is bounded by an allocation,
+so a round takes at most ``_MAX_WORK`` gates and the streamed adversary
+at most ``_MAX_WORK`` events per gate width: a count that would run for
+days is refused at once, after the reach guards, rather than run.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from .sim import (
     check_slots,
     generate_free_running,
     generate_gated,
+    intra_gate_slots,
     rng,
 )
 
@@ -120,6 +130,10 @@ _NONE = 2
 # click probabilities take 1 MiB each, however many gates a round has.
 # Larger blocks were slower in-process, not faster.
 _GATE_BLOCK = 1 << 17
+
+# The most gates a round, and events a gate width of the adversary, may
+# take: at 30-40 ns each on two shared cores, about 10 hours.
+_MAX_WORK = 1 << 40
 
 # Pair numbers are drawn in whole gate blocks, at least this many gates at
 # a time.  Handing a draw to the helper thread and back took about 0.1 ms
@@ -252,6 +266,12 @@ def _party(params: ProtocolParams, who: str) -> SourceModel:
     return party
 
 
+def _check_work(count: int, what: str) -> None:
+    """:class:`GuardError` if ``count`` is past ``_MAX_WORK``; ``what`` names its unit."""
+    if count > _MAX_WORK:
+        raise GuardError(f"at most {_MAX_WORK} {what}, got {count}")
+
+
 def _sift_block(alice, bob, n_photons: np.ndarray, start: int, error_rng, error: float) -> tuple[int, ...]:
     """The counts of the gate block from ``start`` on: Alice's ones and
     detections, Bob's, the coincidences, the matched bases among them and
@@ -342,6 +362,7 @@ def bootstrap_buffer(clock: ClockConfig, k: int, seed) -> BitStream:
 def run_bbm92(params: ProtocolParams) -> ProtocolResult:
     """Entangled-pair protocol: both parties choose bases from their detection times."""
     alice, bob = _party(params, "Alice"), _party(params, "Bob")
+    _check_work(params.n_gates, "gates per round")
     seed_src, seed_a, seed_b, seed_pair, boot_a, boot_b = (
         np.random.SeedSequence(params.seed).spawn(6)
     )
@@ -370,6 +391,7 @@ def run_bb84(params: ProtocolParams, heralded_alice: bool = False) -> ProtocolRe
         alice = _Detector(seed_a, n, _party(params, "Alice").eta, params.clock_alice, profile, empty, 1)
     else:
         alice = _Sender(seed_a)
+    _check_work(n, "gates per round")
     boot = bootstrap_buffer(clock_b, params.k_bootstrap, boot_b).bits
     return _round(params, seed_src, seed_pair, alice, _Detector(seed_b, n, survival_b, clock_b, profile, boot, 0))
 
@@ -384,6 +406,11 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     i is at slot g * slots_per_gate + i, so a guess is right where i's parity
     equals the last detection's, or the likelier parity for the first.
     Returns the empirical probability of a correct guess minus 1/2.
+
+    Without dead time the i come from ``intra_gate_slots`` one block at a
+    time, and more than ``_MAX_WORK`` events are refused after its guards.
+    With dead time, which clicks survive depends on their absolute slots,
+    so Bob's whole stream is drawn first and its i taken block by block.
     """
     clock = params.clock_bob
     if clock.mode is not ClockMode.GATED:
@@ -391,21 +418,20 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     n_events = as_count(n_events, "n_events", positive=True)
     bob = _party(params, "Bob")
     (child,) = np.random.SeedSequence(params.seed).spawn(1)
-    stream = generate_gated(bob, clock, params.profile, n_events, child)
-
     r = clock.slots_per_gate
+    if clock.dead_slots:
+        slots = generate_gated(bob, clock, params.profile, n_events, child).slots
+        blocks = ((slots[s : s + _GATE_BLOCK] - 1) % r + 1 for s in range(0, n_events, _GATE_BLOCK))
+    else:
+        blocks = intra_gate_slots(bob, clock, params.profile, n_events, child)
+        _check_work(n_events, "events per gate width")
+
     # The likelier parity of i stands before the first detection.
     parity = int(params.profile.odd_slot_probability(r) > 0.5)
     correct = 0
-    for start in range(0, stream.slots.size, _GATE_BLOCK):
-        slots = stream.slots[start : start + _GATE_BLOCK]
-        gate_starts = slots - 1
-        gate_starts //= r
-        gate_starts *= r
-        # i modulo 256, which keeps i's parity.
-        odd = slots.astype(np.uint8)
-        odd -= gate_starts.astype(np.uint8)
+    for i in blocks:
+        odd = i.astype(np.uint8)  # i modulo 256, which keeps i's parity
         odd &= 1
         correct += odd.size - int(np.count_nonzero(interval_bytes(odd, parity)))
         parity = int(odd[-1])
-    return correct / stream.slots.size - 0.5
+    return correct / n_events - 0.5

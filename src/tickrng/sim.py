@@ -13,14 +13,16 @@ Gap sampling uses inverse-CDF geometric draws rather than per-slot
 Bernoulli trials; the two are distributionally identical and the tests
 check the generated gap histogram against the geometric window pmf, the
 ``window_pmf`` oracle of ``tests/conftest.py``.
-Gated draws come in ``_BLOCK``-slot blocks, in one call's draw order.
+Gated draws come in ``_BLOCK``-slot blocks, in one call's draw order;
+without dead time, :func:`intra_gate_slots` yields a gated stream's
+intra-gate slots in such blocks, holding one block at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "check_slots",
     "generate_free_running",
     "generate_gated",
+    "intra_gate_slots",
     "apply_dead_time",
     "rng",
 ]
@@ -260,6 +263,21 @@ def generate_free_running(
     return EventStream(slots.view(np.uint64), clock)
 
 
+def _gated_guards(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
+                  n_events, name: str) -> tuple[int, float | None]:
+    """``n_events`` as a count and the merged click probability per gate,
+    None for no events, after the gated generators' guards: the clock's
+    mode (a ``ValueError`` naming ``name``), the count, the profile, and
+    :func:`_stream_click_probability`'s for one event or more."""
+    if clock.mode is not ClockMode.GATED:
+        raise ValueError(f"{name} requires a gated clock")
+    n_events = as_count(n_events, "n_events")
+    profile._check(clock.slots_per_gate)
+    if n_events == 0:
+        return 0, None
+    return n_events, _stream_click_probability(source, clock, n_events)
+
+
 def generate_gated(
     source: SourceModel,
     clock: ClockConfig,
@@ -277,14 +295,10 @@ def generate_gated(
     Each top-up batch draws all its gaps, then all its intra-gate slots,
     ``_BLOCK`` at a time: the same draws as whole-batch calls.
     """
-    if clock.mode is not ClockMode.GATED:
-        raise ValueError("generate_gated requires a gated clock")
-    n_events = as_count(n_events, "n_events")
-    r = clock.slots_per_gate
-    profile._check(r)
+    n_events, p_gate = _gated_guards(source, clock, profile, n_events, "generate_gated")
     if n_events == 0:
         return EventStream(np.empty(0, dtype=np.uint64), clock)
-    p_gate = _stream_click_probability(source, clock, n_events)
+    r = clock.slots_per_gate
     gen = rng(seed)
     accepted = np.empty(n_events, dtype=np.int64)
     have = 0
@@ -315,6 +329,37 @@ def generate_gated(
         "dead time rejected too many candidate clicks; "
         f"gave up after {_MAX_TOPUP_BATCHES} batches"
     )
+
+
+def intra_gate_slots(
+    source: SourceModel,
+    clock: ClockConfig,
+    profile: IntraGateProfile,
+    n_events: int,
+    seed,
+) -> Iterator[np.ndarray]:
+    """The intra-gate slots of ``generate_gated``'s stream, ``_BLOCK`` at a time.
+
+    Takes ``generate_gated``'s arguments, with a clock without dead time,
+    and runs its guards on the call, not on the first block.  The blocks
+    join up to ``(slots - 1) % slots_per_gate + 1`` of the stream's slots.
+    Without dead time every candidate is kept, so the one batch draws all
+    its gaps, which are walked ``_BLOCK`` at a time and dropped, then the
+    profile slots, which are yielded as drawn: one block is held at a time.
+    """
+    n_events, p_gate = _gated_guards(source, clock, profile, n_events, "intra_gate_slots")
+    if clock.dead_slots:
+        raise ValueError("intra_gate_slots requires a clock without dead time")
+    return _intra_gate_blocks(rng(seed), p_gate, profile, clock.slots_per_gate, n_events)
+
+
+def _intra_gate_blocks(gen: np.random.Generator, p_gate: float | None, profile: IntraGateProfile,
+                       r: int, n_events: int) -> Iterator[np.ndarray]:
+    starts = range(0, n_events, _BLOCK)
+    for start in starts:
+        gen.geometric(p_gate, size=min(_BLOCK, n_events - start))
+    for start in starts:
+        yield profile.sample(gen, min(_BLOCK, n_events - start), r)
 
 
 def apply_dead_time(slots: np.ndarray, dead: int, last: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from tickrng.errors import DataError, as_count
 from tickrng.extract import BitStream
 from tickrng.models import Distribution, SourceModel
-from tickrng.sim import apply_dead_time, generate_gated
+from tickrng.sim import IntraGateProfile, apply_dead_time, generate_gated
 from tickrng.suite import TestEntry, TestId, TestReport, run_battery
 
 # report types, not test classes, despite their names
@@ -184,6 +184,17 @@ def reference_mod4(stream, include_first: bool = True) -> tuple[np.ndarray, np.n
     """uint64 intervals modulo 4: the slow oracle for ``extract.mod4_arrays``."""
     v = reference_intervals(stream, include_first) % np.uint64(4)
     return (v >> np.uint64(1)).astype(np.uint8), (v & np.uint64(1)).astype(np.uint8)
+
+
+def intra_gate_profile(kind: str, r: int) -> IntraGateProfile:
+    """``uniform``, ``fixed:1``, ``fixed:r`` (the gate's last slot) or
+    ``weighted``, whose odd slots are twice as likely as its even ones."""
+    if kind == "uniform":
+        return IntraGateProfile.uniform()
+    if kind == "weighted":
+        weights = [2.0 - i % 2 for i in range(r)]
+        return IntraGateProfile.weighted([w / sum(weights) for w in weights])
+    return IntraGateProfile.fixed_slot(1 if kind == "fixed:1" else r)
 
 
 def traced_peak(fn, *args) -> int:

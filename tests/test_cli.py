@@ -665,6 +665,22 @@ def test_an_allocation_the_host_refuses_is_an_error(capsys, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eve", "--mu-eta", "0.5", "--events", "100000000000000000"],
+     "at most 1099511627776 events per gate width, got 100000000000000000"),
+    (["protocol", "--mu", "0.5", "--gates", "4611686018427387904", "--slots-per-gate", "1"],
+     "at most 1099511627776 gates per round, got 4611686018427387904"),
+], ids=["eve-10^17-events", "protocol-2^62-gates"])
+def test_work_past_the_limit_exits_two_at_once(tmp_path, argv, message):
+    """Within reach, yet years of work: a fresh interpreter refuses each
+    before drawing, well inside the timeout that would otherwise end it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
+    cli = [sys.executable, "-c", "from tickrng.cli import run\nrun()\n", *argv]
+    done = subprocess.run(cli, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # A small command line per subcommand that runs; each of its integer options
 # is set in turn to each of INTEGER_EXTREMES.
 SMALL_RUNS = {

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     geometric_gof_pvalue,
+    intra_gate_profile,
     reference_at_coincidences,
     reference_click_probabilities,
     reference_dead_time,
@@ -19,7 +20,7 @@ from conftest import (
     reference_eve_advantage,
     traced_peak,
 )
-from tickrng import qkd
+from tickrng import qkd, sim
 from tickrng.errors import DataError, GuardError
 from tickrng.extract import extract_mod2
 from tickrng.models import Distribution, SourceModel
@@ -754,9 +755,19 @@ def test_eve_advantages_are_pinned(r, expected):
     assert eve_advantage_for(r, n_events=200_000) == expected
 
 
+def set_eve_blocks(monkeypatch, block: int, dead_slots: int = 0) -> None:
+    """Blocks of ``block`` events on the adversary's path: the streamed
+    intra-gate slots without dead time, the whole stream's blocks with it.
+    (``generate_gated``'s own blocks are checked in ``test_sim.py``.)"""
+    if dead_slots:
+        monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+    else:
+        monkeypatch.setattr(sim, "_BLOCK", block)
+
+
 @pytest.mark.parametrize("block", [7, 64])
 def test_eve_advantages_stay_pinned_in_small_blocks(monkeypatch, block):
-    monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+    set_eve_blocks(monkeypatch, block)
     got = [(r, eve_advantage_for(r, n_events=200_000)) for r, _ in PINNED_EVE_ADVANTAGES]
     assert got == PINNED_EVE_ADVANTAGES
 
@@ -765,38 +776,50 @@ def test_eve_in_one_event_blocks_matches_the_default_block(monkeypatch):
     """At 2x10^5 events one-event blocks take seconds, so 10^4 events are
     compared with the default block; r = 3 flips the first guess."""
     expected = [eve_advantage_for(r, n_events=10_000) for r, _ in PINNED_EVE_ADVANTAGES]
-    monkeypatch.setattr(qkd, "_GATE_BLOCK", 1)
+    set_eve_blocks(monkeypatch, 1)
     assert [eve_advantage_for(r, n_events=10_000) for r, _ in PINNED_EVE_ADVANTAGES] == expected
-
-
-def eve_profile(kind: str, r: int) -> IntraGateProfile:
-    if kind == "uniform":
-        return IntraGateProfile.uniform()
-    if kind == "weighted":  # odd slots twice as likely as even ones
-        weights = [2.0 - i % 2 for i in range(r)]
-        return IntraGateProfile.weighted([w / sum(weights) for w in weights])
-    return IntraGateProfile.fixed_slot(1 if kind == "fixed:1" else r)
 
 
 @pytest.mark.parametrize("dark_prob, dead_slots", [(0.0, 0), (0.0, 3), (0.05, 0), (0.05, 3)])
 @pytest.mark.parametrize("profile", ["uniform", "fixed:1", "fixed:r", "weighted"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 257])
 def test_eve_matches_the_full_interval_oracle(monkeypatch, r, profile, dark_prob, dead_slots):
-    """Exact at blocks 1, 7 and the default; r = 257 wraps the intra-gate
-    slot past one byte."""
+    """Exact at blocks 1, 7 and the default on either path; r = 257 wraps
+    the intra-gate slot past one byte."""
     params = ProtocolParams(
         pair_source=SourceModel(Distribution.POISSON, 0.5, 0.2),
         clock_alice=GATED_2,
         clock_bob=ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dark_prob=dark_prob, dead_slots=dead_slots),
-        profile=eve_profile(profile, r),
+        profile=intra_gate_profile(profile, r),
         n_gates=1,
         seed=263,
     )
     expected = reference_eve_advantage(params, 2000)
     for block in (None, 7, 1):
         if block is not None:
-            monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+            set_eve_blocks(monkeypatch, block, dead_slots)
         assert eve_qnd_advantage(params, 2000) == expected
+
+
+def test_work_past_the_limit_is_refused(monkeypatch):
+    """Each round past ``_MAX_WORK`` gates, and the adversary past
+    ``_MAX_WORK`` events without dead time, is refused by name; at the limit
+    they run.  (The reach guards come first: see
+    ``test_rounds_past_64_bit_slots_are_guarded`` at 2**61 gates and the
+    CLI's ``eve --events`` past float range.)"""
+    monkeypatch.setattr(qkd, "_MAX_WORK", 1000)
+    rounds = [run_bbm92, run_bb84, lambda p: run_bb84(p, heralded_alice=True)]
+    for run in rounds:
+        check_result_invariants(run(make_params(n_gates=1000)))
+        with pytest.raises(GuardError, match=r"^at most 1000 gates per round, got 1001$"):
+            run(make_params(n_gates=1001))
+    params = make_params(n_gates=1)
+    assert eve_qnd_advantage(params, 1000) == reference_eve_advantage(params, 1000)
+    with pytest.raises(GuardError, match=r"^at most 1000 events per gate width, got 1001$"):
+        eve_qnd_advantage(params, 1001)
+    # With dead time the whole stream is drawn, and held, first.
+    dead = make_params(clock_bob=ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=1), n_gates=1)
+    assert eve_qnd_advantage(dead, 1001) == reference_eve_advantage(dead, 1001)
 
 
 class DrawFailed(Exception):
@@ -902,6 +925,10 @@ def test_protocol_rounds_run_in_flat_memory(protocol):
 
 
 def test_eve_stays_within_its_memory_budget():
-    """The traced-allocation peak of 10^6 events: the gated simulator's, then
-    the stream and the work of one block, not a copy of the gate intervals."""
-    assert traced_peak(eve_qnd_advantage, sweep_params(1, slots_per_gate=4), 1_000_000) <= 12e6
+    """Without dead time the traced-allocation peak of 10^6 events is that of
+    two ``sim`` blocks and three events, within 256 KiB: the adversary holds
+    one block of Bob's intra-gate slots at a time, not his stream."""
+    params = sweep_params(1, slots_per_gate=4)
+    assert params.clock_bob.dead_slots == 0
+    short = traced_peak(eve_qnd_advantage, params, 2 * sim._BLOCK + 3)
+    assert traced_peak(eve_qnd_advantage, params, 1_000_000) <= short + 256 * 1024

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import binomial_sigma, geometric_gof_pvalue, reference_dead_time, traced_peak
+from conftest import binomial_sigma, geometric_gof_pvalue, intra_gate_profile, reference_dead_time, traced_peak
 from tickrng.errors import DataError, GuardError
 from tickrng.extract import extract_mod2
 from tickrng.models import Distribution, SourceModel, click_probability, parity_probabilities
@@ -22,6 +22,7 @@ from tickrng.sim import (
     check_slots,
     generate_free_running,
     generate_gated,
+    intra_gate_slots,
 )
 
 FREE = ClockConfig(mode=ClockMode.FREE_RUNNING)
@@ -372,6 +373,54 @@ def test_gated_simulation_stays_within_its_memory_budget():
     n_events = 2_000_000
     peak = traced_peak(generate_gated, source, clock, IntraGateProfile.uniform(), n_events, 301)
     assert peak <= 8 * n_events + 4 * 2**20
+
+
+@pytest.mark.parametrize("dark_prob", [0.0, 0.05])
+@pytest.mark.parametrize("profile", ["uniform", "fixed:1", "fixed:r", "weighted"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 257])
+def test_intra_gate_slot_blocks_join_up_to_the_gated_streams(monkeypatch, r, profile, dark_prob):
+    """At 1, ``_BLOCK`` - 1, ``_BLOCK`` + 1 and 2 ``_BLOCK`` + 3 events, for
+    the default block and blocks of 1, 7 and 64: full blocks but the last,
+    which together are the gated stream's intra-gate slots."""
+    source = SourceModel(Distribution.POISSON, 0.5)
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dark_prob=dark_prob)
+    shape = intra_gate_profile(profile, r)
+    for block in (None, 1, 7, 64):
+        if block is not None:
+            monkeypatch.setattr(sim, "_BLOCK", block)
+        for n_events in (1, sim._BLOCK - 1, sim._BLOCK + 1, 2 * sim._BLOCK + 3):
+            blocks = list(intra_gate_slots(source, clock, shape, n_events, 409))
+            assert [b.size for b in blocks[:-1]] == [sim._BLOCK] * (len(blocks) - 1)
+            slots = generate_gated(source, clock, shape, n_events, 409).slots
+            expected = (slots - np.uint64(1)) % np.uint64(r) + np.uint64(1)
+            assert np.array_equal(np.concatenate([np.empty(0, np.int64), *blocks]), expected)
+
+
+def test_intra_gate_slots_run_the_gated_guards_on_the_call():
+    """The gated generator's guards in its order and with its messages, the
+    clock's mode naming the function, raised before the first block is
+    asked for; then the dead time is refused."""
+    dark = SourceModel(Distribution.POISSON, 0.0)
+    dim = SourceModel(Distribution.POISSON, 1e-12)
+    lit = SourceModel(Distribution.POISSON, 0.5)
+    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
+    uniform, outside = IntraGateProfile.uniform(), IntraGateProfile.fixed_slot(3)
+    cases = [
+        (dark, FREE, outside, -1, ValueError, "{} requires a gated clock"),
+        (dark, gated, outside, -1, ValueError, "n_events must be a non-negative integer, got -1"),
+        (dark, gated, outside, 0, ValueError, "fixed slot 3 outside gate of 2 slots"),
+        (dark, gated, uniform, 10, GuardError, "per-gate click probability is 0; the stream would never terminate"),
+        (dim, gated, uniform, 10**7, GuardError, "requested stream would overflow 64-bit slot indices"),
+    ]
+    for source, clock, profile, n_events, kind, message in cases:
+        for generate in (generate_gated, intra_gate_slots):
+            with pytest.raises(kind) as exc:
+                generate(source, clock, profile, n_events, seed=0)
+            assert str(exc.value) == message.format(generate.__name__)
+    assert list(intra_gate_slots(lit, gated, uniform, 0, seed=0)) == []
+    blind = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=1)
+    with pytest.raises(ValueError, match="^intra_gate_slots requires a clock without dead time$"):
+        intra_gate_slots(lit, blind, uniform, 10, seed=0)
 
 
 def assert_dead_time_matches_reference(slots, dead: int, last: int | None = None) -> None:
