@@ -28,8 +28,8 @@ from .models import Distribution, SourceModel, parity_probabilities
 # Beyond the standard library this module imports only ``errors`` and the
 # closed forms of ``models``; each subcommand imports the layers it runs when
 # it runs.  So ``--version``, ``--help``, a usage error and an analytic
-# ``bias`` load no numpy; ``simulate`` and ``extract`` load ``sim``,
-# ``extract`` and ``formats``; ``test`` loads ``extract``, ``formats`` and the
+# ``bias`` load no numpy; ``extract`` loads ``extract`` and ``formats``,
+# ``simulate`` also ``sim``; ``test`` loads ``extract``, ``formats`` and the
 # battery (``suite`` and ``lfsr``) but no simulator and no ``qkd``; and
 # ``protocol`` and ``eve`` load ``qkd`` but not the battery.  (The module
 # docstring is the --help text, so this is a comment.)

@@ -10,22 +10,22 @@ Both extractors read only the interval modulo 4, so they work on the
 slots' low byte: ``slots.astype(uint8)`` keeps each slot modulo 256 and
 ``uint8`` subtraction wraps modulo 256, so the differences of the low
 bytes are the intervals modulo 256, exactly, even where a 64-bit
-interval is 2**32 or more.
+interval is 2**32 or more.  An :class:`EventStream` holds only its slots,
+checked by :func:`check_slots`, to which a simulator passes its dead time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import InitVar, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DataError
 
-if TYPE_CHECKING:
-    from .sim import EventStream
-
 __all__ = [
+    "check_slots",
+    "EventStream",
     "bit_array",
     "BitStream",
     "ExtractorConfig",
@@ -35,6 +35,74 @@ __all__ = [
     "flip_debias",
     "balance",
 ]
+
+
+# Slots compared at a time by check_slots, so its temporaries stay small.
+_CHECK_BLOCK = 2**16
+
+
+def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: int = 0) -> np.ndarray:
+    """``slots`` as a read-only 1-d uint64 array of strictly increasing indices >= 1.
+
+    Raises :class:`DataError` for a non-integer dtype, a slot below 1 or a
+    slot not above its predecessor, naming entry ``i`` by ``where(i)``
+    (``entry i+1`` by default), else for a gap of ``dead_slots`` or less.
+    Copies unless ``slots`` is uint64 and read-only down to an owner or
+    ``bytes``.
+    """
+    arr = np.asarray(slots)
+    if arr.ndim != 1:
+        raise DataError("event slots must be a 1-d array")
+    if arr.dtype.kind not in "iu":
+        raise DataError(f"event slots must be integers, got dtype {arr.dtype}")
+    name = where or (lambda i: f"entry {i + 1}")
+
+    def bad_entry(i: int) -> DataError:
+        value = int(arr[i])
+        if value < 1:
+            return DataError(f"{name(i)}: slot index must be >= 1, got {value}")
+        last = int(arr[i - 1])
+        kind = "duplicate" if value == last else "non-increasing"
+        return DataError(f"{name(i)}: {kind} slot index {value} (previous was {last})")
+
+    if arr.size and arr[0] < 1:
+        raise bad_entry(0)
+    too_close = False
+    for start in range(0, arr.size - 1, _CHECK_BLOCK):
+        window = arr[start : start + _CHECK_BLOCK + 1]
+        bad = window[1:] <= window[:-1]
+        if bad.any():
+            raise bad_entry(start + 1 + int(bad.argmax()))
+        too_close = too_close or (dead_slots > 0 and int(np.diff(window).min()) <= dead_slots)
+    if too_close:
+        raise DataError(f"event gaps must exceed the dead time of {dead_slots} slots")
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if arr.dtype != np.uint64 or not (base is None or isinstance(base, bytes)):
+        arr = arr.astype(np.uint64)
+        arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class EventStream:
+    """Detection slot indices (64-bit unsigned, strictly increasing, first >= 1).
+
+    The slots are checked, and copied if need be, by :func:`check_slots`,
+    which names a bad entry by ``where`` (a file reader's line namer) and
+    refuses a gap of ``dead_slots`` or less (a simulator's dead time).
+    """
+
+    slots: np.ndarray
+    where: InitVar[Callable[[int], str] | None] = None
+    dead_slots: InitVar[int] = 0
+
+    def __post_init__(self, where, dead_slots):
+        object.__setattr__(self, "slots", check_slots(self.slots, where, dead_slots))
+
+    def __len__(self) -> int:
+        return int(self.slots.size)
 
 
 def bit_array(values, ndim: int = 1) -> np.ndarray:

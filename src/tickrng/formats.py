@@ -13,11 +13,11 @@ writers is one of the strings ``ascii`` and ``binary`` for events,
 ``ascii01`` and ``packed`` for bits; any other is a ``ValueError``.
 Reports are CSV; :func:`write_report` takes the battery's report without
 this module importing the battery, so event and bit I/O loads no
-``suite``; and only :func:`read_events` imports the simulator's types,
-so bit and report I/O loads no ``sim``.  Every file produced by the CLI
-is accompanied by a JSON run manifest (``<file>.manifest.json``)
-recording the exact command, parameters and random generator, so any
-output can be reproduced bit-exactly with ``tickrng replay``.
+``suite``.  The event and bit types are the bits layer's (``extract``), so
+no I/O loads the simulator.  Every file produced by the CLI is accompanied
+by a JSON run manifest (``<file>.manifest.json``) recording the exact
+command, parameters and random generator, so any output can be reproduced
+bit-exactly with ``tickrng replay``.
 
 Event files are written and parsed one fixed-size block at a time, by
 array kernels with no Python object per line, so the work memory does not
@@ -62,10 +62,9 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError
-from .extract import BitStream
+from .extract import BitStream, EventStream
 
 if TYPE_CHECKING:
-    from .sim import EventStream
     from .suite import TestReport
 
 __all__ = [
@@ -236,19 +235,15 @@ def _format_slots(slots: np.ndarray) -> np.ndarray:
 
 
 def read_events(path, fmt: str = "ascii") -> EventStream:
-    """Read a free-running event stream; an empty file yields an empty stream."""
-    from .sim import ClockConfig, ClockMode, EventStream
-
+    """Read an event stream; an empty file yields an empty stream."""
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
-    clock = ClockConfig(mode=ClockMode.FREE_RUNNING)
     blob = Path(path).read_bytes()
     if fmt == "ascii":
-        slots, where = _parse_ascii_events(blob)
-        return EventStream(slots, clock, where)
+        return EventStream(*_parse_ascii_events(blob))
     if len(blob) % 8:
         raise DataError(f"binary event file length {len(blob)} is not a multiple of 8")
-    return EventStream(np.frombuffer(blob, dtype="<u8"), clock)
+    return EventStream(np.frombuffer(blob, dtype="<u8"))
 
 
 def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:

@@ -54,14 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GuardError, as_count
-from .extract import BitStream, balance, extract_mod2, interval_bytes
+from .extract import BitStream, balance, check_slots, extract_mod2, interval_bytes
 from .models import click_probability, Distribution, SourceModel
 from .sim import (
     ClockConfig,
     ClockMode,
     IntraGateProfile,
     apply_dead_time,
-    check_slots,
     generate_free_running,
     generate_gated,
     intra_gate_slots,

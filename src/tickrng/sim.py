@@ -7,7 +7,8 @@ opportunity; in gated mode the opportunity is a gate of
 inside the gate according to an :class:`IntraGateProfile`.  Dark counts
 are merged with photon clicks (a dark count is indistinguishable from a
 photon click), and a dead time of ``dead_slots`` slots after each
-accepted click suppresses later candidates.
+accepted click suppresses later candidates.  A generated stream is an
+``extract.EventStream`` checked against the dead time; it keeps no clock.
 
 Gap sampling uses inverse-CDF geometric draws rather than per-slot
 Bernoulli trials; the two are distributionally identical and the tests
@@ -20,13 +21,14 @@ intra-gate slots in such blocks, holding one block at a time.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError, GuardError, as_count
+from .errors import GuardError, as_count
+from .extract import EventStream
 from .models import SourceModel, click_probability
 
 __all__ = [
@@ -34,8 +36,6 @@ __all__ = [
     "ClockMode",
     "ClockConfig",
     "IntraGateProfile",
-    "EventStream",
-    "check_slots",
     "generate_free_running",
     "generate_gated",
     "intra_gate_slots",
@@ -156,70 +156,6 @@ class IntraGateProfile:
         return float(sum(self.weights[0::2]))
 
 
-def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: int = 0) -> np.ndarray:
-    """``slots`` as a read-only 1-d uint64 array of strictly increasing indices >= 1.
-
-    Raises :class:`DataError` for a non-integer dtype, a slot below 1 or a
-    slot not above its predecessor, naming entry ``i`` by ``where(i)``
-    (``entry i+1`` by default), else for a gap of ``dead_slots`` or less.
-    Copies unless ``slots`` is uint64 and read-only down to an owner or
-    ``bytes``.
-    """
-    arr = np.asarray(slots)
-    if arr.ndim != 1:
-        raise DataError("event slots must be a 1-d array")
-    if arr.dtype.kind not in "iu":
-        raise DataError(f"event slots must be integers, got dtype {arr.dtype}")
-    name = where or (lambda i: f"entry {i + 1}")
-
-    def bad_entry(i: int) -> DataError:
-        value = int(arr[i])
-        if value < 1:
-            return DataError(f"{name(i)}: slot index must be >= 1, got {value}")
-        last = int(arr[i - 1])
-        kind = "duplicate" if value == last else "non-increasing"
-        return DataError(f"{name(i)}: {kind} slot index {value} (previous was {last})")
-
-    if arr.size and arr[0] < 1:
-        raise bad_entry(0)
-    too_close = False
-    for start in range(0, arr.size - 1, _BLOCK):
-        window = arr[start : start + _BLOCK + 1]
-        bad = window[1:] <= window[:-1]
-        if bad.any():
-            raise bad_entry(start + 1 + int(bad.argmax()))
-        too_close = too_close or (dead_slots > 0 and int(np.diff(window).min()) <= dead_slots)
-    if too_close:
-        raise DataError(f"event gaps must exceed the dead time of {dead_slots} slots")
-    base = arr
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if arr.dtype != np.uint64 or not (base is None or isinstance(base, bytes)):
-        arr = arr.astype(np.uint64)
-        arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class EventStream:
-    """Detection slot indices (64-bit unsigned, strictly increasing, first >= 1).
-
-    The slots are checked, and copied if need be, by :func:`check_slots`,
-    which names a bad entry by ``where`` (a file reader passes its line
-    namer), and every gap must exceed the clock's dead time.
-    """
-
-    slots: np.ndarray
-    clock: ClockConfig
-    where: InitVar[Callable[[int], str] | None] = None
-
-    def __post_init__(self, where):
-        object.__setattr__(self, "slots", check_slots(self.slots, where, self.clock.dead_slots))
-
-    def __len__(self) -> int:
-        return int(self.slots.size)
-
-
 def _stream_click_probability(source: SourceModel, clock: ClockConfig, n_events: int) -> float:
     """Merged photon-or-dark click probability per detection opportunity.
 
@@ -254,13 +190,13 @@ def generate_free_running(
         raise ValueError("generate_free_running requires a free-running clock")
     n_events = as_count(n_events, "n_events")
     if n_events == 0:
-        return EventStream(np.empty(0, dtype=np.uint64), clock)
+        return EventStream(np.empty(0, dtype=np.uint64))
     p_slot = _stream_click_probability(source, clock, n_events)
     slots = rng(seed).geometric(p_slot, size=n_events)
     slots[1:] += clock.dead_slots
     np.cumsum(slots, out=slots)
     slots.setflags(write=False)
-    return EventStream(slots.view(np.uint64), clock)
+    return EventStream(slots.view(np.uint64), dead_slots=clock.dead_slots)
 
 
 def _gated_guards(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
@@ -297,7 +233,7 @@ def generate_gated(
     """
     n_events, p_gate = _gated_guards(source, clock, profile, n_events, "generate_gated")
     if n_events == 0:
-        return EventStream(np.empty(0, dtype=np.uint64), clock)
+        return EventStream(np.empty(0, dtype=np.uint64))
     r = clock.slots_per_gate
     gen = rng(seed)
     accepted = np.empty(n_events, dtype=np.int64)
@@ -324,7 +260,7 @@ def generate_gated(
         have += kept
         if have == n_events:
             accepted.setflags(write=False)
-            return EventStream(accepted.view(np.uint64), clock)
+            return EventStream(accepted.view(np.uint64), dead_slots=clock.dead_slots)
     raise GuardError(
         "dead time rejected too many candidate clicks; "
         f"gave up after {_MAX_TOPUP_BATCHES} batches"

@@ -62,6 +62,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -529,9 +530,9 @@ def _run_procedures(x: np.ndarray, params: dict) -> Iterator[tuple[TestId, float
     report order; ``None`` marks a procedure that does not apply to the run."""
     apen_len = params["approximate_entropy_block_len"]
     serial_len = params["serial_block_len"]
-    # one count for ApEn and Serial, at the width the module docstring gives
+    # one count for ApEn and Serial at the docstring's width, made after the DFT's peak
     widths = [w for w in (apen_len + 1, serial_len) if 4 << w <= x.size]
-    counts = _overlapping_counts(x, max(widths)) if widths else None
+    counts = cache(lambda: _overlapping_counts(x, max(widths)) if widths else None)
 
     procedures = (
         ((TestId.FREQUENCY,), lambda: (frequency_test(x),)),
@@ -545,8 +546,8 @@ def _run_procedures(x: np.ndarray, params: dict) -> Iterator[tuple[TestId, float
         ((TestId.RANK,), lambda: (rank_test(x, matrix_dim=params["rank_matrix_dim"]),)),
         ((TestId.DFFT,), lambda: (dft_test(x),)),
         ((TestId.UNIVERSAL,), lambda: (universal_test(x),)),
-        ((TestId.APPROXIMATE_ENTROPY,), lambda: (_approximate_entropy(x, apen_len, counts),)),
-        ((TestId.SERIAL_1, TestId.SERIAL_2), lambda: _serial(x, serial_len, counts)),
+        ((TestId.APPROXIMATE_ENTROPY,), lambda: (_approximate_entropy(x, apen_len, counts()),)),
+        ((TestId.SERIAL_1, TestId.SERIAL_2), lambda: _serial(x, serial_len, counts())),
         (
             (TestId.LINEAR_COMPLEXITY,),
             lambda: (linear_complexity_test(x, block_len=params["linear_complexity_block_len"]),),

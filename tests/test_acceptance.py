@@ -15,6 +15,7 @@ import pytest
 from conftest import balance_ratio, binomial_sigma, geometric_gof_pvalue
 from tickrng.extract import (
     BitStream,
+    EventStream,
     balance,
     extract_mod2,
     flip_debias,
@@ -27,7 +28,6 @@ from tickrng.qkd import ProtocolParams, eve_qnd_advantage, run_bbm92
 from tickrng.sim import (
     ClockConfig,
     ClockMode,
-    EventStream,
     IntraGateProfile,
     generate_free_running,
     generate_gated,
@@ -179,14 +179,14 @@ def test_criterion_10_hand_worked_examples_digest(tmp_path):
     assert (bias.p_even, bias.p_odd) == (pytest.approx(0.25), pytest.approx(0.75))
     # interval parity bookkeeping
     for slots, counts in (([2, 4, 6], (3, 0)), ([1, 2, 4, 7], (1, 3))):
-        parities = extract_mod2(EventStream(np.array(slots, dtype=np.uint64), FREE))
+        parities = extract_mod2(EventStream(np.array(slots, dtype=np.uint64)))
         assert (parities.zeros(), parities.ones()) == counts
     # extraction on the worked interval list
-    stream = EventStream(np.array([3, 5, 10], dtype=np.uint64), FREE)
+    stream = EventStream(np.array([3, 5, 10], dtype=np.uint64))
     assert extract_mod2(stream) == BitStream([1, 0, 1])
-    basis, key = mod4_arrays(EventStream(np.array([6], dtype=np.uint64), FREE))
+    basis, key = mod4_arrays(EventStream(np.array([6], dtype=np.uint64)))
     assert (basis.tolist(), key.tolist()) == ([1], [0])
-    basis, key = mod4_arrays(EventStream(np.array([1, 2, 9], dtype=np.uint64), FREE))
+    basis, key = mod4_arrays(EventStream(np.array([1, 2, 9], dtype=np.uint64)))
     assert (basis.tolist(), key.tolist()) == ([0, 0, 1], [1, 1, 1])
     assert flip_debias(BitStream([0, 0, 0, 0])) == BitStream([0, 1, 0, 1])
     assert balance(BitStream([0, 0, 0, 1])) == pytest.approx(1 / 3)

@@ -79,15 +79,14 @@ def test_bare_package_import_loads_no_module(module):
 # Each call, its exit code and its tickrng modules beyond the front end (the
 # package root, ``cli``, ``errors`` and ``models``); a call loads numpy
 # exactly when it loads one of them.
-PIPELINE = {"sim", "extract", "formats"}
 LAYERS_LOADED = {
     "version": (["--version"], 0, set()),
     "help": (["--help"], 0, set()),
     "usage-error": (["simulate", "--mu", "0.5", "--out", "x"], 1, set()),
     "negative-seed": (["simulate", "--mu", "0.5", "--events", "20", "--seed", "-1", "--out", "x"], 1, set()),
     "bias": (["bias", "--mu", "0.5", "--seed", "1"], 0, set()),
-    "simulate": (["simulate", "--mu", "0.5", "--events", "20", "--seed", "1", "--out", "x"], 0, PIPELINE),
-    "extract": (["extract", "--events", "events.txt", "--out", "x"], 0, PIPELINE),
+    "simulate": (["simulate", "--mu", "0.5", "--events", "20", "--seed", "1", "--out", "x"], 0, {"sim", "extract", "formats"}),
+    "extract": (["extract", "--events", "events.txt", "--out", "x"], 0, {"extract", "formats"}),
     "test": (["test", "--bits", "bits.txt", "--run-len", "100", "--out", "x"], 0, {"extract", "formats", "suite", "lfsr"}),
     "protocol": (["protocol", "--mu", "0.5", "--gates", "100", "--seed", "1"], 0, {"sim", "extract", "qkd"}),
     "eve": (["eve", "--mu", "0.5", "--events", "100", "--seed", "1"], 0, {"sim", "extract", "qkd"}),
@@ -107,8 +106,9 @@ print(rc, *sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "
 @pytest.mark.parametrize("call", LAYERS_LOADED)
 def test_each_call_loads_only_its_own_layers(tmp_path, call):
     """In a fresh interpreter: ``--version``, ``--help``, a usage error and an
-    analytic ``bias`` load no numpy; ``simulate`` and ``extract`` no battery and no
-    ``qkd``; ``test`` no simulator and no ``qkd``; ``protocol`` and ``eve`` no battery."""
+    analytic ``bias`` load no numpy; ``simulate`` no battery and no ``qkd``;
+    ``extract`` and ``test`` no simulator and no ``qkd``; ``protocol`` and ``eve``
+    no battery."""
     argv, exit_code, layers = LAYERS_LOADED[call]
     (tmp_path / "events.txt").write_text("1\n3\n4\n")
     (tmp_path / "bits.txt").write_text("0110" * 50)

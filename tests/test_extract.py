@@ -13,12 +13,15 @@ from conftest import (
     reference_mod2,
     reference_mod4,
 )
+from tickrng import extract
 from tickrng.errors import DataError
 from tickrng.extract import (
     BitStream,
+    EventStream,
     ExtractorConfig,
     balance,
     bit_array,
+    check_slots,
     extract_mod2,
     flip_debias,
     interval_bytes,
@@ -29,7 +32,6 @@ from tickrng.models import Distribution, SourceModel
 from tickrng.sim import (
     ClockConfig,
     ClockMode,
-    EventStream,
     IntraGateProfile,
     generate_free_running,
     generate_gated,
@@ -40,7 +42,7 @@ FREE = ClockConfig(mode=ClockMode.FREE_RUNNING)
 
 
 def stream_of(*slots) -> EventStream:
-    return EventStream(np.array(slots, dtype=np.uint64), FREE)
+    return EventStream(np.array(slots, dtype=np.uint64))
 
 
 def test_intervals_count_from_tick_zero_by_default():
@@ -105,7 +107,7 @@ def random_slots(seed: int) -> np.ndarray:
 @pytest.mark.parametrize("case", [*sorted(ADVERSARIAL_SLOTS), 0, 1, 2])
 def test_low_byte_extraction_matches_the_uint64_reference(case, include_first):
     slots = random_slots(case) if isinstance(case, int) else ADVERSARIAL_SLOTS[case]
-    stream = EventStream(slots, FREE)
+    stream = EventStream(slots)
     cfg = ExtractorConfig(include_first=include_first)
     mod2 = extract_mod2(stream, cfg).bits
     basis, key = mod4_arrays(stream, cfg)
@@ -126,8 +128,8 @@ def test_extraction_is_consistent_across_a_stream_split():
     source = SourceModel(Distribution.POISSON, 0.4)
     stream = generate_free_running(source, FREE, 1000, seed=67)
     full = extract_mod2(stream)
-    head = EventStream(stream.slots[:400], FREE)
-    tail = EventStream(stream.slots[399:], FREE)  # boundary event restarts the counter
+    head = EventStream(stream.slots[:400])
+    tail = EventStream(stream.slots[399:])  # boundary event restarts the counter
     cfg = ExtractorConfig(include_first=False)
     stitched = np.concatenate([extract_mod2(head).bits, extract_mod2(tail, cfg).bits])
     assert BitStream(stitched) == full
@@ -147,7 +149,7 @@ def test_interval_bytes_in_blocks_are_the_intervals_modulo_256(case, block):
     """Blocks, each passed the last slot before it, give the whole stream's
     64-bit intervals modulo 256; ``prev=None`` drops the first interval."""
     slots = INTERVAL_BYTE_SLOTS[case]
-    stream = EventStream(slots, FREE)
+    stream = EventStream(slots)
     modulo_256 = [
         (reference_intervals(stream, first) % np.uint64(256)).astype(np.uint8) for first in (True, False)
     ]
@@ -233,6 +235,94 @@ def test_gated_mod4_symbols_are_uniform():
     values = (gaps % np.uint64(4)).astype(np.int64)
     counts = [int(np.count_nonzero(values == v)) for v in range(4)]
     assert chisquare(counts).pvalue > 0.001
+
+
+def test_event_stream_validation():
+    with pytest.raises(DataError):
+        EventStream(np.array([0, 1], dtype=np.int64))
+    with pytest.raises(DataError, match="entry 3"):
+        EventStream(np.array([1, 5, 5, 9], dtype=np.int64))
+    with pytest.raises(DataError, match="entry 2"):
+        EventStream(np.array([4, 2], dtype=np.int64))
+    with pytest.raises(DataError):
+        EventStream(np.array([1, 3], dtype=np.int64), dead_slots=2)  # gap 2 <= dead time
+    with pytest.raises(DataError):
+        EventStream(np.array([[1, 2]], dtype=np.int64))
+    with pytest.raises(DataError, match="integers"):
+        EventStream(np.array([1.2, 1.7, 3.0]))  # would truncate to 1, 1, 3
+
+
+def test_check_slots_messages_are_pinned():
+    cases = [
+        ([1, 1], "entry 2: duplicate slot index 1 (previous was 1)"),
+        ([0, 1], "entry 1: slot index must be >= 1, got 0"),
+        ([2, 5, 3], "entry 3: non-increasing slot index 3 (previous was 5)"),
+    ]
+    for slots, message in cases:
+        with pytest.raises(DataError) as exc:
+            check_slots(np.array(slots, dtype=np.int64))
+        assert str(exc.value) == message
+
+
+def test_event_stream_is_read_only():
+    stream = EventStream(np.array([1, 2, 3], dtype=np.uint64))
+    with pytest.raises(ValueError):
+        stream.slots[0] = 9
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_check_slots_names_a_bad_entry_in_a_later_block_by_its_stream_index(monkeypatch, block):
+    monkeypatch.setattr(extract, "_CHECK_BLOCK", block)
+    slots = np.arange(1, 201, dtype=np.uint64)
+    slots[150] = slots[149]
+    with pytest.raises(DataError) as exc:
+        check_slots(slots)
+    assert str(exc.value) == "entry 151: duplicate slot index 150 (previous was 150)"
+    slots[150], slots[170] = 151, 5
+    with pytest.raises(DataError) as exc:
+        check_slots(slots, lambda i: f"line {i + 10}")
+    assert str(exc.value) == "line 180: non-increasing slot index 5 (previous was 170)"
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_a_bad_slot_after_a_dead_time_violation_is_reported_first(monkeypatch, block):
+    monkeypatch.setattr(extract, "_CHECK_BLOCK", block)
+    slots = np.arange(1, 301, dtype=np.int64) * 3
+    slots[3] = slots[2] + 1
+    with pytest.raises(DataError) as exc:
+        EventStream(slots, dead_slots=2)
+    assert str(exc.value) == "event gaps must exceed the dead time of 2 slots"
+    slots[100] = slots[99]
+    with pytest.raises(DataError) as exc:
+        EventStream(slots, dead_slots=2)
+    assert str(exc.value) == "entry 101: duplicate slot index 300 (previous was 300)"
+
+
+def test_a_callers_array_is_copied():
+    """Mutating the caller's array, or the array under a read-only view of
+    it, leaves the stream as it was built."""
+    slots = np.array([1, 2, 3], dtype=np.uint64)
+    view = slots[:]
+    view.setflags(write=False)
+    streams = [EventStream(slots), EventStream(view)]
+    slots[:] = [7, 8, 9]
+    for stream in streams:
+        assert stream.slots.tolist() == [1, 2, 3]
+        assert not stream.slots.flags.writeable
+
+
+def test_read_only_slots_are_kept_when_no_writable_array_reaches_them():
+    owned = np.array([1, 2, 3], dtype=np.uint64)
+    owned.setflags(write=False)
+    assert EventStream(owned).slots is owned
+    from_bytes = np.frombuffer(np.array([1, 5], dtype=np.uint64).tobytes(), dtype=np.uint64)
+    assert EventStream(from_bytes).slots is from_bytes
+    from_bytearray = np.frombuffer(bytearray(from_bytes.tobytes()), dtype=np.uint64)
+    from_bytearray.setflags(write=False)
+    assert EventStream(from_bytearray).slots is not from_bytearray
+    signed = np.array([1, 2], dtype=np.int64)
+    signed.setflags(write=False)
+    assert EventStream(signed).slots.dtype == np.uint64
 
 
 def test_bitstream_validation_and_helpers():

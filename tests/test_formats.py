@@ -10,7 +10,7 @@ from conftest import reference_format_slots, reference_parse_slots, traced_peak
 import tickrng
 from tickrng import formats
 from tickrng.errors import DataError
-from tickrng.extract import BitStream
+from tickrng.extract import BitStream, EventStream
 from tickrng.formats import (
     REPORT_HEADER,
     RunManifest,
@@ -24,14 +24,12 @@ from tickrng.formats import (
     write_report,
 )
 from tickrng.models import Distribution, SourceModel
-from tickrng.sim import ClockConfig, ClockMode, EventStream, IntraGateProfile, generate_gated
+from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
 from tickrng.suite import TestEntry, TestId, TestReport, run_battery
-
-FREE = ClockConfig(mode=ClockMode.FREE_RUNNING)
 
 
 def stream_of(*slots) -> EventStream:
-    return EventStream(np.array(slots, dtype=np.uint64), FREE)
+    return EventStream(np.array(slots, dtype=np.uint64))
 
 
 # ------------------------------------------------------------------ events
@@ -73,7 +71,7 @@ ASCII_EVENT_PINS = {
         "6a26aff345904876bb0aa77d50d7d2b76301fe6a1857e5cb2d1c4a3b5ae70bad",
     ),
     "boundaries": (
-        lambda: EventStream(np.array(boundary_slots(), dtype=np.uint64), FREE),
+        lambda: EventStream(np.array(boundary_slots(), dtype=np.uint64)),
         "1418f3104d0b5c309698c98b383f0e7284e22e6536d38330e941c21df663ef11",
     ),
 }
@@ -359,7 +357,7 @@ def test_parse_in_small_blocks_matches_the_reference_on_random_files(small_block
 @pytest.mark.parametrize("name", FORMAT_CASES)
 def test_events_written_in_small_blocks_match_the_reference(tmp_path, small_blocks, name):
     slots = np.unique(FORMAT_CASES[name])
-    stream = EventStream(slots[slots > 0], FREE)
+    stream = EventStream(slots[slots > 0])
     write_events(stream, tmp_path / "events.txt")
     assert (tmp_path / "events.txt").read_bytes() == reference_format_slots(stream.slots)
     write_events(stream, tmp_path / "events.bin", fmt="binary")
@@ -378,7 +376,7 @@ def read_outcome(read, blob: bytes, tmp_path):
 
 def reference_read(path) -> EventStream:
     slots, where = reference_parse_slots(path.read_bytes())
-    return EventStream(slots, FREE, where)
+    return EventStream(slots, where)
 
 
 def edge_case(block: int, line: bytes) -> bytes:

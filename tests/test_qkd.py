@@ -22,7 +22,7 @@ from conftest import (
 )
 from tickrng import qkd, sim
 from tickrng.errors import DataError, GuardError
-from tickrng.extract import extract_mod2
+from tickrng.extract import check_slots, extract_mod2
 from tickrng.models import Distribution, SourceModel
 from tickrng.qkd import ProtocolParams, bootstrap_buffer, eve_qnd_advantage, run_bb84, run_bbm92
 from tickrng.sim import (
@@ -30,7 +30,6 @@ from tickrng.sim import (
     ClockMode,
     IntraGateProfile,
     apply_dead_time,
-    check_slots,
     generate_free_running,
     rng,
 )
@@ -280,7 +279,8 @@ def run_with_reference_kernels(monkeypatch, params: ProtocolParams) -> tuple[lis
     """Every protocol's result with the per-gate power patched in for the
     fast click kernel, which must agree call by call, and with each round's
     sifting checked against the cumulative-sum coincidence lookup over its
-    parties' flags and bases; also the photon numbers each click kernel saw."""
+    parties' flags and bases; also the photon numbers each click kernel saw,
+    one call per party and gate block."""
     fast_click = qkd._click_probabilities
     photon_numbers, lookups = [], []
 
@@ -303,9 +303,10 @@ def run_with_reference_kernels(monkeypatch, params: ProtocolParams) -> tuple[lis
         assert result.sifted_length == np.count_nonzero(basis_a_c == basis_b_c)
         lookups.extend([basis_a_c, basis_b_c])
         results.append(result)
-    # Alice and Bob in BBM92, Bob in BB84, Bob and Alice in heralded BB84;
-    # both lookups in every protocol.
-    assert len(photon_numbers) == 5 and len(lookups) == 6
+    # Alice and Bob in BBM92, Bob in BB84, Bob and Alice in heralded BB84,
+    # per gate block; both lookups in every protocol.
+    blocks = -(-params.n_gates // qkd._GATE_BLOCK)
+    assert len(photon_numbers) == 5 * blocks and len(lookups) == 6
     return results, photon_numbers
 
 
@@ -366,10 +367,17 @@ ADVERSARIAL_KERNEL_PARAMS = {
 
 @pytest.mark.parametrize("case", sorted(ADVERSARIAL_KERNEL_PARAMS))
 def test_protocol_kernels_match_the_reference_on_adversarial_input(monkeypatch, case):
+    """At the default gate block and at 2**16 gates, where
+    ``straddles-the-fixed-cap`` takes two blocks and so crosses a block edge."""
     params = make_params(**ADVERSARIAL_KERNEL_PARAMS[case])
     fast = run_all_protocols(params)
-    reference, photon_numbers = run_with_reference_kernels(monkeypatch, params)
-    assert reference == fast
+    photon_numbers = []
+    for block in (qkd._GATE_BLOCK, 1 << 16):
+        monkeypatch.undo()  # so the fast kernel is the one checked again
+        monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
+        reference, seen = run_with_reference_kernels(monkeypatch, params)
+        assert reference == fast
+        photon_numbers += seen
     bbm92, bb84, bb84h = fast
     if case == "every-gate-coincident":
         assert bbm92.coincidences == bb84.coincidences == bb84h.coincidences == params.n_gates

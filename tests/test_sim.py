@@ -8,18 +8,16 @@ import pytest
 from scipy.stats import chisquare
 
 from conftest import binomial_sigma, geometric_gof_pvalue, intra_gate_profile, reference_dead_time, traced_peak
-from tickrng.errors import DataError, GuardError
-from tickrng.extract import extract_mod2
+from tickrng.errors import GuardError
+from tickrng.extract import EventStream, extract_mod2
 from tickrng.models import Distribution, SourceModel, click_probability, parity_probabilities
 from tickrng import sim
 from tickrng.sim import (
     GENERATOR_ALGORITHM,
     ClockConfig,
     ClockMode,
-    EventStream,
     IntraGateProfile,
     apply_dead_time,
-    check_slots,
     generate_free_running,
     generate_gated,
     intra_gate_slots,
@@ -96,7 +94,7 @@ def test_free_running_parity_matches_analytic_bias(distribution, mu_eta):
 def test_gap_parity_hand_values():
     """The gaps' (even, odd) counts, the first gap counted from tick 0."""
     for slots, counts in (([2, 4, 6], (3, 0)), ([1, 2, 4, 7], (1, 3))):
-        parities = extract_mod2(EventStream(np.array(slots, dtype=np.uint64), FREE))
+        parities = extract_mod2(EventStream(np.array(slots, dtype=np.uint64)))
         assert (parities.zeros(), parities.ones()) == counts
 
 
@@ -604,94 +602,21 @@ def test_profile_odd_slot_probability():
     assert IntraGateProfile.weighted([0.2, 0.8]).odd_slot_probability(2) == pytest.approx(0.2)
 
 
-def test_event_stream_validation():
-    with pytest.raises(DataError):
-        EventStream(np.array([0, 1], dtype=np.int64), FREE)
-    with pytest.raises(DataError, match="entry 3"):
-        EventStream(np.array([1, 5, 5, 9], dtype=np.int64), FREE)
-    with pytest.raises(DataError, match="entry 2"):
-        EventStream(np.array([4, 2], dtype=np.int64), FREE)
-    dead = ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=2)
-    with pytest.raises(DataError):
-        EventStream(np.array([1, 3], dtype=np.int64), dead)  # gap 2 <= dead time
-    with pytest.raises(DataError):
-        EventStream(np.array([[1, 2]], dtype=np.int64), FREE)
-    with pytest.raises(DataError, match="integers"):
-        EventStream(np.array([1.2, 1.7, 3.0]), FREE)  # would truncate to 1, 1, 3
+@pytest.mark.parametrize("dead", [0, 3])
+def test_generated_streams_are_checked_against_their_clocks_dead_time(monkeypatch, dead):
+    """Both generators have their stream's gaps checked against the clock's dead time."""
+    checked = []
 
+    def spy(slots, dead_slots=0):
+        checked.append(dead_slots)
+        return EventStream(slots, dead_slots=dead_slots)
 
-def test_check_slots_messages_are_pinned():
-    cases = [
-        ([1, 1], "entry 2: duplicate slot index 1 (previous was 1)"),
-        ([0, 1], "entry 1: slot index must be >= 1, got 0"),
-        ([2, 5, 3], "entry 3: non-increasing slot index 3 (previous was 5)"),
-    ]
-    for slots, message in cases:
-        with pytest.raises(DataError) as exc:
-            check_slots(np.array(slots, dtype=np.int64))
-        assert str(exc.value) == message
-
-
-def test_event_stream_is_read_only():
-    stream = EventStream(np.array([1, 2, 3], dtype=np.uint64), FREE)
-    with pytest.raises(ValueError):
-        stream.slots[0] = 9
-
-
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_check_slots_names_a_bad_entry_in_a_later_block_by_its_stream_index(monkeypatch, block):
-    monkeypatch.setattr(sim, "_BLOCK", block)
-    slots = np.arange(1, 201, dtype=np.uint64)
-    slots[150] = slots[149]
-    with pytest.raises(DataError) as exc:
-        check_slots(slots)
-    assert str(exc.value) == "entry 151: duplicate slot index 150 (previous was 150)"
-    slots[150], slots[170] = 151, 5
-    with pytest.raises(DataError) as exc:
-        check_slots(slots, lambda i: f"line {i + 10}")
-    assert str(exc.value) == "line 180: non-increasing slot index 5 (previous was 170)"
-
-
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_a_bad_slot_after_a_dead_time_violation_is_reported_first(monkeypatch, block):
-    monkeypatch.setattr(sim, "_BLOCK", block)
-    dead = ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=2)
-    slots = np.arange(1, 301, dtype=np.int64) * 3
-    slots[3] = slots[2] + 1
-    with pytest.raises(DataError) as exc:
-        EventStream(slots, dead)
-    assert str(exc.value) == "event gaps must exceed the dead time of 2 slots"
-    slots[100] = slots[99]
-    with pytest.raises(DataError) as exc:
-        EventStream(slots, dead)
-    assert str(exc.value) == "entry 101: duplicate slot index 300 (previous was 300)"
-
-
-def test_a_callers_array_is_copied():
-    """Mutating the caller's array, or the array under a read-only view of
-    it, leaves the stream as it was built."""
-    slots = np.array([1, 2, 3], dtype=np.uint64)
-    view = slots[:]
-    view.setflags(write=False)
-    streams = [EventStream(slots, FREE), EventStream(view, FREE)]
-    slots[:] = [7, 8, 9]
-    for stream in streams:
-        assert stream.slots.tolist() == [1, 2, 3]
-        assert not stream.slots.flags.writeable
-
-
-def test_read_only_slots_are_kept_when_no_writable_array_reaches_them():
-    owned = np.array([1, 2, 3], dtype=np.uint64)
-    owned.setflags(write=False)
-    assert EventStream(owned, FREE).slots is owned
-    from_bytes = np.frombuffer(np.array([1, 5], dtype=np.uint64).tobytes(), dtype=np.uint64)
-    assert EventStream(from_bytes, FREE).slots is from_bytes
-    from_bytearray = np.frombuffer(bytearray(from_bytes.tobytes()), dtype=np.uint64)
-    from_bytearray.setflags(write=False)
-    assert EventStream(from_bytearray, FREE).slots is not from_bytearray
-    signed = np.array([1, 2], dtype=np.int64)
-    signed.setflags(write=False)
-    assert EventStream(signed, FREE).slots.dtype == np.uint64
+    monkeypatch.setattr(sim, "EventStream", spy)
+    source = SourceModel(Distribution.POISSON, 0.5)
+    generate_free_running(source, ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=dead), 100, seed=1)
+    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=dead)
+    generate_gated(source, gated, IntraGateProfile.uniform(), 100, seed=1)
+    assert checked == [dead, dead]
 
 
 def test_generated_slots_are_not_copied():

@@ -1031,6 +1031,16 @@ def test_battery_counts_patterns_at_most_once_per_run(monkeypatch, apen_len, ser
     assert all(4 << m <= run_len for m in widths)
 
 
+def test_battery_counts_patterns_after_the_spectral_test(monkeypatch):
+    """The shared pattern count is made when ApEn first asks for it, so its
+    table is not held through the spectral test, the run's memory peak."""
+    calls = []
+    monkeypatch.setattr(suite, "_overlapping_counts", lambda x, m: calls.append("count") or _overlapping_counts(x, m))
+    monkeypatch.setattr(suite, "dft_test", lambda x: calls.append("dft") or dft_test(x))
+    run_battery(random_bits(97, 2 << 15), run_len=1 << 15)
+    assert calls == ["dft", "count", "dft", "count"]
+
+
 def test_battery_stays_within_its_memory_budget():
     """The traced-allocation peak of one million-bit run: the spectral test's
     float arrays, not one int64 walk per cumulative-sums direction."""
