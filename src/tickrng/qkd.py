@@ -21,12 +21,13 @@ coincidences; only counts and each party's carries outlive it, so a
 round's memory does not grow with its gates.  Each party gives one value
 per gate, its basis bit where it kept a detection and 2 where it did
 not, and the round counts coincidences, matched bases, ones and
-detections by comparing these arrays gate by gate.  A helper thread
-draws the next block's pair numbers while the round works on the
-current block; it alone uses the pair-number generator, one draw at a
-time in gate order, so the results do not depend on how the threads are
-scheduled.  A generator called block by block, or copied and positioned
-by ``advance``, yields the values of one whole-length call, so the seed
+detections by comparing these arrays gate by gate.  A producer thread
+draws the pair numbers in gate order into a one-place queue, so it draws
+the next block's while the round works on the current block and never
+runs more than two draws ahead; it alone uses the pair-number generator,
+so the results do not depend on how the threads are scheduled.  A
+generator called block by block, or copied and positioned by
+``advance``, yields the values of one whole-length call, so the seed
 contract is unchanged: every result equals that of whole-length draws.
 Plain BB84's Alice sends in every gate.
 
@@ -49,6 +50,7 @@ days is refused at once, after the reach guards, rather than run.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,17 +128,18 @@ _CLICK_TABLE_CAP = 1 << 16
 _NONE = 2
 
 # Gates per block of the per-gate draws: a block's float64 uniforms and
-# click probabilities take 1 MiB each, however many gates a round has.
-# Larger blocks were slower in-process, not faster.
-_GATE_BLOCK = 1 << 17
+# click probabilities take 256 KiB each, however many gates a round has.
+# Rounds took as long as in blocks of 2^17, which hold four times as much;
+# blocks of 2^14 slowed the detectors by about a tenth.
+_GATE_BLOCK = 1 << 15
 
 # The most gates a round, and events a gate width of the adversary, may
 # take: at 30-40 ns each on two shared cores, about 10 hours.
 _MAX_WORK = 1 << 40
 
 # Pair numbers are drawn in whole gate blocks, at least this many gates at
-# a time.  Handing a draw to the helper thread and back took about 0.1 ms
-# on two shared cores, so a draw per one-gate block doubled a round's time.
+# a time.  Handing a draw between threads took about 0.1 ms on two shared
+# cores, so a draw per one-gate block doubled a round's time.
 _MIN_DRAW = 1 << 8
 
 
@@ -293,33 +296,50 @@ def _round(params: ProtocolParams, seed_src, seed_pair, alice, bob) -> ProtocolR
     uniform per coincidence on matched bases, in gate order, from
     ``seed_pair``'s.  Only counts outlive a block.
 
-    A helper thread draws the next pair numbers, for whole blocks and at
-    least ``_MIN_DRAW`` gates at a time, while this one works on the
+    A producer thread draws the pair numbers in gate order, for whole
+    blocks and at least ``_MIN_DRAW`` gates at a time, into a one-place
+    queue, so it draws the next ones while this thread works on the
     current ones; numpy releases the interpreter lock while it draws.
-    Only the helper uses ``seed_src``'s generator, one draw at a time in
-    gate order, so the result does not depend on scheduling.
+    Only the producer uses ``seed_src``'s generator, so the result does
+    not depend on scheduling.  An error on either thread is raised here,
+    and the producer has stopped before the round returns or raises.
     """
     # Imported here so that only protocol rounds pay for it.
-    from concurrent.futures import ThreadPoolExecutor
+    from queue import Queue
 
     source_rng, error_rng = rng(seed_src), rng(seed_pair)
     n_gates, error = params.n_gates, params.intrinsic_error
     per_draw = -(-_MIN_DRAW // _GATE_BLOCK) * _GATE_BLOCK
+    drawn, stop = Queue(maxsize=1), threading.Event()
 
-    def pair_numbers(first: int) -> np.ndarray:
-        return _sample_pair_numbers(source_rng, params.pair_source, min(per_draw, n_gates - first))
+    def produce() -> None:
+        try:
+            for first in range(0, n_gates, per_draw):
+                if stop.is_set():
+                    return
+                drawn.put(_sample_pair_numbers(source_rng, params.pair_source, min(per_draw, n_gates - first)))
+        except BaseException as exc:  # handed to the round, which raises it
+            drawn.put(exc)
 
+    producer = threading.Thread(target=produce)
+    producer.start()
     pair_gates, totals = 0, [0] * 7
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        drawn = helper.submit(pair_numbers, 0)
+    try:
         for first in range(0, n_gates, per_draw):
-            pairs = drawn.result()
-            if first + per_draw < n_gates:
-                drawn = helper.submit(pair_numbers, first + per_draw)
+            pairs = drawn.get()
+            if isinstance(pairs, BaseException):
+                raise pairs
             pair_gates += int(np.count_nonzero(pairs))
             for i in range(0, pairs.size, _GATE_BLOCK):
                 counts = _sift_block(alice, bob, pairs[i : i + _GATE_BLOCK], first + i, error_rng, error)
                 totals = [t + c for t, c in zip(totals, counts)]
+    finally:
+        # Only this thread takes from the queue, and after the drain the
+        # producer puts at most once more, into the emptied queue.
+        stop.set()
+        while not drawn.empty():
+            drawn.get_nowait()
+        producer.join()
     ones_a, detections_a, ones_b, detections_b, n_coinc, n_sift, n_err = totals
     return ProtocolResult(
         coincidences=n_coinc,

@@ -292,8 +292,11 @@ def intra_gate_slots(
 def _intra_gate_blocks(gen: np.random.Generator, p_gate: float | None, profile: IntraGateProfile,
                        r: int, n_events: int) -> Iterator[np.ndarray]:
     starts = range(0, n_events, _BLOCK)
-    for start in starts:
-        gen.geometric(p_gate, size=min(_BLOCK, n_events - start))
+    # The gaps are walked only to reach the profile's draws; a one-slot gate
+    # or a fixed slot takes none, so there the walk is skipped.
+    if r > 1 and profile.kind != "fixed":
+        for start in starts:
+            gen.geometric(p_gate, size=min(_BLOCK, n_events - start))
     for start in starts:
         yield profile.sample(gen, min(_BLOCK, n_events - start), r)
 

@@ -41,8 +41,9 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    """Only a protocol round imports ``concurrent.futures`` (and with it
-    ``queue``), so a fresh ``import tickrng.cli, tickrng.qkd`` must not load them."""
+    """Only a protocol round imports ``queue``, for its pair-number producer,
+    and nothing imports ``concurrent.futures``, so a fresh
+    ``import tickrng.cli, tickrng.qkd`` must load neither."""
     code = (
         "import sys\n"
         "import tickrng.cli, tickrng.qkd\n"
@@ -78,7 +79,7 @@ def test_bare_package_import_loads_no_module(module):
 
 # Each call, its exit code and its tickrng modules beyond the front end (the
 # package root, ``cli``, ``errors`` and ``models``); a call loads numpy
-# exactly when it loads one of them.
+# exactly when it loads one of them, and no call loads ``concurrent.futures``.
 LAYERS_LOADED = {
     "version": (["--version"], 0, set()),
     "help": (["--help"], 0, set()),
@@ -99,7 +100,7 @@ try:
     rc = main(sys.argv[1:])
 except SystemExit as exc:  # --version exits from inside argparse
     rc = exc.code
-print(rc, *sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "tickrng"))
+print(rc, *sorted(m for m in sys.modules if m in ("numpy", "concurrent.futures") or m.split(".")[0] == "tickrng"))
 """
 
 
@@ -108,7 +109,8 @@ def test_each_call_loads_only_its_own_layers(tmp_path, call):
     """In a fresh interpreter: ``--version``, ``--help``, a usage error and an
     analytic ``bias`` load no numpy; ``simulate`` no battery and no ``qkd``;
     ``extract`` and ``test`` no simulator and no ``qkd``; ``protocol`` and ``eve``
-    no battery."""
+    no battery, and a protocol round, whose producer thread takes ``queue``,
+    no ``concurrent.futures``."""
     argv, exit_code, layers = LAYERS_LOADED[call]
     (tmp_path / "events.txt").write_text("1\n3\n4\n")
     (tmp_path / "bits.txt").write_text("0110" * 50)

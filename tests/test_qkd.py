@@ -6,6 +6,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -227,8 +228,9 @@ def test_protocol_dead_time_matches_the_reference_loop(monkeypatch):
 
     monkeypatch.setattr(qkd, "apply_dead_time", reference)
     assert run_all_protocols(params) == fast
-    # Alice and Bob in BBM92, Bob in BB84, Bob and Alice in heralded BB84.
-    assert len(filtered) == 5
+    # Alice and Bob in BBM92, Bob in BB84, Bob and Alice in heralded BB84,
+    # each once per gate block.
+    assert len(filtered) == 5 * -(-params.n_gates // qkd._GATE_BLOCK)
     for kept, candidates in filtered:
         assert 0 < kept.size < candidates
         assert int(np.diff(kept).min()) > 3
@@ -920,16 +922,111 @@ def sweep_params(n_gates: int, slots_per_gate: int = 2) -> ProtocolParams:
     )
 
 
+def hold_the_first_block_for_a_full_queue(patch, sift=None) -> list:
+    """Patch ``qkd`` so that a round's first block is worked on, by ``sift``
+    or else the real ``_sift_block``, only once the producer has made three
+    draws: that block's, one in the queue, and one drawn and waiting for the
+    queue.  The returned list gets one True per draw waited for in time."""
+    sample, sift = qkd._sample_pair_numbers, sift or qkd._sift_block
+    drawn, waited = threading.Semaphore(0), []
+
+    def counted_sample(*args):
+        pairs = sample(*args)
+        drawn.release()
+        return pairs
+
+    def sift_once_the_queue_is_full(*args):
+        if not waited:
+            waited.extend(drawn.acquire(timeout=10) for _ in range(3))
+        return sift(*args)
+
+    patch.setattr(qkd, "_sample_pair_numbers", counted_sample)
+    patch.setattr(qkd, "_sift_block", sift_once_the_queue_is_full)
+    return waited
+
+
+def traced_peak_with_a_full_queue(monkeypatch, run, params: ProtocolParams) -> int:
+    """The traced peak of ``run(params)``, whose first block is worked on
+    with the producer's queue full."""
+    with monkeypatch.context() as patch:
+        waited = hold_the_first_block_for_a_full_queue(patch)
+        peak = traced_peak(run, params)
+    assert waited == [True] * 3
+    return peak
+
+
 @pytest.mark.parametrize("protocol", sorted(ROUNDS))
-def test_protocol_rounds_run_in_flat_memory(protocol):
+def test_protocol_rounds_run_in_flat_memory(monkeypatch, protocol):
     """The traced-allocation peak of a 4x10^6-gate round is that of a round
-    of two gate blocks and three gates, within 256 KiB: no per-gate flag or
-    per-detection basis outlives a block.  An untraced round first imports
-    the helper thread's modules, so neither peak holds that import."""
+    of three gate blocks and three gates, within 256 KiB, where the first
+    block is worked on with the producer's queue full: no per-gate flag or
+    per-detection basis outlives a block, and the producer holds at most
+    two draws beyond the block being worked on.  An untraced round first
+    imports the producer's modules, so neither peak holds that import."""
     run = ROUNDS[protocol]
     run(sweep_params(1000))
-    short = traced_peak(run, sweep_params(2 * qkd._GATE_BLOCK + 3))
+    short = traced_peak_with_a_full_queue(monkeypatch, run, sweep_params(3 * qkd._GATE_BLOCK + 3))
     assert traced_peak(run, sweep_params(4_000_000)) <= short + 256 * 1024
+
+
+def test_the_producer_runs_at_most_two_draws_ahead(monkeypatch):
+    """A draw starts only once the round has worked through every block of
+    the draw three before it, on the producer thread: one draw is worked on,
+    one waits in the queue and one is being drawn.  With each block slowed
+    down, the producer does run that far ahead."""
+    monkeypatch.setattr(qkd, "_GATE_BLOCK", 1000)
+    sample, sift = qkd._sample_pair_numbers, qkd._sift_block
+    worked, leads = [], []
+
+    def spy(source_rng, source, n_gates):
+        leads.append((len(leads) - len(worked), threading.current_thread() is threading.main_thread()))
+        return sample(source_rng, source, n_gates)
+
+    def slow_sift(*args):
+        time.sleep(0.05)
+        counts = sift(*args)
+        worked.append(args[3])
+        return counts
+
+    monkeypatch.setattr(qkd, "_sample_pair_numbers", spy)
+    monkeypatch.setattr(qkd, "_sift_block", slow_sift)
+    run_bbm92(make_params(n_gates=8000))
+    assert worked == list(range(0, 8000, 1000))
+    assert [on_main for _, on_main in leads] == [False] * 8
+    assert max(lead for lead, _ in leads) == 2
+
+
+def test_a_round_that_fails_early_stops_its_producer(monkeypatch):
+    """A round whose first block fails with the producer's queue full and a
+    thousand draws to go raises after those three draws: the producer
+    stops instead of drawing the rest, and does not wait on a full queue.
+    The round runs on a thread of its own, so a producer that never stops
+    fails the test rather than hangs it."""
+    monkeypatch.setattr(qkd, "_GATE_BLOCK", 1000)
+    sample, draws, raised = qkd._sample_pair_numbers, [], []
+
+    def counted(*args):
+        draws.append(args[2])
+        return sample(*args)
+
+    def fail(*args):
+        raise DrawFailed("block 1")
+
+    def round_that_fails():
+        try:
+            run_bbm92(make_params(n_gates=1_000_000))
+        except DrawFailed as exc:
+            raised.append(exc)
+
+    monkeypatch.setattr(qkd, "_sample_pair_numbers", counted)
+    waited = hold_the_first_block_for_a_full_queue(monkeypatch, fail)
+    worker = threading.Thread(target=round_that_fails, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert waited == [True] * 3
+    assert len(raised) == 1
+    assert draws == [1000] * 3
 
 
 def test_eve_stays_within_its_memory_budget():

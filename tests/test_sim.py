@@ -394,6 +394,31 @@ def test_intra_gate_slot_blocks_join_up_to_the_gated_streams(monkeypatch, r, pro
             assert np.array_equal(np.concatenate([np.empty(0, np.int64), *blocks]), expected)
 
 
+@pytest.mark.parametrize("r, profile, walks", [(1, "uniform", False), (1, "weighted", False),
+                                               (4, "fixed:1", False), (4, "uniform", True), (4, "weighted", True)])
+def test_intra_gate_slots_walk_the_gaps_only_to_reach_profile_draws(monkeypatch, r, profile, walks):
+    """The gaps are walked, one ``geometric`` call per block, only where the
+    profile then draws: not at one slot per gate, nor at a fixed slot."""
+    seeded, calls = sim.rng, []
+
+    class Spy:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def geometric(self, *args, **kwargs):
+            calls.append(kwargs["size"])
+            return self.gen.geometric(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
+
+    monkeypatch.setattr(sim, "rng", lambda seed: Spy(seeded(seed)))
+    source, clock = SourceModel(Distribution.POISSON, 0.5), ClockConfig(mode=ClockMode.GATED, slots_per_gate=r)
+    blocks = list(intra_gate_slots(source, clock, intra_gate_profile(profile, r), 2 * sim._BLOCK + 3, 409))
+    assert len(blocks) == 3
+    assert calls == ([sim._BLOCK, sim._BLOCK, 3] if walks else [])
+
+
 def test_intra_gate_slots_run_the_gated_guards_on_the_call():
     """The gated generator's guards in its order and with its messages, the
     clock's mode naming the function, raised before the first block is
