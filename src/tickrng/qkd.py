@@ -37,15 +37,13 @@ learns which *gate* each detection fell into, but not the slot inside
 the gate.  She guesses each basis bit as the parity of the gate interval
 times ``slots_per_gate``, the first guess flipped when odd intra-gate slots
 are the likelier ones (the maximum-likelihood guess only without dead time).
-Her score depends on the intra-gate slots alone.  Without dead time she
-scores them block by block as ``intra_gate_slots`` draws them, so her
-memory does not grow with the events; with it, which clicks survive
-depends on their absolute slots, so Bob's whole stream is drawn first.
+Her score depends on the intra-gate slots alone, which she scores block
+by block as ``sim.intra_gate_slots`` yields them at any dead time.
 
-Neither a round nor the streamed adversary is bounded by an allocation,
-so a round takes at most ``_MAX_WORK`` gates and the streamed adversary
-at most ``_MAX_WORK`` events per gate width: a count that would run for
-days is refused at once, after the reach guards, rather than run.
+Neither a round nor the adversary is bounded by an allocation, so a
+round takes at most ``_MAX_WORK`` gates and the adversary at most
+``_MAX_WORK`` events per gate width: a count that would run for days is
+refused at once, after the reach guards, rather than run.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ from .sim import (
     IntraGateProfile,
     apply_dead_time,
     generate_free_running,
-    generate_gated,
     intra_gate_slots,
     rng,
 )
@@ -120,10 +117,6 @@ def _sample_pair_numbers(rng: np.random.Generator, source: SourceModel, n_gates:
     return rng.geometric(1.0 / (source.mu + 1.0), size=n_gates) - 1
 
 
-# Photon numbers up to this bound share one power each; a gate with more
-# photons takes its own.
-_CLICK_TABLE_CAP = 1 << 16
-
 # A party's per-gate value where it kept no detection; its bases are 0 and 1.
 _NONE = 2
 
@@ -147,13 +140,13 @@ def _click_probabilities(survival: float, n_photons: np.ndarray) -> np.ndarray:
     """Per-gate click probability ``1 - (1 - survival) ** n_photons``.
 
     The power is taken once per photon number up to
-    ``min(max n_photons, n_photons.size, _CLICK_TABLE_CAP)`` (the block's
-    gates cap the table) and looked up; gates past it take their own power.
+    ``min(max n_photons, n_photons.size)`` (the block's gates bound the
+    table) and looked up; gates past it take their own power.
     The inputs of every power are those of the per-gate formula, so the
     values are too.
     """
     top = int(n_photons.max())
-    cap = min(top, n_photons.size, _CLICK_TABLE_CAP)
+    cap = min(top, n_photons.size)
     table = 1.0 - (1.0 - survival) ** np.arange(cap + 1, dtype=n_photons.dtype)
     p_click = table.take(n_photons, mode="clip")
     if top > cap:
@@ -426,10 +419,11 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     equals the last detection's, or the likelier parity for the first.
     Returns the empirical probability of a correct guess minus 1/2.
 
-    Without dead time the i come from ``intra_gate_slots`` one block at a
-    time, and more than ``_MAX_WORK`` events are refused after its guards.
-    With dead time, which clicks survive depends on their absolute slots,
-    so Bob's whole stream is drawn first and its i taken block by block.
+    The i come from ``intra_gate_slots`` one block at a time, and more
+    than ``_MAX_WORK`` events are refused after its guards, before any
+    draw.  The guess is the maximum-likelihood one only without dead time;
+    with it the advantage reported understates an adversary who guesses
+    per gate gap (ROADMAP item 7: 0.029 against 0.072 at r = 3, dead 3).
     """
     clock = params.clock_bob
     if clock.mode is not ClockMode.GATED:
@@ -438,12 +432,8 @@ def eve_qnd_advantage(params: ProtocolParams, n_events: int) -> float:
     bob = _party(params, "Bob")
     (child,) = np.random.SeedSequence(params.seed).spawn(1)
     r = clock.slots_per_gate
-    if clock.dead_slots:
-        slots = generate_gated(bob, clock, params.profile, n_events, child).slots
-        blocks = ((slots[s : s + _GATE_BLOCK] - 1) % r + 1 for s in range(0, n_events, _GATE_BLOCK))
-    else:
-        blocks = intra_gate_slots(bob, clock, params.profile, n_events, child)
-        _check_work(n_events, "events per gate width")
+    blocks = intra_gate_slots(bob, clock, params.profile, n_events, child)
+    _check_work(n_events, "events per gate width")
 
     # The likelier parity of i stands before the first detection.
     parity = int(params.profile.odd_slot_probability(r) > 0.5)

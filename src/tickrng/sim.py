@@ -14,9 +14,10 @@ Gap sampling uses inverse-CDF geometric draws rather than per-slot
 Bernoulli trials; the two are distributionally identical and the tests
 check the generated gap histogram against the geometric window pmf, the
 ``window_pmf`` oracle of ``tests/conftest.py``.
-Gated draws come in ``_BLOCK``-slot blocks, in one call's draw order;
-without dead time, :func:`intra_gate_slots` yields a gated stream's
-intra-gate slots in such blocks, holding one block at a time.
+Gated draws come in ``_BLOCK``-slot blocks, in one call's draw order.
+:func:`intra_gate_slots` yields a gated stream's intra-gate slots in such
+blocks at any dead time; without one it holds one block at a time, with
+one it holds the stream, whose survivors depend on their absolute slots.
 """
 
 from __future__ import annotations
@@ -276,22 +277,28 @@ def intra_gate_slots(
 ) -> Iterator[np.ndarray]:
     """The intra-gate slots of ``generate_gated``'s stream, ``_BLOCK`` at a time.
 
-    Takes ``generate_gated``'s arguments, with a clock without dead time,
-    and runs its guards on the call, not on the first block.  The blocks
-    join up to ``(slots - 1) % slots_per_gate + 1`` of the stream's slots.
-    Without dead time every candidate is kept, so the one batch draws all
-    its gaps, which are walked ``_BLOCK`` at a time and dropped, then the
-    profile slots, which are yielded as drawn: one block is held at a time.
+    Takes ``generate_gated``'s arguments and runs its guards on the call,
+    not on the first block; nothing is drawn before the first block is
+    asked for.  The int64 blocks join up to ``(slots - 1) % slots_per_gate
+    + 1`` of the stream's slots.  Without dead time every candidate is
+    kept, so the one batch draws all its gaps, which are walked ``_BLOCK``
+    at a time and dropped, then the profile slots, which are yielded as
+    drawn: one block is held at a time.  With dead time, which candidates
+    survive depends on their absolute slots, so the whole stream is held.
     """
     n_events, p_gate = _gated_guards(source, clock, profile, n_events, "intra_gate_slots")
+    return _intra_gate_blocks(source, clock, profile, n_events, seed, p_gate)
+
+
+def _intra_gate_blocks(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
+                       n_events: int, seed, p_gate: float | None) -> Iterator[np.ndarray]:
+    r, starts = clock.slots_per_gate, range(0, n_events, _BLOCK)
     if clock.dead_slots:
-        raise ValueError("intra_gate_slots requires a clock without dead time")
-    return _intra_gate_blocks(rng(seed), p_gate, profile, clock.slots_per_gate, n_events)
-
-
-def _intra_gate_blocks(gen: np.random.Generator, p_gate: float | None, profile: IntraGateProfile,
-                       r: int, n_events: int) -> Iterator[np.ndarray]:
-    starts = range(0, n_events, _BLOCK)
+        slots = generate_gated(source, clock, profile, n_events, seed).slots.view(np.int64)
+        for start in starts:
+            yield (slots[start : start + _BLOCK] - 1) % r + 1
+        return
+    gen = rng(seed)
     # The gaps are walked only to reach the profile's draws; a one-slot gate
     # or a fixed slot takes none, so there the walk is skipped.
     if r > 1 and profile.kind != "fixed":

@@ -360,8 +360,9 @@ ADVERSARIAL_KERNEL_PARAMS = {
     # A table capped at n_gates = 300 entries, with about a third of the
     # photon numbers past it.
     "straddles-the-gate-cap": dict(pair_source=SourceModel(Distribution.THERMAL, 300.0, 0.004), n_gates=300),
-    # Photon numbers on both sides of the 2**16 cap.
-    "straddles-the-fixed-cap": dict(
+    # Photon numbers on both sides of 2**16, the table bound of a
+    # 2**16-gate block.
+    "straddles-the-block-cap": dict(
         pair_source=SourceModel(Distribution.THERMAL, float(1 << 16), 2e-5), n_gates=100_000
     ),
 }
@@ -370,7 +371,7 @@ ADVERSARIAL_KERNEL_PARAMS = {
 @pytest.mark.parametrize("case", sorted(ADVERSARIAL_KERNEL_PARAMS))
 def test_protocol_kernels_match_the_reference_on_adversarial_input(monkeypatch, case):
     """At the default gate block and at 2**16 gates, where
-    ``straddles-the-fixed-cap`` takes two blocks and so crosses a block edge."""
+    ``straddles-the-block-cap`` takes two blocks and so crosses a block edge."""
     params = make_params(**ADVERSARIAL_KERNEL_PARAMS[case])
     fast = run_all_protocols(params)
     photon_numbers = []
@@ -386,7 +387,7 @@ def test_protocol_kernels_match_the_reference_on_adversarial_input(monkeypatch, 
     if case == "no-coincidences":
         assert bbm92.coincidences == bb84h.coincidences == 0 < bb84.coincidences
     if case.startswith("straddles"):
-        cap = min(params.n_gates, qkd._CLICK_TABLE_CAP)
+        cap = min(params.n_gates, 1 << 16)
         for n_photons in photon_numbers:
             assert 0 < np.count_nonzero(n_photons > cap) < params.n_gates // 2
 
@@ -765,19 +766,9 @@ def test_eve_advantages_are_pinned(r, expected):
     assert eve_advantage_for(r, n_events=200_000) == expected
 
 
-def set_eve_blocks(monkeypatch, block: int, dead_slots: int = 0) -> None:
-    """Blocks of ``block`` events on the adversary's path: the streamed
-    intra-gate slots without dead time, the whole stream's blocks with it.
-    (``generate_gated``'s own blocks are checked in ``test_sim.py``.)"""
-    if dead_slots:
-        monkeypatch.setattr(qkd, "_GATE_BLOCK", block)
-    else:
-        monkeypatch.setattr(sim, "_BLOCK", block)
-
-
 @pytest.mark.parametrize("block", [7, 64])
 def test_eve_advantages_stay_pinned_in_small_blocks(monkeypatch, block):
-    set_eve_blocks(monkeypatch, block)
+    monkeypatch.setattr(sim, "_BLOCK", block)
     got = [(r, eve_advantage_for(r, n_events=200_000)) for r, _ in PINNED_EVE_ADVANTAGES]
     assert got == PINNED_EVE_ADVANTAGES
 
@@ -786,7 +777,7 @@ def test_eve_in_one_event_blocks_matches_the_default_block(monkeypatch):
     """At 2x10^5 events one-event blocks take seconds, so 10^4 events are
     compared with the default block; r = 3 flips the first guess."""
     expected = [eve_advantage_for(r, n_events=10_000) for r, _ in PINNED_EVE_ADVANTAGES]
-    set_eve_blocks(monkeypatch, 1)
+    monkeypatch.setattr(sim, "_BLOCK", 1)
     assert [eve_advantage_for(r, n_events=10_000) for r, _ in PINNED_EVE_ADVANTAGES] == expected
 
 
@@ -794,8 +785,8 @@ def test_eve_in_one_event_blocks_matches_the_default_block(monkeypatch):
 @pytest.mark.parametrize("profile", ["uniform", "fixed:1", "fixed:r", "weighted"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 257])
 def test_eve_matches_the_full_interval_oracle(monkeypatch, r, profile, dark_prob, dead_slots):
-    """Exact at blocks 1, 7 and the default on either path; r = 257 wraps
-    the intra-gate slot past one byte."""
+    """Exact at ``sim`` blocks of 1, 7 and the default, with and without
+    dead time; r = 257 wraps the intra-gate slot past one byte."""
     params = ProtocolParams(
         pair_source=SourceModel(Distribution.POISSON, 0.5, 0.2),
         clock_alice=GATED_2,
@@ -807,14 +798,14 @@ def test_eve_matches_the_full_interval_oracle(monkeypatch, r, profile, dark_prob
     expected = reference_eve_advantage(params, 2000)
     for block in (None, 7, 1):
         if block is not None:
-            set_eve_blocks(monkeypatch, block, dead_slots)
+            monkeypatch.setattr(sim, "_BLOCK", block)
         assert eve_qnd_advantage(params, 2000) == expected
 
 
 def test_work_past_the_limit_is_refused(monkeypatch):
     """Each round past ``_MAX_WORK`` gates, and the adversary past
-    ``_MAX_WORK`` events without dead time, is refused by name; at the limit
-    they run.  (The reach guards come first: see
+    ``_MAX_WORK`` events with and without dead time, is refused by name; at
+    the limit they run.  (The reach guards come first: see
     ``test_rounds_past_64_bit_slots_are_guarded`` at 2**61 gates and the
     CLI's ``eve --events`` past float range.)"""
     monkeypatch.setattr(qkd, "_MAX_WORK", 1000)
@@ -823,13 +814,11 @@ def test_work_past_the_limit_is_refused(monkeypatch):
         check_result_invariants(run(make_params(n_gates=1000)))
         with pytest.raises(GuardError, match=r"^at most 1000 gates per round, got 1001$"):
             run(make_params(n_gates=1001))
-    params = make_params(n_gates=1)
-    assert eve_qnd_advantage(params, 1000) == reference_eve_advantage(params, 1000)
-    with pytest.raises(GuardError, match=r"^at most 1000 events per gate width, got 1001$"):
-        eve_qnd_advantage(params, 1001)
-    # With dead time the whole stream is drawn, and held, first.
-    dead = make_params(clock_bob=ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=1), n_gates=1)
-    assert eve_qnd_advantage(dead, 1001) == reference_eve_advantage(dead, 1001)
+    dead = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=1)
+    for params in (make_params(n_gates=1), make_params(clock_bob=dead, n_gates=1)):
+        assert eve_qnd_advantage(params, 1000) == reference_eve_advantage(params, 1000)
+        with pytest.raises(GuardError, match=r"^at most 1000 events per gate width, got 1001$"):
+            eve_qnd_advantage(params, 1001)
 
 
 class DrawFailed(Exception):

@@ -373,15 +373,17 @@ def test_gated_simulation_stays_within_its_memory_budget():
     assert peak <= 8 * n_events + 4 * 2**20
 
 
+@pytest.mark.parametrize("dead_slots", [0, 3])
 @pytest.mark.parametrize("dark_prob", [0.0, 0.05])
 @pytest.mark.parametrize("profile", ["uniform", "fixed:1", "fixed:r", "weighted"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 257])
-def test_intra_gate_slot_blocks_join_up_to_the_gated_streams(monkeypatch, r, profile, dark_prob):
+def test_intra_gate_slot_blocks_join_up_to_the_gated_streams(monkeypatch, r, profile, dark_prob, dead_slots):
     """At 1, ``_BLOCK`` - 1, ``_BLOCK`` + 1 and 2 ``_BLOCK`` + 3 events, for
-    the default block and blocks of 1, 7 and 64: full blocks but the last,
-    which together are the gated stream's intra-gate slots."""
+    the default block and blocks of 1, 7 and 64, with and without dead
+    time: int64 blocks, full but the last, which together are the gated
+    stream's intra-gate slots."""
     source = SourceModel(Distribution.POISSON, 0.5)
-    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dark_prob=dark_prob)
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=r, dark_prob=dark_prob, dead_slots=dead_slots)
     shape = intra_gate_profile(profile, r)
     for block in (None, 1, 7, 64):
         if block is not None:
@@ -389,6 +391,7 @@ def test_intra_gate_slot_blocks_join_up_to_the_gated_streams(monkeypatch, r, pro
         for n_events in (1, sim._BLOCK - 1, sim._BLOCK + 1, 2 * sim._BLOCK + 3):
             blocks = list(intra_gate_slots(source, clock, shape, n_events, 409))
             assert [b.size for b in blocks[:-1]] == [sim._BLOCK] * (len(blocks) - 1)
+            assert all(b.dtype == np.int64 for b in blocks)
             slots = generate_gated(source, clock, shape, n_events, 409).slots
             expected = (slots - np.uint64(1)) % np.uint64(r) + np.uint64(1)
             assert np.array_equal(np.concatenate([np.empty(0, np.int64), *blocks]), expected)
@@ -419,14 +422,15 @@ def test_intra_gate_slots_walk_the_gaps_only_to_reach_profile_draws(monkeypatch,
     assert calls == ([sim._BLOCK, sim._BLOCK, 3] if walks else [])
 
 
-def test_intra_gate_slots_run_the_gated_guards_on_the_call():
+@pytest.mark.parametrize("dead_slots", [0, 3])
+def test_intra_gate_slots_run_the_gated_guards_on_the_call(dead_slots):
     """The gated generator's guards in its order and with its messages, the
     clock's mode naming the function, raised before the first block is
-    asked for; then the dead time is refused."""
+    asked for, with and without dead time."""
     dark = SourceModel(Distribution.POISSON, 0.0)
     dim = SourceModel(Distribution.POISSON, 1e-12)
     lit = SourceModel(Distribution.POISSON, 0.5)
-    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
+    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=dead_slots)
     uniform, outside = IntraGateProfile.uniform(), IntraGateProfile.fixed_slot(3)
     cases = [
         (dark, FREE, outside, -1, ValueError, "{} requires a gated clock"),
@@ -441,9 +445,26 @@ def test_intra_gate_slots_run_the_gated_guards_on_the_call():
                 generate(source, clock, profile, n_events, seed=0)
             assert str(exc.value) == message.format(generate.__name__)
     assert list(intra_gate_slots(lit, gated, uniform, 0, seed=0)) == []
-    blind = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=1)
-    with pytest.raises(ValueError, match="^intra_gate_slots requires a clock without dead time$"):
-        intra_gate_slots(lit, blind, uniform, 10, seed=0)
+
+
+def test_intra_gate_slots_draw_a_dead_time_stream_when_the_first_block_is_asked_for(monkeypatch):
+    """With dead time the call draws nothing; the first block draws the
+    whole stream with ``generate_gated``, once."""
+    real, calls = sim.generate_gated, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sim, "generate_gated", spy)
+    source, profile = SourceModel(Distribution.POISSON, 0.5), IntraGateProfile.uniform()
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=1)
+    blocks = intra_gate_slots(source, clock, profile, sim._BLOCK + 3, 409)
+    assert calls == []
+    assert next(blocks).size == sim._BLOCK
+    assert calls == [(source, clock, profile, sim._BLOCK + 3, 409)]
+    assert next(blocks).size == 3
+    assert len(calls) == 1
 
 
 def assert_dead_time_matches_reference(slots, dead: int, last: int | None = None) -> None:
