@@ -33,12 +33,18 @@ The costliest procedures run on whole-array kernels:
 - Universal builds its L-bit block values (L <= 16) as ``uint16`` keys by
   shift-or over the L columns; numpy's stable argsort sorts 16-bit keys
   by radix, in the same order as any stable sort.
+- DFFT never holds a length-n transform.  It takes the rfft of each of
+  the r = gcd(n, 8) interleaved sub-signals and combines their rows, a
+  chunk at a time, by a length-r FFT.  Only rows up to m / 2 = n / 2r
+  are combined: a bin whose row is past m / 2 is counted through its
+  mirror n - k, which has the same magnitude.
 
 Each kernel is tested for exact equality against a slow oracle:
 dictionary counts, a scalar Berlekamp–Massey on Python integers
 (``reference_lfsr_complexity`` in ``tests/conftest.py``), row-by-row
-elimination, one int64 walk per direction (``reference_cusum_excursion``)
-and int64 block values by a matrix product (``reference_universal_pvalue``).
+elimination, one int64 walk per direction (``reference_cusum_excursion``),
+int64 block values by a matrix product (``reference_universal_pvalue``)
+and one whole-length rfft (``reference_spectral_below``).
 
 Every p-value is a normal or a chi-square tail, computed in closed form
 with the standard library.  Normal tails are ``math.erfc``.  Each
@@ -318,23 +324,50 @@ def rank_test(bits, matrix_dim: int = 32) -> float:
     return _chi2_fit(counts, np.array([p_full, p_one_less, p_rest]))
 
 
+_DFT_RADIX = 8  # DFFT takes gcd(n, _DFT_RADIX) sub-transforms
+_DFT_CHUNK = 1 << 12  # sub-spectrum rows combined per step
+
+
+def _spectral_below(x: np.ndarray, threshold: float) -> int:
+    """How many of the first n // 2 DFT bins of the +/-1 signal of ``x`` have
+    a magnitude below ``threshold``, with no length-n transform held.
+
+    With r = gcd(n, 8), m = n / r and Y_q the rfft of the signal's
+    ``q::r`` samples, S_{j + p m} = sum over q of W_n^{q j} W_r^{q p} Y_q[j]:
+    a length-r FFT down the twiddled sub-spectra, done in chunks of rows.
+    The rfft gives rows j <= m / 2.  Since |S_{n - k}| = |S_k|, a computed
+    bin also stands for its mirror n - k, whose row m - j is not computed
+    when 0 < j < m / 2.  At r = 1 this is the whole-length rfft.
+    """
+    n = x.size
+    r = math.gcd(n, _DFT_RADIX)
+    m = n // r
+    sub = np.empty((r, m // 2 + 1), dtype=np.complex128)
+    signal = np.empty(m)
+    for q in range(r):
+        np.multiply(x[q::r], 2.0, out=signal)
+        signal -= 1.0
+        sub[q] = np.fft.rfft(signal)
+    del signal
+    qs = np.arange(r)[:, None]
+    below = 0
+    for start in range(0, sub.shape[1], _DFT_CHUNK):
+        rows = sub[:, start : start + _DFT_CHUNK]
+        j = np.arange(start, start + rows.shape[1])
+        k = j + m * qs
+        low = np.abs(np.fft.fft(rows * np.exp(-2j * np.pi / n * (qs * j)), axis=0)) < threshold
+        below += int(np.count_nonzero(low & (k < n // 2)))
+        below += int(np.count_nonzero(low & (n - k < n // 2) & (0 < j) & (2 * j < m)))
+    return below
+
+
 def dft_test(bits) -> float:
     """Fraction of below-threshold spectral peaks against the expected 95%."""
     x = bit_array(bits)
     n = x.size
     _require(n, 1000, "spectral test")
-    # The +-1 signal is built in place, and the signal and then the
-    # spectrum are dropped as soon as each is used, so that no third
-    # float array is alive beside them.
-    signal = x.astype(np.float64)
-    signal *= 2.0
-    signal -= 1.0
-    spectrum = np.fft.rfft(signal)
-    del signal
-    mags = np.abs(spectrum[: n // 2])
-    del spectrum
     threshold = math.sqrt(math.log(20.0) * n)
-    below = int(np.count_nonzero(mags < threshold))
+    below = _spectral_below(x, threshold)
     expected = 0.95 * n / 2.0
     d = (below - expected) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return math.erfc(abs(d) / math.sqrt(2.0))
@@ -530,7 +563,8 @@ def _run_procedures(x: np.ndarray, params: dict) -> Iterator[tuple[TestId, float
     report order; ``None`` marks a procedure that does not apply to the run."""
     apen_len = params["approximate_entropy_block_len"]
     serial_len = params["serial_block_len"]
-    # one count for ApEn and Serial at the docstring's width, made after the DFT's peak
+    # one count for ApEn and Serial at the docstring's width, made after DFFT
+    # so that its table is not held through the transform's arrays
     widths = [w for w in (apen_len + 1, serial_len) if 4 << w <= x.size]
     counts = cache(lambda: _overlapping_counts(x, max(widths)) if widths else None)
 

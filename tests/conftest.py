@@ -302,6 +302,16 @@ NIST_UNIVERSAL_TABLE = {
 }
 
 
+def reference_spectral_below(bits, threshold: float) -> int:
+    """One whole-length rfft: the slow oracle for ``suite``'s spectral count.
+
+    The number of the first n // 2 bins of the +/-1 signal's DFT whose
+    magnitude is below ``threshold``.
+    """
+    signal = 2.0 * np.asarray(bits, dtype=np.float64) - 1.0
+    return int(np.count_nonzero(np.abs(np.fft.rfft(signal)[: signal.size // 2]) < threshold))
+
+
 def reference_universal_pvalue(x) -> float:
     """int64 block values by a matrix product: the slow oracle for ``suite.universal_test``.
 

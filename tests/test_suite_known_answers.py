@@ -10,6 +10,10 @@ regression in the vectorised code cannot hide behind its own formula.
 import functools
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from scipy.stats import chi2 as chi2_dist
 from conftest import (
     reference_cusum_excursion,
     reference_lfsr_complexity,
+    reference_spectral_below,
     reference_universal_pvalue,
     traced_peak,
 )
@@ -447,8 +452,8 @@ def test_dft_constant_input_is_rejected():
     assert dft_test(np.ones(10_000, dtype=np.uint8)) < 1e-20
 
 
-def test_dft_matches_direct_transform():
-    n = 1000
+@pytest.mark.parametrize("n", [1000, 1001, 1002, 1004])  # r = 8, 1, 2, 4
+def test_dft_matches_direct_transform(n):
     bits = random_bits(19, n)
     signal = 2.0 * bits - 1.0
     grid = np.exp(-2j * np.pi * np.outer(np.arange(n // 2), np.arange(n)) / n)
@@ -456,6 +461,31 @@ def test_dft_matches_direct_transform():
     below = int(np.count_nonzero(mags < math.sqrt(math.log(20.0) * n)))
     d = (below - 0.95 * n / 2) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     assert dft_test(bits) == pytest.approx(math.erfc(abs(d) / math.sqrt(2.0)), abs=1e-9)
+
+
+SPECTRAL_KINDS = ADVERSARIAL + ("period-3", "period-4", "period-8")
+
+
+def spectral_bits(kind: str, n: int) -> np.ndarray:
+    """``adversarial_bits``, or a fixed pattern of period 3, 4 or 8 repeated."""
+    patterns = {"period-3": [1, 1, 0], "period-4": [1, 1, 0, 0], "period-8": [1, 0, 1, 1, 0, 0, 0, 1]}
+    if kind in patterns:
+        return np.array(patterns[kind], dtype=np.uint8)[np.arange(n) % len(patterns[kind])]
+    return adversarial_bits(kind, n, seed=n)
+
+
+@pytest.mark.parametrize(
+    "n, chunk", [(n, chunk) for n in range(200, 216) for chunk in (None, 1, 7)] + [(1_000_000, None)]
+)
+def test_spectral_count_matches_the_whole_length_transform(monkeypatch, n, chunk):
+    """n = 200 .. 215 takes every residue mod 8, so r = gcd(n, 8) is 1, 2,
+    4 and 8, at an odd (n = 200) and an even (n = 208) m = n / 8."""
+    if chunk is not None:
+        monkeypatch.setattr(suite, "_DFT_CHUNK", chunk)
+    threshold = math.sqrt(math.log(20.0) * n)
+    for kind in SPECTRAL_KINDS:
+        bits = spectral_bits(kind, n)
+        assert suite._spectral_below(bits, threshold) == reference_spectral_below(bits, threshold), kind
 
 
 # --------------------------------------------------------------- universal
@@ -1033,7 +1063,7 @@ def test_battery_counts_patterns_at_most_once_per_run(monkeypatch, apen_len, ser
 
 def test_battery_counts_patterns_after_the_spectral_test(monkeypatch):
     """The shared pattern count is made when ApEn first asks for it, so its
-    table is not held through the spectral test, the run's memory peak."""
+    table is not held beside the spectral test's sub-spectra."""
     calls = []
     monkeypatch.setattr(suite, "_overlapping_counts", lambda x, m: calls.append("count") or _overlapping_counts(x, m))
     monkeypatch.setattr(suite, "dft_test", lambda x: calls.append("dft") or dft_test(x))
@@ -1042,15 +1072,41 @@ def test_battery_counts_patterns_after_the_spectral_test(monkeypatch):
 
 
 def test_battery_stays_within_its_memory_budget():
-    """The traced-allocation peak of one million-bit run: the spectral test's
-    float arrays, not one int64 walk per cumulative-sums direction."""
-    assert traced_peak(run_battery, random_bits(89, 1_000_000)) <= 21e6
+    """The traced-allocation peak of one million-bit run (10.7e6): the
+    spectral test's sub-spectra, or the pattern count's table and
+    LongestRuns' padded blocks, not one int64 walk per cumulative-sums
+    direction."""
+    assert traced_peak(run_battery, random_bits(89, 1_000_000)) <= 12e6
 
 
 def test_spectral_test_stays_within_its_memory_budget():
-    """The traced-allocation peak of one million-bit run: the float64 signal
-    and its spectrum, with no third array alive beside them."""
-    assert traced_peak(dft_test, random_bits(89, 1_000_000)) <= 17.5e6
+    """The traced-allocation peak of one million-bit run (10.0e6): the eight
+    half-length sub-spectra (8 MB), one sub-signal and a chunk of combined
+    rows, with no length-n signal or spectrum."""
+    assert traced_peak(dft_test, random_bits(89, 1_000_000)) <= 11e6
+
+
+# tracemalloc does not see pocketfft's C++ scratch, so the peak RSS of a
+# fresh interpreter guards it; the whole-length rfft raised it by 31 MB.
+# A process's ru_maxrss starts at the peak of the process that started it,
+# so the interpreter is started by a small launcher, not by pytest.
+SPECTRAL_RSS = """
+import resource
+import numpy as np
+from tickrng.suite import dft_test
+bits = np.random.Generator(np.random.PCG64(89)).integers(0, 2, size=1_000_000, dtype=np.uint8)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+dft_test(bits)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_spectral_test_raises_the_peak_rss_little():
+    env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
+    launcher = "import subprocess, sys\nsubprocess.run(sys.argv[1:], check=True)\n"
+    argv = [sys.executable, "-c", launcher, sys.executable, "-c", SPECTRAL_RSS]
+    done = subprocess.run(argv, env=env, capture_output=True, check=True)
+    assert int(done.stdout) / 1024 <= 18  # KiB to MB
 
 
 def test_battery_records_parameters():
