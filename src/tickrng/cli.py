@@ -195,7 +195,7 @@ def _emit_text(args, text: str, **manifest) -> None:
 
 def cmd_simulate(args) -> int:
     from .formats import write_events
-    from .sim import ClockConfig, ClockMode, generate_free_running, generate_gated
+    from .sim import ClockConfig, ClockMode, generate_blocks
 
     source = _source_from_args(args)
     profile = _profile_from_spec(args.profile)
@@ -207,13 +207,11 @@ def cmd_simulate(args) -> int:
         dead_slots=args.dead_slots,
     )
     seed = _resolve_seed(args)
-    if mode is ClockMode.GATED:
-        stream = generate_gated(source, clock, profile, args.events, seed)
-    else:
-        stream = generate_free_running(source, clock, args.events, seed)
+    # Each block is written as it is drawn, so the stream is never held.
+    blocks = generate_blocks(source, clock, profile, args.events, seed)
     _stage(
-        args, lambda path: write_events(stream, path, fmt=args.format),
-        f"wrote {len(stream)} events to {args.out}",
+        args, lambda path: write_events(blocks, path, fmt=args.format),
+        f"wrote {args.events} events to {args.out}",
         conventions=["first_interval"], mode=mode.value,
     )
     return 0
@@ -223,14 +221,14 @@ def cmd_extract(args) -> int:
     import numpy as np
 
     from .extract import BitStream, ExtractorConfig, balance, extract_mod2, flip_debias, mod4_arrays
-    from .formats import read_events, write_bits
+    from .formats import read_event_blocks, write_bits
 
-    stream = read_events(args.events, fmt=args.events_format)
+    blocks = read_event_blocks(args.events, fmt=args.events_format)
     conventions = ["first_interval"]
     if args.modulus == "mod2":
-        bits = extract_mod2(stream, ExtractorConfig(include_first=args.include_first))
+        bits = extract_mod2(blocks, ExtractorConfig(include_first=args.include_first))
     else:
-        basis, key = mod4_arrays(stream, ExtractorConfig(include_first=args.include_first))
+        basis, key = mod4_arrays(blocks, ExtractorConfig(include_first=args.include_first))
         interleaved = np.empty(2 * basis.size, dtype=np.uint8)
         interleaved[0::2] = basis
         interleaved[1::2] = key

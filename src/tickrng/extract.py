@@ -11,13 +11,14 @@ slots' low byte: ``slots.astype(uint8)`` keeps each slot modulo 256 and
 ``uint8`` subtraction wraps modulo 256, so the differences of the low
 bytes are the intervals modulo 256, exactly, even where a 64-bit
 interval is 2**32 or more.  An :class:`EventStream` holds only its slots,
-checked by :func:`check_slots`, to which a simulator passes its dead time.
+checked by :func:`check_slots`, to which a simulator passes its dead time,
+or comes as blocks checked by :func:`check_blocks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import DataError
 
 __all__ = [
     "check_slots",
+    "check_blocks",
     "EventStream",
     "bit_array",
     "BitStream",
@@ -41,12 +43,14 @@ __all__ = [
 _CHECK_BLOCK = 2**16
 
 
-def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: int = 0) -> np.ndarray:
+def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: int = 0,
+                prev: int | None = None, first: int = 0) -> np.ndarray:
     """``slots`` as a read-only 1-d uint64 array of strictly increasing indices >= 1.
 
     Raises :class:`DataError` for a non-integer dtype, a slot below 1 or a
     slot not above its predecessor, naming entry ``i`` by ``where(i)``
     (``entry i+1`` by default), else for a gap of ``dead_slots`` or less.
+    A block passes the slot before it as ``prev`` and its first index as ``first``.
     Copies unless ``slots`` is uint64 and read-only down to an owner or
     ``bytes``.
     """
@@ -60,14 +64,14 @@ def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: in
     def bad_entry(i: int) -> DataError:
         value = int(arr[i])
         if value < 1:
-            return DataError(f"{name(i)}: slot index must be >= 1, got {value}")
-        last = int(arr[i - 1])
+            return DataError(f"{name(first + i)}: slot index must be >= 1, got {value}")
+        last = int(arr[i - 1]) if i else prev
         kind = "duplicate" if value == last else "non-increasing"
-        return DataError(f"{name(i)}: {kind} slot index {value} (previous was {last})")
+        return DataError(f"{name(first + i)}: {kind} slot index {value} (previous was {last})")
 
-    if arr.size and arr[0] < 1:
+    if arr.size and int(arr[0]) <= (prev or 0):
         raise bad_entry(0)
-    too_close = False
+    too_close = bool(arr.size) and prev is not None and int(arr[0]) - prev <= dead_slots
     for start in range(0, arr.size - 1, _CHECK_BLOCK):
         window = arr[start : start + _CHECK_BLOCK + 1]
         bad = window[1:] <= window[:-1]
@@ -83,6 +87,18 @@ def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: in
         arr = arr.astype(np.uint64)
         arr.setflags(write=False)
     return arr
+
+
+def check_blocks(blocks: Iterable, where: Callable[[int], str] | None = None,
+                 dead_slots: int = 0) -> Iterator[np.ndarray]:
+    """Each of one stream's slot blocks as :func:`check_slots` returns it,
+    given the slot before it: a whole-stream check's errors up to its end."""
+    prev, first = None, 0
+    for block in blocks:
+        block = check_slots(block, where, dead_slots, prev, first)
+        if block.size:
+            prev, first = int(block[-1]), first + block.size
+        yield block
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,21 +192,33 @@ def interval_bytes(slots: np.ndarray, prev: int | None = 0) -> np.ndarray:
     return out
 
 
-def extract_mod2(stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()) -> BitStream:
-    """One bit per interval: the interval length modulo 2."""
-    gaps = interval_bytes(stream.slots, 0 if cfg.include_first else None)
+def _stream_intervals(stream: EventStream | Iterable, cfg: ExtractorConfig) -> np.ndarray:
+    """:func:`interval_bytes` of a stream or its checked blocks, each passed
+    the slot before it."""
+    prev = 0 if cfg.include_first else None
+    parts = []
+    for block in (stream.slots,) if isinstance(stream, EventStream) else stream:
+        if block.size:
+            parts.append(interval_bytes(block, prev))
+            prev = int(block[-1])
+    return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, np.uint8), *parts])
+
+
+def extract_mod2(stream: EventStream | Iterable, cfg: ExtractorConfig = ExtractorConfig()) -> BitStream:
+    """One bit per interval of a stream or its checked blocks: the interval length modulo 2."""
+    gaps = _stream_intervals(stream, cfg)
     gaps &= 1
     return BitStream(gaps)
 
 
 def mod4_arrays(
-    stream: EventStream, cfg: ExtractorConfig = ExtractorConfig()
+    stream: EventStream | Iterable, cfg: ExtractorConfig = ExtractorConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """(basis, key) uint8 bit arrays of the intervals modulo 4: their high and low bits.
 
     The key bits are therefore :func:`extract_mod2`'s bits.
     """
-    key = interval_bytes(stream.slots, 0 if cfg.include_first else None)
+    key = _stream_intervals(stream, cfg)
     basis = key >> 1
     basis &= 1
     key &= 1

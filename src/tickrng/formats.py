@@ -19,34 +19,35 @@ by a JSON run manifest (``<file>.manifest.json``) recording the exact
 command, parameters and random generator, so any output can be reproduced
 bit-exactly with ``tickrng replay``.
 
-Event files are written and parsed one fixed-size block at a time, by
+Event files are written and read one fixed-size block at a time, by
 array kernels with no Python object per line, so the work memory does not
-grow with the stream:
+grow with the stream; :func:`read_events` is the one-block case of
+:func:`read_event_blocks`.
 
-- The writer formats 2**16 slots at a time and appends each block to the
-  file.  It fills an (n, width + 1) byte matrix right to left by repeated
+- The writer takes a stream or its blocks and formats 2**16 slots at a
+  time: an (n, width + 1) byte matrix filled right to left by repeated
   division by 10, width being the digit count of the block's largest
-  slot, with a newline in the last column.  Each row's leading-zero
-  columns are dropped by a mask chosen by its own digit count, so the
-  bytes do not depend on the block.  Binary blocks are written from the
-  slots' own buffer.
-- The reader keeps the file's bytes and fills one uint64 array, sized by
-  the newline count, from blocks of whole lines of about 1 MiB.  In each
-  block it checks that every byte is a digit, a blank or a newline and
-  that no blank run splits a line into two numbers, from the edges of
-  padded byte masks; numpy's own text reader (``np.fromstring`` with
-  ``sep=" "``) then converts the checked text.  It saturates a number
+  slot, then a newline column.  Each row's leading-zero columns are
+  dropped by a mask chosen by its own digit count, so the bytes do not
+  depend on the block.  A failed write removes its partial file.
+- The binary reader checks the file's length from its size and reads
+  ``_READ_BLOCK`` bytes at a time with ``np.fromfile``, each block
+  checked against the slot before it.
+- The ascii reader keeps the file's bytes and fills one uint64 array,
+  sized by the newline count, from blocks of whole lines of about
+  256 KiB.  In each block it checks that every byte is a digit, a blank
+  or a newline and that no blank run splits a line into two numbers, from
+  the edges of padded byte masks; numpy's text reader (``np.fromstring``
+  with ``sep=" "``) then converts the checked text.  It saturates a number
   above 2**64 - 1 to 2**64 - 1, so only tokens read as that value are
-  checked for overflow, by array operations: their last 20 bytes against
-  the digits of 2**64 - 1, and the bytes before those against ``0``.
-  Errors name lines of the whole file, and the error is the one a single
-  pass would give: the first stray byte, else the first split line, else
-  the first overflow.  The line of a slot is looked up only when a
+  checked for overflow: their last 20 bytes against the digits of
+  2**64 - 1, and the bytes before those against ``0``.  The error is the
+  one a single pass gives: the first stray byte, else the first split
+  line, else the first overflow.  A slot's line is looked up only when a
   message names it, from the first entry and byte of its block.
 
-Both kernels are tested for equal bytes, values and error messages
-against the per-line formulas they replaced (one ``str`` per slot;
-``bytes.split`` and ``int`` per line), kept in the tests as oracles.
+Both kernels are tested against per-line oracles in the tests (one
+``str`` per slot; ``bytes.split`` and ``int`` per line).
 """
 
 from __future__ import annotations
@@ -56,19 +57,20 @@ import json
 from bisect import bisect_right
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
 from .errors import DataError
-from .extract import BitStream, EventStream
+from .extract import BitStream, EventStream, check_blocks, check_slots
 
 if TYPE_CHECKING:
     from .suite import TestReport
 
 __all__ = [
     "read_events",
+    "read_event_blocks",
     "write_events",
     "read_bits",
     "write_bits",
@@ -96,7 +98,7 @@ def _not_a_slot(blob: bytes, pos: int) -> DataError:
 
 
 _WRITE_BLOCK = 2**16  # slots formatted and written at a time
-_READ_BLOCK = 2**20  # bytes checked and converted at a time, up to a line end
+_READ_BLOCK = 2**18  # bytes read at a time: up to a line end (ascii), in whole slots (binary)
 
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 _U64_MAX = 2**64 - 1
@@ -234,25 +236,54 @@ def _format_slots(slots: np.ndarray) -> np.ndarray:
     return text[keep[exponent].view(bool).reshape(text.shape)]
 
 
-def read_events(path, fmt: str = "ascii") -> EventStream:
-    """Read an event stream; an empty file yields an empty stream."""
+def _event_blocks(path, fmt: str, count: int | None) -> Iterator[np.ndarray]:
+    """The checked slot blocks of an event file: an ascii file's one block,
+    checked on the call so that its bytes are freed, or a binary file's,
+    ``count`` slots each (all for None), its length checked on the call."""
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
-    blob = Path(path).read_bytes()
     if fmt == "ascii":
-        return EventStream(*_parse_ascii_events(blob))
-    if len(blob) % 8:
-        raise DataError(f"binary event file length {len(blob)} is not a multiple of 8")
-    return EventStream(np.frombuffer(blob, dtype="<u8"))
+        return iter((check_slots(*_parse_ascii_events(Path(path).read_bytes())),))
+    size = Path(path).stat().st_size
+    if size % 8:
+        raise DataError(f"binary event file length {size} is not a multiple of 8")
+    return check_blocks(_binary_blocks(path, size // 8, count or max(size // 8, 1)))
 
 
-def write_events(stream: EventStream, path, fmt: str = "ascii") -> None:
+def _binary_blocks(path, n: int, count: int) -> Iterator[np.ndarray]:
+    with Path(path).open("rb") as fh:
+        for start in range(0, n, count):
+            block = np.fromfile(fh, dtype="<u8", count=min(count, n - start))
+            block.setflags(write=False)
+            yield block
+
+
+def read_events(path, fmt: str = "ascii") -> EventStream:
+    """Read an event stream; an empty file yields an empty stream."""
+    return EventStream(next(_event_blocks(path, fmt, None), np.empty(0, dtype=np.uint64)))
+
+
+def read_event_blocks(path, fmt: str = "ascii") -> Iterator[np.ndarray]:
+    """:func:`read_events`' slots and errors in checked read-only uint64
+    blocks: of ``_READ_BLOCK`` bytes, in whole slots, or one for ascii."""
+    return _event_blocks(path, fmt, -(-_READ_BLOCK // 8))
+
+
+def write_events(stream: EventStream | Iterable, path, fmt: str = "ascii") -> None:
+    """Write ``stream``, an :class:`EventStream` or the slot blocks of one."""
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     encode = _format_slots if fmt == "ascii" else (lambda block: block.astype("<u8", copy=False))
-    with Path(path).open("wb") as fh:
-        for start in range(0, stream.slots.size, _WRITE_BLOCK):
-            fh.write(encode(stream.slots[start : start + _WRITE_BLOCK]))
+    path = Path(path)
+    with path.open("wb") as fh:
+        try:
+            for block in (stream.slots,) if isinstance(stream, EventStream) else stream:
+                for start in range(0, block.size, _WRITE_BLOCK):
+                    fh.write(encode(block[start : start + _WRITE_BLOCK]))
+        except BaseException:
+            if path.is_file():  # not /dev/null
+                path.unlink()
+            raise
 
 
 def read_bits(path, fmt: str = "ascii01") -> BitStream:

@@ -10,26 +10,26 @@ photon click), and a dead time of ``dead_slots`` slots after each
 accepted click suppresses later candidates.  A generated stream is an
 ``extract.EventStream`` checked against the dead time; it keeps no clock.
 
-Gap sampling uses inverse-CDF geometric draws rather than per-slot
-Bernoulli trials; the two are distributionally identical and the tests
-check the generated gap histogram against the geometric window pmf, the
-``window_pmf`` oracle of ``tests/conftest.py``.
-Gated draws come in ``_BLOCK``-slot blocks, in one call's draw order.
-:func:`intra_gate_slots` yields a gated stream's intra-gate slots in such
-blocks at any dead time; without one it holds one block at a time, with
-one it holds the stream, whose survivors depend on their absolute slots.
+Gaps are inverse-CDF geometric draws, distributionally identical to
+per-slot Bernoulli trials; the tests check their histogram against the
+``window_pmf`` oracle of ``tests/conftest.py``.  Streams are drawn in
+``_BLOCK``-slot blocks, in one call's draw order: :func:`generate_blocks`
+yields them as drawn and the ``generate_*`` functions collect them.  A
+gated top-up batch draws all its gaps before its profile slots, so it
+holds them, a byte each where they fit one.  :func:`intra_gate_slots`
+yields such blocks of a gated stream's intra-gate slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import GuardError, as_count
-from .extract import EventStream
+from .extract import EventStream, check_blocks
 from .models import SourceModel, click_probability
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "IntraGateProfile",
     "generate_free_running",
     "generate_gated",
+    "generate_blocks",
     "intra_gate_slots",
     "apply_dead_time",
     "rng",
@@ -175,12 +176,7 @@ def _stream_click_probability(source: SourceModel, clock: ClockConfig, n_events:
     return p
 
 
-def generate_free_running(
-    source: SourceModel,
-    clock: ClockConfig,
-    n_events: int,
-    seed,
-) -> EventStream:
+def generate_free_running(source: SourceModel, clock: ClockConfig, n_events: int, seed) -> EventStream:
     """Simulate ``n_events`` detections of a free-running detector.
 
     Every slot clicks independently with the merged photon-or-dark
@@ -189,22 +185,15 @@ def generate_free_running(
     """
     if clock.mode is not ClockMode.FREE_RUNNING:
         raise ValueError("generate_free_running requires a free-running clock")
-    n_events = as_count(n_events, "n_events")
-    if n_events == 0:
-        return EventStream(np.empty(0, dtype=np.uint64))
-    p_slot = _stream_click_probability(source, clock, n_events)
-    slots = rng(seed).geometric(p_slot, size=n_events)
-    slots[1:] += clock.dead_slots
-    np.cumsum(slots, out=slots)
-    slots.setflags(write=False)
-    return EventStream(slots.view(np.uint64), dead_slots=clock.dead_slots)
+    blocks = generate_blocks(source, clock, None, n_events, seed)
+    return _collect(blocks, np.empty(as_count(n_events, "n_events"), dtype=np.uint64), clock.dead_slots)
 
 
 def _gated_guards(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
                   n_events, name: str) -> tuple[int, float | None]:
     """``n_events`` as a count and the merged click probability per gate,
-    None for no events, after the gated generators' guards: the clock's
-    mode (a ``ValueError`` naming ``name``), the count, the profile, and
+    None for no events, after the gated guards: the clock's mode (a
+    ``ValueError`` naming ``name``), the count, the profile, and
     :func:`_stream_click_probability`'s for one event or more."""
     if clock.mode is not ClockMode.GATED:
         raise ValueError(f"{name} requires a gated clock")
@@ -215,13 +204,8 @@ def _gated_guards(source: SourceModel, clock: ClockConfig, profile: IntraGatePro
     return n_events, _stream_click_probability(source, clock, n_events)
 
 
-def generate_gated(
-    source: SourceModel,
-    clock: ClockConfig,
-    profile: IntraGateProfile,
-    n_events: int,
-    seed,
-) -> EventStream:
+def generate_gated(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
+                   n_events: int, seed) -> EventStream:
     """Simulate ``n_events`` detections of a gated detector.
 
     Each gate clicks with the merged photon-or-dark probability; the
@@ -229,62 +213,101 @@ def generate_gated(
     slot of a click in gate ``g`` at intra-gate slot ``i`` is
     ``(g - 1) * slots_per_gate + i``.  With a dead time, candidate clicks
     falling within ``dead_slots`` of the last accepted click are lost.
-    Each top-up batch draws all its gaps, then all its intra-gate slots,
-    ``_BLOCK`` at a time: the same draws as whole-batch calls.
     """
     n_events, p_gate = _gated_guards(source, clock, profile, n_events, "generate_gated")
-    if n_events == 0:
-        return EventStream(np.empty(0, dtype=np.uint64))
-    r = clock.slots_per_gate
-    gen = rng(seed)
-    accepted = np.empty(n_events, dtype=np.int64)
+    slots = np.empty(n_events, dtype=np.uint64)
+    # A batch of m candidates keeps its gaps in the last m bytes of the
+    # slots; the kept slots, filled from the front, never reach unread gaps.
+    tail = slots.view(np.uint8)
+    blocks = _gated_blocks(rng(seed), clock, profile, n_events, p_gate, lambda m: tail[tail.size - m :])
+    return _collect(blocks, slots, clock.dead_slots)
+
+
+def generate_blocks(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile | None,
+                    n_events: int, seed) -> Iterator[np.ndarray]:
+    """The clock's ``generate_*`` stream as drawn, in read-only uint64
+    blocks checked against the dead time; the guards run on the call."""
+    if clock.mode is ClockMode.GATED:
+        n_events, p = _gated_guards(source, clock, profile, n_events, "generate_blocks")
+        blocks = _gated_blocks(rng(seed), clock, profile, n_events, p, lambda m: np.empty(m, dtype=np.uint8))
+    else:
+        n_events = as_count(n_events, "n_events")
+        p = _stream_click_probability(source, clock, n_events) if n_events else None
+        blocks = _free_running_blocks(rng(seed), clock.dead_slots, n_events, p)
+    return check_blocks(blocks, dead_slots=clock.dead_slots)
+
+
+def _collect(blocks: Iterator[np.ndarray], slots: np.ndarray, dead_slots: int) -> EventStream:
     have = 0
-    last_gate = -1
-    last_slot = -(clock.dead_slots + 1)
+    for block in blocks:
+        slots[have : have + block.size] = block
+        have += block.size
+    slots.setflags(write=False)
+    return EventStream(slots, dead_slots=dead_slots)
+
+
+def _frozen(slots: np.ndarray) -> np.ndarray:
+    """Unshared int64 ``slots`` as a read-only uint64 view, which check_slots keeps."""
+    slots.setflags(write=False)
+    return slots.view(np.uint64)
+
+
+def _free_running_blocks(gen, dead: int, n_events: int, p_slot: float | None) -> Iterator[np.ndarray]:
+    last = -dead  # the slot before the first, less a dead time
+    for start in range(0, n_events, _BLOCK):
+        slots = gen.geometric(p_slot, size=min(_BLOCK, n_events - start))
+        slots += dead
+        np.cumsum(slots, out=slots)
+        slots += last
+        last = int(slots[-1])
+        yield _frozen(slots)
+
+
+def _gated_blocks(gen, clock: ClockConfig, profile: IntraGateProfile, n_events: int,
+                  p_gate: float | None, room: Callable[[int], np.ndarray]) -> Iterator[np.ndarray]:
+    """Each top-up batch of m candidates draws its gaps into the m bytes
+    ``room(m)``, a block with a gap past 255 aside at its narrowest dtype;
+    then per block the profile slots and the dead time, carrying the last
+    gate and the last kept slot."""
+    r, dead = clock.slots_per_gate, clock.dead_slots
+    have, last_gate, last_slot = 0, -1, -(dead + 1)
     for _ in range(_MAX_TOPUP_BATCHES):
-        candidates = accepted[have:]
-        for start in range(0, candidates.size, _BLOCK):
-            block = candidates[start : start + _BLOCK]
-            np.cumsum(gen.geometric(p_gate, size=block.size), out=block)
-            block += last_gate
-            last_gate = int(block[-1])
-        kept = 0  # the kept candidates move to the front
-        for start in range(0, candidates.size, _BLOCK):
-            block = candidates[start : start + _BLOCK]
-            block *= r
-            block += profile.sample(gen, block.size, r)
-            block = block[apply_dead_time(block, clock.dead_slots, last_slot)]
-            candidates[kept : kept + block.size] = block
-            kept += block.size
-            if kept:
-                last_slot = int(candidates[kept - 1])
-        have += kept
+        gaps, wide = room(n_events - have), {}
+        for start in range(0, gaps.size, _BLOCK):
+            block = gen.geometric(p_gate, size=min(_BLOCK, gaps.size - start))
+            if block.max() > 255:
+                wide[start] = block.astype(np.min_scalar_type(block.max()))
+            else:
+                gaps[start : start + block.size] = block
+        for start in range(0, gaps.size, _BLOCK):
+            slots = np.cumsum(wide.pop(start, gaps[start : start + _BLOCK]), dtype=np.int64)
+            slots += last_gate
+            last_gate = int(slots[-1])
+            slots *= r
+            slots += profile.sample(gen, slots.size, r)
+            if dead:
+                slots = slots[apply_dead_time(slots, dead, last_slot)]
+            if slots.size:
+                last_slot = int(slots[-1])
+                have += slots.size
+                yield _frozen(slots)
         if have == n_events:
-            accepted.setflags(write=False)
-            return EventStream(accepted.view(np.uint64), dead_slots=clock.dead_slots)
+            return
     raise GuardError(
         "dead time rejected too many candidate clicks; "
         f"gave up after {_MAX_TOPUP_BATCHES} batches"
     )
 
 
-def intra_gate_slots(
-    source: SourceModel,
-    clock: ClockConfig,
-    profile: IntraGateProfile,
-    n_events: int,
-    seed,
-) -> Iterator[np.ndarray]:
+def intra_gate_slots(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
+                     n_events: int, seed) -> Iterator[np.ndarray]:
     """The intra-gate slots of ``generate_gated``'s stream, ``_BLOCK`` at a time.
 
-    Takes ``generate_gated``'s arguments and runs its guards on the call,
-    not on the first block; nothing is drawn before the first block is
-    asked for.  The int64 blocks join up to ``(slots - 1) % slots_per_gate
-    + 1`` of the stream's slots.  Without dead time every candidate is
-    kept, so the one batch draws all its gaps, which are walked ``_BLOCK``
-    at a time and dropped, then the profile slots, which are yielded as
-    drawn: one block is held at a time.  With dead time, which candidates
-    survive depends on their absolute slots, so the whole stream is held.
+    Runs its guards on the call; nothing is drawn before the first block.
+    The int64 blocks join up to ``(slots - 1) % slots_per_gate + 1``.
+    Without dead time the gaps are walked and dropped, then the profile
+    slots are yielded as drawn.  With dead time, which candidates survive
+    depends on their absolute slots, so the whole stream is held.
     """
     n_events, p_gate = _gated_guards(source, clock, profile, n_events, "intra_gate_slots")
     return _intra_gate_blocks(source, clock, profile, n_events, seed, p_gate)

@@ -1,11 +1,16 @@
 """Shared fixtures: reference bit material and goodness-of-fit helpers."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tickrng
 from tickrng.errors import DataError, as_count
 from tickrng.extract import BitStream
 from tickrng.models import Distribution, SourceModel
@@ -205,6 +210,30 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# tracemalloc does not see every allocation (pocketfft's scratch, the
+# interpreter's own), so some budgets are on the peak RSS of a fresh
+# interpreter.  A process's ru_maxrss starts at the peak of the process
+# that started it, so that interpreter is started by a small launcher, not
+# by pytest.
+RSS_RISE = """
+import resource, sys
+exec(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+exec(sys.argv[2])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def rss_rise_mb(setup: str, work: str, cwd=None) -> float:
+    """How far running the code ``work`` after ``setup`` raises the peak RSS
+    of a fresh interpreter, in MB; the last word ``work`` prints is read over."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tickrng.__file__).parents[1]))
+    launcher = "import subprocess, sys\nsubprocess.run(sys.argv[1:], check=True)\n"
+    argv = [sys.executable, "-c", launcher, sys.executable, "-c", RSS_RISE, setup, work]
+    done = subprocess.run(argv, env=env, cwd=cwd, capture_output=True, check=True)
+    return int(done.stdout.split()[-1]) / 1024  # KiB to MB
 
 
 def reference_at_coincidences(bits, detected, coincident) -> np.ndarray:

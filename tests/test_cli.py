@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import tickrng
+from conftest import rss_rise_mb
 from tickrng.cli import build_parser, main
 from tickrng.extract import BitStream
 from tickrng.formats import read_bits, read_events, read_manifest, write_bits
@@ -168,6 +169,40 @@ def test_simulating_a_million_ascii_events_costs_little_memory_over_the_interpre
     argv = ["--mode", "gated", "--slots-per-gate", "2", "--mu-eta", "0.5", "--events", "1000000"]
     simulate = fresh_peak_rss_mb(tmp_path, "simulate", *argv, "--format", "ascii", "--out", "events.txt")
     assert simulate - fresh_peak_rss_mb(tmp_path, "--version") < 45
+
+
+@pytest.mark.parametrize("call", ["simulate", "extract"])
+def test_binary_events_stream_through_simulate_and_extract(tmp_path, call):
+    """At 2x10^6 events (16 MB of slots) each call raises the peak RSS over
+    its imports by a few MB, so it holds no whole stream; holding it took
+    about 22 MB."""
+    from tickrng.formats import write_events
+    from tickrng.models import Distribution, SourceModel
+    from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
+
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=8, dead_slots=3)
+    source = SourceModel(Distribution.POISSON, 0.5)
+    if call == "simulate":
+        argv = ["simulate", "--mode", "gated", "--slots-per-gate", "8", "--dead-slots", "3", "--mu-eta", "0.5",
+                "--events", "2000000", "--seed", "301", "--format", "binary", "--out", "events.bin"]
+    else:
+        write_events(generate_gated(source, clock, IntraGateProfile.uniform(), 2_000_000, 301),
+                     tmp_path / "events.bin", "binary")
+        argv = ["extract", "--events", "events.bin", "--events-format", "binary", "--debias",
+                "--bits-format", "packed", "--out", "bits.bin"]
+    setup = "from tickrng import extract, formats, sim\nfrom tickrng.cli import main\n"
+    assert rss_rise_mb(setup, f"assert main({argv!r}) == 0", cwd=tmp_path) <= 14
+
+
+def test_a_simulation_that_fails_while_streaming_leaves_no_file(capsys, tmp_path):
+    """The first event is written before the dead time drops every later
+    candidate; the error removes it."""
+    out = tmp_path / "events.txt"
+    argv = ["simulate", "--mode", "gated", "--dead-slots", "100000", "--mu-eta", "50", "--events", "2", "--out"]
+    rc, stdout, err = run(capsys, *argv, str(out))
+    assert (rc, stdout) == (2, "")
+    assert err == "error: dead time rejected too many candidate clicks; gave up after 10000 batches\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_python_dash_m_runs_the_cli():

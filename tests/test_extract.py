@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from conftest import (
@@ -21,6 +23,7 @@ from tickrng.extract import (
     ExtractorConfig,
     balance,
     bit_array,
+    check_blocks,
     check_slots,
     extract_mod2,
     flip_debias,
@@ -163,6 +166,23 @@ def test_interval_bytes_in_blocks_are_the_intervals_modulo_256(case, block):
     assert np.array_equal(np.concatenate(parts), modulo_256[0])
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    slots=st.lists(st.integers(1, 2**64 - 1), max_size=100, unique=True).map(sorted),
+    cuts=st.lists(st.integers(0, 100), max_size=6),
+    include_first=st.booleans(),
+)
+def test_extraction_from_blocks_equals_extraction_from_the_stream(slots, cuts, include_first):
+    """Any split into blocks, empty ones included, gives the whole stream's
+    mod-2 bits and mod-4 arrays, with or without the first interval."""
+    stream = EventStream(np.array(slots, dtype=np.uint64))
+    blocks = np.split(stream.slots, sorted(min(c, len(slots)) for c in cuts))
+    cfg = ExtractorConfig(include_first=include_first)
+    assert extract_mod2(check_blocks(blocks), cfg) == extract_mod2(stream, cfg)
+    for from_blocks, whole in zip(mod4_arrays(iter(blocks), cfg), mod4_arrays(stream, cfg)):
+        assert from_blocks.dtype == np.uint8 and np.array_equal(from_blocks, whole)
+
+
 def test_ones_fraction_tracks_the_odd_interval_probability():
     source = SourceModel(Distribution.POISSON, math.log(3.0))  # P(odd) = 0.75
     stream = generate_free_running(source, FREE, 1_000_000, seed=71)
@@ -262,6 +282,29 @@ def test_check_slots_messages_are_pinned():
         with pytest.raises(DataError) as exc:
             check_slots(np.array(slots, dtype=np.int64))
         assert str(exc.value) == message
+
+
+def test_checked_blocks_give_the_whole_streams_messages():
+    """Each block is checked against the last slot before it, and a bad
+    entry is named by its index in the stream."""
+    cases = [
+        ([[1, 2], [2, 3]], "entry 3: duplicate slot index 2 (previous was 2)"),
+        ([[4], [], [0]], "entry 2: slot index must be >= 1, got 0"),
+        ([[2, 5], [3]], "entry 3: non-increasing slot index 3 (previous was 5)"),
+        ([[], [0, 1]], "entry 1: slot index must be >= 1, got 0"),
+    ]
+    for blocks, message in cases:
+        with pytest.raises(DataError) as exc:
+            list(check_blocks(np.array(b, dtype=np.int64) for b in blocks))
+        assert str(exc.value) == message
+    with pytest.raises(DataError) as exc:
+        list(check_blocks([np.array([1, 4]), np.array([3])], lambda i: f"line {2 * i}"))
+    assert str(exc.value) == "line 4: non-increasing slot index 3 (previous was 4)"
+    with pytest.raises(DataError, match="^event gaps must exceed the dead time of 2 slots$"):
+        list(check_blocks([np.array([1, 4]), np.array([6])], dead_slots=2))
+    blocks = list(check_blocks([np.array([1, 4]), np.array([7])], dead_slots=2))
+    assert [b.tolist() for b in blocks] == [[1, 4], [7]]
+    assert all(b.dtype == np.uint64 and not b.flags.writeable for b in blocks)
 
 
 def test_event_stream_is_read_only():

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 from conftest import reference_format_slots, reference_parse_slots, traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tickrng
 from tickrng import formats
@@ -16,6 +18,7 @@ from tickrng.formats import (
     RunManifest,
     manifest_path_for,
     read_bits,
+    read_event_blocks,
     read_events,
     read_manifest,
     write_bits,
@@ -299,18 +302,18 @@ def test_ascii_event_kernels_stay_within_their_memory_budget(tmp_path, n_events)
 
 
 def test_binary_event_reading_holds_only_the_file(tmp_path):
-    """The stream keeps the file's bytes as its slots, without a copy."""
+    """The stream keeps the array read from the file as its slots, without a copy."""
     stream = gated_stream(2, 0.5, 1_000_000)
     path = tmp_path / "events.bin"
     write_events(stream, path, "binary")
     assert traced_peak(read_events, path, "binary") <= path.stat().st_size + 2**20
-    assert isinstance(read_events(path, "binary").slots.base, bytes)
+    assert read_events(path, "binary").slots.flags.owndata
 
 
 def test_event_streams_keep_the_readers_array_and_only_their_slots(tmp_path, monkeypatch):
     """An ascii stream keeps the parser's array, trimmed in place to its
     slots however many blank lines the file has; a binary one keeps the
-    file's bytes."""
+    array read from the file."""
     path = tmp_path / "events.txt"
     path.write_bytes(b"1\n" + b"\n" * 1000 + b"2\n")
     slots = read_events(path).slots
@@ -323,7 +326,7 @@ def test_event_streams_keep_the_readers_array_and_only_their_slots(tmp_path, mon
         path.write_bytes(text)
         assert read_events(path).slots is parsed[-1][0]
     write_events(gated_stream(2, 0.5, 1000), path, "binary")
-    assert isinstance(read_events(path, "binary").slots.base, bytes)
+    assert read_events(path, "binary").slots.flags.owndata
 
 
 @pytest.fixture(params=[1, 7, 64])
@@ -449,6 +452,136 @@ def test_events_binary_order_error_names_the_entry(tmp_path):
     path.write_bytes((5).to_bytes(8, "little") + (3).to_bytes(8, "little"))
     with pytest.raises(DataError, match="entry 2"):
         read_events(path, fmt="binary")
+
+
+def reference_slot_error(values: list[int]) -> str | None:
+    """The message of a whole-file check of binary slots ``values``, from a loop over them."""
+    for i, value in enumerate(values):
+        if value < 1:
+            return f"entry {i + 1}: slot index must be >= 1, got {value}"
+        if i and value <= values[i - 1]:
+            kind = "duplicate" if value == values[i - 1] else "non-increasing"
+            return f"entry {i + 1}: {kind} slot index {value} (previous was {values[i - 1]})"
+    return None
+
+
+def block_read_outcome(path, fmt: str = "binary"):
+    """The blocks ``read_event_blocks`` yields, as lists, or its error message."""
+    try:
+        return [block.tolist() for block in read_event_blocks(path, fmt)]
+    except DataError as exc:
+        return str(exc)
+
+
+# Property tests: derandomized, so every run draws the same examples.
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+SLOT_LISTS = st.lists(st.integers(1, 2**64 - 1), max_size=150, unique=True).map(sorted)
+
+
+@pytest.fixture(scope="module")
+def events_bin(tmp_path_factory):
+    return tmp_path_factory.mktemp("blocks") / "events.bin"
+
+
+@PROPERTY
+@given(slots=SLOT_LISTS, block=st.integers(1, 64), cut=st.integers(0, 150))
+def test_binary_events_read_back_in_blocks_of_any_size(events_bin, slots, block, cut):
+    """Written whole or as two blocks, a binary file reads back as blocks
+    of ``block`` slots but the last, read-only uint64, holding the slots."""
+    stream = EventStream(np.array(slots, dtype=np.uint64))
+    for written in (stream, [stream.slots[:cut], stream.slots[cut:]]):
+        write_events(written, events_bin, fmt="binary")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_READ_BLOCK", 8 * block)
+            blocks = list(read_event_blocks(events_bin, "binary"))
+        assert [b.size for b in blocks] == [block] * (len(slots) // block) + [len(slots) % block] * (len(slots) % block > 0)
+        assert all(b.dtype == np.uint64 and not b.flags.writeable for b in blocks)
+        assert sum((b.tolist() for b in blocks), []) == slots
+        assert read_events(events_bin, "binary").slots.tolist() == slots
+
+
+@st.composite
+def malformed_binary_files(draw):
+    """(file bytes, block size): valid slots with one entry made zero, a
+    duplicate or smaller than the one before it at a block boundary, or
+    with 1 to 7 stray bytes at the end."""
+    values = draw(st.lists(st.integers(1, 2**64 - 1), min_size=2, max_size=100, unique=True).map(sorted))
+    block = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["zero", "duplicate", "boundary", "length"]))
+    if kind == "length":
+        return np.array(values, dtype="<u8").tobytes() + b"\x01" * draw(st.integers(1, 7)), block
+    if kind == "boundary":
+        block = draw(st.integers(1, len(values) - 1))
+        i = block * draw(st.integers(1, (len(values) - 1) // block))
+    else:
+        i = draw(st.integers(0 if kind == "zero" else 1, len(values) - 1))
+    if kind == "zero":
+        values[i] = 0
+    else:
+        values[i] = values[i - 1] if kind == "duplicate" else draw(st.integers(1, values[i - 1]))
+    return np.array(values, dtype="<u8").tobytes(), block
+
+
+@PROPERTY
+@given(case=malformed_binary_files())
+def test_malformed_binary_files_give_the_whole_file_message_in_any_block(events_bin, case):
+    blob, block = case
+    events_bin.write_bytes(blob)
+    if len(blob) % 8:
+        expected = f"binary event file length {len(blob)} is not a multiple of 8"
+    else:
+        expected = reference_slot_error(np.frombuffer(blob, dtype="<u8").tolist())
+    with pytest.raises(DataError) as whole:
+        read_events(events_bin, "binary")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_READ_BLOCK", 8 * block)
+        assert (str(whole.value), block_read_outcome(events_bin)) == (expected, expected)
+
+
+def test_binary_event_blocks_are_read_as_they_are_used(tmp_path, monkeypatch):
+    """The file's length is checked on the call, the slots block by block:
+    the blocks before a bad entry come out first."""
+    path = tmp_path / "events.bin"
+    path.write_bytes(b"\x01" * 12)
+    with pytest.raises(DataError, match="^binary event file length 12 is not a multiple of 8$"):
+        read_event_blocks(path, "binary")
+    monkeypatch.setattr(formats, "_READ_BLOCK", 16)
+    path.write_bytes(np.array([1, 5, 9, 9], dtype="<u8").tobytes())
+    blocks = read_event_blocks(path, "binary")
+    assert next(blocks).tolist() == [1, 5]
+    with pytest.raises(DataError, match="^entry 4: duplicate slot index 9 [(]previous was 9[)]$"):
+        next(blocks)
+
+
+def test_ascii_event_blocks_are_the_parsed_array(tmp_path):
+    path = tmp_path / "events.txt"
+    path.write_text("3\n5\n10\n")
+    blocks = list(read_event_blocks(path))
+    assert len(blocks) == 1 and blocks[0].tolist() == [3, 5, 10]
+    path.write_text("3\n\n3\n")
+    assert block_read_outcome(path, "ascii") == "line 3: duplicate slot index 3 (previous was 3)"
+
+
+def test_binary_event_blocks_hold_one_block(tmp_path):
+    stream = gated_stream(2, 0.5, 1_000_000)
+    path = tmp_path / "events.bin"
+    write_events(stream, path, "binary")
+    assert traced_peak(lambda: sum(b.size for b in read_event_blocks(path, "binary"))) <= 4 * formats._READ_BLOCK
+    assert next(read_event_blocks(path, "binary")).size == formats._READ_BLOCK // 8
+
+
+def test_a_failed_event_write_leaves_no_file(tmp_path):
+    """Blocks are written as they come, and a block that fails its check
+    removes what was written."""
+    def blocks():
+        yield np.array([1, 2], dtype=np.uint64)
+        raise DataError("bad block")
+
+    path = tmp_path / "events.bin"
+    for fmt in ("ascii", "binary"):
+        with pytest.raises(DataError, match="bad block"):
+            write_events(blocks(), path, fmt)
+        assert not path.exists()
 
 
 def test_events_unknown_format_is_a_usage_error(tmp_path):

@@ -18,6 +18,7 @@ from tickrng.sim import (
     ClockMode,
     IntraGateProfile,
     apply_dead_time,
+    generate_blocks,
     generate_free_running,
     generate_gated,
     intra_gate_slots,
@@ -373,6 +374,122 @@ def test_gated_simulation_stays_within_its_memory_budget():
     assert peak <= 8 * n_events + 4 * 2**20
 
 
+def test_gated_simulation_blocks_hold_a_byte_per_gap():
+    """Streamed without being collected, the stream costs its gaps, a byte
+    each, and one block's draws and filter."""
+    source = SourceModel(Distribution.POISSON, 0.5)
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=8, dead_slots=3)
+    n_events = 2_000_000
+    blocks = generate_blocks(source, clock, IntraGateProfile.uniform(), n_events, 301)
+    assert traced_peak(lambda: sum(b.size for b in blocks)) <= n_events + 4 * 2**20
+
+
+def test_free_running_simulation_blocks_hold_one_block():
+    source = SourceModel(Distribution.POISSON, 0.5)
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=3)
+    blocks = generate_blocks(source, clock, None, 2_000_000, 301)
+    assert traced_peak(lambda: sum(b.size for b in blocks)) <= 2 * 2**20
+
+
+def generated_streams():
+    """(clock, profile, source, n_events, seed) of every gated and free-running pin, at 20,000 events."""
+    for clock, profile, source, n_events, seed, _ in GATED_PIN_CASES:
+        yield clock, profile, source, min(n_events, 20_000), seed
+    for source, dead, dark, seed, _ in PINNED_FREE_RUNNING:
+        yield ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=dead, dark_prob=dark), None, source, 20_000, seed
+
+
+GENERATED_STREAMS = list(generated_streams())
+
+
+@pytest.mark.parametrize("block", [None, 7, 64])
+@pytest.mark.parametrize("case", range(len(GENERATED_STREAMS)), ids=lambda i: f"stream{i}")
+def test_simulation_blocks_join_up_to_the_generated_streams(monkeypatch, block, case):
+    """Read-only uint64 blocks of ``_BLOCK`` draws less the dead time's
+    losses, which together are the ``generate_*`` stream."""
+    clock, profile, source, n_events, seed = GENERATED_STREAMS[case]
+    if block is not None:
+        monkeypatch.setattr(sim, "_BLOCK", block)
+    if clock.mode is ClockMode.GATED:
+        expected = generate_gated(source, clock, profile, n_events, seed).slots
+    else:
+        expected = generate_free_running(source, clock, n_events, seed).slots
+    blocks = list(generate_blocks(source, clock, profile, n_events, seed))
+    assert all(b.dtype == np.uint64 and not b.flags.writeable and 0 < b.size <= sim._BLOCK for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("r", [1, 3])
+def test_gated_gaps_past_a_byte_give_the_whole_length_draw(monkeypatch, block, r):
+    """At a click probability of 1e-4 the gap blocks are held at 16 and 32
+    bits; the stream is still one whole-length gap draw, then one profile
+    draw."""
+    if block is not None:
+        monkeypatch.setattr(sim, "_BLOCK", block)
+    source = source_for_slot_probability(1e-4)
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=r)
+    gen = sim.rng(433)
+    gaps = gen.geometric(1e-4, size=3000)
+    assert gaps.max() >= 2**16
+    gates = np.cumsum(gaps) - 1
+    expected = gates * r + IntraGateProfile.uniform().sample(gen, 3000, r)
+    stream = generate_gated(source, clock, IntraGateProfile.uniform(), 3000, 433)
+    assert np.array_equal(stream.slots, expected.astype(np.uint64))
+
+
+def test_simulation_blocks_run_the_guards_on_the_call():
+    """Before the first block is asked for, for both clock modes; a
+    dead time that drops every candidate stops the blocks."""
+    dark = SourceModel(Distribution.POISSON, 0.0)
+    gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
+    for clock in (FREE, gated):
+        with pytest.raises(GuardError, match="click probability is 0"):
+            generate_blocks(dark, clock, IntraGateProfile.uniform(), 10, seed=0)
+        with pytest.raises(ValueError, match="^n_events must be a non-negative integer, got -1$"):
+            generate_blocks(dark, clock, IntraGateProfile.uniform(), -1, seed=0)
+        assert list(generate_blocks(dark, clock, IntraGateProfile.uniform(), 0, seed=0)) == []
+    with pytest.raises(ValueError, match="^fixed slot 3 outside gate of 2 slots$"):
+        generate_blocks(dark, gated, IntraGateProfile.fixed_slot(3), 0, seed=0)
+    blind = ClockConfig(mode=ClockMode.GATED, slots_per_gate=1, dead_slots=100_000)
+    blocks = generate_blocks(SourceModel(Distribution.POISSON, 50.0), blind, IntraGateProfile.uniform(), 2, 0)
+    assert next(blocks).tolist() == [1]
+    with pytest.raises(GuardError, match="gave up after 10000 batches"):
+        next(blocks)
+
+
+# The numpy Generator calls that every simulated stream and protocol round
+# rests on, at the dtypes and block sizes the simulators and rounds use:
+# a short SHA-256 of each call's values from one seed.  numpy does not
+# promise these across versions; a change fails here before it fails a pin.
+GENERATOR_DRAWS = {
+    "geometric, p >= 1/3 (search)": (lambda g: g.geometric(1 - math.exp(-0.5), size=2**16), "7328812436f6a11e"),
+    "geometric, p < 1/3 (inversion)": (lambda g: g.geometric(0.05, size=2**16), "3021477448a847fa"),
+    "integers int64, r = 2": (lambda g: g.integers(1, 3, size=2**16, dtype=np.int64), "199bff65ca6ff734"),
+    "integers int64, r = 8": (lambda g: g.integers(1, 9, size=2**16, dtype=np.int64), "2ae5dc277b3173cc"),
+    "integers int64, r = 257": (lambda g: g.integers(1, 258, size=2**16, dtype=np.int64), "aff68c94c9d1f4c9"),
+    "choice with p": (lambda g: g.choice(np.arange(1, 5, dtype=np.int64), size=2**16, p=[0.4, 0.1, 0.3, 0.2]),
+                      "e4aabf8b083ae160"),
+    "poisson": (lambda g: g.poisson(0.5, size=2**15), "761c8ed896e59b59"),
+    "random": (lambda g: g.random(2**15), "61db97580bf101f3"),
+    "integers uint8, 0 or 1": (lambda g: g.integers(0, 2, size=2**15, dtype=np.uint8), "56e1999e9ff62492"),
+    "random after advance": (lambda g: g.bit_generator.advance(2**15) and g.random(2**15), "1088899a8b0db742"),
+}
+
+
+def test_numpy_generator_draws_are_pinned():
+    def digest(values: np.ndarray) -> str:
+        return hashlib.sha256(values.astype(values.dtype.newbyteorder("<")).tobytes()).hexdigest()[:16]
+
+    drawn = {name: digest(draw(sim.rng(20261021))) for name, (draw, _) in GENERATOR_DRAWS.items()}
+    assert drawn == {name: pinned for name, (_, pinned) in GENERATOR_DRAWS.items()}
+    # The simulators split one call's geometric draws into blocks.
+    for p in (0.4, 0.05):
+        gen = sim.rng(20261021)
+        halves = np.concatenate([gen.geometric(p, size=2**15), gen.geometric(p, size=2**15)])
+        assert np.array_equal(halves, sim.rng(20261021).geometric(p, size=2**16))
+
+
 @pytest.mark.parametrize("dead_slots", [0, 3])
 @pytest.mark.parametrize("dark_prob", [0.0, 0.05])
 @pytest.mark.parametrize("profile", ["uniform", "fixed:1", "fixed:r", "weighted"])
@@ -672,5 +789,4 @@ def test_generated_slots_are_not_copied():
                    generate_free_running(source, FREE, 1000, seed=1)):
         assert stream.slots.dtype == np.uint64
         assert not stream.slots.flags.writeable
-        assert not stream.slots.base.flags.writeable
-        assert stream.slots.base.base is None
+        assert stream.slots.base is None  # the array the blocks were collected into

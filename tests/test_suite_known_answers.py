@@ -10,10 +10,6 @@ regression in the vectorised code cannot hide behind its own formula.
 import functools
 import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +21,7 @@ from conftest import (
     reference_lfsr_complexity,
     reference_spectral_below,
     reference_universal_pvalue,
+    rss_rise_mb,
     traced_peak,
 )
 from tickrng.errors import InsufficientDataError
@@ -1086,27 +1083,14 @@ def test_spectral_test_stays_within_its_memory_budget():
     assert traced_peak(dft_test, random_bits(89, 1_000_000)) <= 11e6
 
 
-# tracemalloc does not see pocketfft's C++ scratch, so the peak RSS of a
-# fresh interpreter guards it; the whole-length rfft raised it by 31 MB.
-# A process's ru_maxrss starts at the peak of the process that started it,
-# so the interpreter is started by a small launcher, not by pytest.
-SPECTRAL_RSS = """
-import resource
-import numpy as np
-from tickrng.suite import dft_test
-bits = np.random.Generator(np.random.PCG64(89)).integers(0, 2, size=1_000_000, dtype=np.uint8)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-dft_test(bits)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
-"""
-
-
 def test_spectral_test_raises_the_peak_rss_little():
-    env = dict(os.environ, PYTHONPATH=str(Path(suite.__file__).parents[1]))
-    launcher = "import subprocess, sys\nsubprocess.run(sys.argv[1:], check=True)\n"
-    argv = [sys.executable, "-c", launcher, sys.executable, "-c", SPECTRAL_RSS]
-    done = subprocess.run(argv, env=env, capture_output=True, check=True)
-    assert int(done.stdout) / 1024 <= 18  # KiB to MB
+    # pocketfft's C++ scratch is not traced; the whole-length rfft raised
+    # the peak RSS by 31 MB.
+    setup = (
+        "import numpy as np\nfrom tickrng.suite import dft_test\n"
+        "bits = np.random.Generator(np.random.PCG64(89)).integers(0, 2, size=1_000_000, dtype=np.uint8)\n"
+    )
+    assert rss_rise_mb(setup, "dft_test(bits)") <= 18
 
 
 def test_battery_records_parameters():
