@@ -29,10 +29,12 @@ grow with the stream; :func:`read_events` is the one-block case of
   division by 10, width being the digit count of the block's largest
   slot, then a newline column.  Each row's leading-zero columns are
   dropped by a mask chosen by its own digit count, so the bytes do not
-  depend on the block.  A failed write removes its partial file.
-- The binary reader checks the file's length from its size and reads
+  depend on the block.  A file is written beside its path and moved
+  there when done, so a failed write leaves the path as it was.
+- The binary reader checks a file's length from its size and reads
   ``_READ_BLOCK`` bytes at a time with ``np.fromfile``, each block
-  checked against the slot before it.
+  checked against the slot before it.  A pipe is read until it ends and
+  its length checked there.
 - The ascii reader keeps the file's bytes and fills one uint64 array,
   sized by the newline count, from blocks of whole lines of about
   256 KiB.  In each block it checks that every byte is a digit, a blank
@@ -54,9 +56,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from bisect import bisect_right
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from stat import S_ISREG
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -239,15 +243,23 @@ def _format_slots(slots: np.ndarray) -> np.ndarray:
 def _event_blocks(path, fmt: str, count: int | None) -> Iterator[np.ndarray]:
     """The checked slot blocks of an event file: an ascii file's one block,
     checked on the call so that its bytes are freed, or a binary file's,
-    ``count`` slots each (all for None), its length checked on the call."""
+    ``count`` slots each (all for None).  A regular binary file's length is
+    checked on the call, a pipe's when it ends."""
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     if fmt == "ascii":
         return iter((check_slots(*_parse_ascii_events(Path(path).read_bytes())),))
-    size = Path(path).stat().st_size
+    info = Path(path).stat()
+    if not S_ISREG(info.st_mode):
+        return check_blocks(_piped_blocks(path, count))
+    size = info.st_size
     if size % 8:
-        raise DataError(f"binary event file length {size} is not a multiple of 8")
+        raise _bad_length(size)
     return check_blocks(_binary_blocks(path, size // 8, count or max(size // 8, 1)))
+
+
+def _bad_length(size: int) -> DataError:
+    return DataError(f"binary event file length {size} is not a multiple of 8")
 
 
 def _binary_blocks(path, n: int, count: int) -> Iterator[np.ndarray]:
@@ -256,6 +268,17 @@ def _binary_blocks(path, n: int, count: int) -> Iterator[np.ndarray]:
             block = np.fromfile(fh, dtype="<u8", count=min(count, n - start))
             block.setflags(write=False)
             yield block
+
+
+def _piped_blocks(path, count: int | None) -> Iterator[np.ndarray]:
+    """A pipe's slots, read until it ends; a read comes short only there."""
+    size = 0
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(8 * count if count else -1):
+            size += len(chunk)
+            if size % 8:
+                raise _bad_length(size)
+            yield np.frombuffer(chunk, dtype="<u8")
 
 
 def read_events(path, fmt: str = "ascii") -> EventStream:
@@ -270,20 +293,40 @@ def read_event_blocks(path, fmt: str = "ascii") -> Iterator[np.ndarray]:
 
 
 def write_events(stream: EventStream | Iterable, path, fmt: str = "ascii") -> None:
-    """Write ``stream``, an :class:`EventStream` or the slot blocks of one."""
+    """Write ``stream``, an :class:`EventStream` or the slot blocks of one.
+
+    A file is written beside its path and moved there when done, so a
+    write that fails leaves the path as it was; a device or a pipe, or a
+    file in a directory that takes no new file, is written in place.
+    """
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     encode = _format_slots if fmt == "ascii" else (lambda block: block.astype("<u8", copy=False))
+    blocks = (stream.slots,) if isinstance(stream, EventStream) else stream
     path = Path(path)
-    with path.open("wb") as fh:
-        try:
-            for block in (stream.slots,) if isinstance(stream, EventStream) else stream:
-                for start in range(0, block.size, _WRITE_BLOCK):
-                    fh.write(encode(block[start : start + _WRITE_BLOCK]))
-        except BaseException:
-            if path.is_file():  # not /dev/null
-                path.unlink()
-            raise
+    target = path.resolve()  # a symlink's file, not the link
+    part = target.with_name(f".{target.name}.{os.urandom(4).hex()}.part")
+    try:
+        fh = None if path.exists() and not path.is_file() else part.open("xb")
+    except OSError:  # a directory that takes no new file
+        fh = None
+    if fh is None:
+        with path.open("wb") as fh:
+            _write_blocks(fh, blocks, encode)
+        return
+    try:
+        with fh:
+            _write_blocks(fh, blocks, encode)
+        os.replace(part, target)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _write_blocks(fh, blocks: Iterable, encode) -> None:
+    for block in blocks:
+        for start in range(0, block.size, _WRITE_BLOCK):
+            fh.write(encode(block[start : start + _WRITE_BLOCK]))
 
 
 def read_bits(path, fmt: str = "ascii01") -> BitStream:

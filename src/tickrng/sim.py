@@ -52,6 +52,10 @@ GENERATOR_ALGORITHM = "PCG64"
 _MAX_TOPUP_BATCHES = 10_000
 _BLOCK = 2**16
 
+# The most events a stream drawn block by block may take, as ``qkd`` takes
+# at most as many gates a round: at 30-40 ns each, about 10 hours.
+_MAX_WORK = 1 << 40
+
 
 def rng(seed) -> np.random.Generator:
     """The simulation generator (``GENERATOR_ALGORITHM``) seeded with ``seed``."""
@@ -183,10 +187,18 @@ def generate_free_running(source: SourceModel, clock: ClockConfig, n_events: int
     probability; after each click the next ``dead_slots`` slots are blind,
     so gaps are ``dead_slots`` plus a geometric draw.
     """
+    n_events, p_slot = _free_running_guards(source, clock, n_events, "generate_free_running")
+    blocks = _free_running_blocks(rng(seed), clock.dead_slots, n_events, p_slot)
+    return _collect(blocks, np.empty(n_events, dtype=np.uint64), clock.dead_slots)
+
+
+def _free_running_guards(source: SourceModel, clock: ClockConfig,
+                         n_events, name: str) -> tuple[int, float | None]:
+    """As :func:`_gated_guards`, for a free-running clock."""
     if clock.mode is not ClockMode.FREE_RUNNING:
-        raise ValueError("generate_free_running requires a free-running clock")
-    blocks = generate_blocks(source, clock, None, n_events, seed)
-    return _collect(blocks, np.empty(as_count(n_events, "n_events"), dtype=np.uint64), clock.dead_slots)
+        raise ValueError(f"{name} requires a free-running clock")
+    n_events = as_count(n_events, "n_events")
+    return n_events, _stream_click_probability(source, clock, n_events) if n_events else None
 
 
 def _gated_guards(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
@@ -226,14 +238,19 @@ def generate_gated(source: SourceModel, clock: ClockConfig, profile: IntraGatePr
 def generate_blocks(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile | None,
                     n_events: int, seed) -> Iterator[np.ndarray]:
     """The clock's ``generate_*`` stream as drawn, in read-only uint64
-    blocks checked against the dead time; the guards run on the call."""
+    blocks checked against the dead time; the guards run on the call.
+
+    No array bounds a stream that is not collected, so a count past
+    ``_MAX_WORK`` is refused after the guards, at any clock.
+    """
     if clock.mode is ClockMode.GATED:
         n_events, p = _gated_guards(source, clock, profile, n_events, "generate_blocks")
         blocks = _gated_blocks(rng(seed), clock, profile, n_events, p, lambda m: np.empty(m, dtype=np.uint8))
     else:
-        n_events = as_count(n_events, "n_events")
-        p = _stream_click_probability(source, clock, n_events) if n_events else None
+        n_events, p = _free_running_guards(source, clock, n_events, "generate_blocks")
         blocks = _free_running_blocks(rng(seed), clock.dead_slots, n_events, p)
+    if n_events > _MAX_WORK:  # nothing is drawn before the first block
+        raise GuardError(f"at most {_MAX_WORK} events per stream, got {n_events}")
     return check_blocks(blocks, dead_slots=clock.dead_slots)
 
 

@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +236,24 @@ def rss_rise_mb(setup: str, work: str, cwd=None) -> float:
     argv = [sys.executable, "-c", launcher, sys.executable, "-c", RSS_RISE, setup, work]
     done = subprocess.run(argv, env=env, cwd=cwd, capture_output=True, check=True)
     return int(done.stdout.split()[-1]) / 1024  # KiB to MB
+
+
+@contextmanager
+def fed_fifo(path, blob: bytes):
+    """A named pipe at ``path`` that a thread fills with ``blob`` once it is opened to read."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    yield path
+    writer.join(timeout=10)
 
 
 def reference_at_coincidences(bits, detected, coincident) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tickrng
-from conftest import rss_rise_mb
+from conftest import fed_fifo, rss_rise_mb
 from tickrng.cli import build_parser, main
 from tickrng.extract import BitStream
 from tickrng.formats import read_bits, read_events, read_manifest, write_bits
@@ -203,6 +203,29 @@ def test_a_simulation_that_fails_while_streaming_leaves_no_file(capsys, tmp_path
     assert (rc, stdout) == (2, "")
     assert err == "error: dead time rejected too many candidate clicks; gave up after 10000 batches\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_simulation_that_fails_while_streaming_keeps_the_earlier_output(capsys, tmp_path):
+    out = tmp_path / "events.txt"
+    rc, _, _ = run(capsys, "simulate", "--mu-eta", "0.5", "--events", "100", "--seed", "1", "--out", str(out))
+    assert rc == 0
+    earlier = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = ["simulate", "--mode", "gated", "--dead-slots", "100000", "--mu-eta", "50", "--events", "2", "--out"]
+    rc, _, err = run(capsys, *argv, str(out))
+    assert (rc, err) == (2, "error: dead time rejected too many candidate clicks; gave up after 10000 batches\n")
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == earlier
+
+
+def test_binary_events_are_extracted_from_a_pipe(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    simulate = ["simulate", "--mode", "gated", "--slots-per-gate", "4", "--mu-eta", "0.5", "--events", "50000",
+                "--seed", "3", "--format", "binary", "--out", "events.bin"]
+    assert run(capsys, *simulate)[0] == 0
+    extract = ["extract", "--events-format", "binary", "--modulus", "mod4", "--bits-format", "packed"]
+    assert run(capsys, *extract, "--events", "events.bin", "--out", "file.bin")[0] == 0
+    with fed_fifo(tmp_path / "fifo", Path("events.bin").read_bytes()) as fifo:
+        assert run(capsys, *extract, "--events", str(fifo), "--out", "pipe.bin")[0] == 0
+    assert Path("pipe.bin").read_bytes() == Path("file.bin").read_bytes()
 
 
 def test_python_dash_m_runs_the_cli():
@@ -688,10 +711,9 @@ def test_counts_past_float_range_are_past_64_bit_slots(capsys, tmp_path, monkeyp
 
 @pytest.mark.parametrize("argv", [
     ["protocol", "--mu", "0.5", "--gates", "100", "--dark-prob", "0.1", "--k-bootstrap", "100000000000000000"],
-    ["simulate", "--mode", "gated", "--mu-eta", "0.5", "--events", "100000000000000000", "--out", "x"],
-], ids=["protocol-bootstrap-711-PiB", "simulate-711-PiB"])
+], ids=["protocol-bootstrap-711-PiB"])
 def test_an_allocation_the_host_refuses_is_an_error(capsys, tmp_path, monkeypatch, argv):
-    # Within reach, yet each run's first array is larger than any address
+    # Within reach, yet the run's first array is larger than any address
     # space, so numpy refuses it at once.  A protocol round's own arrays
     # span one gate block however many gates it has, so its bootstrap
     # buffer is what the host refuses.
@@ -707,7 +729,12 @@ def test_an_allocation_the_host_refuses_is_an_error(capsys, tmp_path, monkeypatc
      "at most 1099511627776 events per gate width, got 100000000000000000"),
     (["protocol", "--mu", "0.5", "--gates", "4611686018427387904", "--slots-per-gate", "1"],
      "at most 1099511627776 gates per round, got 4611686018427387904"),
-], ids=["eve-10^17-events", "protocol-2^62-gates"])
+    (["simulate", "--mode", "gated", "--mu-eta", "0.5", "--events", "100000000000000000", "--out", "x"],
+     "at most 1099511627776 events per stream, got 100000000000000000"),
+    (["simulate", "--mode", "free", "--mu-eta", "0.5", "--events", "100000000000000000", "--format", "binary",
+      "--out", "x"],
+     "at most 1099511627776 events per stream, got 100000000000000000"),
+], ids=["eve-10^17-events", "protocol-2^62-gates", "simulate-gated-10^17-events", "simulate-free-10^17-events"])
 def test_work_past_the_limit_exits_two_at_once(tmp_path, argv, message):
     """Within reach, yet years of work: a fresh interpreter refuses each
     before drawing, well inside the timeout that would otherwise end it."""

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
-from conftest import reference_format_slots, reference_parse_slots, traced_peak
+from conftest import fed_fifo, reference_format_slots, reference_parse_slots, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -582,6 +583,51 @@ def test_a_failed_event_write_leaves_no_file(tmp_path):
         with pytest.raises(DataError, match="bad block"):
             write_events(blocks(), path, fmt)
         assert not path.exists()
+
+
+def test_a_failed_event_write_keeps_the_earlier_file(tmp_path):
+    """A file is written beside its path and moved there when done."""
+    def blocks():
+        yield np.array([7], dtype=np.uint64)
+        raise KeyboardInterrupt
+
+    path = tmp_path / "events.bin"
+    path.write_bytes(b"earlier")
+    for fmt in ("ascii", "binary"):
+        with pytest.raises(KeyboardInterrupt):
+            write_events(blocks(), path, fmt)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"earlier"
+    write_events(stream_of(1, 5), path, "binary")
+    assert list(tmp_path.iterdir()) == [path]
+    assert read_events(path, "binary").slots.tolist() == [1, 5]
+
+
+def test_events_are_written_through_a_symlink_and_to_a_device(tmp_path):
+    (tmp_path / "link.txt").symlink_to("events.txt")
+    write_events(stream_of(3, 9), tmp_path / "link.txt")
+    assert (tmp_path / "link.txt").is_symlink()
+    assert (tmp_path / "events.txt").read_bytes() == b"3\n9\n"
+    write_events(stream_of(3, 9), os.devnull, "binary")
+
+
+def test_binary_events_are_read_from_a_pipe(tmp_path, monkeypatch):
+    """Read until it ends, in blocks as from a file; its length is checked there."""
+    monkeypatch.setattr(formats, "_READ_BLOCK", 16)
+    blob = np.array([1, 5, 9], dtype="<u8").tobytes()
+    with fed_fifo(tmp_path / "whole", blob) as fifo:
+        assert read_events(fifo, "binary").slots.tolist() == [1, 5, 9]
+    with fed_fifo(tmp_path / "blocks", blob) as fifo:
+        assert block_read_outcome(fifo) == [[1, 5], [9]]
+    for name, bad in (("short", blob + b"\x01"), ("duplicate", blob + blob[-8:])):
+        with fed_fifo(tmp_path / name, bad) as fifo:
+            with pytest.raises(DataError) as whole:
+                read_events(fifo, "binary")
+        whole_file = tmp_path / f"{name}.bin"
+        whole_file.write_bytes(bad)
+        assert str(whole.value) == block_read_outcome(whole_file)
+    with fed_fifo(tmp_path / "empty", b"") as fifo:
+        assert list(read_event_blocks(fifo, "binary")) == []
 
 
 def test_events_unknown_format_is_a_usage_error(tmp_path):

@@ -374,6 +374,14 @@ def test_gated_simulation_stays_within_its_memory_budget():
     assert peak <= 8 * n_events + 4 * 2**20
 
 
+def test_free_running_simulation_stays_within_its_memory_budget():
+    """The stream's 8 bytes per event, one block's draws and the check's windows."""
+    source = SourceModel(Distribution.POISSON, 0.5)
+    clock = ClockConfig(mode=ClockMode.FREE_RUNNING, dead_slots=3)
+    n_events = 2_000_000
+    assert traced_peak(generate_free_running, source, clock, n_events, 301) <= 8 * n_events + 3 * 2**20
+
+
 def test_gated_simulation_blocks_hold_a_byte_per_gap():
     """Streamed without being collected, the stream costs its gaps, a byte
     each, and one block's draws and filter."""
@@ -439,8 +447,8 @@ def test_gated_gaps_past_a_byte_give_the_whole_length_draw(monkeypatch, block, r
 
 
 def test_simulation_blocks_run_the_guards_on_the_call():
-    """Before the first block is asked for, for both clock modes; a
-    dead time that drops every candidate stops the blocks."""
+    """Before the first block is asked for, for both clock modes, as is the
+    work limit; a dead time that drops every candidate stops the blocks."""
     dark = SourceModel(Distribution.POISSON, 0.0)
     gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2)
     for clock in (FREE, gated):
@@ -451,6 +459,13 @@ def test_simulation_blocks_run_the_guards_on_the_call():
         assert list(generate_blocks(dark, clock, IntraGateProfile.uniform(), 0, seed=0)) == []
     with pytest.raises(ValueError, match="^fixed slot 3 outside gate of 2 slots$"):
         generate_blocks(dark, gated, IntraGateProfile.fixed_slot(3), 0, seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_MAX_WORK", 1000)
+        for clock in (FREE, gated):
+            with pytest.raises(GuardError, match="^at most 1000 events per stream, got 1001$"):
+                generate_blocks(SourceModel(Distribution.POISSON, 0.5), clock, IntraGateProfile.uniform(), 1001, 0)
+            assert sum(b.size for b in generate_blocks(SourceModel(Distribution.POISSON, 0.5), clock,
+                                                       IntraGateProfile.uniform(), 1000, 0)) == 1000
     blind = ClockConfig(mode=ClockMode.GATED, slots_per_gate=1, dead_slots=100_000)
     blocks = generate_blocks(SourceModel(Distribution.POISSON, 50.0), blind, IntraGateProfile.uniform(), 2, 0)
     assert next(blocks).tolist() == [1]
@@ -782,11 +797,21 @@ def test_generated_streams_are_checked_against_their_clocks_dead_time(monkeypatc
     assert checked == [dead, dead]
 
 
-def test_generated_slots_are_not_copied():
+def test_generated_slots_are_not_copied(monkeypatch):
+    """Each stream keeps the array handed to its check; the traced budgets
+    of both generators catch a copy made before it."""
+    handed = []
+
+    def spy(slots, dead_slots=0):
+        handed.append(slots)
+        return EventStream(slots, dead_slots=dead_slots)
+
+    monkeypatch.setattr(sim, "EventStream", spy)
     source = SourceModel(Distribution.POISSON, 0.5)
     gated = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=1)
-    for stream in (generate_gated(source, gated, IntraGateProfile.uniform(), 1000, seed=1),
-                   generate_free_running(source, FREE, 1000, seed=1)):
+    streams = (generate_gated(source, gated, IntraGateProfile.uniform(), 1000, seed=1),
+               generate_free_running(source, FREE, 1000, seed=1))
+    for stream, slots in zip(streams, handed, strict=True):
+        assert stream.slots is slots
         assert stream.slots.dtype == np.uint64
         assert not stream.slots.flags.writeable
-        assert stream.slots.base is None  # the array the blocks were collected into
