@@ -187,33 +187,23 @@ def generate_free_running(source: SourceModel, clock: ClockConfig, n_events: int
     probability; after each click the next ``dead_slots`` slots are blind,
     so gaps are ``dead_slots`` plus a geometric draw.
     """
-    n_events, p_slot = _free_running_guards(source, clock, n_events, "generate_free_running")
+    n_events, p_slot = _guards(source, clock, None, n_events, "generate_free_running", ClockMode.FREE_RUNNING)
     blocks = _free_running_blocks(rng(seed), clock.dead_slots, n_events, p_slot)
     return _collect(blocks, np.empty(n_events, dtype=np.uint64), clock.dead_slots)
 
 
-def _free_running_guards(source: SourceModel, clock: ClockConfig,
-                         n_events, name: str) -> tuple[int, float | None]:
-    """As :func:`_gated_guards`, for a free-running clock."""
-    if clock.mode is not ClockMode.FREE_RUNNING:
-        raise ValueError(f"{name} requires a free-running clock")
+def _guards(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile | None,
+            n_events, name: str, mode: ClockMode) -> tuple[int, float | None]:
+    """``n_events`` as a count and the merged click probability per slot or
+    gate, None for no events, after the guards: the clock's ``mode`` (a
+    ``ValueError`` naming ``name``), the count, a gated clock's profile,
+    and :func:`_stream_click_probability`'s for one event or more."""
+    if clock.mode is not mode:
+        raise ValueError(f"{name} requires a {mode.value.replace('_', '-')} clock")
     n_events = as_count(n_events, "n_events")
+    if mode is ClockMode.GATED:
+        profile._check(clock.slots_per_gate)
     return n_events, _stream_click_probability(source, clock, n_events) if n_events else None
-
-
-def _gated_guards(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
-                  n_events, name: str) -> tuple[int, float | None]:
-    """``n_events`` as a count and the merged click probability per gate,
-    None for no events, after the gated guards: the clock's mode (a
-    ``ValueError`` naming ``name``), the count, the profile, and
-    :func:`_stream_click_probability`'s for one event or more."""
-    if clock.mode is not ClockMode.GATED:
-        raise ValueError(f"{name} requires a gated clock")
-    n_events = as_count(n_events, "n_events")
-    profile._check(clock.slots_per_gate)
-    if n_events == 0:
-        return 0, None
-    return n_events, _stream_click_probability(source, clock, n_events)
 
 
 def generate_gated(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
@@ -226,7 +216,7 @@ def generate_gated(source: SourceModel, clock: ClockConfig, profile: IntraGatePr
     ``(g - 1) * slots_per_gate + i``.  With a dead time, candidate clicks
     falling within ``dead_slots`` of the last accepted click are lost.
     """
-    n_events, p_gate = _gated_guards(source, clock, profile, n_events, "generate_gated")
+    n_events, p_gate = _guards(source, clock, profile, n_events, "generate_gated", ClockMode.GATED)
     slots = np.empty(n_events, dtype=np.uint64)
     # A batch of m candidates keeps its gaps in the last m bytes of the
     # slots; the kept slots, filled from the front, never reach unread gaps.
@@ -243,14 +233,13 @@ def generate_blocks(source: SourceModel, clock: ClockConfig, profile: IntraGateP
     No array bounds a stream that is not collected, so a count past
     ``_MAX_WORK`` is refused after the guards, at any clock.
     """
+    n_events, p = _guards(source, clock, profile, n_events, "generate_blocks", clock.mode)
+    if n_events > _MAX_WORK:
+        raise GuardError(f"at most {_MAX_WORK} events per stream, got {n_events}")
     if clock.mode is ClockMode.GATED:
-        n_events, p = _gated_guards(source, clock, profile, n_events, "generate_blocks")
         blocks = _gated_blocks(rng(seed), clock, profile, n_events, p, lambda m: np.empty(m, dtype=np.uint8))
     else:
-        n_events, p = _free_running_guards(source, clock, n_events, "generate_blocks")
         blocks = _free_running_blocks(rng(seed), clock.dead_slots, n_events, p)
-    if n_events > _MAX_WORK:  # nothing is drawn before the first block
-        raise GuardError(f"at most {_MAX_WORK} events per stream, got {n_events}")
     return check_blocks(blocks, dead_slots=clock.dead_slots)
 
 
@@ -326,7 +315,7 @@ def intra_gate_slots(source: SourceModel, clock: ClockConfig, profile: IntraGate
     slots are yielded as drawn.  With dead time, which candidates survive
     depends on their absolute slots, so the whole stream is held.
     """
-    n_events, p_gate = _gated_guards(source, clock, profile, n_events, "intra_gate_slots")
+    n_events, p_gate = _guards(source, clock, profile, n_events, "intra_gate_slots", ClockMode.GATED)
     return _intra_gate_blocks(source, clock, profile, n_events, seed, p_gate)
 
 
