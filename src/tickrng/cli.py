@@ -152,7 +152,7 @@ def _stage(args, write, summary: str = "", conventions=(), **parameters) -> None
     """
     import numpy as np
 
-    from .formats import RunManifest, write_manifest
+    from .manifest import RunManifest, write_manifest
 
     write(args.out)
     argv, declared = [args.subcommand], {}
@@ -355,7 +355,7 @@ def cmd_eve(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from .formats import read_manifest
+    from .manifest import read_manifest
 
     manifest = read_manifest(args.manifest)
     if manifest.subcommand == "replay":

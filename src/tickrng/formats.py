@@ -1,4 +1,4 @@
-"""File formats: event streams, bit streams, test reports, run manifests.
+"""File formats: event streams, bit streams, test reports.
 
 Event streams are ascii, one decimal slot index per line, or a packed
 binary stream of little-endian unsigned 64-bit integers.  An ascii event
@@ -14,10 +14,7 @@ writers is one of the strings ``ascii`` and ``binary`` for events,
 Reports are CSV; :func:`write_report` takes the battery's report without
 this module importing the battery, so event and bit I/O loads no
 ``suite``.  The event and bit types are the bits layer's (``extract``), so
-no I/O loads the simulator.  Every file produced by the CLI is accompanied
-by a JSON run manifest (``<file>.manifest.json``) recording the exact
-command, parameters and random generator, so any output can be reproduced
-bit-exactly with ``tickrng replay``.
+no I/O loads the simulator.  Run manifests are :mod:`manifest`'s.
 
 Event files are written and read one fixed-size block at a time, by
 array kernels with no Python object per line, so the work memory does not
@@ -32,9 +29,8 @@ grow with the stream; :func:`read_events` is the one-block case of
   depend on the block.  A file is written beside its path and moved
   there when done, so a failed write leaves the path as it was.
 - The binary reader checks a file's length from its size and reads
-  ``_READ_BLOCK`` bytes at a time with ``np.fromfile``, each block
-  checked against the slot before it.  A pipe is read until it ends and
-  its length checked there.
+  ``_READ_BLOCK`` bytes at a time, each block checked against the slot
+  before it.  A pipe is read until it ends and its length checked there.
 - The ascii reader keeps the file's bytes and fills one uint64 array,
   sized by the newline count, from blocks of whole lines of about
   256 KiB.  In each block it checks that every byte is a digit, a blank
@@ -55,17 +51,14 @@ Both kernels are tested against per-line oracles in the tests (one
 from __future__ import annotations
 
 import csv
-import json
 import os
 from bisect import bisect_right
-from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from stat import S_ISREG
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from . import __version__
 from .errors import DataError
 from .extract import BitStream, EventStream, check_blocks, check_slots
 
@@ -80,10 +73,6 @@ __all__ = [
     "write_bits",
     "write_report",
     "REPORT_HEADER",
-    "RunManifest",
-    "manifest_path_for",
-    "write_manifest",
-    "read_manifest",
 ]
 
 REPORT_HEADER = ("test_id", "test_index", "run_index", "p_value", "pass")
@@ -243,35 +232,24 @@ def _format_slots(slots: np.ndarray) -> np.ndarray:
 def _event_blocks(path, fmt: str, count: int | None) -> Iterator[np.ndarray]:
     """The checked slot blocks of an event file: an ascii file's one block,
     checked on the call so that its bytes are freed, or a binary file's,
-    ``count`` slots each (all for None).  A regular binary file's length is
-    checked on the call, a pipe's when it ends."""
+    ``count`` slots each (all for None).  A binary file's length is checked
+    on the call, a pipe's where it ends."""
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     if fmt == "ascii":
         return iter((check_slots(*_parse_ascii_events(Path(path).read_bytes())),))
     info = Path(path).stat()
-    if not S_ISREG(info.st_mode):
-        return check_blocks(_piped_blocks(path, count))
-    size = info.st_size
-    if size % 8:
-        raise _bad_length(size)
-    return check_blocks(_binary_blocks(path, size // 8, count or max(size // 8, 1)))
+    if S_ISREG(info.st_mode) and info.st_size % 8:
+        raise _bad_length(info.st_size)
+    return check_blocks(_binary_blocks(path, count))
 
 
 def _bad_length(size: int) -> DataError:
     return DataError(f"binary event file length {size} is not a multiple of 8")
 
 
-def _binary_blocks(path, n: int, count: int) -> Iterator[np.ndarray]:
-    with Path(path).open("rb") as fh:
-        for start in range(0, n, count):
-            block = np.fromfile(fh, dtype="<u8", count=min(count, n - start))
-            block.setflags(write=False)
-            yield block
-
-
-def _piped_blocks(path, count: int | None) -> Iterator[np.ndarray]:
-    """A pipe's slots, read until it ends; a read comes short only there."""
+def _binary_blocks(path, count: int | None) -> Iterator[np.ndarray]:
+    """Read until the end, which is where a read comes short."""
     size = 0
     with Path(path).open("rb") as fh:
         while chunk := fh.read(8 * count if count else -1):
@@ -296,37 +274,27 @@ def write_events(stream: EventStream | Iterable, path, fmt: str = "ascii") -> No
     """Write ``stream``, an :class:`EventStream` or the slot blocks of one.
 
     A file is written beside its path and moved there when done, so a
-    write that fails leaves the path as it was; a device or a pipe, or a
-    file in a directory that takes no new file, is written in place.
+    write that fails leaves the path as it was; a device or a pipe is
+    written in place.
     """
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     encode = _format_slots if fmt == "ascii" else (lambda block: block.astype("<u8", copy=False))
-    blocks = (stream.slots,) if isinstance(stream, EventStream) else stream
     path = Path(path)
     target = path.resolve()  # a symlink's file, not the link
-    part = target.with_name(f".{target.name}.{os.urandom(4).hex()}.part")
+    in_place = path.exists() and not path.is_file()
+    part = path if in_place else target.with_name(f".{target.name}.{os.urandom(4).hex()}.part")
     try:
-        fh = None if path.exists() and not path.is_file() else part.open("xb")
-    except OSError:  # a directory that takes no new file
-        fh = None
-    if fh is None:
-        with path.open("wb") as fh:
-            _write_blocks(fh, blocks, encode)
-        return
-    try:
-        with fh:
-            _write_blocks(fh, blocks, encode)
-        os.replace(part, target)
+        with part.open("wb") as fh:
+            for block in (stream.slots,) if isinstance(stream, EventStream) else stream:
+                for start in range(0, block.size, _WRITE_BLOCK):
+                    fh.write(encode(block[start : start + _WRITE_BLOCK]))
+        if not in_place:
+            os.replace(part, target)
     except BaseException:
-        part.unlink(missing_ok=True)
+        if not in_place:
+            part.unlink(missing_ok=True)
         raise
-
-
-def _write_blocks(fh, blocks: Iterable, encode) -> None:
-    for block in blocks:
-        for start in range(0, block.size, _WRITE_BLOCK):
-            fh.write(encode(block[start : start + _WRITE_BLOCK]))
 
 
 def read_bits(path, fmt: str = "ascii01") -> BitStream:
@@ -382,56 +350,3 @@ def write_report(report: TestReport, path) -> None:
         for entry in report.sorted_entries():
             result = (f"{entry.p_value:.6g}", int(entry.passed)) if entry.applicable else ("NA", "NA")
             writer.writerow([entry.test_id.value, entry.test_id.index, entry.run_index, *result])
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce one CLI output bit-exactly."""
-
-    subcommand: str
-    argv: list[str]
-    parameters: dict
-    outputs: list[str]
-    generator: dict | None = None
-    conventions: dict = field(default_factory=dict)
-    version: str = __version__
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-
-def manifest_path_for(output_path) -> Path:
-    return Path(str(output_path) + ".manifest.json")
-
-
-def write_manifest(manifest: RunManifest, output_path) -> Path:
-    target = manifest_path_for(output_path)
-    target.write_text(manifest.to_json())
-    return target
-
-
-def read_manifest(path) -> RunManifest:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except UnicodeDecodeError as exc:
-        raise DataError(f"manifest is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise DataError("manifest must be a JSON object")
-    for name in ("parameters", "conventions"):
-        if not isinstance(raw.get(name, {}), dict):
-            raise DataError(f"manifest {name} must be a JSON object")
-    for f in fields(RunManifest):
-        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
-            raise DataError(f"manifest is missing required field: {f.name!r}")
-    manifest = RunManifest(**{f.name: raw[f.name] for f in fields(RunManifest) if f.name in raw})
-    if not (_is_str_list(manifest.argv) and manifest.argv[:1] == [manifest.subcommand]):
-        raise DataError("manifest argv must be a list of strings that starts with its subcommand")
-    if not _is_str_list(manifest.outputs):
-        raise DataError("manifest outputs must be a list of strings")
-    return manifest
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)

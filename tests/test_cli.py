@@ -17,7 +17,8 @@ import tickrng
 from conftest import fed_fifo, rss_rise_mb
 from tickrng.cli import build_parser, main
 from tickrng.extract import BitStream
-from tickrng.formats import read_bits, read_events, read_manifest, write_bits
+from tickrng.formats import read_bits, read_events, write_bits
+from tickrng.manifest import read_manifest
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -87,11 +88,15 @@ LAYERS_LOADED = {
     "usage-error": (["simulate", "--mu", "0.5", "--out", "x"], 1, set()),
     "negative-seed": (["simulate", "--mu", "0.5", "--events", "20", "--seed", "-1", "--out", "x"], 1, set()),
     "bias": (["bias", "--mu", "0.5", "--seed", "1"], 0, set()),
-    "simulate": (["simulate", "--mu", "0.5", "--events", "20", "--seed", "1", "--out", "x"], 0, {"sim", "extract", "formats"}),
-    "extract": (["extract", "--events", "events.txt", "--out", "x"], 0, {"extract", "formats"}),
-    "test": (["test", "--bits", "bits.txt", "--run-len", "100", "--out", "x"], 0, {"extract", "formats", "suite", "lfsr"}),
+    "simulate": (["simulate", "--mu", "0.5", "--events", "20", "--seed", "1", "--out", "x"], 0,
+                 {"sim", "extract", "formats", "manifest"}),
+    "extract": (["extract", "--events", "events.txt", "--out", "x"], 0, {"extract", "formats", "manifest"}),
+    "test": (["test", "--bits", "bits.txt", "--run-len", "100", "--out", "x"], 0,
+             {"extract", "formats", "suite", "lfsr", "manifest"}),
     "protocol": (["protocol", "--mu", "0.5", "--gates", "100", "--seed", "1"], 0, {"sim", "extract", "qkd"}),
     "eve": (["eve", "--mu", "0.5", "--events", "100", "--seed", "1"], 0, {"sim", "extract", "qkd"}),
+    "eve-out": (["eve", "--mu", "0.5", "--events", "100", "--seed", "1", "--out", "x"], 0,
+                {"sim", "extract", "qkd", "manifest"}),
 }
 
 LOADED_AFTER_CALL = """
@@ -110,8 +115,9 @@ def test_each_call_loads_only_its_own_layers(tmp_path, call):
     """In a fresh interpreter: ``--version``, ``--help``, a usage error and an
     analytic ``bias`` load no numpy; ``simulate`` no battery and no ``qkd``;
     ``extract`` and ``test`` no simulator and no ``qkd``; ``protocol`` and ``eve``
-    no battery, and a protocol round, whose producer thread takes ``queue``,
-    no ``concurrent.futures``."""
+    no battery and, writing only text and its manifest, no ``formats``; and a
+    protocol round, whose producer thread takes ``queue``, no
+    ``concurrent.futures``."""
     argv, exit_code, layers = LAYERS_LOADED[call]
     (tmp_path / "events.txt").write_text("1\n3\n4\n")
     (tmp_path / "bits.txt").write_text("0110" * 50)

@@ -1,4 +1,4 @@
-"""File formats: golden bytes, round trips, and malformed-input errors."""
+"""File formats and run manifests: golden bytes, round trips, and malformed-input errors."""
 
 import hashlib
 import json
@@ -16,17 +16,14 @@ from tickrng.errors import DataError
 from tickrng.extract import BitStream, EventStream
 from tickrng.formats import (
     REPORT_HEADER,
-    RunManifest,
-    manifest_path_for,
     read_bits,
     read_event_blocks,
     read_events,
-    read_manifest,
     write_bits,
     write_events,
-    write_manifest,
     write_report,
 )
+from tickrng.manifest import RunManifest, manifest_path_for, read_manifest, write_manifest
 from tickrng.models import Distribution, SourceModel
 from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
 from tickrng.suite import TestEntry, TestId, TestReport, run_battery
@@ -303,18 +300,18 @@ def test_ascii_event_kernels_stay_within_their_memory_budget(tmp_path, n_events)
 
 
 def test_binary_event_reading_holds_only_the_file(tmp_path):
-    """The stream keeps the array read from the file as its slots, without a copy."""
+    """The stream keeps the file's bytes as its slots, without a copy."""
     stream = gated_stream(2, 0.5, 1_000_000)
     path = tmp_path / "events.bin"
     write_events(stream, path, "binary")
     assert traced_peak(read_events, path, "binary") <= path.stat().st_size + 2**20
-    assert read_events(path, "binary").slots.flags.owndata
+    assert isinstance(read_events(path, "binary").slots.base, bytes)
 
 
 def test_event_streams_keep_the_readers_array_and_only_their_slots(tmp_path, monkeypatch):
     """An ascii stream keeps the parser's array, trimmed in place to its
     slots however many blank lines the file has; a binary one keeps the
-    array read from the file."""
+    file's bytes."""
     path = tmp_path / "events.txt"
     path.write_bytes(b"1\n" + b"\n" * 1000 + b"2\n")
     slots = read_events(path).slots
@@ -327,7 +324,7 @@ def test_event_streams_keep_the_readers_array_and_only_their_slots(tmp_path, mon
         path.write_bytes(text)
         assert read_events(path).slots is parsed[-1][0]
     write_events(gated_stream(2, 0.5, 1000), path, "binary")
-    assert read_events(path, "binary").slots.flags.owndata
+    assert isinstance(read_events(path, "binary").slots.base, bytes)
 
 
 @pytest.fixture(params=[1, 7, 64])
