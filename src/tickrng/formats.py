@@ -274,15 +274,15 @@ def write_events(stream: EventStream | Iterable, path, fmt: str = "ascii") -> No
     """Write ``stream``, an :class:`EventStream` or the slot blocks of one.
 
     A file is written beside its path and moved there when done, so a
-    write that fails leaves the path as it was; a device or a pipe is
-    written in place.
+    write that fails leaves the path as it was; a device or a pipe, or a
+    path with no directory, is written or refused in place.
     """
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     encode = _format_slots if fmt == "ascii" else (lambda block: block.astype("<u8", copy=False))
     path = Path(path)
     target = path.resolve()  # a symlink's file, not the link
-    in_place = path.exists() and not path.is_file()
+    in_place = path.exists() and not path.is_file() or not target.parent.is_dir()  # the error names the path
     part = path if in_place else target.with_name(f".{target.name}.{os.urandom(4).hex()}.part")
     try:
         with part.open("wb") as fh:

@@ -601,11 +601,16 @@ def test_a_failed_event_write_keeps_the_earlier_file(tmp_path):
 
 
 def test_events_are_written_through_a_symlink_and_to_a_device(tmp_path):
+    """Through a symlink to its file, to a device in place, and refused by
+    its own name where it has no directory."""
     (tmp_path / "link.txt").symlink_to("events.txt")
     write_events(stream_of(3, 9), tmp_path / "link.txt")
     assert (tmp_path / "link.txt").is_symlink()
     assert (tmp_path / "events.txt").read_bytes() == b"3\n9\n"
     write_events(stream_of(3, 9), os.devnull, "binary")
+    with pytest.raises(FileNotFoundError) as missing:
+        write_events(stream_of(3, 9), tmp_path / "no" / "events.txt")
+    assert missing.value.filename == str(tmp_path / "no" / "events.txt")
 
 
 def test_binary_events_are_read_from_a_pipe(tmp_path, monkeypatch):
