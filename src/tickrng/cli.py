@@ -232,6 +232,7 @@ def cmd_extract(args) -> int:
         interleaved = np.empty(2 * basis.size, dtype=np.uint8)
         interleaved[0::2] = basis
         interleaved[1::2] = key
+        interleaved.setflags(write=False)  # kept by the stream, not copied
         bits = BitStream(interleaved)
         conventions.append("mod4_bit_order")
     if args.debias:
@@ -272,12 +273,12 @@ def cmd_bias(args) -> int:
 
 
 def cmd_test(args) -> int:
-    # The battery first: compiled from source after formats, it leaves this
-    # call's peak RSS about 0.5 MB higher.
+    # The battery first: imported after formats, it leaves this call's peak
+    # RSS about 0.5 MB higher (36.6 against 36.1 MB at 2x10^6 packed bits).
     from .suite import TestId, run_battery
-    from .formats import read_bits, write_report
+    from .formats import read_bit_runs, write_report
 
-    bits = read_bits(args.bits, fmt=args.bits_format)
+    bits = read_bit_runs(args.bits, fmt=args.bits_format, run_len=args.run_len)
     report = run_battery(bits, alpha=args.alpha, run_len=args.run_len)
     runs = len({e.run_index for e in report.entries})
     for test_id in TestId:

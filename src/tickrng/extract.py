@@ -80,13 +80,19 @@ def check_slots(slots, where: Callable[[int], str] | None = None, dead_slots: in
         too_close = too_close or (dead_slots > 0 and int(np.diff(window).min()) <= dead_slots)
     if too_close:
         raise DataError(f"event gaps must exceed the dead time of {dead_slots} slots")
-    base = arr
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if arr.dtype != np.uint64 or not (base is None or isinstance(base, bytes)):
+    if arr.dtype != np.uint64 or not _frozen(arr):
         arr = arr.astype(np.uint64)
         arr.setflags(write=False)
     return arr
+
+
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is read-only down to an owning array or ``bytes``:
+    no writable array shares its data, so it can be kept without a copy."""
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return base is None or isinstance(base, bytes)
 
 
 def check_blocks(blocks: Iterable, where: Callable[[int], str] | None = None,
@@ -146,13 +152,20 @@ def bit_array(values, ndim: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BitStream:
-    """Immutable sequence of bits stored as a uint8 array of 0/1 values."""
+    """Immutable sequence of bits stored as a uint8 array of 0/1 values.
+
+    The bits are checked by :func:`bit_array` and copied unless they are
+    uint8 and read-only down to their owner, as the arrays the library
+    makes and hands over are.
+    """
 
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(bit_array(self.bits))
-        arr.setflags(write=False)
+        arr = bit_array(self.bits)
+        if not _frozen(arr):
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
     def __len__(self) -> int:
@@ -208,6 +221,7 @@ def extract_mod2(stream: EventStream | Iterable, cfg: ExtractorConfig = Extracto
     """One bit per interval of a stream or its checked blocks: the interval length modulo 2."""
     gaps = _stream_intervals(stream, cfg)
     gaps &= 1
+    gaps.setflags(write=False)
     return BitStream(gaps)
 
 
@@ -235,6 +249,7 @@ def flip_debias(raw: BitStream) -> BitStream:
     """
     bits = raw.bits.copy()
     bits[1::2] ^= 1
+    bits.setflags(write=False)
     return BitStream(bits)
 
 

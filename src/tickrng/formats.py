@@ -43,9 +43,21 @@ grow with the stream; :func:`read_events` is the one-block case of
   one a single pass gives: the first stray byte, else the first split
   line, else the first overflow.  A slot's line is looked up only when a
   message names it, from the first entry and byte of its block.
+  :func:`read_event_blocks` parses a regular file a block of whole lines
+  at a time, so it holds one block's bytes, not the file's; on an error
+  it parses the file again whole, for the whole-file message.
 
 Both kernels are tested against per-line oracles in the tests (one
 ``str`` per slot; ``bytes.split`` and ``int`` per line).
+
+Bit files are read in blocks too: ``_READ_BLOCK`` bytes of an ascii01
+file or ``_READ_BLOCK // 8`` of a packed one at a time, each checked and
+turned into 0/1 bytes.  :func:`read_bit_runs` copies them into one
+reused buffer of a battery run; :func:`read_bits` joins them.  The whole
+file is read and checked either way, with a whole-file pass's errors: an
+ascii01 file's first stray byte, named by its line from the newlines of
+the blocks before it; a packed file's short header, its length (on the
+call for a regular file, where it ends for a pipe), then its padding.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, as_count
 from .extract import BitStream, EventStream, check_blocks, check_slots
 
 if TYPE_CHECKING:
@@ -70,6 +82,7 @@ __all__ = [
     "read_event_blocks",
     "write_events",
     "read_bits",
+    "read_bit_runs",
     "write_bits",
     "write_report",
     "REPORT_HEADER",
@@ -91,7 +104,9 @@ def _not_a_slot(blob: bytes, pos: int) -> DataError:
 
 
 _WRITE_BLOCK = 2**16  # slots formatted and written at a time
-_READ_BLOCK = 2**18  # bytes read at a time: up to a line end (ascii), in whole slots (binary)
+# Bytes read at a time: of events, cut at a line end (ascii) or in whole
+# slots (binary); of bits, an ascii01 file's, or an eighth of them packed.
+_READ_BLOCK = 2**18
 
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 _U64_MAX = 2**64 - 1
@@ -230,18 +245,47 @@ def _format_slots(slots: np.ndarray) -> np.ndarray:
 
 
 def _event_blocks(path, fmt: str, count: int | None) -> Iterator[np.ndarray]:
-    """The checked slot blocks of an event file: an ascii file's one block,
-    checked on the call so that its bytes are freed, or a binary file's,
-    ``count`` slots each (all for None).  A binary file's length is checked
-    on the call, a pipe's where it ends."""
+    """The checked slot blocks of an event file: a binary file's, ``count``
+    slots each (all for None), or a regular ascii file's, one per block of
+    whole lines (one for None).  A binary file's length is checked on the
+    call, a pipe's where it ends; an ascii pipe is parsed whole on the call."""
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
-    if fmt == "ascii":
-        return iter((check_slots(*_parse_ascii_events(Path(path).read_bytes())),))
     info = Path(path).stat()
+    if fmt == "ascii":
+        if count and S_ISREG(info.st_mode):
+            return _ascii_blocks(path)
+        return iter((check_slots(*_parse_ascii_events(Path(path).read_bytes())),))
     if S_ISREG(info.st_mode) and info.st_size % 8:
         raise _bad_length(info.st_size)
     return check_blocks(_binary_blocks(path, count))
+
+
+def _ascii_blocks(path) -> Iterator[np.ndarray]:
+    """A regular ascii file's slots, parsed and checked a block of whole
+    lines at a time.  On an error the file is parsed again whole, which
+    names the error as a whole-file pass does."""
+    try:
+        yield from check_blocks(_parse_ascii_events(lines)[0] for lines in _line_blocks(path))
+    except DataError:
+        check_slots(*_parse_ascii_events(Path(path).read_bytes()))
+        raise
+
+
+def _line_blocks(path) -> Iterator[bytes]:
+    """A file's bytes in blocks of whole lines, cut at the last line end of
+    each ``_READ_BLOCK``-byte read."""
+    with Path(path).open("rb") as fh:
+        pieces = []
+        while chunk := fh.read(_READ_BLOCK):
+            end = chunk.rfind(b"\n") + 1
+            if end:
+                yield b"".join((*pieces, chunk[:end]))
+                pieces = [chunk[end:]]
+            else:
+                pieces.append(chunk)
+        if any(pieces):
+            yield b"".join(pieces)
 
 
 def _bad_length(size: int) -> DataError:
@@ -266,7 +310,7 @@ def read_events(path, fmt: str = "ascii") -> EventStream:
 
 def read_event_blocks(path, fmt: str = "ascii") -> Iterator[np.ndarray]:
     """:func:`read_events`' slots and errors in checked read-only uint64
-    blocks: of ``_READ_BLOCK`` bytes, in whole slots, or one for ascii."""
+    blocks: of ``_READ_BLOCK`` bytes, in whole slots or whole lines."""
     return _event_blocks(path, fmt, -(-_READ_BLOCK // 8))
 
 
@@ -297,33 +341,125 @@ def write_events(stream: EventStream | Iterable, path, fmt: str = "ascii") -> No
         raise
 
 
-def read_bits(path, fmt: str = "ascii01") -> BitStream:
+def _check_payload(bit_len: int, payload: int) -> None:
+    """Refuse a packed payload of ``payload`` bytes for ``bit_len`` bits."""
+    need = -(-bit_len // 8)
+    if payload < need:
+        raise DataError(f"packed bit file truncated: header says {bit_len} bits, payload has {payload} bytes")
+    if payload > need:
+        raise DataError(f"packed bit file has {payload - need} trailing bytes")
+
+
+def _packed_header(fh, size: int | None = None) -> int:
+    """The bit count in a packed file's header; given the file's ``size``,
+    its payload's length is checked too."""
+    head = fh.read(8)
+    if len(head) < 8:
+        raise DataError("packed bit file shorter than its 8-byte header")
+    bit_len = int.from_bytes(head, "little")
+    if size is not None:
+        _check_payload(bit_len, size - 8)
+    return bit_len
+
+
+def _packed_blocks(path) -> Iterator[np.ndarray]:
+    """A packed file's bits, from ``_READ_BLOCK // 8`` bytes at a time.  Its
+    length is checked where it ends, then the padding of its last byte."""
+    with Path(path).open("rb") as fh:
+        bit_len = _packed_header(fh)
+        need = -(-bit_len // 8)
+        got, last = 0, b""
+        while got < need:
+            chunk = fh.read(min(max(1, _READ_BLOCK // 8), need - got))
+            if not chunk:
+                _check_payload(bit_len, got)  # truncated
+            got += len(chunk)
+            if got < need:
+                yield np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))
+            else:
+                last = chunk
+        while rest := fh.read(_READ_BLOCK):
+            got += len(rest)
+        _check_payload(bit_len, got)  # trailing bytes
+        bits = np.unpackbits(np.frombuffer(last, dtype=np.uint8))
+        keep = bit_len - 8 * (need - len(last))
+        if bits[keep:].any():
+            raise DataError("packed bit file has non-zero padding bits")
+        yield bits[:keep]
+
+
+def _ascii01_blocks(path) -> Iterator[np.ndarray]:
+    """An ascii01 file's bits, from ``_READ_BLOCK`` bytes at a time; a stray
+    byte is named by its line, counted over the blocks before it."""
+    with Path(path).open("rb") as fh:
+        lines = 0  # newlines before the block
+        while blob := fh.read(_READ_BLOCK):
+            buf = np.frombuffer(blob, dtype=np.uint8)
+            bit = (buf == ord("0")) | (buf == ord("1"))
+            # ASCII whitespace: space and \t \n \v \f \r, which are 9..13.
+            stray = ~(bit | (buf == ord(" ")) | ((buf - 9) < 5))
+            if stray.any():
+                pos = int(stray.argmax())
+                text = blob[pos : pos + 4]
+                text += fh.read(4 - len(text))  # the rest of a character the block cut
+                ch = text.decode("utf-8", "replace")[0]
+                raise DataError(f"line {lines + _line_of(blob, pos)}: stray character {ch!r} in bit stream")
+            lines += blob.count(b"\n")
+            yield buf[bit] - ord("0")
+
+
+def _bit_blocks(path, fmt: str) -> Iterator[np.ndarray]:
+    """The checked 0/1 uint8 blocks of a bit file.  A regular packed file's
+    header and length are checked on the call, a pipe's where it ends."""
     if fmt not in ("ascii01", "packed"):
         raise ValueError(f"unknown bit format {fmt!r}")
-    blob = Path(path).read_bytes()
+    info = Path(path).stat()
     if fmt == "ascii01":
-        buf = np.frombuffer(blob, dtype=np.uint8)
-        bit = (buf == ord("0")) | (buf == ord("1"))
-        # ASCII whitespace: space and \t \n \v \f \r, which are 9..13.
-        stray = ~(bit | (buf == ord(" ")) | ((buf - 9) < 5))
-        if stray.any():
-            pos = int(stray.argmax())
-            ch = blob[pos : pos + 4].decode("utf-8", "replace")[0]
-            raise DataError(f"line {_line_of(blob, pos)}: stray character {ch!r} in bit stream")
-        return BitStream(buf[bit] - ord("0"))
-    if len(blob) < 8:
-        raise DataError("packed bit file shorter than its 8-byte header")
-    bit_len = int.from_bytes(blob[:8], "little")
-    need = (bit_len + 7) // 8
-    payload = blob[8:]
-    if len(payload) < need:
-        raise DataError(f"packed bit file truncated: header says {bit_len} bits, payload has {len(payload)} bytes")
-    if len(payload) > need:
-        raise DataError(f"packed bit file has {len(payload) - need} trailing bytes")
-    unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    if unpacked[bit_len:].any():
-        raise DataError("packed bit file has non-zero padding bits")
-    return BitStream(unpacked[:bit_len])
+        return _ascii01_blocks(path)
+    if S_ISREG(info.st_mode):
+        with Path(path).open("rb") as fh:
+            _packed_header(fh, info.st_size)
+    return _packed_blocks(path)
+
+
+def _runs(blocks: Iterable[np.ndarray], run_len: int) -> Iterator[np.ndarray]:
+    """``blocks`` regrouped into runs of ``run_len`` bits, then the shorter rest,
+    each a read-only view of one reused buffer."""
+    buf = np.empty(run_len, dtype=np.uint8)
+    run = buf.view()
+    run.setflags(write=False)
+    fill = 0
+    for block in blocks:
+        start = 0
+        while start < block.size:
+            take = min(run_len - fill, block.size - start)
+            buf[fill : fill + take] = block[start : start + take]
+            fill += take
+            start += take
+            if fill == run_len:
+                yield run
+                fill = 0
+    yield run[:fill]
+
+
+def read_bit_runs(path, fmt: str = "ascii01", run_len: int = 1_000_000) -> Iterator[np.ndarray]:
+    """:func:`read_bits`' bits as runs of ``run_len`` bits and then the rest,
+    shorter and possibly empty, read as they are used.
+
+    Each run is a read-only view of one buffer that the next run reuses.
+    The rest comes once the whole file has been read and checked, so the
+    errors are :func:`read_bits`' own; a regular packed file's header and
+    length are checked on the call.
+    """
+    run_len = as_count(run_len, "run_len", positive=True)
+    return _runs(_bit_blocks(path, fmt), run_len)
+
+
+def read_bits(path, fmt: str = "ascii01") -> BitStream:
+    """A whole bit file, from the blocks :func:`read_bit_runs` regroups."""
+    bits = np.concatenate([np.empty(0, dtype=np.uint8), *_bit_blocks(path, fmt)])
+    bits.setflags(write=False)
+    return BitStream(bits)
 
 
 def write_bits(bits: BitStream, path, fmt: str = "ascii01") -> None:

@@ -8,17 +8,20 @@ battery's recommended values for runs of 10^6 bits and are recorded in
 the report.  A procedure whose prerequisites fail on a run is reported
 as not applicable, never as failed.
 
-The costliest procedures run on whole-array kernels:
+The costliest procedures run on array kernels that hold no 8-byte value
+per bit of the run.  CumulativeSums, LongestRuns, Universal and the
+pattern count take their bits ``_CHUNK`` (2^16) at a time, carrying
+exact integer state; DFFT holds one complex value per gcd(n, 8) bits.
 
 - Serial and ApproximateEntropy share one overlapping-pattern count per
   run.  The circularly extended run is packed once, every m-bit window
-  is read out of a ``uint64`` word, and one ``bincount`` gives the
-  counts.  Circular counts for width m - 1 are ``c[0::2] + c[1::2]`` of
-  those for m, so ``run_battery`` counts once, at the wider of ApEn's
-  width m + 1 and Serial's m among the widths w with 4 * 2^w <= n, and
-  folds down for Serial (m, m - 1, m - 2) and ApEn (m + 1, m); each
-  test that applies has n >= 4 * 2^w at its own w.  Either test called
-  alone counts the same way.
+  is read out of a ``uint64`` word, and ``np.add.at`` adds each chunk's
+  windows into one table.  Circular counts for width
+  m - 1 are ``c[0::2] + c[1::2]`` of those for m, so ``run_battery``
+  counts once, at the wider of ApEn's width m + 1 and Serial's m among
+  the widths w with 4 * 2^w <= n, and folds down for Serial (m, m - 1,
+  m - 2) and ApEn (m + 1, m); each test that applies has n >= 4 * 2^w at
+  its own w.  Either test called alone counts the same way.
 - LinearComplexity runs Berlekamp–Massey on all blocks in lockstep,
   64 blocks per word (:func:`tickrng.lfsr.lfsr_complexities`).
 - Rank packs each 32-bit matrix row into a word and eliminates all
@@ -26,25 +29,38 @@ The costliest procedures run on whole-array kernels:
   0/1 words and XORs the pivot row by a multiply into every row holding
   the column, the pivot row included, which leaves it 0: no used-row
   flags are kept.
-- CumulativeSums takes one ``int64`` cumsum S of the +/-1 steps per run.
-  The forward excursion is max |S_k|; the reverse walk's sums are
-  S_n - S_j for j < n, so its excursion comes from S_n and the extremes
-  of S_0 = 0, S_1 .. S_n.  ``run_battery`` reads both rows off one walk.
+- CumulativeSums takes the ``int64`` cumsum S of the +/-1 steps a chunk
+  at a time, carrying S and its extremes.  The forward excursion is
+  max |S_k|; the reverse walk's sums are S_n - S_j for j < n, so its
+  excursion comes from S_n and the extremes of S_0 = 0, S_1 .. S_n.
+  ``run_battery`` reads both rows off one walk.
+- LongestRuns finds the longest run of ones of whole blocks a chunk at a
+  time and adds up their class counts.
 - Universal builds its L-bit block values (L <= 16) as ``uint16`` keys by
-  shift-or over the L columns; numpy's stable argsort sorts 16-bit keys
-  by radix, in the same order as any stable sort.
-- DFFT never holds a length-n transform.  It takes the rfft of each of
-  the r = gcd(n, 8) interleaved sub-signals and combines their rows, a
-  chunk at a time, by a length-r FFT.  Only rows up to m / 2 = n / 2r
-  are combined: a bin whose row is past m / 2 is counted through its
-  mirror n - k, which has the same magnitude.
+  shift-or over the L columns.  Within a chunk, numpy's stable argsort
+  (a radix sort for 16-bit keys) groups the blocks by value; each group
+  takes its distances from the last position of its value, carried over
+  chunks, and writes them where a stable sort of the whole run would put
+  them, from each value's count of test blocks.  So the log2 distances
+  are summed in the same order as a sort of all blocks, to the same
+  float.
+- DFFT never holds a length-n transform.  With r = gcd(n, 8) and
+  m = n / r, the bins k = r a + b of residue b are the length-m FFT of
+  the signal folded into m values by W_r^{p b} and twiddled by
+  W_n^{u b}.  Each residue b <= r / 2 is folded, a chunk of columns at a
+  time, into one reused complex array and transformed in place, by the
+  same split of m into gcd(m, 8) rows (pocketfft's scratch for a
+  length-m transform is another m values); a residue 0 < b < r / 2 also
+  counts the bins of residue r - b, through their mirrors n - k.
 
 Each kernel is tested for exact equality against a slow oracle:
 dictionary counts, a scalar Berlekamp–Massey on Python integers
 (``reference_lfsr_complexity`` in ``tests/conftest.py``), row-by-row
 elimination, one int64 walk per direction (``reference_cusum_excursion``),
-int64 block values by a matrix product (``reference_universal_pvalue``)
-and one whole-length rfft (``reference_spectral_below``).
+a per-block scan for LongestRuns, int64 block values by a matrix product
+and one whole-run sort (``reference_universal_pvalue``) and one
+whole-length rfft (``reference_spectral_below``), at chunk sizes down to
+one.
 
 Every p-value is a normal or a chi-square tail, computed in closed form
 with the standard library.  Normal tails are ``math.erfc``.  Each
@@ -69,6 +85,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -128,6 +145,11 @@ DEFAULT_PARAMETERS = {
     "linear_complexity_block_len": 500,
     "rank_matrix_dim": 32,
 }
+
+
+# Bits (or as many whole blocks or words) per step of the chunked kernels:
+# CumulativeSums, LongestRuns, Universal and the overlapping-pattern count.
+_CHUNK = 1 << 16
 
 
 def _require(n: int, needed: int, what: str) -> None:
@@ -201,14 +223,18 @@ def _cusum_excursions(x: np.ndarray) -> tuple[int, int]:
     With S_0 = 0 and S_j the forward sums, the backward walk's sums are
     S_n - S_j for j = n - 1 .. 0, so both excursions come from S_n and the
     extremes of S_0 .. S_n (the j = n term S_n - S_n = 0 never decides
-    an excursion, which is at least 1).
+    an excursion, which is at least 1).  The walk is taken ``_CHUNK``
+    steps at a time, carrying its end and extremes.
     """
-    walk = (x.view(np.int8) * 2 - 1).astype(np.int64)
-    # in place: an int64 cumsum of the int8 steps casts through a buffer at twice the time
-    np.cumsum(walk, out=walk)
-    end = int(walk[-1])
-    lo = int(walk.min(initial=0))
-    hi = int(walk.max(initial=0))
+    end = lo = hi = 0
+    for start in range(0, x.size, _CHUNK):
+        walk = (x[start : start + _CHUNK].view(np.int8) * 2 - 1).astype(np.int64)
+        # in place: an int64 cumsum of the int8 steps casts through a buffer at twice the time
+        np.cumsum(walk, out=walk)
+        walk += end
+        end = int(walk[-1])
+        lo = min(lo, int(walk.min()))
+        hi = max(hi, int(walk.max()))
     return max(hi, -lo), max(end - lo, hi - end)
 
 
@@ -249,6 +275,19 @@ _LONGEST_RUNS_TIERS = (
 )
 
 
+def _longest_runs(blocks: np.ndarray) -> np.ndarray:
+    """The longest run of ones in each row of ``blocks``, as int64."""
+    nblocks, block_len = blocks.shape
+    padded = np.zeros((nblocks, block_len + 2), dtype=np.int8)
+    padded[:, 1:-1] = blocks
+    d = np.diff(padded.ravel())
+    starts = np.flatnonzero(d == 1)
+    ends = np.flatnonzero(d == -1)
+    longest = np.zeros(nblocks, dtype=np.int64)
+    np.maximum.at(longest, starts // (block_len + 2), ends - starts)
+    return longest
+
+
 def longest_runs_test(bits) -> float:
     """Distribution of the longest run of ones per block, chi-square."""
     x = bit_array(bits)
@@ -258,17 +297,13 @@ def longest_runs_test(bits) -> float:
         if n >= min_n:
             break
     nblocks = n // block_len
-    blocks = x[: nblocks * block_len].reshape(nblocks, block_len)
-    padded = np.zeros((nblocks, block_len + 2), dtype=np.int8)
-    padded[:, 1:-1] = blocks
-    flat = padded.ravel()
-    d = np.diff(flat)
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    longest = np.zeros(nblocks, dtype=np.int64)
-    np.maximum.at(longest, starts // (block_len + 2), ends - starts)
-    clipped = np.clip(longest, lo, hi)
-    return _chi2_fit(np.bincount(clipped - lo, minlength=hi - lo + 1), np.asarray(pi))
+    step = max(1, _CHUNK // block_len)  # whole blocks per chunk
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    for start in range(0, nblocks, step):
+        stop = min(start + step, nblocks)
+        longest = _longest_runs(x[start * block_len : stop * block_len].reshape(-1, block_len))
+        counts += np.bincount(np.clip(longest, lo, hi) - lo, minlength=hi - lo + 1)
+    return _chi2_fit(counts, np.asarray(pi))
 
 
 def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
@@ -324,41 +359,83 @@ def rank_test(bits, matrix_dim: int = 32) -> float:
     return _chi2_fit(counts, np.array([p_full, p_one_less, p_rest]))
 
 
-_DFT_RADIX = 8  # DFFT takes gcd(n, _DFT_RADIX) sub-transforms
-_DFT_CHUNK = 1 << 12  # sub-spectrum rows combined per step
+_DFT_RADIX = 8  # DFFT folds the signal into gcd(n, _DFT_RADIX) residues
+_DFT_CHUNK = 1 << 12  # columns folded, and bins counted, per step
 
 
 def _spectral_below(x: np.ndarray, threshold: float) -> int:
     """How many of the first n // 2 DFT bins of the +/-1 signal of ``x`` have
     a magnitude below ``threshold``, with no length-n transform held.
 
-    With r = gcd(n, 8), m = n / r and Y_q the rfft of the signal's
-    ``q::r`` samples, S_{j + p m} = sum over q of W_n^{q j} W_r^{q p} Y_q[j]:
-    a length-r FFT down the twiddled sub-spectra, done in chunks of rows.
-    The rfft gives rows j <= m / 2.  Since |S_{n - k}| = |S_k|, a computed
-    bin also stands for its mirror n - k, whose row m - j is not computed
-    when 0 < j < m / 2.  At r = 1 this is the whole-length rfft.
+    With r = gcd(n, 8), m = n / r and bins k = r a + b,
+    S_{r a + b} = sum over u of W_m^{u a} W_n^{u b} sum over p of
+    s_{u + p m} W_r^{p b}: residue b's bins are the length-m FFT of the
+    signal folded by W_r^{p b} and twiddled by W_n^{u b}.  Each residue
+    b = 0 .. r / 2 is transformed alone, in place, and counts its bins
+    k < n / 2; since |S_{n - k}| = |S_k|, a residue 0 < b < r / 2 also
+    stands for residue r - b through its bins k > n - n / 2.  At r = 1
+    this is the whole-length rfft.
     """
     n = x.size
     r = math.gcd(n, _DFT_RADIX)
+    half = n // 2
+    if r == 1:
+        return int(np.count_nonzero(np.abs(np.fft.rfft(2.0 * x - 1.0)[:half]) < threshold))
     m = n // r
-    sub = np.empty((r, m // 2 + 1), dtype=np.complex128)
-    signal = np.empty(m)
-    for q in range(r):
-        np.multiply(x[q::r], 2.0, out=signal)
-        signal -= 1.0
-        sub[q] = np.fft.rfft(signal)
-    del signal
-    qs = np.arange(r)[:, None]
+    rows = x.reshape(r, m)  # rows[p, u] = x[u + p m]
+    spectrum = np.empty(m, dtype=np.complex128)
     below = 0
-    for start in range(0, sub.shape[1], _DFT_CHUNK):
-        rows = sub[:, start : start + _DFT_CHUNK]
-        j = np.arange(start, start + rows.shape[1])
-        k = j + m * qs
-        low = np.abs(np.fft.fft(rows * np.exp(-2j * np.pi / n * (qs * j)), axis=0)) < threshold
-        below += int(np.count_nonzero(low & (k < n // 2)))
-        below += int(np.count_nonzero(low & (n - k < n // 2) & (0 < j) & (2 * j < m)))
+    for b in range(r // 2 + 1):
+        angle = 2.0 * np.pi / r * (np.arange(r) * b % r)
+        fold = np.stack((np.cos(angle), -np.sin(angle)))  # real and imaginary W_r^{p b}
+        offset = fold.sum(axis=1)[:, None]  # the fold of the signal's -1s
+        twiddle = np.exp(-2j * np.pi / n * b * np.arange(_DFT_CHUNK))
+        for start in range(0, m, _DFT_CHUNK):
+            folded = fold @ rows[:, start : start + _DFT_CHUNK]
+            folded *= 2.0
+            folded -= offset
+            part = spectrum[start : start + _DFT_CHUNK]
+            part.real = folded[0]
+            part.imag = folded[1]
+            if b:
+                part *= twiddle[: part.size]
+                part *= np.exp(-2j * np.pi / n * b * start)
+        grid = _fft_in_place(spectrum)
+        p = grid.shape[0]
+        # bin a is k = r a + b: those below n / 2, then the mirrors above n - n / 2
+        spans = [(0, -(-(half - b) // r))]
+        if 0 < b < r - b:
+            spans.append(((n - half - b) // r + 1, m))
+        for lo, hi in spans:
+            for c in range(p):  # bins a = c + p d
+                row = grid[c, max(0, -(-(lo - c) // p)) : -(-(hi - c) // p)]
+                for start in range(0, row.size, _DFT_CHUNK):
+                    magnitude = np.abs(row[start : start + _DFT_CHUNK])
+                    below += int(np.count_nonzero(magnitude < threshold))
     return below
+
+
+def _fft_in_place(y: np.ndarray) -> np.ndarray:
+    """The DFT of the complex ``y``, in place, as a (p, m / p) grid whose
+    [c, d] holds bin c + p d, with m = y.size and p = gcd(m, 8).
+
+    A length-m transform takes a scratch copy and a plan of about m values
+    each.  The same split as :func:`_spectral_below`'s takes them of
+    m / p: length-p transforms down the grid's columns, the twiddles
+    W_m^{j c}, and length-m / p transforms along its rows.
+    """
+    m = y.size
+    p = math.gcd(m, _DFT_RADIX)
+    grid = y.reshape(p, m // p)
+    np.fft.fft(grid, axis=0, out=grid)
+    spin = np.exp(-2j * np.pi / m * np.arange(m // p))
+    twiddle = spin.copy()
+    for c in range(1, p):
+        grid[c] *= twiddle
+        twiddle *= spin
+    for row in grid:
+        np.fft.fft(row, out=row)
+    return grid
 
 
 def dft_test(bits) -> float:
@@ -404,16 +481,36 @@ def universal_test(bits) -> float:
     for col in range(block_len):
         blocks <<= 1
         blocks |= columns[:, col]
-    # A stable sort of 16-bit keys is a radix sort; positions count from 1.
-    order = np.argsort(blocks, kind="stable")
-    sorted_blocks = blocks[order]
-    sorted_pos = order + 1
-    prev = np.empty_like(sorted_pos)
-    prev[0] = 0
-    same = sorted_blocks[1:] == sorted_blocks[:-1]
-    prev[1:] = np.where(same, sorted_pos[:-1], 0)
-    dist = (sorted_pos - prev)[sorted_pos > q]
-    fn = float(np.log2(dist.astype(np.float64)).sum()) / k
+    # The distances are summed in the order of (block value, position), the
+    # order a stable sort of all the blocks gives: the test blocks of value v
+    # take the places from place[v] on.  Positions count from 1; last[v] is
+    # the last position holding v so far, 0 before the first.
+    tally = np.bincount(blocks[q:], minlength=1 << block_len)
+    place = np.cumsum(tally) - tally
+    last = np.zeros(1 << block_len, dtype=np.int64)
+    dist = np.empty(k)
+    step = max(1, _CHUNK // block_len)
+    for lo in chain(range(0, q, step), range(q, q + k, step)):
+        hi = min(lo + step, q if lo < q else q + k)
+        # a stable sort of 16-bit keys is a radix sort
+        pos = np.argsort(blocks[lo:hi], kind="stable")
+        values = blocks[lo:hi][pos]
+        pos += lo + 1
+        first = np.ones(values.size, dtype=bool)
+        np.not_equal(values[1:], values[:-1], out=first[1:])
+        heads = np.flatnonzero(first)  # the chunk's runs of one value each
+        value = values[heads]
+        sizes = np.diff(heads, append=values.size)
+        if lo >= q:
+            gaps = np.empty(values.size)
+            np.subtract(pos[1:], pos[:-1], out=gaps[1:])
+            gaps[heads] = pos[heads] - last[value]
+            at = np.repeat(place[value] - heads, sizes)
+            at += np.arange(values.size)
+            dist[at] = gaps
+            place[value] += sizes
+        last[value] = pos[heads + sizes - 1]
+    fn = float(np.log2(dist, out=dist).sum()) / k
     expected, variance = _UNIVERSAL_TABLE[block_len]
     c = 0.7 - 0.8 / block_len + (4.0 + 32.0 / block_len) * k ** (-3.0 / block_len) / 15.0
     sigma = c * math.sqrt(variance / k)
@@ -426,18 +523,28 @@ def _overlapping_counts(x: np.ndarray, m: int) -> np.ndarray:
     Pattern values read the window's first bit as the most significant.
     The extended run is packed once; the window at bit ``8 k + s`` is the
     top ``m`` bits of the big-endian word at byte ``k`` shifted left by
-    ``s``, so all windows come from 8 shifts of one word array; hence
+    ``s``, so all windows come from 8 shifts of each word; hence
     ``m + 7 <= 64``, far above any width whose 2^m table fits in memory.
+    The windows are counted about ``_CHUNK`` at a time, by ``np.add.at``
+    into one table.
     """
     n = x.size
     nwords = -(-n // 8)
-    ext = np.zeros(8 * (nwords + 8), dtype=np.uint8)
-    ext[:n] = x
-    ext[n : n + m - 1] = x[: m - 1]
-    packed = np.packbits(ext)
-    words = sliding_window_view(packed, 8)[:nwords].copy().view(">u8").astype(np.uint64)
-    values = (words << np.arange(8, dtype=np.uint64)) >> np.uint64(64 - m)
-    return np.bincount(values.ravel()[:n].view(np.int64), minlength=1 << m)
+    whole = n // 8
+    # the run, its first m - 1 bits again and zeros, packed: word k is bytes k .. k + 7
+    packed = np.zeros(nwords + 8, dtype=np.uint8)
+    packed[:whole] = np.packbits(x[: 8 * whole])
+    tail = np.packbits(np.concatenate((x[8 * whole :], x[: m - 1])))
+    packed[whole : whole + tail.size] = tail
+    shifts = np.arange(8, dtype=np.uint64)
+    counts = np.zeros(1 << m, dtype=np.int64)
+    step = max(1, _CHUNK // 8)  # words per chunk
+    for start in range(0, nwords, step):
+        words = sliding_window_view(packed, 8)[start : start + step].copy().view(">u8").astype(np.uint64)
+        values = words << shifts
+        values >>= np.uint64(64 - m)
+        np.add.at(counts, values.ravel()[: n - 8 * start], 1)
+    return counts
 
 
 def _fold(counts: np.ndarray, m: int) -> np.ndarray:
@@ -595,11 +702,22 @@ def _run_procedures(x: np.ndarray, params: dict) -> Iterator[tuple[TestId, float
         yield from zip(rows, p_values)
 
 
+def _slices(x: np.ndarray, run_len: int) -> Iterator[np.ndarray]:
+    """``x`` in runs of ``run_len`` bits and then the shorter rest, as
+    :func:`tickrng.formats.read_bit_runs` gives a file's."""
+    for start in range(0, x.size + 1, run_len):
+        yield x[start : start + run_len]
+
+
 def run_battery(bits, alpha: float = 0.01, run_len: int = 1_000_000, **overrides) -> TestReport:
     """Partition ``bits`` into disjoint runs and apply all 13 procedures to each.
 
-    Keyword overrides replace entries of :data:`DEFAULT_PARAMETERS`.  A
-    trailing remainder shorter than ``run_len`` is ignored.
+    ``bits`` is a :class:`~tickrng.extract.BitStream` or a bit array, or an
+    iterator over its runs of ``run_len`` bits and then its shorter rest, as
+    :func:`tickrng.formats.read_bit_runs` reads them from a file; the rest
+    ends the input.  Keyword overrides replace entries of
+    :data:`DEFAULT_PARAMETERS`.  A trailing remainder shorter than
+    ``run_len`` is ignored.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -610,15 +728,19 @@ def run_battery(bits, alpha: float = 0.01, run_len: int = 1_000_000, **overrides
         raise ValueError(f"unknown battery parameters: {sorted(unknown)}")
     params.update(overrides)
     params = {name: as_count(value, name, positive=True) for name, value in params.items()}
-    x = bit_array(bits)
-    runs = x.size // run_len
-    if runs < 1:
-        raise InsufficientDataError(
-            f"battery needs at least one run of {run_len} bits, got {x.size}"
-        )
-    entries = [
-        TestEntry(test_id, i, p, passed=p is not None and p >= alpha)
-        for i in range(runs)
-        for test_id, p in _run_procedures(x[i * run_len : (i + 1) * run_len], params)
-    ]
+    runs = bits if isinstance(bits, Iterator) else _slices(bit_array(bits), run_len)
+    entries, seen = [], 0
+    for index, run in enumerate(runs):
+        x = bit_array(run)
+        seen += x.size
+        if x.size > run_len:
+            raise ValueError(f"a run of {x.size} bits is longer than run_len {run_len}")
+        if x.size < run_len:
+            break
+        entries += [
+            TestEntry(test_id, index, p, passed=p is not None and p >= alpha)
+            for test_id, p in _run_procedures(x, params)
+        ]
+    if not entries:
+        raise InsufficientDataError(f"battery needs at least one run of {run_len} bits, got {seen}")
     return TestReport(entries=entries, alpha=alpha, run_len=run_len, parameters=params)

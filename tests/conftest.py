@@ -393,6 +393,37 @@ def reference_universal_pvalue(x) -> float:
     return math.erfc(abs(fn - expected) / (math.sqrt(2.0) * sigma))
 
 
+def reference_read_bits(blob: bytes, fmt: str) -> list[int]:
+    """One byte, or one bit, at a time: the slow oracle for ``formats.read_bits``.
+
+    Returns the bits of a whole bit file, or raises the same
+    :class:`DataError` messages.
+    """
+    if fmt == "ascii01":
+        bits = []
+        for pos, byte in enumerate(blob):
+            if byte in b"01":
+                bits.append(byte - ord("0"))
+            elif byte not in b" \t\n\v\f\r":
+                line = blob.count(b"\n", 0, pos) + 1
+                ch = blob[pos : pos + 4].decode("utf-8", "replace")[0]
+                raise DataError(f"line {line}: stray character {ch!r} in bit stream")
+        return bits
+    if len(blob) < 8:
+        raise DataError("packed bit file shorter than its 8-byte header")
+    bit_len = int.from_bytes(blob[:8], "little")
+    payload = blob[8:]
+    need = (bit_len + 7) // 8
+    if len(payload) < need:
+        raise DataError(f"packed bit file truncated: header says {bit_len} bits, payload has {len(payload)} bytes")
+    if len(payload) > need:
+        raise DataError(f"packed bit file has {len(payload) - need} trailing bytes")
+    bits = [int(bit) for byte in payload for bit in f"{byte:08b}"]
+    if any(bits[bit_len:]):
+        raise DataError("packed bit file has non-zero padding bits")
+    return bits[:bit_len]
+
+
 def reference_format_slots(slots) -> bytes:
     """One ``str`` per slot: the slow oracle for ``formats._format_slots``."""
     text = "\n".join(map(str, np.asarray(slots).tolist()))

@@ -177,11 +177,11 @@ def test_simulating_a_million_ascii_events_costs_little_memory_over_the_interpre
     assert simulate - fresh_peak_rss_mb(tmp_path, "--version") < 45
 
 
-@pytest.mark.parametrize("call", ["simulate", "extract"])
+@pytest.mark.parametrize("call", ["simulate", "extract", "extract-ascii"])
 def test_binary_events_stream_through_simulate_and_extract(tmp_path, call):
     """At 2x10^6 events (16 MB of slots) each call raises the peak RSS over
     its imports by a few MB, so it holds no whole stream; holding it took
-    about 22 MB."""
+    about 22 MB, and an ascii file's bytes and slots about 32 MB."""
     from tickrng.formats import write_events
     from tickrng.models import Distribution, SourceModel
     from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
@@ -192,12 +192,33 @@ def test_binary_events_stream_through_simulate_and_extract(tmp_path, call):
         argv = ["simulate", "--mode", "gated", "--slots-per-gate", "8", "--dead-slots", "3", "--mu-eta", "0.5",
                 "--events", "2000000", "--seed", "301", "--format", "binary", "--out", "events.bin"]
     else:
-        write_events(generate_gated(source, clock, IntraGateProfile.uniform(), 2_000_000, 301),
-                     tmp_path / "events.bin", "binary")
-        argv = ["extract", "--events", "events.bin", "--events-format", "binary", "--debias",
+        fmt, name = ("ascii", "events.txt") if call == "extract-ascii" else ("binary", "events.bin")
+        write_events(generate_gated(source, clock, IntraGateProfile.uniform(), 2_000_000, 301), tmp_path / name, fmt)
+        argv = ["extract", "--events", name, "--events-format", fmt, "--debias",
                 "--bits-format", "packed", "--out", "bits.bin"]
     setup = "from tickrng import extract, formats, sim\nfrom tickrng.cli import main\n"
     assert rss_rise_mb(setup, f"assert main({argv!r}) == 0", cwd=tmp_path) <= 14
+
+
+def test_packed_bits_are_tested_one_run_at_a_time(tmp_path):
+    """``test`` holds one run and the battery's work on it, not the bit file:
+    at 2x10^6 packed bits its peak RSS rises about 7 MB over its imports
+    (16 when it read the whole file and ran whole-run kernels), and at
+    ``--run-len 100000`` it rises no more at 10^7 bits than at 10^6."""
+    from tickrng.extract import BitStream
+    from tickrng.formats import write_bits
+
+    bits = np.random.Generator(np.random.PCG64(301)).integers(0, 2, size=10_000_000, dtype=np.uint8)
+    for n in (1_000_000, 2_000_000, 10_000_000):
+        write_bits(BitStream(bits[:n]), tmp_path / f"{n}.bin", fmt="packed")
+    setup = "from tickrng import formats, manifest, suite\nfrom tickrng.cli import main\n"
+
+    def rise(n: int, *options: str) -> float:
+        argv = ["test", "--bits", f"{n}.bin", "--bits-format", "packed", *options, "--out", "report.csv"]
+        return rss_rise_mb(setup, f"assert main({argv!r}) in (0, 3)", cwd=tmp_path)
+
+    assert rise(2_000_000) <= 8
+    assert abs(rise(10_000_000, "--run-len", "100000") - rise(1_000_000, "--run-len", "100000")) <= 1
 
 
 def test_a_simulation_that_fails_while_streaming_leaves_no_file(capsys, tmp_path):
@@ -232,6 +253,22 @@ def test_binary_events_are_extracted_from_a_pipe(capsys, tmp_path, monkeypatch):
     with fed_fifo(tmp_path / "fifo", Path("events.bin").read_bytes()) as fifo:
         assert run(capsys, *extract, "--events", str(fifo), "--out", "pipe.bin")[0] == 0
     assert Path("pipe.bin").read_bytes() == Path("file.bin").read_bytes()
+
+
+def test_packed_bits_are_tested_from_a_pipe(capsys, tmp_path, monkeypatch):
+    """``--bits`` may name a pipe, as ``/dev/stdin`` does: the same report
+    as from the file."""
+    from tickrng.extract import BitStream
+    from tickrng.formats import write_bits
+
+    monkeypatch.chdir(tmp_path)
+    bits = np.random.Generator(np.random.PCG64(7)).integers(0, 2, size=25_000, dtype=np.uint8)
+    write_bits(BitStream(bits), "bits.bin", fmt="packed")
+    argv = ["test", "--bits-format", "packed", "--run-len", "10000"]
+    assert run(capsys, *argv, "--bits", "bits.bin", "--out", "file.csv")[0] in (0, 3)
+    with fed_fifo(tmp_path / "fifo", Path("bits.bin").read_bytes()) as fifo:
+        assert run(capsys, *argv, "--bits", str(fifo), "--out", "pipe.csv")[0] in (0, 3)
+    assert Path("pipe.csv").read_bytes() == Path("file.csv").read_bytes()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -400,6 +400,64 @@ def test_bitstream_and_extractor_config_cannot_be_reassigned():
         ExtractorConfig().include_first = False
 
 
+def test_a_bit_stream_copies_a_callers_array_and_keeps_a_frozen_one():
+    """A writable array or a read-only view of one is copied; a read-only
+    owner, as the library hands over, is kept."""
+    raw = np.array([0, 1, 1], dtype=np.uint8)
+    view = raw[:2]
+    view.flags.writeable = False
+    for given in (raw, view):
+        stream = BitStream(given)
+        assert not np.shares_memory(stream.bits, raw) and not stream.bits.flags.writeable
+    frozen = np.array([1, 0], dtype=np.uint8)
+    frozen.flags.writeable = False
+    assert BitStream(frozen).bits is frozen
+
+
+class _Spy(BitStream):
+    """A :class:`BitStream` that records itself and the array it is handed."""
+
+    made: list = []
+
+    def __post_init__(self):
+        _Spy.made.append((self, self.bits))
+        super().__post_init__()
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    monkeypatch.setattr(extract, "BitStream", _Spy)
+    monkeypatch.setattr(_Spy, "made", [])
+    return _Spy.made
+
+
+def test_debiased_and_extracted_streams_keep_their_own_arrays(spy):
+    """``extract_mod2`` and ``flip_debias`` hand their fresh arrays to the
+    stream uncopied, so a debiased extraction holds two 1-byte-per-bit
+    arrays, not three; the bits are the same."""
+    stream = EventStream(np.cumsum(np.random.default_rng(3).integers(1, 9, size=1000)).astype(np.uint64))
+    raw = extract_mod2(stream)
+    debiased = flip_debias(raw)
+    assert [made for made, _ in spy] == [raw, debiased]
+    assert all(made.bits is handed for made, handed in spy)
+    assert raw.bits.tolist() == reference_mod2(stream).tolist()
+    assert debiased.bits.tolist() == [b ^ (t % 2) for t, b in enumerate(raw.bits.tolist())]
+
+
+def test_the_mod4_interleave_is_kept_by_its_stream(spy, tmp_path, capsys):
+    from tickrng.cli import main
+    from tickrng.formats import read_bits, write_events
+
+    stream = EventStream(np.cumsum(np.random.default_rng(4).integers(1, 9, size=1000)).astype(np.uint64))
+    write_events(stream, tmp_path / "events.txt")
+    argv = ["extract", "--events", str(tmp_path / "events.txt"), "--modulus", "mod4", "--debias"]
+    assert main([*argv, "--out", str(tmp_path / "bits.txt")]) == 0
+    assert len(spy) == 2 and all(made.bits is handed for made, handed in spy)
+    basis, key = reference_mod4(stream)
+    interleaved = np.stack((basis, key), axis=1).ravel()
+    assert read_bits(tmp_path / "bits.txt").bits.tolist() == [b ^ (t % 2) for t, b in enumerate(interleaved.tolist())]
+
+
 def test_bit_array_passes_uint8_and_bool_without_a_copy():
     raw = np.array([0, 1, 1], dtype=np.uint8)
     assert bit_array(raw) is raw

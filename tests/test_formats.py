@@ -3,10 +3,11 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
-from conftest import fed_fifo, reference_format_slots, reference_parse_slots, traced_peak
+from conftest import fed_fifo, reference_format_slots, reference_parse_slots, reference_read_bits, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from tickrng.errors import DataError
 from tickrng.extract import BitStream, EventStream
 from tickrng.formats import (
     REPORT_HEADER,
+    read_bit_runs,
     read_bits,
     read_event_blocks,
     read_events,
@@ -560,6 +562,49 @@ def test_ascii_event_blocks_are_the_parsed_array(tmp_path):
     assert block_read_outcome(path, "ascii") == "line 3: duplicate slot index 3 (previous was 3)"
 
 
+def test_ascii_event_blocks_are_whole_lines_read_as_they_are_used(tmp_path, monkeypatch):
+    """A block holds the lines that a read completes; the blocks before a
+    bad line come out first, and its error is the whole file's."""
+    monkeypatch.setattr(formats, "_READ_BLOCK", 3)
+    path = tmp_path / "events.txt"
+    path.write_bytes(b"1\n2\n\n30\n40")  # read as 1\n2 | \n\n3 | 0\n4 | 0
+    assert block_read_outcome(path, "ascii") == [[1], [2], [30], [40]]
+    path.write_bytes(b"1\n2\n\n30\n4 5\n6\nx\n")  # a split line in the fourth block, then a stray byte
+    blocks = read_event_blocks(path)
+    assert [next(blocks).tolist() for _ in range(3)] == [[1], [2], [30]]
+    with pytest.raises(DataError, match="^line 7: 'x' is not a decimal slot index$"):
+        list(blocks)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ascii_events_read_in_small_blocks_give_the_whole_file_outcome(tmp_path, small_blocks, seed):
+    """Slots, or the message of a whole-file read, at blocks of 1, 7 and 64 bytes."""
+    blob = random_event_file(np.random.default_rng(seed))
+    whole = read_outcome(read_events, blob, tmp_path)
+    blocks = block_read_outcome(tmp_path / "events.txt", "ascii")
+    assert (blocks if isinstance(blocks, str) else sum(blocks, [])) == whole
+
+
+ASCII_BLOCK_CASES = {**{f"message_{i}": blob for i, blob in enumerate(ASCII_MESSAGE_CASES)}, **SMALL_BLOCK_PARSE_CASES}
+
+
+@pytest.mark.parametrize("name", ASCII_BLOCK_CASES)
+def test_ascii_event_cases_give_the_whole_file_outcome_in_small_blocks(tmp_path, small_blocks, name):
+    blob = ASCII_BLOCK_CASES[name]
+    whole = read_outcome(read_events, blob, tmp_path)
+    blocks = block_read_outcome(tmp_path / "events.txt", "ascii")
+    assert (blocks if isinstance(blocks, str) else sum(blocks, [])) == whole
+
+
+def test_ascii_events_are_read_from_a_pipe(tmp_path, monkeypatch):
+    """Parsed whole, as a pipe cannot be read again to name an error."""
+    monkeypatch.setattr(formats, "_READ_BLOCK", 2)
+    with fed_fifo(tmp_path / "good", b"1\n2\n3\n") as fifo:
+        assert block_read_outcome(fifo, "ascii") == [[1, 2, 3]]
+    with fed_fifo(tmp_path / "bad", b"1\n2\n2\n") as fifo:
+        assert block_read_outcome(fifo, "ascii") == "line 3: duplicate slot index 2 (previous was 2)"
+
+
 def test_binary_event_blocks_hold_one_block(tmp_path):
     stream = gated_stream(2, 0.5, 1_000_000)
     path = tmp_path / "events.bin"
@@ -731,6 +776,144 @@ def test_packed_bits_reject_nonzero_padding(tmp_path):
     path.write_bytes((3).to_bytes(8, "little") + b"\xa1")  # low bits must be 0
     with pytest.raises(DataError, match="padding"):
         read_bits(path, fmt="packed")
+
+
+def bit_read_outcomes(path, fmt: str, run_len: int):
+    """What ``read_bits`` and ``read_bit_runs`` give: the bits and the runs as
+    lists, or the error message of each."""
+    try:
+        whole = read_bits(path, fmt).bits.tolist()
+    except DataError as exc:
+        whole = str(exc)
+    try:  # each run is listed before the next reuses its buffer
+        runs = [run.tolist() for run in read_bit_runs(path, fmt, run_len)]
+    except DataError as exc:
+        runs = str(exc)
+    return whole, runs
+
+
+@pytest.fixture(scope="module")
+def bits_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("bit_blocks") / "bits"
+
+
+@PROPERTY
+@given(bits=st.lists(st.integers(0, 1), max_size=200), fmt=st.sampled_from(["ascii01", "packed"]),
+       block=st.integers(1, 64), run_len=st.integers(1, 70))
+def test_bit_files_read_back_in_blocks_of_any_size(bits_file, bits, fmt, block, run_len):
+    """Write then read is the identity at any read block size, and the runs
+    are the whole read's slices: full runs, then the shorter rest."""
+    write_bits(BitStream(np.array(bits, dtype=np.uint8)), bits_file, fmt=fmt)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_READ_BLOCK", block)
+        whole, runs = bit_read_outcomes(bits_file, fmt, run_len)
+    assert whole == bits
+    assert runs == [bits[i : i + run_len] for i in range(0, len(bits) + 1, run_len)]
+
+
+# Bytes that are not a bit or a blank: ASCII, 2- to 4-byte UTF-8, and bytes
+# that start no UTF-8 character.
+STRAY = (b"x", b"2", b"\x00", "\u00a0".encode(), "\u20ac".encode(), "\U0001f600".encode(), b"\xfe", b"\x80")
+
+
+@st.composite
+def malformed_bit_files(draw):
+    """(file bytes, format, block size): an ascii01 file with a stray
+    character anywhere, often at or just before a block boundary, or a
+    packed file with a short header, a short or long payload, or non-zero
+    padding."""
+    block = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        body = b"".join(draw(st.lists(st.sampled_from([b"0", b"1", b" ", b"\n", b"\r\n", b"\t"]), max_size=150)))
+        edge = block * draw(st.integers(0, len(body) // block)) - draw(st.integers(0, 3))
+        pos = draw(st.one_of(st.integers(0, len(body)), st.just(min(max(edge, 0), len(body)))))
+        return body[:pos] + draw(st.sampled_from(STRAY)) + body[pos:], "ascii01", block
+    bits = draw(st.lists(st.integers(0, 1), max_size=150))
+    payload = np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+    kind = draw(st.sampled_from(["header", "truncated", "trailing", "padding"]))
+    if kind == "header":
+        return len(bits).to_bytes(8, "little")[: draw(st.integers(0, 7))], "packed", block
+    if kind == "truncated":
+        payload = payload[: draw(st.integers(0, len(payload)))] if payload else payload
+        bit_len = len(bits) + (8 if len(payload) == -(-len(bits) // 8) else 0)
+    elif kind == "trailing":
+        bit_len, payload = len(bits), payload + bytes(draw(st.integers(1, 3 * block)))
+    else:
+        bit_len = len(bits) - draw(st.integers(1, 7)) if len(bits) % 8 == 0 and bits else len(bits)
+        payload = payload[:-1] + bytes([payload[-1] | 1]) if payload else b"\x01"
+        bit_len = min(bit_len, 8 * len(payload) - 1)
+    return bit_len.to_bytes(8, "little") + payload, "packed", block
+
+
+@PROPERTY
+@given(case=malformed_bit_files(), run_len=st.integers(1, 40))
+def test_malformed_bit_files_give_the_whole_file_message_in_any_block(bits_file, case, run_len):
+    """Including an error past the last full run, in the remainder the
+    battery ignores: the whole file is still read and checked."""
+    blob, fmt, block = case
+    bits_file.write_bytes(blob)
+    with pytest.raises(DataError) as oracle:
+        reference_read_bits(blob, fmt)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_READ_BLOCK", block)
+        assert bit_read_outcomes(bits_file, fmt, run_len) == (str(oracle.value),) * 2
+
+
+def test_bit_runs_are_one_read_only_buffer(tmp_path, monkeypatch):
+    monkeypatch.setattr(formats, "_READ_BLOCK", 3)
+    path = tmp_path / "bits.txt"
+    path.write_text("0110\n1\n0011 1\n")
+    runs = read_bit_runs(path, run_len=4)
+    first = next(runs)
+    assert first.tolist() == [0, 1, 1, 0] and not first.flags.writeable
+    second = next(runs)
+    assert second is first and second.tolist() == [1, 0, 0, 1]
+    assert [run.tolist() for run in runs] == [[1, 1]]
+    with pytest.raises(ValueError, match="^run_len must be a positive integer, got 0$"):
+        read_bit_runs(path, run_len=0)
+
+
+def test_packed_bit_runs_check_the_header_and_length_on_the_call(tmp_path, monkeypatch):
+    monkeypatch.setattr(formats, "_READ_BLOCK", 8)  # a byte at a time
+    path = tmp_path / "bits.bin"
+    for blob, message in (
+        (b"\x03\x00", "shorter than its 8-byte header"),
+        ((16).to_bytes(8, "little") + b"\xff", "truncated: header says 16 bits, payload has 1 bytes"),
+        ((3).to_bytes(8, "little") + b"\xa0\x00", "has 1 trailing bytes"),
+    ):
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=f"^packed bit file {re.escape(message)}$"):
+            read_bit_runs(path, "packed", 2)
+    path.write_bytes((20).to_bytes(8, "little") + b"\xa0\x00\x01")  # the padding is checked when read
+    runs = read_bit_runs(path, "packed", 2)
+    assert next(runs).tolist() == [1, 0]
+    with pytest.raises(DataError, match="^packed bit file has non-zero padding bits$"):
+        list(runs)
+
+
+@pytest.mark.parametrize("fmt", ["ascii01", "packed"])
+def test_bits_are_read_from_a_pipe(tmp_path, monkeypatch, fmt):
+    """As from a file, in blocks; a packed pipe's length is checked where it ends."""
+    monkeypatch.setattr(formats, "_READ_BLOCK", 16)
+    bits = np.random.default_rng(5).integers(0, 2, size=300, dtype=np.uint8)
+    write_bits(BitStream(bits), tmp_path / "bits", fmt=fmt)
+    blob = (tmp_path / "bits").read_bytes()
+    bad = blob + b"\x00" if fmt == "packed" else blob + b"2"
+    (tmp_path / "bad").write_bytes(bad)
+    for name, data in (("good", blob), ("bad", bad)):
+        expected = bit_read_outcomes(tmp_path / ("bits" if name == "good" else "bad"), fmt, 70)
+        with fed_fifo(tmp_path / f"{name}-whole", data) as whole, fed_fifo(tmp_path / f"{name}-runs", data) as runs:
+            try:
+                from_pipe = read_bits(whole, fmt).bits.tolist()
+            except DataError as exc:
+                from_pipe = str(exc)
+            try:
+                runs_from_pipe = [run.tolist() for run in read_bit_runs(runs, fmt, 70)]
+            except DataError as exc:
+                runs_from_pipe = str(exc)
+        assert (from_pipe, runs_from_pipe) == expected
+    assert expected[0] == ("packed bit file has 1 trailing bytes" if fmt == "packed"
+                           else "line 2: stray character '2' in bit stream")
 
 
 def test_bits_unknown_format_is_a_usage_error(tmp_path):

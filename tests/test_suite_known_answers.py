@@ -253,6 +253,22 @@ def test_cusum_excursions_match_one_walk_per_direction(kind, n):
     assert _cusum_excursions(bits) == (forward, reverse)
 
 
+# The chunk sizes every chunked kernel is checked at: one bit, a size that
+# splits no block or word evenly, a small power of two, and the default.
+CHUNKS = (1, 7, 64, None)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("kind", ADVERSARIAL + ("period-8",))
+def test_cusum_excursions_match_the_walks_in_any_chunk(monkeypatch, kind, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(suite, "_CHUNK", chunk)
+    for n in (100, 1001):
+        bits = spectral_bits(kind, n)
+        expected = (reference_cusum_excursion(bits, "forward"), reference_cusum_excursion(bits, "reverse"))
+        assert _cusum_excursions(bits) == expected, n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cusum_excursions_of_the_shortest_walks(n):
     for code in range(1 << n):
@@ -319,6 +335,34 @@ def test_longest_runs_matches_per_block_scan(n, block_len, lo, hi, dof):
         (c - nblocks * p) ** 2 / (nblocks * p) for c, p in zip(counts, tier_probs)
     )
     assert longest_runs_test(bits) == pytest.approx(chi2_dist.sf(chi2, dof), abs=1e-12)
+
+
+def per_block_longest_runs_pvalue(bits: np.ndarray) -> float:
+    """A per-block loop over the tier's blocks: the oracle for the chunked
+    LongestRuns counts, scored by the same goodness-of-fit helper."""
+    n = bits.size
+    block_len, lo, hi, pi = next(
+        (m, lo, hi, pi) for min_n, m, lo, hi, pi in suite._LONGEST_RUNS_TIERS if n >= min_n
+    )
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    for start in range(0, n - block_len + 1, block_len):
+        # the longest run of ones is the widest gap between zeros, less one
+        zeros = np.flatnonzero(bits[start : start + block_len] == 0)
+        longest = int(np.diff(zeros, prepend=-1, append=block_len).max()) - 1
+        counts[min(max(longest, lo), hi) - lo] += 1
+    return suite._chi2_fit(counts, np.asarray(pi))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("kind", ADVERSARIAL + ("period-8",))
+def test_longest_runs_match_a_per_block_loop_in_any_chunk(monkeypatch, kind, chunk):
+    """All three tiers (block lengths 8, 128 and 10^4), with a partial
+    block left over."""
+    if chunk is not None:
+        monkeypatch.setattr(suite, "_CHUNK", chunk)
+    for n in (133, 6_300, 750_007):
+        bits = spectral_bits(kind, n)
+        assert longest_runs_test(bits) == per_block_longest_runs_pvalue(bits), n
 
 
 def test_longest_runs_all_zero_hand_value():
@@ -472,11 +516,14 @@ def spectral_bits(kind: str, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "n, chunk", [(n, chunk) for n in range(200, 216) for chunk in (None, 1, 7)] + [(1_000_000, None)]
+    "n, chunk",
+    [(n, chunk) for n in range(200, 216) for chunk in (None, 1, 7, 64)] + [(n, None) for n in (1_000_000, 625_000)],
 )
 def test_spectral_count_matches_the_whole_length_transform(monkeypatch, n, chunk):
     """n = 200 .. 215 takes every residue mod 8, so r = gcd(n, 8) is 1, 2,
-    4 and 8, at an odd (n = 200) and an even (n = 208) m = n / 8."""
+    4 and 8, at an odd (n = 200) and an even (n = 208) m = n / 8; the
+    grid of a residue's transform has gcd(m, 8) = 1 .. 8 rows.  At 10^6
+    bits m = 125000 splits into 8 rows; at 625000, m = 5^7 does not split."""
     if chunk is not None:
         monkeypatch.setattr(suite, "_DFT_CHUNK", chunk)
     threshold = math.sqrt(math.log(20.0) * n)
@@ -521,6 +568,22 @@ def test_universal_matches_naive_bookkeeping():
 def test_universal_matches_the_matrix_product_oracle(kind, n):
     bits = oracle_bits(kind, n, seed=n)
     assert universal_test(bits) == reference_universal_pvalue(bits)
+
+
+@pytest.mark.parametrize("chunk, kinds", [
+    (1, ("random",)),  # one 6-bit block per chunk, as at 7 bits
+    (64, ("random", "all-zero", "period-7")),
+    (None, ORACLE_KINDS),
+], ids=["1", "64", "None"])
+def test_universal_matches_the_oracle_in_any_chunk(monkeypatch, chunk, kinds):
+    """Chunks of one block, of ten and of many: the distances land in a
+    whole-run sort's order, so the p-value is the same float.  Small
+    chunks are slow, so they run on fewer inputs."""
+    if chunk is not None:
+        monkeypatch.setattr(suite, "_CHUNK", chunk)
+    for kind in kinds:
+        bits = oracle_bits(kind, 387_840, seed=11)
+        assert universal_test(bits) == reference_universal_pvalue(bits), kind
 
 
 # Exact Universal p-values of PCG64 bits (seed 20261019) on both sides of
@@ -575,6 +638,17 @@ def test_overlapping_counts_and_folds_match_dictionary_counts(kind, n):
         expected = dictionary_count_array(bits, m)
         assert np.array_equal(_overlapping_counts(bits, m), expected), m
         assert np.array_equal(_fold(wide, m), expected), m
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("kind", ADVERSARIAL + ("period-8",))
+def test_overlapping_counts_match_dictionary_counts_in_any_chunk(monkeypatch, kind, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(suite, "_CHUNK", chunk)
+    for n in (100, 1001, 4099):
+        bits = spectral_bits(kind, n)
+        for m in (1, 2, 9, 16):
+            assert np.array_equal(_overlapping_counts(bits, m), dictionary_count_array(bits, m)), (n, m)
 
 
 def test_overlapping_counts_reach_twenty_bit_patterns():
@@ -1069,28 +1143,30 @@ def test_battery_counts_patterns_after_the_spectral_test(monkeypatch):
 
 
 def test_battery_stays_within_its_memory_budget():
-    """The traced-allocation peak of one million-bit run (10.7e6): the
-    spectral test's sub-spectra, or the pattern count's table and
-    LongestRuns' padded blocks, not one int64 walk per cumulative-sums
-    direction."""
-    assert traced_peak(run_battery, random_bits(89, 1_000_000)) <= 12e6
+    """The traced-allocation peak of one million-bit run (2.7e6): the
+    spectral test's one residue of n / 8 complex values and a chunk of
+    columns.  The chunked kernels hold no 8-byte value per bit; whole-run
+    ones peaked at 10.7e6 in the pattern count, LongestRuns' padded
+    blocks and the cumulative-sums walk."""
+    assert traced_peak(run_battery, random_bits(89, 1_000_000)) <= 4.5e6
 
 
 def test_spectral_test_stays_within_its_memory_budget():
-    """The traced-allocation peak of one million-bit run (10.0e6): the eight
-    half-length sub-spectra (8 MB), one sub-signal and a chunk of combined
-    rows, with no length-n signal or spectrum."""
-    assert traced_peak(dft_test, random_bits(89, 1_000_000)) <= 11e6
+    """The traced-allocation peak of one million-bit run (2.7e6): one
+    residue's n / 8 complex values (2 MB), its grid's twiddles and a chunk
+    of folded columns; the eight half-length sub-spectra took 10.0e6."""
+    assert traced_peak(dft_test, random_bits(89, 1_000_000)) <= 4e6
 
 
 def test_spectral_test_raises_the_peak_rss_little():
-    # pocketfft's C++ scratch is not traced; the whole-length rfft raised
-    # the peak RSS by 31 MB.
+    # pocketfft's C++ scratch is not traced: the whole-length rfft raised
+    # the peak RSS by 31 MB, eight sub-transforms by 12.5, one length-n / 8
+    # transform in place by 7; the grid's rows raise it by 4.7 MB.
     setup = (
         "import numpy as np\nfrom tickrng.suite import dft_test\n"
         "bits = np.random.Generator(np.random.PCG64(89)).integers(0, 2, size=1_000_000, dtype=np.uint8)\n"
     )
-    assert rss_rise_mb(setup, "dft_test(bits)") <= 18
+    assert rss_rise_mb(setup, "dft_test(bits)") <= 8
 
 
 def test_battery_records_parameters():
@@ -1106,6 +1182,18 @@ def test_battery_sorted_entries_order():
     report = run_battery(bits, run_len=100_000)
     keys = [(e.test_id.index, e.run_index) for e in report.sorted_entries()]
     assert keys == sorted(keys)
+
+
+def test_battery_takes_a_files_runs_from_an_iterator():
+    """Runs and then the shorter rest, as ``formats.read_bit_runs`` yields
+    them, give the report of the whole array."""
+    bits = random_bits(83, 250_000)
+    runs = iter([bits[:100_000], bits[100_000:200_000], bits[200_000:]])
+    assert run_battery(runs, run_len=100_000).entries == run_battery(bits, run_len=100_000).entries
+    with pytest.raises(ValueError, match="^a run of 100001 bits is longer than run_len 100000$"):
+        run_battery(iter([bits[:100_001]]), run_len=100_000)
+    with pytest.raises(InsufficientDataError, match="^battery needs at least one run of 100000 bits, got 99999$"):
+        run_battery(iter([bits[:99_999]]), run_len=100_000)
 
 
 def test_battery_validation():
