@@ -95,13 +95,12 @@ def _frozen(arr: np.ndarray) -> bool:
     return base is None or isinstance(base, bytes)
 
 
-def check_blocks(blocks: Iterable, where: Callable[[int], str] | None = None,
-                 dead_slots: int = 0) -> Iterator[np.ndarray]:
+def check_blocks(blocks: Iterable, dead_slots: int = 0) -> Iterator[np.ndarray]:
     """Each of one stream's slot blocks as :func:`check_slots` returns it,
     given the slot before it: a whole-stream check's errors up to its end."""
     prev, first = None, 0
     for block in blocks:
-        block = check_slots(block, where, dead_slots, prev, first)
+        block = check_slots(block, dead_slots=dead_slots, prev=prev, first=first)
         if block.size:
             prev, first = int(block[-1]), first + block.size
         yield block
@@ -112,16 +111,14 @@ class EventStream:
     """Detection slot indices (64-bit unsigned, strictly increasing, first >= 1).
 
     The slots are checked, and copied if need be, by :func:`check_slots`,
-    which names a bad entry by ``where`` (a file reader's line namer) and
-    refuses a gap of ``dead_slots`` or less (a simulator's dead time).
+    which refuses a gap of ``dead_slots`` or less (a simulator's dead time).
     """
 
     slots: np.ndarray
-    where: InitVar[Callable[[int], str] | None] = None
     dead_slots: InitVar[int] = 0
 
-    def __post_init__(self, where, dead_slots):
-        object.__setattr__(self, "slots", check_slots(self.slots, where, dead_slots))
+    def __post_init__(self, dead_slots):
+        object.__setattr__(self, "slots", check_slots(self.slots, dead_slots=dead_slots))
 
     def __len__(self) -> int:
         return int(self.slots.size)

@@ -18,34 +18,34 @@ no I/O loads the simulator.  Run manifests are :mod:`manifest`'s.
 
 Event files are written and read one fixed-size block at a time, by
 array kernels with no Python object per line, so the work memory does not
-grow with the stream; :func:`read_events` is the one-block case of
-:func:`read_event_blocks`.
+grow with the stream; :func:`read_events` joins the blocks of
+:func:`read_event_blocks`.  A file of events or bits is written beside its
+path and moved there when done, so a failed write leaves the path as it was.
 
 - The writer takes a stream or its blocks and formats 2**16 slots at a
   time: an (n, width + 1) byte matrix filled right to left by repeated
   division by 10, width being the digit count of the block's largest
   slot, then a newline column.  Each row's leading-zero columns are
   dropped by a mask chosen by its own digit count, so the bytes do not
-  depend on the block.  A file is written beside its path and moved
-  there when done, so a failed write leaves the path as it was.
+  depend on the block.
 - The binary reader checks a file's length from its size and reads
   ``_READ_BLOCK`` bytes at a time, each block checked against the slot
   before it.  A pipe is read until it ends and its length checked there.
-- The ascii reader keeps the file's bytes and fills one uint64 array,
-  sized by the newline count, from blocks of whole lines of about
-  256 KiB.  In each block it checks that every byte is a digit, a blank
-  or a newline and that no blank run splits a line into two numbers, from
-  the edges of padded byte masks; numpy's text reader (``np.fromstring``
-  with ``sep=" "``) then converts the checked text.  It saturates a number
-  above 2**64 - 1 to 2**64 - 1, so only tokens read as that value are
-  checked for overflow: their last 20 bytes against the digits of
-  2**64 - 1, and the bytes before those against ``0``.  The error is the
-  one a single pass gives: the first stray byte, else the first split
-  line, else the first overflow.  A slot's line is looked up only when a
-  message names it, from the first entry and byte of its block.
-  :func:`read_event_blocks` parses a regular file a block of whole lines
-  at a time, so it holds one block's bytes, not the file's; on an error
-  it parses the file again whole, for the whole-file message.
+- The ascii reader reads a file or a pipe in blocks of whole lines of
+  about 256 KiB.  In each block it checks that every byte is a digit, a
+  blank or a newline and that no blank run splits a line into two
+  numbers, from the edges of padded byte masks; numpy's text reader
+  (``np.fromstring`` with ``sep=" "``) then converts the checked text into
+  the block's own array.  It saturates a number above 2**64 - 1 to
+  2**64 - 1, so only tokens read as that value are checked for overflow:
+  their last 20 bytes against the digits of 2**64 - 1, and the bytes
+  before those against ``0``.  The slots are then checked against the
+  slot before the block.  Lines are counted over the blocks, and a slot's
+  line is looked up only when a message names it.  The error is the one
+  a pass over the whole file gives: the first stray byte, else split
+  line, else overflow, else slot out of order; so the blocks before the
+  first error come out, and the rest of the file is read only for an
+  error that outranks it.
 
 Both kernels are tested against per-line oracles in the tests (one
 ``str`` per slot; ``bytes.split`` and ``int`` per line).
@@ -58,16 +58,17 @@ file is read and checked either way, with a whole-file pass's errors: an
 ascii01 file's first stray byte, named by its line from the newlines of
 the blocks before it; a packed file's short header, its length (on the
 call for a regular file, where it ends for a pipe), then its padding.
+:func:`write_bits` encodes 2**16 bits at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from bisect import bisect_right
+from itertools import chain
 from pathlib import Path
 from stat import S_ISREG
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -96,14 +97,14 @@ def _line_of(blob: bytes, pos: int) -> int:
     return blob.count(b"\n", 0, pos) + 1
 
 
-def _not_a_slot(blob: bytes, pos: int) -> DataError:
+def _not_a_slot(blob: bytes, lines: int, pos: int) -> DataError:
     start = blob.rfind(b"\n", 0, pos) + 1
     end = blob.find(b"\n", pos)
     text = blob[start : end if end >= 0 else None].strip(b" \t\r").decode("utf-8", "replace")
-    return DataError(f"line {_line_of(blob, pos)}: {text!r} is not a decimal slot index")
+    return DataError(f"line {lines + _line_of(blob, pos)}: {text!r} is not a decimal slot index")
 
 
-_WRITE_BLOCK = 2**16  # slots formatted and written at a time
+_WRITE_BLOCK = 2**16  # slots or bits encoded and written at a time
 # Bytes read at a time: of events, cut at a line end (ascii) or in whole
 # slots (binary); of bits, an ascii01 file's, or an eighth of them packed.
 _READ_BLOCK = 2**18
@@ -120,12 +121,10 @@ def _padded_digits(buf: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _check_block(blob: bytes, start: int, buf: np.ndarray):
-    """The padded digit mask of the block ``buf`` at byte ``start`` and its first split line.
-
-    Raises at the block's first byte that is not a digit, a blank or a
-    newline; the split line is a :class:`DataError` or None.
-    """
+def _check_block(blob: bytes, lines: int, buf: np.ndarray):
+    """The padded digit mask of the block ``blob`` (as ``buf``) after ``lines``
+    newlines, and its first split line as a :class:`DataError` or None.
+    Raises at its first byte that is not a digit, a blank or a newline."""
     padded = _padded_digits(buf)
     # Every byte that is neither a digit nor a newline must be a blank.
     blank = np.equal(buf, ord("\n"))
@@ -134,7 +133,7 @@ def _check_block(blob: bytes, start: int, buf: np.ndarray):
     other = buf[blank]
     stray = (other != ord(" ")) & (other != ord("\t")) & (other != ord("\r"))
     if stray.any():
-        raise _not_a_slot(blob, start + int(np.flatnonzero(blank)[stray.argmax()]))
+        raise _not_a_slot(blob, lines, int(np.flatnonzero(blank)[stray.argmax()]))
     if not other.size:
         return padded, None
     # Run k of the blank mask covers bytes edges[2k] .. edges[2k + 1] - 1.
@@ -142,11 +141,11 @@ def _check_block(blob: bytes, start: int, buf: np.ndarray):
     del blank
     # A blank run with a digit on each side splits a line into two numbers.
     split = padded[edges[0::2]] & padded[edges[1::2] + 1]
-    return padded, _not_a_slot(blob, start + int(edges[0::2][split.argmax()])) if split.any() else None
+    return padded, _not_a_slot(blob, lines, int(edges[0::2][split.argmax()])) if split.any() else None
 
 
-def _overflow(blob: bytes, start: int, buf: np.ndarray, padded: np.ndarray, slots: np.ndarray):
-    """The first overflowing slot of the block ``buf`` at byte ``start``, as a :class:`DataError`, or None.
+def _overflow(blob: bytes, lines: int, buf: np.ndarray, padded: np.ndarray, slots: np.ndarray):
+    """The first overflowing slot of the block ``blob``, as a :class:`DataError`, or None.
 
     The reader saturates a number above 2**64 - 1 to 2**64 - 1, so only
     tokens read as that value can overflow.  One fits when its last 20
@@ -166,56 +165,8 @@ def _overflow(blob: bytes, start: int, buf: np.ndarray, padded: np.ndarray, slot
     over |= (lead > ord("0")) & (tails > heads)
     if not over.any():
         return None
-    head, end = start + int(heads[over.argmax()]), start + int(ends[over.argmax()])
-    return DataError(f"line {_line_of(blob, head)}: slot index {blob[head:end].decode()} overflows 64 bits")
-
-
-def _parse_ascii_events(blob: bytes):
-    """Slot indices of an ascii event file and a function naming the line of entry i.
-
-    The file is checked and converted in blocks of whole lines, each of at
-    least ``_READ_BLOCK`` bytes but the last.  The error is the one a pass
-    over the whole file gives: the first stray byte, else the first split
-    line, else the first overflowing slot.
-    """
-    slots = np.empty(blob.count(b"\n") + 1, dtype=np.uint64)
-    # Block k starts at byte bounds[k] and at entry firsts[k].
-    bounds, firsts = [0], []
-    split = overflow = None
-    n = 0
-    while bounds[-1] < len(blob):
-        start = bounds[-1]
-        end = blob.find(b"\n", start + _READ_BLOCK - 1) + 1 or len(blob)
-        bounds.append(end)
-        firsts.append(n)
-        buf = np.frombuffer(blob, dtype=np.uint8, count=end - start, offset=start)
-        padded, block_split = _check_block(blob, start, buf)
-        split = split or block_split
-        # After a split line or an overflow, only a stray byte (or, after an
-        # overflow, a split line) further on changes the error.
-        if split or overflow:
-            continue
-        count = np.count_nonzero(padded[1:] > padded[:-1])
-        # The slice drops the [0] that fromstring reads from blank-only text.
-        block = slots[n : n + count]
-        block[:] = np.fromstring(buf, dtype=np.uint64, sep=" ")[:count]
-        overflow = _overflow(blob, start, buf, padded, block)
-        n += count
-    if split or overflow:
-        raise split or overflow
-
-    def where(i: int) -> str:
-        k = bisect_right(firsts, i) - 1
-        buf = np.frombuffer(blob, dtype=np.uint8, count=bounds[k + 1] - bounds[k], offset=bounds[k])
-        padded = _padded_digits(buf)
-        head = np.flatnonzero(padded[1:] > padded[:-1])[i - firsts[k]]
-        return f"line {_line_of(blob, bounds[k] + int(head))}"
-
-    # Trimmed in place to the slots filled (blank lines leave entries
-    # unfilled) and frozen, so the stream keeps the array itself.
-    slots.resize(n, refcheck=False)  # no view of it is used any more
-    slots.setflags(write=False)
-    return slots, where
+    head, end = int(heads[over.argmax()]), int(ends[over.argmax()])
+    return DataError(f"line {lines + _line_of(blob, head)}: slot index {blob[head:end].decode()} overflows 64 bits")
 
 
 def _format_slots(slots: np.ndarray) -> np.ndarray:
@@ -246,41 +197,78 @@ def _format_slots(slots: np.ndarray) -> np.ndarray:
 
 def _event_blocks(path, fmt: str, count: int | None) -> Iterator[np.ndarray]:
     """The checked slot blocks of an event file: a binary file's, ``count``
-    slots each (all for None), or a regular ascii file's, one per block of
-    whole lines (one for None).  A binary file's length is checked on the
-    call, a pipe's where it ends; an ascii pipe is parsed whole on the call."""
+    slots each (all for None), or an ascii file's.  A binary file's length
+    is checked on the call, a pipe's where it ends."""
     if fmt not in ("ascii", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
     info = Path(path).stat()
     if fmt == "ascii":
-        if count and S_ISREG(info.st_mode):
-            return _ascii_blocks(path)
-        return iter((check_slots(*_parse_ascii_events(Path(path).read_bytes())),))
+        return _ascii_blocks(path)
     if S_ISREG(info.st_mode) and info.st_size % 8:
         raise _bad_length(info.st_size)
     return check_blocks(_binary_blocks(path, count))
 
 
+def _parsed_blocks(path) -> Iterator[tuple[np.ndarray, Callable[[int], str]]]:
+    """The slots of each block of whole lines of an ascii file and a function
+    naming the line of its entry i, up to the first split line or overflow.
+    That is raised at the end unless a stray byte, or a split line after an
+    overflow, outranks it; a stray byte is raised where it is read."""
+    lines = 0  # newlines before the block
+    split = overflow = None
+    for blob in _line_blocks(path):
+        buf = np.frombuffer(blob, dtype=np.uint8)
+        padded, block_split = _check_block(blob, lines, buf)
+        split = split or block_split
+        if not (split or overflow):
+            # Owned and frozen, so it is checked without a copy; blanks read as [0].
+            slots = np.fromstring(buf, dtype=np.uint64, sep=" ") if padded.any() else np.empty(0, dtype=np.uint64)
+            slots.setflags(write=False)
+            overflow = _overflow(blob, lines, buf, padded, slots)
+            if not overflow:
+                yield slots, _line_namer(blob, lines)
+        lines += blob.count(b"\n")
+    if split or overflow:
+        raise split or overflow
+
+
+def _line_namer(blob: bytes, lines: int) -> Callable[[int], str]:
+    """A function naming the line of entry i of the block ``blob`` after ``lines`` newlines."""
+
+    def where(i: int) -> str:
+        padded = _padded_digits(np.frombuffer(blob, dtype=np.uint8))
+        head = np.flatnonzero(padded[1:] > padded[:-1])[i]
+        return f"line {lines + _line_of(blob, int(head))}"
+
+    return where
+
+
 def _ascii_blocks(path) -> Iterator[np.ndarray]:
-    """A regular ascii file's slots, parsed and checked a block of whole
-    lines at a time.  On an error the file is parsed again whole, which
-    names the error as a whole-file pass does."""
-    try:
-        yield from check_blocks(_parse_ascii_events(lines)[0] for lines in _line_blocks(path))
-    except DataError:
-        check_slots(*_parse_ascii_events(Path(path).read_bytes()))
-        raise
+    """An ascii file's checked slots, a block of lines at a time.  After a
+    slot out of order, the rest is read for an error that outranks it."""
+    blocks = _parsed_blocks(path)
+    prev = None
+    for slots, where in blocks:
+        try:
+            slots = check_slots(slots, where, prev=prev)
+        except DataError:
+            for _ in blocks:
+                pass
+            raise
+        if slots.size:
+            prev = int(slots[-1])
+        yield slots
 
 
 def _line_blocks(path) -> Iterator[bytes]:
     """A file's bytes in blocks of whole lines, cut at the last line end of
-    each ``_READ_BLOCK``-byte read."""
+    each ``_READ_BLOCK``-byte read but the last, a short one."""
     with Path(path).open("rb") as fh:
         pieces = []
         while chunk := fh.read(_READ_BLOCK):
-            end = chunk.rfind(b"\n") + 1
+            end = chunk.rfind(b"\n") + 1 if len(chunk) == _READ_BLOCK else len(chunk)
             if end:
-                yield b"".join((*pieces, chunk[:end]))
+                yield b"".join((*pieces, memoryview(chunk)[:end]))
                 pieces = [chunk[end:]]
             else:
                 pieces.append(chunk)
@@ -304,8 +292,12 @@ def _binary_blocks(path, count: int | None) -> Iterator[np.ndarray]:
 
 
 def read_events(path, fmt: str = "ascii") -> EventStream:
-    """Read an event stream; an empty file yields an empty stream."""
-    return EventStream(next(_event_blocks(path, fmt, None), np.empty(0, dtype=np.uint64)))
+    """Read an event stream, collected from its checked blocks; an empty
+    file yields an empty stream."""
+    blocks = [block for block in _event_blocks(path, fmt, None) if block.size]
+    slots = blocks[0] if len(blocks) == 1 else np.concatenate([np.empty(0, dtype=np.uint64), *blocks])
+    slots.setflags(write=False)  # kept by the stream, not copied
+    return EventStream(slots)
 
 
 def read_event_blocks(path, fmt: str = "ascii") -> Iterator[np.ndarray]:
@@ -314,31 +306,38 @@ def read_event_blocks(path, fmt: str = "ascii") -> Iterator[np.ndarray]:
     return _event_blocks(path, fmt, -(-_READ_BLOCK // 8))
 
 
-def write_events(stream: EventStream | Iterable, path, fmt: str = "ascii") -> None:
-    """Write ``stream``, an :class:`EventStream` or the slot blocks of one.
+def _write_blocks(path, blocks: Iterable) -> None:
+    """Write the byte blocks ``blocks`` to ``path`` as they come.
 
     A file is written beside its path and moved there when done, so a
     write that fails leaves the path as it was; a device or a pipe, or a
     path with no directory, is written or refused in place.
     """
-    if fmt not in ("ascii", "binary"):
-        raise ValueError(f"unknown event format {fmt!r}")
-    encode = _format_slots if fmt == "ascii" else (lambda block: block.astype("<u8", copy=False))
     path = Path(path)
     target = path.resolve()  # a symlink's file, not the link
     in_place = path.exists() and not path.is_file() or not target.parent.is_dir()  # the error names the path
     part = path if in_place else target.with_name(f".{target.name}.{os.urandom(4).hex()}.part")
     try:
         with part.open("wb") as fh:
-            for block in (stream.slots,) if isinstance(stream, EventStream) else stream:
-                for start in range(0, block.size, _WRITE_BLOCK):
-                    fh.write(encode(block[start : start + _WRITE_BLOCK]))
+            fh.writelines(blocks)  # which lets each block go before making the next
         if not in_place:
             os.replace(part, target)
     except BaseException:
         if not in_place:
             part.unlink(missing_ok=True)
         raise
+
+
+def write_events(stream: EventStream | Iterable, path, fmt: str = "ascii") -> None:
+    """Write ``stream``, an :class:`EventStream` or its slot blocks, ``_WRITE_BLOCK``
+    slots at a time, by :func:`_write_blocks`: a failed write keeps the path as it was."""
+    if fmt not in ("ascii", "binary"):
+        raise ValueError(f"unknown event format {fmt!r}")
+    encode = _format_slots if fmt == "ascii" else (lambda block: block.astype("<u8", copy=False))
+    blocks = (stream.slots,) if isinstance(stream, EventStream) else stream
+    _write_blocks(path, (
+        encode(block[start : start + _WRITE_BLOCK]) for block in blocks for start in range(0, block.size, _WRITE_BLOCK)
+    ))
 
 
 def _check_payload(bit_len: int, payload: int) -> None:
@@ -463,15 +462,16 @@ def read_bits(path, fmt: str = "ascii01") -> BitStream:
 
 
 def write_bits(bits: BitStream, path, fmt: str = "ascii01") -> None:
+    """Write ``bits``, ``_WRITE_BLOCK`` of them (whole bytes) at a time, by
+    :func:`_write_blocks`: a failed write keeps the path as it was."""
     if fmt not in ("ascii01", "packed"):
         raise ValueError(f"unknown bit format {fmt!r}")
-    path = Path(path)
+    step = 8 * -(-_WRITE_BLOCK // 8)  # packed blocks end on a byte
+    blocks = (bits.bits[start : start + step] for start in range(0, len(bits), step))
     if fmt == "ascii01":
-        path.write_bytes((bits.bits + ord("0")).tobytes() + b"\n")
+        _write_blocks(path, chain((block + ord("0") for block in blocks), (b"\n",)))
     else:
-        header = len(bits).to_bytes(8, "little")
-        payload = np.packbits(bits.bits).tobytes()
-        path.write_bytes(header + payload)
+        _write_blocks(path, chain((len(bits).to_bytes(8, "little"),), map(np.packbits, blocks)))
 
 
 def write_report(report: TestReport, path) -> None:

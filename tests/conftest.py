@@ -431,7 +431,7 @@ def reference_format_slots(slots) -> bytes:
 
 
 def reference_parse_slots(blob: bytes):
-    """One ``bytes`` token per line: the slow oracle for ``formats._parse_ascii_events``.
+    """One ``bytes`` token per line: the slow oracle for ``formats._parsed_blocks``.
 
     Returns the slots and a function naming the line of entry i, and raises
     the same :class:`DataError` messages.

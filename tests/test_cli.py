@@ -177,27 +177,48 @@ def test_simulating_a_million_ascii_events_costs_little_memory_over_the_interpre
     assert simulate - fresh_peak_rss_mb(tmp_path, "--version") < 45
 
 
-@pytest.mark.parametrize("call", ["simulate", "extract", "extract-ascii"])
+# A thread copies the file into a named pipe a piece at a time, so the
+# feed adds no file-sized buffer to the peak.
+FEED_FIFO = """
+import os, shutil, threading
+os.mkfifo("events.fifo")
+def feed():
+    with open("events.txt", "rb") as src, open("events.fifo", "wb") as dst:
+        shutil.copyfileobj(src, dst)
+threading.Thread(target=feed, daemon=True).start()
+"""
+
+
+@pytest.mark.parametrize("call", ["simulate", "extract", "extract-ascii", "extract-ascii-pipe", "extract-ascii-bad"])
 def test_binary_events_stream_through_simulate_and_extract(tmp_path, call):
     """At 2x10^6 events (16 MB of slots) each call raises the peak RSS over
     its imports by a few MB, so it holds no whole stream; holding it took
-    about 22 MB, and an ascii file's bytes and slots about 32 MB."""
+    about 22 MB, and an ascii file's bytes and slots about 32 MB.  So does
+    an ascii pipe, and a file whose last line is out of order."""
     from tickrng.formats import write_events
     from tickrng.models import Distribution, SourceModel
     from tickrng.sim import ClockConfig, ClockMode, IntraGateProfile, generate_gated
 
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=8, dead_slots=3)
     source = SourceModel(Distribution.POISSON, 0.5)
+    setup = "from tickrng import extract, formats, sim\nfrom tickrng.cli import main\n"
+    code = 0
     if call == "simulate":
         argv = ["simulate", "--mode", "gated", "--slots-per-gate", "8", "--dead-slots", "3", "--mu-eta", "0.5",
                 "--events", "2000000", "--seed", "301", "--format", "binary", "--out", "events.bin"]
     else:
-        fmt, name = ("ascii", "events.txt") if call == "extract-ascii" else ("binary", "events.bin")
+        fmt, name = ("binary", "events.bin") if call == "extract" else ("ascii", "events.txt")
         write_events(generate_gated(source, clock, IntraGateProfile.uniform(), 2_000_000, 301), tmp_path / name, fmt)
+        if call == "extract-ascii-pipe":
+            setup += FEED_FIFO
+            name = "events.fifo"
+        elif call == "extract-ascii-bad":
+            with (tmp_path / name).open("ab") as fh:
+                fh.write(b"1\n")
+            code = 2
         argv = ["extract", "--events", name, "--events-format", fmt, "--debias",
                 "--bits-format", "packed", "--out", "bits.bin"]
-    setup = "from tickrng import extract, formats, sim\nfrom tickrng.cli import main\n"
-    assert rss_rise_mb(setup, f"assert main({argv!r}) == 0", cwd=tmp_path) <= 14
+    assert rss_rise_mb(setup, f"assert main({argv!r}) == {code}", cwd=tmp_path) <= 14
 
 
 def test_packed_bits_are_tested_one_run_at_a_time(tmp_path):

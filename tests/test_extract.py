@@ -298,7 +298,7 @@ def test_checked_blocks_give_the_whole_streams_messages():
             list(check_blocks(np.array(b, dtype=np.int64) for b in blocks))
         assert str(exc.value) == message
     with pytest.raises(DataError) as exc:
-        list(check_blocks([np.array([1, 4]), np.array([3])], lambda i: f"line {2 * i}"))
+        check_slots(np.array([1, 4, 3]), lambda i: f"line {2 * i}")
     assert str(exc.value) == "line 4: non-increasing slot index 3 (previous was 4)"
     with pytest.raises(DataError, match="^event gaps must exceed the dead time of 2 slots$"):
         list(check_blocks([np.array([1, 4]), np.array([6])], dead_slots=2))

@@ -1,9 +1,12 @@
 """File formats and run manifests: golden bytes, round trips, and malformed-input errors."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 import tickrng
 from tickrng import formats
 from tickrng.errors import DataError
-from tickrng.extract import BitStream, EventStream
+from tickrng.extract import BitStream, EventStream, check_slots
 from tickrng.formats import (
     REPORT_HEADER,
     read_bit_runs,
@@ -202,12 +205,27 @@ def parse_outcome(parse, blob: bytes):
     return slots.tolist(), [where(i) for i in range(slots.size)]
 
 
+def block_parse(path):
+    """A parser of ``blob`` by the per-block kernel, from a file at ``path``:
+    the slots of all blocks and a function naming the line of entry i."""
+
+    def parse(blob: bytes):
+        path.write_bytes(blob)
+        blocks = list(formats._parsed_blocks(path))
+        # Each block is its own frozen array, which a checked stream keeps.
+        assert all(slots.base is None and not slots.flags.writeable for slots, _ in blocks)
+        names = [where(i) for slots, where in blocks for i in range(slots.size)]
+        return np.concatenate([np.empty(0, dtype=np.uint64), *(slots for slots, _ in blocks)]), names.__getitem__
+
+    return parse
+
+
 @pytest.mark.parametrize("name", FORMAT_CASES)
-def test_format_slots_matches_the_reference(name):
+def test_format_slots_matches_the_reference(tmp_path, name):
     slots = FORMAT_CASES[name]
     text = formats._format_slots(slots)
     assert text.tobytes() == reference_format_slots(slots)
-    assert parse_outcome(formats._parse_ascii_events, text.tobytes()) == parse_outcome(
+    assert parse_outcome(block_parse(tmp_path / "events.txt"), text.tobytes()) == parse_outcome(
         reference_parse_slots, reference_format_slots(slots)
     )
 
@@ -257,9 +275,9 @@ PARSE_CASES = {
 
 
 @pytest.mark.parametrize("name", PARSE_CASES)
-def test_parse_ascii_events_matches_the_reference(name):
+def test_parsed_blocks_match_the_reference(tmp_path, name):
     blob = PARSE_CASES[name]
-    assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
+    assert parse_outcome(block_parse(tmp_path / "events.txt"), blob) == parse_outcome(reference_parse_slots, blob)
 
 
 def random_event_file(rng) -> bytes:
@@ -283,9 +301,9 @@ def random_event_file(rng) -> bytes:
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_parse_ascii_events_matches_the_reference_on_random_files(seed):
+def test_parsed_blocks_match_the_reference_on_random_files(tmp_path, seed):
     blob = random_event_file(np.random.default_rng(seed))
-    assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
+    assert parse_outcome(block_parse(tmp_path / "events.txt"), blob) == parse_outcome(reference_parse_slots, blob)
 
 
 @pytest.mark.parametrize("n_events", [100_000, 1_000_000])
@@ -311,20 +329,28 @@ def test_binary_event_reading_holds_only_the_file(tmp_path):
 
 
 def test_event_streams_keep_the_readers_array_and_only_their_slots(tmp_path, monkeypatch):
-    """An ascii stream keeps the parser's array, trimmed in place to its
-    slots however many blank lines the file has; a binary one keeps the
-    file's bytes."""
+    """An ascii stream of one block keeps the parser's array, which holds
+    only its slots however many blank lines the file has, and one of
+    several blocks keeps their frozen join; a binary one keeps the file's bytes."""
     path = tmp_path / "events.txt"
     path.write_bytes(b"1\n" + b"\n" * 1000 + b"2\n")
     slots = read_events(path).slots
     assert slots.tolist() == [1, 2]
     assert slots.base is None and slots.nbytes == 16
     parsed = []
-    parse = formats._parse_ascii_events
-    monkeypatch.setattr(formats, "_parse_ascii_events", lambda blob: parsed.append(parse(blob)) or parsed[-1])
-    for text in (b"1\n2\n", b"3\n5", b"1\n" + b"\n" * 1000 + b"2\n", b""):
+    parse = formats._parsed_blocks
+    monkeypatch.setattr(formats, "_parsed_blocks", lambda path: ((parsed.append(s) or s, w) for s, w in parse(path)))
+    for text in (b"1\n2\n", b"3\n5", b"1\n" + b"\n" * 1000 + b"2\n"):
         path.write_bytes(text)
-        assert read_events(path).slots is parsed[-1][0]
+        assert read_events(path).slots is parsed[-1]
+    path.write_bytes(b"")
+    assert read_events(path).slots.base is None and len(read_events(path)) == 0
+    monkeypatch.setattr(formats, "_READ_BLOCK", 2)
+    path.write_bytes(b"1\n2\n\n3\n")
+    slots = read_events(path).slots
+    assert [block.tolist() for block in parsed[3:]] == [[1], [2], [], [3]]
+    assert slots.tolist() == [1, 2, 3]
+    assert slots.base is None and slots.nbytes == 24
     write_events(gated_stream(2, 0.5, 1000), path, "binary")
     assert isinstance(read_events(path, "binary").slots.base, bytes)
 
@@ -346,15 +372,21 @@ SMALL_BLOCK_PARSE_CASES = {
 
 
 @pytest.mark.parametrize("name", SMALL_BLOCK_PARSE_CASES)
-def test_parse_in_small_blocks_matches_the_reference(small_blocks, name):
+def test_parse_in_small_blocks_matches_the_reference(tmp_path, small_blocks, name):
     blob = SMALL_BLOCK_PARSE_CASES[name]
-    assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
+    assert parse_outcome(block_parse(tmp_path / "events.txt"), blob) == parse_outcome(reference_parse_slots, blob)
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_parse_in_small_blocks_matches_the_reference_on_random_files(small_blocks, seed):
+def test_parse_in_small_blocks_matches_the_reference_on_random_files(tmp_path, small_blocks, seed):
     blob = random_event_file(np.random.default_rng(seed))
-    assert parse_outcome(formats._parse_ascii_events, blob) == parse_outcome(reference_parse_slots, blob)
+    assert parse_outcome(block_parse(tmp_path / "events.txt"), blob) == parse_outcome(reference_parse_slots, blob)
+
+
+@pytest.mark.parametrize("name", FORMAT_CASES)
+def test_formatted_slots_parse_in_small_blocks_as_the_reference(tmp_path, small_blocks, name):
+    blob = reference_format_slots(FORMAT_CASES[name])
+    assert parse_outcome(block_parse(tmp_path / "events.txt"), blob) == parse_outcome(reference_parse_slots, blob)
 
 
 @pytest.mark.parametrize("name", FORMAT_CASES)
@@ -378,8 +410,7 @@ def read_outcome(read, blob: bytes, tmp_path):
 
 
 def reference_read(path) -> EventStream:
-    slots, where = reference_parse_slots(path.read_bytes())
-    return EventStream(slots, where)
+    return EventStream(check_slots(*reference_parse_slots(path.read_bytes())))
 
 
 def edge_case(block: int, line: bytes) -> bytes:
@@ -471,6 +502,11 @@ def block_read_outcome(path, fmt: str = "binary"):
         return [block.tolist() for block in read_event_blocks(path, fmt)]
     except DataError as exc:
         return str(exc)
+
+
+def joined(outcome):
+    """A block read's slots as one list, or its error message."""
+    return outcome if isinstance(outcome, str) else sum(outcome, [])
 
 
 # Property tests: derandomized, so every run draws the same examples.
@@ -581,8 +617,7 @@ def test_ascii_events_read_in_small_blocks_give_the_whole_file_outcome(tmp_path,
     """Slots, or the message of a whole-file read, at blocks of 1, 7 and 64 bytes."""
     blob = random_event_file(np.random.default_rng(seed))
     whole = read_outcome(read_events, blob, tmp_path)
-    blocks = block_read_outcome(tmp_path / "events.txt", "ascii")
-    assert (blocks if isinstance(blocks, str) else sum(blocks, [])) == whole
+    assert joined(block_read_outcome(tmp_path / "events.txt", "ascii")) == whole
 
 
 ASCII_BLOCK_CASES = {**{f"message_{i}": blob for i, blob in enumerate(ASCII_MESSAGE_CASES)}, **SMALL_BLOCK_PARSE_CASES}
@@ -592,17 +627,89 @@ ASCII_BLOCK_CASES = {**{f"message_{i}": blob for i, blob in enumerate(ASCII_MESS
 def test_ascii_event_cases_give_the_whole_file_outcome_in_small_blocks(tmp_path, small_blocks, name):
     blob = ASCII_BLOCK_CASES[name]
     whole = read_outcome(read_events, blob, tmp_path)
-    blocks = block_read_outcome(tmp_path / "events.txt", "ascii")
-    assert (blocks if isinstance(blocks, str) else sum(blocks, [])) == whole
+    assert joined(block_read_outcome(tmp_path / "events.txt", "ascii")) == whole
 
 
 def test_ascii_events_are_read_from_a_pipe(tmp_path, monkeypatch):
-    """Parsed whole, as a pipe cannot be read again to name an error."""
+    """In blocks as they are read, with a regular file's messages: after a
+    slot out of order, the pipe is read to its end for a split line."""
     monkeypatch.setattr(formats, "_READ_BLOCK", 2)
     with fed_fifo(tmp_path / "good", b"1\n2\n3\n") as fifo:
-        assert block_read_outcome(fifo, "ascii") == [[1, 2, 3]]
+        assert block_read_outcome(fifo, "ascii") == [[1], [2], [3]]
     with fed_fifo(tmp_path / "bad", b"1\n2\n2\n") as fifo:
         assert block_read_outcome(fifo, "ascii") == "line 3: duplicate slot index 2 (previous was 2)"
+    with fed_fifo(tmp_path / "split", b"1\n1\n2\n3 4\n") as fifo:
+        assert block_read_outcome(fifo, "ascii") == "line 4: '3 4' is not a decimal slot index"
+
+
+# The ascii grammar's bytes, digits and line ends the most, and whole
+# 20-digit tokens, which reach the overflow check; then its near misses:
+# other whitespace, "_", "+", U+0660 (an Arabic-Indic zero) and any byte
+# of 0x80 and above.
+GRAMMAR_BYTES = [*(bytes([d]) for d in b"0123456789" * 2), b" ", b"\t", b"\r", *[b"\n"] * 6,
+                 b"18446744073709551615", b"18446744073709551616", b"0" * 20]
+NEAR_MISSES = st.one_of(st.sampled_from([b"\x0b", b"\x0c", b"_", b"+", "\u0660".encode()]),
+                        st.integers(0x80, 0xFF).map(lambda byte: bytes([byte])))
+
+
+@st.composite
+def ascii_event_files(draw) -> bytes:
+    """Random grammar bytes, or increasing slots with blanks and leading
+    zeros, with up to three bytes of either kind put in anywhere."""
+    if draw(st.booleans()):
+        pieces = draw(st.lists(st.sampled_from(GRAMMAR_BYTES), max_size=60))
+    else:
+        pad = st.sampled_from([b"", b"", b" ", b"\t", b"\r", b"0"])
+        slots = draw(st.lists(st.integers(1, 10**6), max_size=20, unique=True).map(sorted))
+        pieces = [draw(pad) + str(slot).encode() + draw(pad) + b"\n" for slot in slots]
+    for _ in range(draw(st.integers(0, 3))):
+        piece = draw(st.one_of(st.sampled_from(GRAMMAR_BYTES), NEAR_MISSES))
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    return b"".join(pieces)
+
+
+@PROPERTY
+@given(blob=ascii_event_files(), block=st.integers(1, 64))
+def test_ascii_events_read_from_files_and_pipes_as_the_reference(events_bin, blob, block):
+    """Whole, in blocks and from a pipe, an ascii file gives the slots, or
+    the message, of the per-line oracle and one whole-stream check."""
+    try:
+        expected = check_slots(*reference_parse_slots(blob)).tolist()
+    except DataError as exc:
+        expected = str(exc)
+    path, fifo = events_bin.with_name("events.txt"), events_bin.with_name("events.fifo")
+    path.write_bytes(blob)
+    fifo.unlink(missing_ok=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_READ_BLOCK", block)
+        with fed_fifo(fifo, blob):
+            from_pipe = joined(block_read_outcome(fifo, "ascii"))
+        from_file = joined(block_read_outcome(path, "ascii"))
+        whole = read_outcome(read_events, blob, path.parent)
+    assert (whole, from_file, from_pipe) == (expected,) * 3
+
+
+def test_ascii_event_blocks_hold_a_few_blocks_after_an_error_and_from_a_pipe(tmp_path):
+    """A 10^6-line file with a bad last line is named without reading the
+    file again whole, and a pipe is read in blocks as a file is: each holds
+    a few blocks' work, not the 6.9 MB file and 8 MB of slots."""
+    path = tmp_path / "events.txt"
+    write_events(stream_of(*range(1, 10**6 + 1)), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"5\n")
+    outcomes = []
+
+    def read(source):
+        try:
+            outcomes.append(sum(block.size for block in read_event_blocks(source)))
+        except DataError as exc:
+            outcomes.append(str(exc))
+
+    budget = 12 * formats._READ_BLOCK
+    assert traced_peak(read, path) <= budget
+    with fed_fifo(tmp_path / "fifo", blob) as fifo:
+        assert traced_peak(read, fifo) <= budget
+    assert outcomes == ["line 1000001: non-increasing slot index 5 (previous was 1000000)", 10**6]
 
 
 def test_binary_event_blocks_hold_one_block(tmp_path):
@@ -643,6 +750,44 @@ def test_a_failed_event_write_keeps_the_earlier_file(tmp_path):
     write_events(stream_of(1, 5), path, "binary")
     assert list(tmp_path.iterdir()) == [path]
     assert read_events(path, "binary").slots.tolist() == [1, 5]
+
+
+class FullDisk(io.FileIO):
+    """A file opened to write that takes 100 bytes, then fails as a full disk does."""
+
+    room = 100
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        super().write(data[: self.room])
+        if data.nbytes > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= data.nbytes
+        return data.nbytes
+
+
+def test_a_failed_bit_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    """A bit file is written beside its path, a block at a time, and moved
+    there when done: a disk that fills part way leaves the earlier file, not
+    a shorter stream that reads back as valid."""
+    monkeypatch.setattr(formats, "_WRITE_BLOCK", 64)
+    bits = BitStream(np.random.default_rng(4).integers(0, 2, size=1000, dtype=np.uint8))
+    path = tmp_path / "bits"
+    path.write_bytes(b"earlier")
+    open_file = Path.open
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "open", lambda self, mode="r", *args, **kwargs: (
+            FullDisk(self, mode) if "w" in mode else open_file(self, mode, *args, **kwargs)
+        ))
+        for fmt in ("ascii01", "packed"):
+            with pytest.raises(OSError, match="No space left"):
+                write_bits(bits, path, fmt)
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_bytes() == b"earlier"
+    for fmt in ("ascii01", "packed"):
+        write_bits(bits, path, fmt)
+        assert list(tmp_path.iterdir()) == [path]
+        assert read_bits(path, fmt) == bits
 
 
 def test_events_are_written_through_a_symlink_and_to_a_device(tmp_path):
@@ -801,11 +946,12 @@ def bits_file(tmp_path_factory):
 @given(bits=st.lists(st.integers(0, 1), max_size=200), fmt=st.sampled_from(["ascii01", "packed"]),
        block=st.integers(1, 64), run_len=st.integers(1, 70))
 def test_bit_files_read_back_in_blocks_of_any_size(bits_file, bits, fmt, block, run_len):
-    """Write then read is the identity at any read block size, and the runs
-    are the whole read's slices: full runs, then the shorter rest."""
-    write_bits(BitStream(np.array(bits, dtype=np.uint8)), bits_file, fmt=fmt)
+    """Write then read is the identity at any write and read block size, and
+    the runs are the whole read's slices: full runs, then the shorter rest."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_WRITE_BLOCK", block)
         patch.setattr(formats, "_READ_BLOCK", block)
+        write_bits(BitStream(np.array(bits, dtype=np.uint8)), bits_file, fmt=fmt)
         whole, runs = bit_read_outcomes(bits_file, fmt, run_len)
     assert whole == bits
     assert runs == [bits[i : i + run_len] for i in range(0, len(bits) + 1, run_len)]
