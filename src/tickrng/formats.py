@@ -227,7 +227,9 @@ def _parsed_blocks(path) -> Iterator[tuple[np.ndarray, Callable[[int], str]]]:
             overflow = _overflow(blob, lines, buf, padded, slots)
             if not overflow:
                 yield slots, _line_namer(blob, lines)
+            del slots
         lines += blob.count(b"\n")
+        del blob, buf, padded  # not held while the next block is read
     if split or overflow:
         raise split or overflow
 
@@ -258,6 +260,7 @@ def _ascii_blocks(path) -> Iterator[np.ndarray]:
         if slots.size:
             prev = int(slots[-1])
         yield slots
+        del slots, where  # not held while the next block is read
 
 
 def _line_blocks(path) -> Iterator[bytes]:
@@ -294,8 +297,18 @@ def _binary_blocks(path, count: int | None) -> Iterator[np.ndarray]:
 def read_events(path, fmt: str = "ascii") -> EventStream:
     """Read an event stream, collected from its checked blocks; an empty
     file yields an empty stream."""
-    blocks = [block for block in _event_blocks(path, fmt, None) if block.size]
-    slots = blocks[0] if len(blocks) == 1 else np.concatenate([np.empty(0, dtype=np.uint64), *blocks])
+    slots = np.empty(0, dtype=np.uint64)
+    for block in _event_blocks(path, fmt, None):
+        if not slots.size:
+            slots = block  # a lone block is kept as it is
+        elif block.size:
+            if not slots.flags.writeable:  # the first block, frozen by its reader
+                slots = slots.copy()
+            # Grown in place, so the blocks are never held twice.
+            have = slots.size
+            slots.resize(have + block.size, refcheck=False)
+            slots[have:] = block
+        del block  # not held while the next block is read
     slots.setflags(write=False)  # kept by the stream, not copied
     return EventStream(slots)
 

@@ -16,15 +16,16 @@ per-slot Bernoulli trials; the tests check their histogram against the
 ``_BLOCK``-slot blocks, in one call's draw order: :func:`generate_blocks`
 yields them as drawn and the ``generate_*`` functions collect them.  A
 gated top-up batch draws all its gaps before its profile slots, so it
-holds them, a byte each where they fit one.  :func:`intra_gate_slots`
-yields such blocks of a gated stream's intra-gate slots.
+walks them, then draws each block's again beside the block's profile
+slots.  :func:`intra_gate_slots` yields a gated stream's intra-gate slots.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -50,7 +51,7 @@ __all__ = [
 GENERATOR_ALGORITHM = "PCG64"
 
 _MAX_TOPUP_BATCHES = 10_000
-_BLOCK = 2**16
+_BLOCK = 2**14
 
 # The most events a stream drawn block by block may take, as ``qkd`` takes
 # at most as many gates a round: at 30-40 ns each, about 10 hours.
@@ -217,12 +218,8 @@ def generate_gated(source: SourceModel, clock: ClockConfig, profile: IntraGatePr
     falling within ``dead_slots`` of the last accepted click are lost.
     """
     n_events, p_gate = _guards(source, clock, profile, n_events, "generate_gated", ClockMode.GATED)
-    slots = np.empty(n_events, dtype=np.uint64)
-    # A batch of m candidates keeps its gaps in the last m bytes of the
-    # slots; the kept slots, filled from the front, never reach unread gaps.
-    tail = slots.view(np.uint8)
-    blocks = _gated_blocks(rng(seed), clock, profile, n_events, p_gate, lambda m: tail[tail.size - m :])
-    return _collect(blocks, slots, clock.dead_slots)
+    blocks = _gated_blocks(rng(seed), clock, profile, n_events, p_gate)
+    return _collect(blocks, np.empty(n_events, dtype=np.uint64), clock.dead_slots)
 
 
 def generate_blocks(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile | None,
@@ -237,7 +234,7 @@ def generate_blocks(source: SourceModel, clock: ClockConfig, profile: IntraGateP
     if n_events > _MAX_WORK:
         raise GuardError(f"at most {_MAX_WORK} events per stream, got {n_events}")
     if clock.mode is ClockMode.GATED:
-        blocks = _gated_blocks(rng(seed), clock, profile, n_events, p, lambda m: np.empty(m, dtype=np.uint8))
+        blocks = _gated_blocks(rng(seed), clock, profile, n_events, p)
     else:
         blocks = _free_running_blocks(rng(seed), clock.dead_slots, n_events, p)
     return check_blocks(blocks, dead_slots=clock.dead_slots)
@@ -270,23 +267,20 @@ def _free_running_blocks(gen, dead: int, n_events: int, p_slot: float | None) ->
 
 
 def _gated_blocks(gen, clock: ClockConfig, profile: IntraGateProfile, n_events: int,
-                  p_gate: float | None, room: Callable[[int], np.ndarray]) -> Iterator[np.ndarray]:
-    """Each top-up batch of m candidates draws its gaps into the m bytes
-    ``room(m)``, a block with a gap past 255 aside at its narrowest dtype;
-    then per block the profile slots and the dead time, carrying the last
-    gate and the last kept slot."""
+                  p_gate: float | None) -> Iterator[np.ndarray]:
+    """Each top-up batch of m candidates walks ``gen`` past its m gaps; per
+    block it draws them again from a copy of ``gen`` made before the walk,
+    draws the profile slots from ``gen`` and drops the dead time's losses."""
     r, dead = clock.slots_per_gate, clock.dead_slots
     have, last_gate, last_slot = 0, -1, -(dead + 1)
     for _ in range(_MAX_TOPUP_BATCHES):
-        gaps, wide = room(n_events - have), {}
-        for start in range(0, gaps.size, _BLOCK):
-            block = gen.geometric(p_gate, size=min(_BLOCK, gaps.size - start))
-            if block.max() > 255:
-                wide[start] = block.astype(np.min_scalar_type(block.max()))
-            else:
-                gaps[start : start + block.size] = block
-        for start in range(0, gaps.size, _BLOCK):
-            slots = np.cumsum(wide.pop(start, gaps[start : start + _BLOCK]), dtype=np.int64)
+        starts = range(0, n_events - have, _BLOCK)
+        gaps = np.random.Generator(copy.deepcopy(gen.bit_generator))
+        for start in starts:
+            gen.geometric(p_gate, size=min(_BLOCK, starts.stop - start))
+        for start in starts:
+            slots = gaps.geometric(p_gate, size=min(_BLOCK, starts.stop - start))
+            np.cumsum(slots, out=slots)
             slots += last_gate
             last_gate = int(slots[-1])
             slots *= r
@@ -299,10 +293,8 @@ def _gated_blocks(gen, clock: ClockConfig, profile: IntraGateProfile, n_events: 
                 yield _frozen(slots)
         if have == n_events:
             return
-    raise GuardError(
-        "dead time rejected too many candidate clicks; "
-        f"gave up after {_MAX_TOPUP_BATCHES} batches"
-    )
+    raise GuardError("dead time rejected too many candidate clicks; "
+                     f"gave up after {_MAX_TOPUP_BATCHES} batches")
 
 
 def intra_gate_slots(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
@@ -313,19 +305,24 @@ def intra_gate_slots(source: SourceModel, clock: ClockConfig, profile: IntraGate
     The int64 blocks join up to ``(slots - 1) % slots_per_gate + 1``.
     Without dead time the gaps are walked and dropped, then the profile
     slots are yielded as drawn.  With dead time, which candidates survive
-    depends on their absolute slots, so the whole stream is held.
+    depends on their absolute slots, so the stream's blocks are cut again.
     """
     n_events, p_gate = _guards(source, clock, profile, n_events, "intra_gate_slots", ClockMode.GATED)
-    return _intra_gate_blocks(source, clock, profile, n_events, seed, p_gate)
+    return _intra_gate_blocks(clock, profile, n_events, seed, p_gate)
 
 
-def _intra_gate_blocks(source: SourceModel, clock: ClockConfig, profile: IntraGateProfile,
-                       n_events: int, seed, p_gate: float | None) -> Iterator[np.ndarray]:
+def _intra_gate_blocks(clock: ClockConfig, profile: IntraGateProfile, n_events: int,
+                       seed, p_gate: float | None) -> Iterator[np.ndarray]:
     r, starts = clock.slots_per_gate, range(0, n_events, _BLOCK)
     if clock.dead_slots:
-        slots = generate_gated(source, clock, profile, n_events, seed).slots.view(np.int64)
-        for start in starts:
-            yield (slots[start : start + _BLOCK] - 1) % r + 1
+        rest = np.empty(0, dtype=np.int64)
+        for block in _gated_blocks(rng(seed), clock, profile, n_events, p_gate):
+            rest = np.concatenate([rest, (block.view(np.int64) - 1) % r + 1])
+            while rest.size >= _BLOCK:
+                yield rest[:_BLOCK]
+                rest = rest[_BLOCK:]
+        if rest.size:
+            yield rest
         return
     gen = rng(seed)
     # The gaps are walked only to reach the profile's draws; a one-slot gate

@@ -221,6 +221,18 @@ def test_binary_events_stream_through_simulate_and_extract(tmp_path, call):
     assert rss_rise_mb(setup, f"assert main({argv!r}) == {code}", cwd=tmp_path) <= 14
 
 
+def test_a_gated_simulation_peaks_no_higher_at_ten_times_the_events(tmp_path):
+    """A dead-time ``simulate`` draws its gaps again beside its slots, so it
+    holds no byte per event: at 2x10^7 binary events its peak RSS is
+    within 1 MB of that at 2x10^6 (holding the gaps read 56.5 against 39.5 MB)."""
+    def peak(n_events: int) -> float:
+        argv = ["simulate", "--mode", "gated", "--slots-per-gate", "8", "--dead-slots", "3", "--mu-eta", "0.5",
+                "--events", str(n_events), "--seed", "301", "--format", "binary", "--out", "events.bin"]
+        return fresh_peak_rss_mb(tmp_path, *argv)
+
+    assert abs(peak(20_000_000) - peak(2_000_000)) <= 1
+
+
 def test_packed_bits_are_tested_one_run_at_a_time(tmp_path):
     """``test`` holds one run and the battery's work on it, not the bit file:
     at 2x10^6 packed bits its peak RSS rises about 7 MB over its imports

@@ -365,13 +365,32 @@ def test_free_running_streams_in_blocks_of_one_equal_the_default_blocks(monkeypa
     assert np.array_equal(generate_free_running(source, clock, 5_000, seed=seed).slots, expected)
 
 
+def spy_on_geometric(monkeypatch) -> list[int]:
+    """The sizes of the ``geometric`` calls on the generators ``sim.rng`` makes from now on."""
+    seeded, calls = sim.rng, []
+
+    class Spy:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def geometric(self, *args, **kwargs):
+            calls.append(kwargs["size"])
+            return self.gen.geometric(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
+
+    monkeypatch.setattr(sim, "rng", lambda seed: Spy(seeded(seed)))
+    return calls
+
+
 def test_gated_simulation_stays_within_its_memory_budget():
     """The stream's 8 bytes per event, and one block's draws and filter."""
     source = SourceModel(Distribution.POISSON, 0.5)
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=8, dead_slots=3)
     n_events = 2_000_000
     peak = traced_peak(generate_gated, source, clock, IntraGateProfile.uniform(), n_events, 301)
-    assert peak <= 8 * n_events + 4 * 2**20
+    assert peak <= 8 * n_events + 2**20
 
 
 def test_free_running_simulation_stays_within_its_memory_budget():
@@ -382,14 +401,41 @@ def test_free_running_simulation_stays_within_its_memory_budget():
     assert traced_peak(generate_free_running, source, clock, n_events, 301) <= 8 * n_events + 3 * 2**20
 
 
-def test_gated_simulation_blocks_hold_a_byte_per_gap():
-    """Streamed without being collected, the stream costs its gaps, a byte
-    each, and one block's draws and filter."""
+def test_gated_simulation_blocks_hold_one_block_whatever_the_length():
+    """Streamed without being collected, a dead-time stream costs one
+    block's draws and filter: no more at 2x10^6 events than at 2x10^5."""
     source = SourceModel(Distribution.POISSON, 0.5)
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=8, dead_slots=3)
-    n_events = 2_000_000
-    blocks = generate_blocks(source, clock, IntraGateProfile.uniform(), n_events, 301)
-    assert traced_peak(lambda: sum(b.size for b in blocks)) <= n_events + 4 * 2**20
+    peaks = []
+    for n_events in (200_000, 2_000_000):
+        blocks = generate_blocks(source, clock, IntraGateProfile.uniform(), n_events, 301)
+        peaks.append(traced_peak(lambda: sum(b.size for b in blocks)))
+    assert max(peaks) <= 2**20
+    assert abs(peaks[1] - peaks[0]) <= 64 * 2**10
+
+
+# A thermal source behind a dead time of 9 slots loses about half its
+# candidates, so its stream takes many top-up batches: their sizes, as
+# when each batch held its gaps, and the stream's first 3,000 events.
+TOPUP_BATCHES = [3000, 1332, 613, 291, 135, 64, 31, 12, 5, 2, 2]
+TOPUP_PIN = "0ebfc28317db070d1740c1170ac3123805688dc05dbbeae9705a0e36f25358ef"
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 64])
+def test_gated_top_up_batches_walk_their_gaps_and_stay_pinned(monkeypatch, block):
+    """Each batch walks the generator past its gaps, at most a block per
+    ``geometric`` call, before it draws them again from a copy; the gaps
+    the copy draws are not on the generator, so its calls are the walks."""
+    if block is not None:
+        monkeypatch.setattr(sim, "_BLOCK", block)
+    calls = spy_on_geometric(monkeypatch)
+    clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=4, dead_slots=9)
+    stream = generate_gated(SourceModel(Distribution.THERMAL, 0.8), clock, IntraGateProfile.uniform(), 3000, 347)
+    assert slots_digest(stream) == TOPUP_PIN
+    assert max(calls) <= sim._BLOCK
+    if block is None:
+        assert calls == TOPUP_BATCHES
+    assert sum(calls) == sum(TOPUP_BATCHES)
 
 
 def test_free_running_simulation_blocks_hold_one_block():
@@ -430,9 +476,8 @@ def test_simulation_blocks_join_up_to_the_generated_streams(monkeypatch, block, 
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("r", [1, 3])
 def test_gated_gaps_past_a_byte_give_the_whole_length_draw(monkeypatch, block, r):
-    """At a click probability of 1e-4 the gap blocks are held at 16 and 32
-    bits; the stream is still one whole-length gap draw, then one profile
-    draw."""
+    """At a click probability of 1e-4 gaps pass 2^16; the stream is still
+    one whole-length gap draw, then one profile draw."""
     if block is not None:
         monkeypatch.setattr(sim, "_BLOCK", block)
     source = source_for_slot_probability(1e-4)
@@ -534,20 +579,7 @@ def test_intra_gate_slot_blocks_join_up_to_the_gated_streams(monkeypatch, r, pro
 def test_intra_gate_slots_walk_the_gaps_only_to_reach_profile_draws(monkeypatch, r, profile, walks):
     """The gaps are walked, one ``geometric`` call per block, only where the
     profile then draws: not at one slot per gate, nor at a fixed slot."""
-    seeded, calls = sim.rng, []
-
-    class Spy:
-        def __init__(self, gen):
-            self.gen = gen
-
-        def geometric(self, *args, **kwargs):
-            calls.append(kwargs["size"])
-            return self.gen.geometric(*args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self.gen, name)
-
-    monkeypatch.setattr(sim, "rng", lambda seed: Spy(seeded(seed)))
+    calls = spy_on_geometric(monkeypatch)
     source, clock = SourceModel(Distribution.POISSON, 0.5), ClockConfig(mode=ClockMode.GATED, slots_per_gate=r)
     blocks = list(intra_gate_slots(source, clock, intra_gate_profile(profile, r), 2 * sim._BLOCK + 3, 409))
     assert len(blocks) == 3
@@ -580,23 +612,24 @@ def test_intra_gate_slots_run_the_gated_guards_on_the_call(dead_slots):
 
 
 def test_intra_gate_slots_draw_a_dead_time_stream_when_the_first_block_is_asked_for(monkeypatch):
-    """With dead time the call draws nothing; the first block draws the
-    whole stream with ``generate_gated``, once."""
-    real, calls = sim.generate_gated, []
+    """With dead time the call draws nothing; each block draws the stream's
+    blocks only as far as it needs them, so no more than one is held."""
+    real, drawn = sim._gated_blocks, []
 
     def spy(*args):
-        calls.append(args)
-        return real(*args)
+        for block in real(*args):
+            drawn.append(block.size)
+            yield block
 
-    monkeypatch.setattr(sim, "generate_gated", spy)
+    monkeypatch.setattr(sim, "_gated_blocks", spy)
     source, profile = SourceModel(Distribution.POISSON, 0.5), IntraGateProfile.uniform()
     clock = ClockConfig(mode=ClockMode.GATED, slots_per_gate=2, dead_slots=1)
-    blocks = intra_gate_slots(source, clock, profile, sim._BLOCK + 3, 409)
-    assert calls == []
+    blocks = intra_gate_slots(source, clock, profile, 4 * sim._BLOCK + 3, 409)
+    assert drawn == []
     assert next(blocks).size == sim._BLOCK
-    assert calls == [(source, clock, profile, sim._BLOCK + 3, 409)]
-    assert next(blocks).size == 3
-    assert len(calls) == 1
+    assert sim._BLOCK <= sum(drawn) < sim._BLOCK + max(drawn)
+    assert [b.size for b in blocks] == [sim._BLOCK] * 3 + [3]
+    assert sum(drawn) == 4 * sim._BLOCK + 3
 
 
 def assert_dead_time_matches_reference(slots, dead: int, last: int | None = None) -> None:
